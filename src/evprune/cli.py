@@ -28,6 +28,7 @@ import dataclasses
 import json
 import os
 import sys
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -61,11 +62,18 @@ from .saliency import apply_mask_to_image, mask_to_text, patch_scores, quantile_
 
 
 def _atomic_write(path: str, data: bytes) -> None:
-    """No partial files: write beside the target, rename on success."""
+    """No partial files: write a uniquely named file beside the target and
+    rename it into place; on any failure the temporary file is removed."""
     target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, target)
+    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_bytes(path: str) -> bytes:

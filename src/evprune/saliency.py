@@ -41,7 +41,7 @@ def retained_count(tau: float, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SaliencyMap:
-    """Per-patch non-negative motion scores on a rows x cols grid."""
+    """Per-patch finite, non-negative motion scores on a rows x cols grid."""
 
     scores: np.ndarray
     patch_size: int
@@ -50,6 +50,8 @@ class SaliencyMap:
         arr = np.asarray(self.scores, dtype=np.float64)
         if arr.ndim != 2:
             raise ValidationError("scores must be a 2D array")
+        if not np.isfinite(arr).all():
+            raise ValidationError("scores must be finite")
         if np.any(arr < 0):
             raise ValidationError("scores must be non-negative")
         if self.patch_size < 1:

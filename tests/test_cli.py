@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from evprune import cli, events
 from evprune.cli import main
 from evprune.events import read_events_bin
 from evprune.featio import read_features
@@ -156,6 +157,16 @@ class TestMask:
                          "--out-mask", str(tmp_path / "m.txt"))
         assert code == 2
 
+    def test_non_utf8_event_file_exit_2(self, square_events, tmp_path, capsys):
+        image, _ = square_events
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"0,1,1,1\n\xff\xfe,1,1,1\n")
+        code, _, err = run(capsys, "mask", str(image), str(bad),
+                           "--tau", "0.5", "--patch-size", "16",
+                           "--out-mask", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert "UTF-8" in err
+
 
 class TestEncode:
     def test_tau_one_packed_equals_dense(self, square_events, tmp_path, capsys):
@@ -219,6 +230,63 @@ class TestEncode:
         code, _, _ = run(capsys, "encode", str(image), str(evt),
                          "--config", str(cfg), "--out", str(tmp_path / "f.bin"))
         assert code == 2
+
+
+class TestAtomicWrite:
+    def simulate(self, capsys, pair, out):
+        return run(capsys, "simulate", str(pair[0]), str(pair[1]), "--contrast", "0.3",
+                   "--duration-us", "1000", "--out", str(out))
+
+    def test_failed_rename_leaves_no_temporary_file(self, square_pair, tmp_path,
+                                                    capsys, monkeypatch):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code, _, err = self.simulate(capsys, square_pair, out_dir / "ev.evt1")
+        assert code == 2
+        assert "rename refused" in err
+        assert list(out_dir.iterdir()) == []
+
+    def test_directory_target_leaves_no_temporary_file(self, square_pair, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        (out_dir / "ev.evt1").mkdir(parents=True)
+        code, _, _ = self.simulate(capsys, square_pair, out_dir / "ev.evt1")
+        assert code == 2
+        assert [p.name for p in out_dir.iterdir()] == ["ev.evt1"]
+
+    def test_existing_tmp_sibling_is_untouched(self, square_pair, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "ev.evt1.tmp").write_bytes(b"keep")
+        code, _, _ = self.simulate(capsys, square_pair, out_dir / "ev.evt1")
+        assert code == 0
+        assert (out_dir / "ev.evt1.tmp").read_bytes() == b"keep"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["ev.evt1", "ev.evt1.tmp"]
+
+
+def test_event_paths_build_no_event_objects(square_pair, tmp_path, capsys, monkeypatch):
+    """simulate, mask and encode work on the stream's columns alone."""
+    def no_event(*args, **kwargs):
+        raise AssertionError("an Event object was built")
+
+    monkeypatch.setattr(events, "Event", no_event)
+    image = square_pair[1]
+    evt = tmp_path / "ev.evt1"
+    csv = tmp_path / "ev.csv"
+    csv.write_text(f"# width {SCENE}\n# height {SCENE}\nt,x,y,p\n5,70,20,1\n9,3,4,0\n")
+    cfg = write_encoder_config(tmp_path / "enc.cfg")
+    assert run(capsys, "simulate", str(square_pair[0]), str(image), "--contrast", "0.3",
+               "--duration-us", "1000", "--out", str(evt))[0] == 0
+    for events_file in (evt, csv):
+        assert run(capsys, "mask", str(image), str(events_file), "--tau", "0.5",
+                   "--patch-size", "16", "--window", "0:800",
+                   "--out-mask", str(tmp_path / "m.txt"))[0] == 0
+        assert run(capsys, "encode", str(image), str(events_file), "--tau", "0.5",
+                   "--config", str(cfg), "--out", str(tmp_path / "f.bin"))[0] == 0
 
 
 class TestFlops:

@@ -106,6 +106,12 @@ class TestQuantileMask:
         mask = quantile_mask(smap, 0.5)
         assert mask.bits.tolist() == [[1, 0, 1, 0]]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        # a NaN score used to be ranked silently: [nan, 1, .5, .2] kept [0 1 1 0]
+        with pytest.raises(ValidationError, match="finite"):
+            SaliencyMap(np.array([[bad, 1.0, 0.5, 0.2]]), 4)
+
     def test_raster_tie_break_on_equal_scores(self):
         smap = SaliencyMap(np.full((1, 4), 2.0), 4)
         mask = quantile_mask(smap, 0.5)
