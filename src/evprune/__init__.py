@@ -43,7 +43,7 @@ from .events import (
     write_events_bin,
 )
 from .featio import read_features, write_features
-from .packing import PackedSequence, pack_patches, pack_positions, unpack_scatter
+from .packing import PackedSequence, pack_patches, unpack_scatter
 from .ppm import read_ppm, to_gray01, write_ppm
 from .rope2d import RopeTable, apply_rope, apply_rope_many, build_rope, rope_matrix
 from .saliency import (

@@ -55,6 +55,7 @@ from .events import (
     write_events_bin,
 )
 from .featio import write_features
+from .kvtext import decode_ascii
 from .packing import pack_patches
 from .ppm import read_ppm, to_gray01, write_ppm
 from .rope2d import build_rope
@@ -222,7 +223,8 @@ def cmd_mask(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    config = load_encoder_config(Path(args.config).read_text(encoding="ascii"))
+    text = decode_ascii(_read_bytes(args.config), "encoder config")
+    config = load_encoder_config(text)
     seed = _env_seed()
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
@@ -262,7 +264,8 @@ def cmd_encode(args) -> int:
 def _load_profile_arg(spec: str) -> costmodel.ArchProfile:
     path = Path(spec)
     if path.exists():
-        return costmodel.load_arch_profile(path.read_text(encoding="ascii"))
+        text = decode_ascii(path.read_bytes(), "arch profile")
+        return costmodel.load_arch_profile(text)
     if "/" not in spec and "\\" not in spec and not spec.endswith(".cfg"):
         return costmodel.load_shipped_profile(spec)
     raise FormatError(f"profile file not found: {spec}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import FormatError, ValidationError
-from .kvtext import parse_float, parse_int, parse_kv, require_keys
+from .kvtext import decode_ascii, parse_float, parse_int, parse_kv, require_keys
 from .saliency import retained_count
 
 _STAGES = ("vit_attention", "vit_mlp", "merge", "llm_prefill", "llm_decode")
@@ -250,9 +250,9 @@ def load_shipped_profile(name: str) -> ArchProfile:
     """Load one of the profiles bundled with the package by bare name."""
     path = resources.files("evprune").joinpath("profiles", f"{name}.cfg")
     try:
-        text = path.read_text(encoding="ascii")
+        data = path.read_bytes()
     except (FileNotFoundError, OSError):
         raise ValidationError(
             f"no shipped profile {name!r}; available: {shipped_profile_names()}"
         ) from None
-    return load_arch_profile(text)
+    return load_arch_profile(decode_ascii(data, f"shipped profile {name!r}"))

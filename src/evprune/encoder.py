@@ -18,7 +18,10 @@ Three forward paths share one implementation:
 Weights are untrained: the mechanism under test (positional alignment,
 packed/dense agreement, cost) does not depend on trained values, and
 reproducible random weights make every comparison exact. All math runs
-in float64 with a fixed summation order.
+in float64. Attention runs as head-batched BLAS matmuls, whose summation
+order is fixed only per matrix shape and BLAS thread count: a repeated
+call is bit-identical, but sequences of different lengths (packed versus
+masked-dense) agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -245,10 +248,12 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
+    """Row softmax over the last axis, overwriting and returning ``logits``."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _forward(
@@ -273,19 +278,21 @@ def _forward(
         return h
     nh, dh = config.n_heads, config.head_dim
     scale = 1.0 / np.sqrt(dh)
+    # One (heads, n_q, n_k) buffer holds every layer's logits and softmax.
+    logits = np.empty((nh, n, n))
     for lw in weights.layers:
         a = _layer_norm(h, lw.ln1_gamma, lw.ln1_beta)
         q = (a @ lw.wq).reshape(n, nh, dh)
         k = (a @ lw.wk).reshape(n, nh, dh)
         v = (a @ lw.wv).reshape(n, nh, dh)
-        q = apply_rope_many(rope, positions, q)
+        q = apply_rope_many(rope, positions, q) * scale
         k = apply_rope_many(rope, positions, k)
-        # (heads, n_q, n_k)
-        logits = np.einsum("qhd,khd->hqk", q, k) * scale
+        # head-major batched matmuls: (heads, n_q, d_h) @ (heads, d_h, n_k)
+        np.matmul(q.transpose(1, 0, 2), k.transpose(1, 2, 0), out=logits)
         if key_keep is not None:
             logits[:, :, ~key_keep] = -np.inf
-        attn = _softmax(logits)
-        mixed = np.einsum("hqk,khd->qhd", attn, v).reshape(n, nh * dh)
+        attn = _softmax_inplace(logits)
+        mixed = (attn @ v.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(n, nh * dh)
         h = h + mixed @ lw.wo
         a2 = _layer_norm(h, lw.ln2_gamma, lw.ln2_beta)
         h = h + _gelu(a2 @ lw.w_up + lw.b_up) @ lw.w_down + lw.b_down

@@ -35,7 +35,9 @@ Records must be sorted by t_us; files that read successfully round-trip
 bit-exactly.
 
 Simulation emits at most MAX_SIMULATED_EVENTS events per frame pair; the
-total is checked before any per-event array is allocated.
+total is checked before any per-event array is allocated. Accumulation
+counts at most MAX_FRAME_PIXELS sensor pixels, checked before the counts
+are allocated.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -64,6 +66,12 @@ _INT64_MAX = np.iinfo(np.int64).max
 # bytes per event (measured on 0.9M events), so a call at the cap peaks near
 # 1.8 GiB. A single 0 -> 1 pixel at contrast 1e-3 already yields 6908 events.
 MAX_SIMULATED_EVENTS = 2**24
+
+# Upper bound on width * height for accumulate, checked before the per-pixel
+# counts exist. A frame at the cap (4096 x 4096) holds int64 counts and then
+# their float64 copy, 128 MiB each; EVT1's u16 header fields alone would allow
+# 4.3G pixels.
+MAX_FRAME_PIXELS = 2**24
 
 
 @dataclass(frozen=True)
@@ -381,6 +389,9 @@ def accumulate(stream: EventStream, t0_us: int, t1_us: int) -> EventFrame:
     if t0_us > t1_us:
         raise ValidationError(f"window start {t0_us} after end {t1_us}")
     width, height = stream.sensor_width, stream.sensor_height
+    if width * height > MAX_FRAME_PIXELS:
+        raise ValidationError(
+            f"sensor {width}x{height} exceeds MAX_FRAME_PIXELS = {MAX_FRAME_PIXELS}")
     lo = _count_before(stream.t_us, t0_us)
     hi = _count_before(stream.t_us, t1_us)
     pixels = stream.y[lo:hi] * width + stream.x[lo:hi]

@@ -7,7 +7,17 @@ callers convert.
 
 from __future__ import annotations
 
+import math
+
 from .errors import FormatError
+
+
+def decode_ascii(data: bytes, what: str) -> str:
+    """The text of an ASCII document; any other byte is a FormatError."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what}: non-ASCII byte at offset {exc.start}") from None
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -44,6 +54,9 @@ def parse_int(kv: dict[str, str], key: str) -> int:
 
 def parse_float(kv: dict[str, str], key: str) -> float:
     try:
-        return float(kv[key])
+        value = float(kv[key])
     except ValueError:
         raise FormatError(f"key {key}: expected number, got {kv[key]!r}") from None
+    if not math.isfinite(value):
+        raise FormatError(f"key {key}: expected a finite number, got {kv[key]!r}")
+    return value

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .rope2d import RopeTable
 from .saliency import PatchMask
 
 
@@ -63,20 +62,6 @@ def pack_patches(patch_seq: np.ndarray, mask: PatchMask) -> PackedSequence:
         (idx // mask.cols, idx % mask.cols) for idx in np.nonzero(flat)[0]
     )
     return PackedSequence(seq[flat], kept, (mask.rows, mask.cols))
-
-
-def pack_positions(rope: RopeTable, mask: PatchMask) -> tuple[tuple[int, int], ...]:
-    """Grid coordinates of retained patches, in raster order.
-
-    Equals the ``kept`` list pack_patches produces for the same mask;
-    positional factors of dropped patches are never consumed.
-    """
-    if (rope.rows, rope.cols) != (mask.rows, mask.cols):
-        raise ValidationError(
-            f"rope extent {rope.rows}x{rope.cols} != mask grid {mask.rows}x{mask.cols}"
-        )
-    flat = mask.bits.ravel().astype(bool)
-    return tuple((idx // mask.cols, idx % mask.cols) for idx in np.nonzero(flat)[0])
 
 
 def unpack_scatter(packed: PackedSequence, fill: np.ndarray) -> np.ndarray:

@@ -167,6 +167,19 @@ class TestMask:
         assert code == 2
         assert "UTF-8" in err
 
+    def test_oversized_sensor_exit_1_before_counting(self, square_events, tmp_path,
+                                                     capsys):
+        image, _ = square_events
+        huge = tmp_path / "huge.csv"
+        huge.write_text("# width 100000\n# height 100000\n0,1,1,1\n")
+        out_mask = tmp_path / "m.txt"
+        code, _, err = run(capsys, "mask", str(image), str(huge),
+                           "--tau", "0.5", "--patch-size", "16",
+                           "--out-mask", str(out_mask))
+        assert code == 1
+        assert "MAX_FRAME_PIXELS" in err
+        assert not out_mask.exists()
+
 
 class TestEncode:
     def test_tau_one_packed_equals_dense(self, square_events, tmp_path, capsys):
@@ -230,6 +243,17 @@ class TestEncode:
         code, _, _ = run(capsys, "encode", str(image), str(evt),
                          "--config", str(cfg), "--out", str(tmp_path / "f.bin"))
         assert code == 2
+
+    def test_non_ascii_config_exit_2(self, square_events, tmp_path, capsys):
+        image, evt = square_events
+        cfg = write_encoder_config(tmp_path / "enc.cfg")
+        cfg.write_bytes(b"# caf\xe9\n" + cfg.read_bytes())
+        out = tmp_path / "f.bin"
+        code, _, err = run(capsys, "encode", str(image), str(evt),
+                           "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert "non-ASCII" in err
+        assert not out.exists()
 
 
 class TestAtomicWrite:
@@ -326,6 +350,14 @@ class TestFlops:
                               "--image-size", "8x8", "--tau", "0.5")
         assert code == 0
         assert "manifest.param.profile=tiny" in stdout
+
+    def test_non_ascii_profile_exit_2(self, tmp_path, capsys):
+        prof = tmp_path / "tiny.cfg"
+        prof.write_bytes("name = tin\u00ff\n".encode("latin-1"))
+        code, _, err = run(capsys, "flops", "--profile", str(prof),
+                           "--image-size", "8x8")
+        assert code == 2
+        assert "non-ASCII" in err
 
     def test_missing_profile_exit_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "flops", "--profile", str(tmp_path / "no.cfg"),

@@ -38,6 +38,56 @@ def random_setup(rows, cols, config, seed):
     return patches, rope, init_weights(config)
 
 
+def layer_norm(x, g, b):
+    mean = x.mean()
+    var = ((x - mean) ** 2).mean()
+    return (x - mean) / math.sqrt(var + 1e-5) * g + b
+
+
+def gelu(x):
+    return np.array([0.5 * t * (1 + math.erf(t / math.sqrt(2))) for t in x])
+
+
+def rot(vec, i, j):
+    out = vec.copy()
+    for m in range(1, len(vec) // 4 + 1):
+        theta = 10000.0 ** (-2.0 * m / len(vec))
+        for base, ang in ((4 * m - 4, i * theta), (4 * m - 2, j * theta)):
+            c, s = math.cos(ang), math.sin(ang)
+            x0, x1 = out[base], out[base + 1]
+            out[base] = x0 * c - x1 * s
+            out[base + 1] = x0 * s + x1 * c
+    return out
+
+
+def hand_rolled_forward(patches, coords, w, config):
+    """The encoder stack over the given tokens, one head and one query at a time.
+
+    Every token attends to every token in ``patches``, so passing only the
+    retained rows with their grid coordinates gives the masked reference.
+    """
+    n, nh, dh = len(coords), config.n_heads, config.head_dim
+    h = patches @ w.w_embed + w.b_embed
+    for lw in w.layers:
+        a = np.stack([layer_norm(row, lw.ln1_gamma, lw.ln1_beta) for row in h])
+        q, k, v = a @ lw.wq, a @ lw.wk, a @ lw.wv
+        mixed = np.zeros_like(h)
+        for head in range(nh):
+            cols = slice(head * dh, (head + 1) * dh)
+            qh = [rot(q[t, cols], *coords[t]) for t in range(n)]
+            kh = [rot(k[t, cols], *coords[t]) for t in range(n)]
+            for t in range(n):
+                logits = np.array([qh[t] @ kh[u] for u in range(n)]) / math.sqrt(dh)
+                p = np.exp(logits - logits.max())
+                p /= p.sum()
+                mixed[t, cols] = sum(p[u] * v[u, cols] for u in range(n))
+        h = h + mixed @ lw.wo
+        a2 = np.stack([layer_norm(row, lw.ln2_gamma, lw.ln2_beta) for row in h])
+        h = h + np.stack(
+            [gelu(row @ lw.w_up + lw.b_up) for row in a2]) @ lw.w_down + lw.b_down
+    return h
+
+
 class TestConfig:
     def test_rejects_indivisible_dims(self):
         with pytest.raises(ValidationError):
@@ -150,43 +200,25 @@ class TestEncodeDense:
         config = small_config(d_model=8, n_layers=1, n_heads=1, mlp_ratio=2.0)
         patches, rope, w = random_setup(1, 2, config, seed=10)
         got = encode_dense(patches, rope, w, config).tokens
-
-        def layer_norm(x, g, b):
-            mean = x.mean()
-            var = ((x - mean) ** 2).mean()
-            return (x - mean) / math.sqrt(var + 1e-5) * g + b
-
-        def gelu(x):
-            return np.array([0.5 * t * (1 + math.erf(t / math.sqrt(2))) for t in x])
-
-        def rot(vec, i, j):
-            out = vec.copy()
-            for m in range(1, len(vec) // 4 + 1):
-                theta = 10000.0 ** (-2.0 * m / len(vec))
-                for base, ang in ((4 * m - 4, i * theta), (4 * m - 2, j * theta)):
-                    c, s = math.cos(ang), math.sin(ang)
-                    x0, x1 = out[base], out[base + 1]
-                    out[base] = x0 * c - x1 * s
-                    out[base + 1] = x0 * s + x1 * c
-            return out
-
-        lw = w.layers[0]
-        h = patches @ w.w_embed + w.b_embed
-        a = np.stack([layer_norm(row, lw.ln1_gamma, lw.ln1_beta) for row in h])
-        q = np.stack([rot((a @ lw.wq)[t], 0, t) for t in range(2)])
-        k = np.stack([rot((a @ lw.wk)[t], 0, t) for t in range(2)])
-        v = a @ lw.wv
-        logits = q @ k.T / math.sqrt(8)
-        attn = np.exp(logits - logits.max(axis=1, keepdims=True))
-        attn /= attn.sum(axis=1, keepdims=True)
-        h = h + (attn @ v) @ lw.wo
-        a2 = np.stack([layer_norm(row, lw.ln2_gamma, lw.ln2_beta) for row in h])
-        want = h + np.stack(
-            [gelu(row @ lw.w_up + lw.b_up) for row in a2]) @ lw.w_down + lw.b_down
+        want = hand_rolled_forward(patches, [(0, 0), (0, 1)], w, config)
         assert max_rel_err(got, want) <= 1e-12
 
 
 class TestPackedVsOracle:
+    def test_multi_head_masked_matches_hand_rolled_reference(self):
+        config = small_config(d_model=32, n_heads=4)
+        patches, rope, weights = random_setup(3, 4, config, seed=22)
+        bits = np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 0, 1]], dtype=np.uint8)
+        mask = PatchMask(bits, float(bits.mean()))
+        coords = [(i, j) for i in range(3) for j in range(4) if bits[i, j]]
+        kept_rows = [i * 4 + j for i, j in coords]
+        want = hand_rolled_forward(patches[kept_rows], coords, weights, config)
+        oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
+        packed = encode_packed(pack_patches(patches, mask), rope, weights, config)
+        assert oracle.positions == packed.positions == tuple(coords)
+        assert max_rel_err(oracle.tokens, want) <= 1e-12
+        assert max_rel_err(packed.tokens, want) <= 1e-12
+
     def test_all_ones_mask_equals_dense_exactly(self):
         config = small_config()
         patches, rope, weights = random_setup(4, 4, config, seed=11)

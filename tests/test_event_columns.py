@@ -86,6 +86,15 @@ class TestColumns:
         assert accumulate(stream, -(2**70), 2**70).total() == 2
         assert accumulate(stream, 2**63 - 1, 2**64).counts.tolist() == [[0.0, 1.0]]
 
+    def test_accumulate_cap_checked_before_counting(self, monkeypatch):
+        stream = EventStream(4, 3, [Event(0, 1, 1, 1)])
+        monkeypatch.setattr(events, "MAX_FRAME_PIXELS", 12)
+        assert accumulate(stream, 0, 1).total() == 1
+        monkeypatch.setattr(events, "MAX_FRAME_PIXELS", 11)
+        monkeypatch.setattr(events.np, "bincount", None)  # never reached
+        with pytest.raises(ValidationError, match="MAX_FRAME_PIXELS"):
+            accumulate(stream, 0, 1)
+
 
 class TestBinaryErrors:
     def test_lowest_record_wins_across_checks(self):

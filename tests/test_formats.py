@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evprune import costmodel
+from evprune.encoder import EncoderConfig, load_encoder_config
 from evprune.errors import FormatError, ValidationError
 from evprune.featio import read_features, write_features
-from evprune.kvtext import parse_kv
+from evprune.kvtext import decode_ascii, parse_kv
 from evprune.ppm import read_ppm, to_gray01, write_ppm
 
 
@@ -88,3 +92,81 @@ class TestKvText:
     def test_rejects_missing_equals(self):
         with pytest.raises(FormatError, match="line 1"):
             parse_kv("just a line\n")
+
+    def test_decode_ascii_names_the_offending_byte(self):
+        assert decode_ascii(b"a = 1\n", "doc") == "a = 1\n"
+        with pytest.raises(FormatError, match="doc: non-ASCII byte at offset 4"):
+            decode_ascii(b"a = \xe9\n", "doc")
+
+
+VALID_ENCODER = dict(patch_size="2", channels="3", d_model="16", n_layers="1",
+                     n_heads="2", mlp_ratio="2.0", merge_size="1", d_out="8",
+                     seed="5")
+VALID_PROFILE = {
+    "name": "tiny", "vit.d_model": "8", "vit.n_layers": "1", "vit.n_heads": "2",
+    "vit.mlp_ratio": "2.0", "vit.patch_size": "2", "vit.merge_size": "1",
+    "vit.channels": "3", "llm.d_model": "8", "llm.n_layers": "1",
+    "llm.n_heads": "2", "llm.mlp_ratio": "2.0",
+}
+VALUES = st.one_of(
+    st.text(max_size=12),
+    st.floats().map(repr),
+    st.integers(-2, 64).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "Infinity"]),
+    st.sampled_from(["1_0", "\u0663", "0x10", "", "2.0", "16"]),
+)
+
+
+@st.composite
+def kv_documents(draw, valid):
+    """Arbitrary text, or a valid document with a few values replaced or
+    dropped and possibly one arbitrary line added."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(max_size=200))
+    kv = dict(valid)
+    for key in draw(st.lists(st.sampled_from(sorted(valid)), max_size=2, unique=True)):
+        if draw(st.integers(0, 3)):
+            kv[key] = draw(VALUES)
+        else:
+            del kv[key]
+    lines = [f"{key} = {value}" for key, value in kv.items()]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(draw(st.text(max_size=20)))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+def kv_text(kv):
+    return "".join(f"{key} = {value}\n" for key, value in kv.items())
+
+
+class TestKvLoadersFuzz:
+    """Any text gives a value, a FormatError or a ValidationError."""
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "1e999"])
+    def test_non_finite_mlp_ratio_rejected(self, ratio):
+        with pytest.raises(FormatError, match="finite"):
+            load_encoder_config(kv_text({**VALID_ENCODER, "mlp_ratio": ratio}))
+        with pytest.raises(FormatError, match="finite"):
+            costmodel.load_arch_profile(
+                kv_text({**VALID_PROFILE, "llm.mlp_ratio": ratio}))
+
+    @settings(deadline=None, max_examples=300)
+    @given(kv_documents(VALID_ENCODER))
+    def test_load_encoder_config(self, text):
+        try:
+            config = load_encoder_config(text)
+        except (FormatError, ValidationError):
+            return
+        assert isinstance(config, EncoderConfig)
+        assert math.isfinite(config.mlp_ratio)
+
+    @settings(deadline=None, max_examples=300)
+    @given(kv_documents(VALID_PROFILE))
+    def test_load_arch_profile(self, text):
+        try:
+            profile = costmodel.load_arch_profile(text)
+        except (FormatError, ValidationError):
+            return
+        assert isinstance(profile, costmodel.ArchProfile)
+        assert math.isfinite(profile.vit.mlp_ratio)
+        assert math.isfinite(profile.llm.mlp_ratio)

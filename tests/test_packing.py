@@ -7,10 +7,8 @@ from evprune.errors import ValidationError
 from evprune.packing import (
     PackedSequence,
     pack_patches,
-    pack_positions,
     unpack_scatter,
 )
-from evprune.rope2d import build_rope
 from evprune.saliency import PatchMask, SaliencyMap, quantile_mask, retained_count
 
 
@@ -87,32 +85,16 @@ class TestPackPatches:
         for r, (u, v) in enumerate(want_rows):
             assert np.array_equal(packed.tokens[r], tokens[u * mask.cols + v])
 
-
-class TestPackPositions:
-    def test_all_ones_full_enumeration(self):
-        rope = build_rope(2, 3, 4)
-        got = pack_positions(rope, mask_of(np.ones((2, 3))))
-        assert got == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
-
-    def test_anti_diagonal(self):
-        rope = build_rope(2, 2, 4)
-        assert pack_positions(rope, mask_of([[1, 0], [0, 1]])) == ((0, 0), (1, 1))
-
-    def test_rejects_extent_mismatch(self):
-        rope = build_rope(2, 2, 4)
-        with pytest.raises(ValidationError):
-            pack_positions(rope, mask_of([[1, 1, 1]]))
-
     @settings(deadline=None, max_examples=60)
     @given(token_grids())
-    def test_shared_index_list_with_pack_patches(self, case):
-        tokens, mask = case
-        rope = build_rope(mask.rows, mask.cols, 4)
+    def test_token_rows_pair_with_kept_coordinates(self, case):
+        _, mask = case
         coords = np.array(
             [(u, v) for u in range(mask.rows) for v in range(mask.cols)],
             dtype=np.float64,
         )
-        assert pack_positions(rope, mask) == pack_patches(coords, mask).kept
+        packed = pack_patches(coords, mask)
+        assert [tuple(row) for row in packed.tokens.tolist()] == list(packed.kept)
 
 
 class TestUnpackScatter:
