@@ -24,6 +24,7 @@ variable name without the suffix making it explicit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -38,6 +39,14 @@ _VIT_KEYS = [
     "vit.patch_size", "vit.merge_size", "vit.channels",
 ]
 _LLM_KEYS = ["llm.d_model", "llm.n_layers", "llm.n_heads", "llm.mlp_ratio"]
+
+
+def _finite_product(d_model: int, mlp_ratio: float) -> bool:
+    """Whether the MLP width d_model * mlp_ratio is a finite float."""
+    try:
+        return math.isfinite(d_model * mlp_ratio)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,8 @@ class VitDims:
                 self.patch_size, self.merge_size, self.channels)
         if any(v < 1 for v in dims) or self.mlp_ratio <= 0:
             raise ValidationError("all encoder dimensions must be >= 1")
+        if not _finite_product(self.d_model, self.mlp_ratio):
+            raise ValidationError("vit d_model * mlp_ratio must be finite")
 
     @property
     def mlp_hidden(self) -> int:
@@ -71,6 +82,8 @@ class LlmDims:
     def __post_init__(self):
         if min(self.d_model, self.n_layers, self.n_heads) < 1 or self.mlp_ratio <= 0:
             raise ValidationError("all LLM dimensions must be >= 1")
+        if not _finite_product(self.d_model, self.mlp_ratio):
+            raise ValidationError("llm d_model * mlp_ratio must be finite")
 
     @property
     def mlp_hidden(self) -> int:

@@ -31,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
+from .costmodel import _finite_product
 from .errors import FormatError, ValidationError
 from .kvtext import parse_float, parse_int, parse_kv, require_keys
 from .packing import PackedSequence
-from .rope2d import RopeTable, apply_rope_many
+from .rope2d import RopeTable, _as_positions, apply_rope_many
 from .saliency import PatchMask
 
 _LN_EPS = 1e-5
@@ -42,6 +43,11 @@ _CONFIG_KEYS = [
     "patch_size", "channels", "d_model", "n_layers", "n_heads",
     "mlp_ratio", "merge_size", "d_out", "seed",
 ]
+
+# Upper bound on the number of weights init_weights draws, checked when a
+# config is built. At the cap the float64 weights take 512 MiB, plus one
+# temporary copy of the largest matrix while it is scaled.
+MAX_ENCODER_PARAMS = 2**26
 
 
 @dataclass(frozen=True)
@@ -59,8 +65,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.patch_size < 1 or self.channels < 1:
             raise ValidationError("patch_size and channels must be >= 1")
-        if self.d_model % 4 != 0:
-            raise ValidationError(f"d_model must be divisible by 4, got {self.d_model}")
+        if self.d_model < 4 or self.d_model % 4 != 0:
+            raise ValidationError(f"d_model must be a positive multiple of 4, got {self.d_model}")
         if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise ValidationError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -79,6 +85,14 @@ class EncoderConfig:
             raise ValidationError("d_out must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
+        if not _finite_product(self.d_model, self.mlp_ratio):
+            raise ValidationError("d_model * mlp_ratio must be finite")
+        d, h, md = self.d_model, self.mlp_hidden, self.merge_dim
+        params = (self.patch_dim * d + d + self.n_layers * (4 * d * d + 2 * d * h + h + 5 * d)
+                  + md * md + md + md * self.d_out + self.d_out)
+        if params > MAX_ENCODER_PARAMS:
+            raise ValidationError(
+                f"config has {params} weights, more than MAX_ENCODER_PARAMS = {MAX_ENCODER_PARAMS}")
 
     @property
     def head_dim(self) -> int:
@@ -202,17 +216,19 @@ def init_weights(config: EncoderConfig) -> EncoderWeights:
 @dataclass(frozen=True, eq=False)
 class TokenFeatures:
     tokens: np.ndarray  # (n, d_model)
-    positions: tuple[tuple[int, int], ...]
+    positions: np.ndarray  # (n, 2) integer grid (row, col), read-only
 
     def __post_init__(self):
-        if self.tokens.shape[0] != len(self.positions):
+        positions = _as_positions(self.positions)
+        if self.tokens.shape[0] != positions.shape[0]:
             raise ValidationError("one position per token row required")
+        object.__setattr__(self, "positions", positions)
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectedTokens:
     tokens: np.ndarray  # (n_merged, d_out)
-    cells: tuple[tuple[int, int], ...]
+    cells: np.ndarray  # (n_merged, 2) integer merge-cell (row, col), read-only
 
 
 def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
@@ -258,7 +274,7 @@ def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
 
 def _forward(
     patches: np.ndarray,
-    positions: tuple[tuple[int, int], ...],
+    positions: np.ndarray,
     rope: RopeTable,
     weights: EncoderWeights,
     config: EncoderConfig,
@@ -299,8 +315,9 @@ def _forward(
     return h
 
 
-def _grid_positions(rows: int, cols: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(rows) for j in range(cols))
+def _grid_positions(rows: int, cols: int) -> np.ndarray:
+    """Every (row, col) in raster order: the coordinates an all-ones mask packs."""
+    return np.argwhere(np.ones((rows, cols), dtype=bool))
 
 
 def encode_dense(
@@ -360,13 +377,11 @@ def encode_masked_dense_oracle(
     if seq.ndim != 2 or seq.shape[0] != mask.rows * mask.cols:
         raise ValidationError("patch count does not match mask grid")
     keep = mask.bits.ravel().astype(bool)
-    if not keep.any():
-        empty = np.zeros((0, config.d_model), dtype=np.float64)
-        return TokenFeatures(empty, ())
     positions = _grid_positions(mask.rows, mask.cols)
+    if not keep.any():
+        return TokenFeatures(np.zeros((0, config.d_model)), positions[keep])
     full = _forward(seq, positions, rope, weights, config, key_keep=keep)
-    kept_positions = tuple(p for p, k in zip(positions, keep) if k)
-    return TokenFeatures(full[keep], kept_positions)
+    return TokenFeatures(full[keep], positions[keep])
 
 
 def merge_project(
@@ -383,24 +398,21 @@ def merge_project(
     merge_size > 1 and is rejected.
     """
     m = config.merge_size
-    groups: dict[tuple[int, int], list[int]] = {}
-    for idx, (i, j) in enumerate(features.positions):
-        groups.setdefault((i // m, j // m), []).append(idx)
+    pos = features.positions
+    cell_of = pos // m
+    # by cell (raster order of cells), then by position within the cell
+    order = np.lexsort((pos[:, 1], pos[:, 0], cell_of[:, 1], cell_of[:, 0]))
+    cells, counts = np.unique(cell_of[order], axis=0, return_counts=True)
+    cells.flags.writeable = False
+    incomplete = np.flatnonzero(counts != m * m)
+    if incomplete.size:
+        (i, j), k = cells[incomplete[0]], counts[incomplete[0]]
+        raise ValidationError(
+            f"merge cell ({i}, {j}) has {k} of {m * m} members; "
+            f"mask granularity must match merge_size {m}"
+        )
 
-    cells = sorted(groups)
-    member_count = m * m
-    gathered = np.zeros((len(cells), member_count, config.d_model), dtype=np.float64)
-    for c, cell in enumerate(cells):
-        members = groups[cell]
-        if len(members) != member_count:
-            raise ValidationError(
-                f"merge cell {cell} has {len(members)} of {member_count} members; "
-                f"mask granularity must match merge_size {m}"
-            )
-        members.sort(key=lambda idx: features.positions[idx])
-        gathered[c] = features.tokens[members]
-
-    flat = gathered.reshape(len(cells), config.merge_dim)
+    flat = features.tokens[order].reshape(len(cells), config.merge_dim)
     hidden = _gelu(flat @ weights.w_merge1 + weights.b_merge1)
     out = hidden @ weights.w_merge2 + weights.b_merge2
-    return ProjectedTokens(out, tuple(cells))
+    return ProjectedTokens(out, cells)

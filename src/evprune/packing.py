@@ -1,8 +1,9 @@
 """Selection of retained patches and their positions under one shared mask.
 
-A PackedSequence keeps one index list (``kept``) for both the patch rows
-and the positional factors, so a token can never be paired with another
-token's position.
+Positions are one read-only (n, 2) integer array of (row, col) grid
+coordinates in strictly increasing raster order. A PackedSequence keeps
+one such array (``kept``) for both the patch rows and the positional
+factors, so a token can never be paired with another token's position.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .rope2d import _as_positions
 from .saliency import PatchMask
 
 
@@ -20,28 +22,30 @@ class PackedSequence:
     """Retained tokens plus their original grid coordinates, raster order."""
 
     tokens: np.ndarray  # (n', D)
-    kept: tuple[tuple[int, int], ...]
+    kept: np.ndarray  # (n', 2) integer (row, col)
     origin_grid: tuple[int, int]
 
     def __post_init__(self):
         arr = np.asarray(self.tokens, dtype=np.float64)
         if arr.ndim != 2:
             raise ValidationError("tokens must be a 2D matrix")
-        if arr.shape[0] != len(self.kept):
+        kept = _as_positions(self.kept)
+        if arr.shape[0] != kept.shape[0]:
             raise ValidationError("one kept coordinate per token row required")
         rows, cols = self.origin_grid
-        prev = -1
-        for i, j in self.kept:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValidationError(f"coordinate ({i}, {j}) outside grid {self.origin_grid}")
-            idx = i * cols + j
-            if idx <= prev:
-                raise ValidationError("kept coordinates must be strictly raster-increasing")
-            prev = idx
+        # the first row that is outside the grid or not after its predecessor
+        inside = ((kept >= 0) & (kept < (rows, cols))).all(axis=1)
+        rising = np.diff(kept[:, 0] * cols + kept[:, 1], prepend=-1) > 0
+        bad = np.flatnonzero(~(inside & rising))[:1]
+        if bad.size and not inside[bad[0]]:
+            i, j = kept[bad[0]]
+            raise ValidationError(f"coordinate ({i}, {j}) outside grid {self.origin_grid}")
+        if bad.size:
+            raise ValidationError("kept coordinates must be strictly raster-increasing")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "tokens", arr)
-        object.__setattr__(self, "kept", tuple((int(i), int(j)) for i, j in self.kept))
+        object.__setattr__(self, "kept", kept)
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
@@ -58,10 +62,7 @@ def pack_patches(patch_seq: np.ndarray, mask: PatchMask) -> PackedSequence:
             f"patch sequence has {seq.shape[0]} rows, mask grid implies {n}"
         )
     flat = mask.bits.ravel().astype(bool)
-    kept = tuple(
-        (idx // mask.cols, idx % mask.cols) for idx in np.nonzero(flat)[0]
-    )
-    return PackedSequence(seq[flat], kept, (mask.rows, mask.cols))
+    return PackedSequence(seq[flat], np.argwhere(mask.bits), (mask.rows, mask.cols))
 
 
 def unpack_scatter(packed: PackedSequence, fill: np.ndarray) -> np.ndarray:
@@ -72,6 +73,5 @@ def unpack_scatter(packed: PackedSequence, fill: np.ndarray) -> np.ndarray:
     if fill_vec.shape != (d,):
         raise ValidationError(f"fill vector must have length {d}")
     out = np.tile(fill_vec, (rows * cols, 1))
-    for r, (i, j) in enumerate(packed.kept):
-        out[i * cols + j] = packed.tokens[r]
+    out[packed.kept[:, 0] * cols + packed.kept[:, 1]] = packed.tokens
     return out

@@ -54,41 +54,45 @@ def build_rope(rows: int, cols: int, d: int) -> RopeTable:
     )
 
 
+def _as_positions(positions) -> np.ndarray:
+    """A read-only (n, 2) integer copy of packed coordinates or token
+    positions. Floats are rejected, not truncated."""
+    arr = np.asarray(positions)
+    if arr.ndim != 2 or arr.shape[1] != 2 or not np.issubdtype(arr.dtype, np.integer):
+        raise ValidationError(
+            f"positions must be an (n, 2) integer array, got {arr.dtype} {arr.shape}")
+    arr = arr.astype(np.intp)
+    arr.flags.writeable = False
+    return arr
+
+
 def apply_rope(table: RopeTable, pos: tuple[int, int], v: np.ndarray) -> np.ndarray:
     """Rotate one d-vector by its position's block rotations."""
-    i, j = pos
-    if not (0 <= i < table.rows and 0 <= j < table.cols):
-        raise ValidationError(f"position {pos} outside table extent")
-    vec = np.asarray(v, dtype=np.float64)
-    if vec.shape != (table.d,):
-        raise ValidationError(f"expected a vector of length {table.d}, got {vec.shape}")
-    return apply_rope_many(table, [pos], vec[None, :])[0]
+    return apply_rope_many(table, [pos], np.reshape(v, (1, -1)))[0]
 
 
 def apply_rope_many(
-    table: RopeTable, positions: list[tuple[int, int]] | tuple, v: np.ndarray
+    table: RopeTable, positions: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Rotate a batch: v has shape (n, d) or (n, heads, d), one position per row."""
+    """Rotate a batch: v has shape (n, d) or (n, heads, d); positions is an
+    (n, 2) integer array of (row, col) pairs, one per row of v."""
     arr = np.asarray(v, dtype=np.float64)
     if arr.shape[-1] != table.d:
         raise ValidationError(f"last dimension must be {table.d}, got {arr.shape[-1]}")
+    pos = _as_positions(positions)
     n = arr.shape[0]
-    if len(positions) != n:
+    if pos.shape[0] != n:
         raise ValidationError("one position per row required")
-    if n == 0:
-        return arr.copy()
-    ii = np.fromiter((p[0] for p in positions), dtype=np.intp, count=n)
-    jj = np.fromiter((p[1] for p in positions), dtype=np.intp, count=n)
-    if np.any(ii < 0) or np.any(ii >= table.rows) or np.any(jj < 0) or np.any(jj >= table.cols):
+    if not ((pos >= 0) & (pos < (table.rows, table.cols))).all():
         raise ValidationError("position outside table extent")
 
     blocks = arr.reshape(arr.shape[:-1] + (table.d // 4, 4))
     # factor shape (n, d/4) broadcast over any middle axes (e.g. heads)
     shape = (n,) + (1,) * (arr.ndim - 2) + (table.d // 4,)
-    ca = table.cos_row[ii].reshape(shape)
-    sa = table.sin_row[ii].reshape(shape)
-    cb = table.cos_col[jj].reshape(shape)
-    sb = table.sin_col[jj].reshape(shape)
+    ca = table.cos_row[pos[:, 0]].reshape(shape)
+    sa = table.sin_row[pos[:, 0]].reshape(shape)
+    cb = table.cos_col[pos[:, 1]].reshape(shape)
+    sb = table.sin_col[pos[:, 1]].reshape(shape)
 
     x0, x1, x2, x3 = blocks[..., 0], blocks[..., 1], blocks[..., 2], blocks[..., 3]
     out = np.empty_like(blocks)

@@ -17,6 +17,7 @@ Mask text format: first line ``rows cols tau``, then ``rows`` lines of
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,14 +205,16 @@ def mask_from_text(text: str) -> PatchMask:
         tau = float(head[2])
     except ValueError:
         raise FormatError(f"bad mask header {lines[0]!r}") from None
+    if not (0 <= rows <= sys.maxsize and 0 <= cols <= sys.maxsize):
+        raise FormatError(f"bad mask dimensions {rows}x{cols}")
     if len(lines) != rows + 1:
         raise FormatError(f"expected {rows} mask rows, got {len(lines) - 1}")
-    bits = np.zeros((rows, cols), dtype=np.uint8)
-    for u in range(rows):
-        fields = lines[u + 1].split()
+    body = [ln.split() for ln in lines[1:]]
+    for u, fields in enumerate(body):
         if len(fields) != cols:
             raise FormatError(f"mask row {u}: expected {cols} bits, got {len(fields)}")
         if any(f not in ("0", "1") for f in fields):
             raise FormatError(f"mask row {u}: bits must be 0 or 1")
-        bits[u] = [int(f) for f in fields]
+    # every row is checked, so the array is no larger than the text
+    bits = np.array(body, dtype=np.uint8).reshape(rows, cols)
     return PatchMask(bits, tau)

@@ -226,8 +226,8 @@ def _suite_pack(full: bool, fault: bool) -> int:
         if not ok:
             raise VerificationFailure(
                 "pack.scatter_roundtrip", seed, "rows not restored exactly")
-        idx = [i * cols + j for i, j in packed.kept]
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        raster = packed.kept[:, 0] * cols + packed.kept[:, 1]
+        if np.any(np.diff(raster) <= 0):
             raise VerificationFailure(
                 "pack.raster_order", seed, "kept coordinates not strictly increasing")
     return n_cases

@@ -87,7 +87,7 @@ def test_criterion_1_packed_equivalence():
                         pack_patches(patches, mask), rope, weights, config)
                     oracle = encode_masked_dense_oracle(
                         patches, rope, mask, weights, config)
-                    assert packed.positions == oracle.positions
+                    assert np.array_equal(packed.positions, oracle.positions)
                     worst = max(worst,
                                 max_rel_err(packed.tokens, oracle.tokens))
                     triples += 1

@@ -255,6 +255,21 @@ class TestEncode:
         assert "non-ASCII" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(mlp_ratio=1e308), "mlp_ratio must be finite"),
+        (dict(d_model=4000000), "MAX_ENCODER_PARAMS"),
+    ])
+    def test_oversized_config_exit_1(self, square_events, tmp_path, capsys,
+                                     overrides, message):
+        image, evt = square_events
+        cfg = write_encoder_config(tmp_path / "enc.cfg", **overrides)
+        out = tmp_path / "f.bin"
+        code, _, err = run(capsys, "encode", str(image), str(evt),
+                           "--config", str(cfg), "--out", str(out))
+        assert code == 1
+        assert message in err
+        assert not out.exists()
+
 
 class TestAtomicWrite:
     def simulate(self, capsys, pair, out):
@@ -339,17 +354,28 @@ class TestFlops:
         assert payload["report"]["flops_total"] == 2 * payload["report"]["macs_total"]
         assert "reduction_flops_pct" in payload["reduction"]
 
+    TINY_PROFILE = (
+        "name = tiny\nvit.d_model = 8\nvit.n_layers = 1\nvit.n_heads = 2\n"
+        "vit.mlp_ratio = 2.0\nvit.patch_size = 2\nvit.merge_size = 1\n"
+        "vit.channels = 3\nllm.d_model = 8\nllm.n_layers = 1\n"
+        "llm.n_heads = 2\nllm.mlp_ratio = 2.0\n")
+
     def test_profile_from_file_path(self, tmp_path, capsys):
         prof = tmp_path / "tiny.cfg"
-        prof.write_text(
-            "name = tiny\nvit.d_model = 8\nvit.n_layers = 1\nvit.n_heads = 2\n"
-            "vit.mlp_ratio = 2.0\nvit.patch_size = 2\nvit.merge_size = 1\n"
-            "vit.channels = 3\nllm.d_model = 8\nllm.n_layers = 1\n"
-            "llm.n_heads = 2\nllm.mlp_ratio = 2.0\n")
+        prof.write_text(self.TINY_PROFILE)
         code, stdout, _ = run(capsys, "flops", "--profile", str(prof),
                               "--image-size", "8x8", "--tau", "0.5")
         assert code == 0
         assert "manifest.param.profile=tiny" in stdout
+
+    @pytest.mark.parametrize("key", ["vit.mlp_ratio", "llm.mlp_ratio"])
+    def test_overflowing_mlp_width_exit_1(self, tmp_path, capsys, key):
+        prof = tmp_path / "tiny.cfg"
+        prof.write_text(self.TINY_PROFILE.replace(f"{key} = 2.0", f"{key} = 1e308"))
+        code, _, err = run(capsys, "flops", "--profile", str(prof),
+                           "--image-size", "8x8", "--tau", "0.5")
+        assert code == 1
+        assert "mlp_ratio must be finite" in err
 
     def test_non_ascii_profile_exit_2(self, tmp_path, capsys):
         prof = tmp_path / "tiny.cfg"

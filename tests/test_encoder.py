@@ -1,10 +1,15 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evprune.encoder import (
     EncoderConfig,
+    TokenFeatures,
+    _gelu,
     encode_dense,
     encode_masked_dense_oracle,
     encode_packed,
@@ -88,6 +93,57 @@ def hand_rolled_forward(patches, coords, w, config):
     return h
 
 
+def reference_merge_project(tokens, positions, config, weights):
+    """merge_project with one Python dict entry per merge cell: members are
+    grouped by cell, cells visited in sorted order, members sorted by position."""
+    m = config.merge_size
+    groups = {}
+    for idx, (i, j) in enumerate(positions):
+        groups.setdefault((i // m, j // m), []).append(idx)
+    cells = sorted(groups)
+    gathered = np.zeros((len(cells), m * m, config.d_model))
+    for c, cell in enumerate(cells):
+        members = groups[cell]
+        if len(members) != m * m:
+            raise ValidationError(
+                f"merge cell {cell} has {len(members)} of {m * m} members; "
+                f"mask granularity must match merge_size {m}"
+            )
+        members.sort(key=lambda idx: positions[idx])
+        gathered[c] = tokens[members]
+    flat = gathered.reshape(len(cells), config.merge_dim)
+    hidden = _gelu(flat @ weights.w_merge1 + weights.b_merge1)
+    return hidden @ weights.w_merge2 + weights.b_merge2, cells
+
+
+@functools.cache
+def merge_setup(m):
+    config = small_config(merge_size=m, d_out=8)
+    return config, init_weights(config)
+
+
+@st.composite
+def merge_cases(draw):
+    """Token features at the positions a mask keeps, rows possibly permuted.
+
+    Merge-granular masks set whole merge cells that fit inside the grid;
+    patch-granular masks set arbitrary patches and may split a cell.
+    """
+    rows, cols, m = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**31))))
+    if draw(st.booleans()):
+        cell_bits = rng.random((rows // m, cols // m)) < rng.random()
+        bits = np.zeros((rows, cols), dtype=bool)
+        bits[: rows // m * m, : cols // m * m] = cell_bits.repeat(m, 0).repeat(m, 1)
+    else:
+        bits = rng.random((rows, cols)) < rng.random()
+    positions = [(i, j) for i in range(rows) for j in range(cols) if bits[i, j]]
+    if draw(st.booleans()):
+        positions = [positions[k] for k in rng.permutation(len(positions))]
+    tokens = rng.standard_normal((len(positions), 16))
+    return tokens, positions, m
+
+
 class TestConfig:
     def test_rejects_indivisible_dims(self):
         with pytest.raises(ValidationError):
@@ -116,6 +172,19 @@ class TestConfig:
         """
         config = load_encoder_config(text)
         assert config.d_model == 16 and config.seed == 5
+
+    def test_rejects_more_weights_than_the_cap(self):
+        # d x d attention matrices alone would be 4 * 1.6e13 float64 values
+        text = "\n".join(f"{k} = {v}" for k, v in dict(
+            patch_size=2, channels=3, d_model=4000000, n_layers=1, n_heads=2,
+            mlp_ratio=2.0, merge_size=1, d_out=8, seed=5).items())
+        with pytest.raises(ValidationError, match="MAX_ENCODER_PARAMS"):
+            load_encoder_config(text)
+
+    @pytest.mark.parametrize("ratio", [1e308, float("nan")])
+    def test_rejects_unrepresentable_mlp_width(self, ratio):
+        with pytest.raises(ValidationError, match="mlp_ratio"):
+            small_config(mlp_ratio=ratio)
 
     def test_rejects_unknown_and_missing_keys(self):
         with pytest.raises(FormatError):
@@ -215,7 +284,8 @@ class TestPackedVsOracle:
         want = hand_rolled_forward(patches[kept_rows], coords, weights, config)
         oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
         packed = encode_packed(pack_patches(patches, mask), rope, weights, config)
-        assert oracle.positions == packed.positions == tuple(coords)
+        assert np.array_equal(oracle.positions, coords)
+        assert np.array_equal(packed.positions, coords)
         assert max_rel_err(oracle.tokens, want) <= 1e-12
         assert max_rel_err(packed.tokens, want) <= 1e-12
 
@@ -239,7 +309,7 @@ class TestPackedVsOracle:
         oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
         assert packed.tokens.shape == (1, 16)
         assert max_rel_err(packed.tokens, oracle.tokens) <= 1e-5
-        assert packed.positions == ((1, 2),)
+        assert np.array_equal(packed.positions, [(1, 2)])
 
     def test_random_mask_equivalence(self):
         config = small_config(d_model=32, n_heads=4)
@@ -250,7 +320,7 @@ class TestPackedVsOracle:
         )
         packed = encode_packed(pack_patches(patches, mask), rope, weights, config)
         oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
-        assert packed.positions == oracle.positions
+        assert np.array_equal(packed.positions, oracle.positions)
         assert max_rel_err(packed.tokens, oracle.tokens) <= 1e-5
 
     def test_empty_mask_gives_empty_features(self):
@@ -278,7 +348,7 @@ class TestMergeProject:
         feats = encode_dense(patches, rope, weights, config)
         merged = merge_project(feats, config, weights)
         assert merged.tokens.shape == (4, 10)
-        assert merged.cells == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert np.array_equal(merged.cells, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
     def test_dense_4x4_merge2_gives_4_cells(self):
         config = small_config(merge_size=2)
@@ -286,7 +356,7 @@ class TestMergeProject:
         feats = encode_dense(patches, rope, weights, config)
         merged = merge_project(feats, config, weights)
         assert merged.tokens.shape == (4, 16)
-        assert merged.cells == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert np.array_equal(merged.cells, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
     def test_sparse_equals_dense_restriction(self):
         config = small_config(merge_size=2, d_out=12)
@@ -300,7 +370,7 @@ class TestMergeProject:
         sparse_merged = merge_project(
             encode_packed(pack_patches(patches, mask), rope, weights, config),
             config, weights)
-        assert sparse_merged.cells == dense_merged.cells
+        assert np.array_equal(sparse_merged.cells, dense_merged.cells)
         assert max_rel_err(sparse_merged.tokens, dense_merged.tokens) <= 1e-5
 
     def test_incomplete_cell_rejected(self):
@@ -312,3 +382,38 @@ class TestMergeProject:
         feats = encode_packed(pack_patches(patches, mask), rope, weights, config)
         with pytest.raises(ValidationError, match="merge cell"):
             merge_project(feats, config, weights)
+
+    @settings(deadline=None, max_examples=200)
+    @given(merge_cases())
+    def test_matches_reference_grouping(self, case):
+        tokens, positions, m = case
+        config, weights = merge_setup(m)
+        features = TokenFeatures(tokens, np.array(positions, dtype=int).reshape(-1, 2))
+        try:
+            want, want_cells = reference_merge_project(tokens, positions, config, weights)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                merge_project(features, config, weights)
+            assert str(got.value) == str(exc)
+            return
+        merged = merge_project(features, config, weights)
+        assert np.array_equal(merged.tokens, want)
+        assert np.array_equal(merged.cells, np.array(want_cells, dtype=int).reshape(-1, 2))
+
+
+class TestPositionArrays:
+    def test_rejects_non_integer_and_misshapen_positions(self):
+        with pytest.raises(ValidationError, match="got float64"):
+            TokenFeatures(np.zeros((1, 4)), [(1.7, 0.2)])
+        with pytest.raises(ValidationError, match=r"\(n, 2\) integer array"):
+            TokenFeatures(np.zeros((1, 4)), (1, 2))
+
+    def test_positions_and_cells_are_read_only(self):
+        config = small_config(merge_size=2)
+        patches, rope, weights = random_setup(2, 2, config, seed=23)
+        feats = encode_dense(patches, rope, weights, config)
+        merged = merge_project(feats, config, weights)
+        with pytest.raises(ValueError, match="read-only"):
+            feats.positions[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            merged.cells[0, 0] = 1

@@ -11,6 +11,7 @@ from evprune.errors import FormatError, ValidationError
 from evprune.featio import read_features, write_features
 from evprune.kvtext import decode_ascii, parse_kv
 from evprune.ppm import read_ppm, to_gray01, write_ppm
+from evprune.saliency import PatchMask, mask_from_text, mask_to_text
 
 
 class TestPpm:
@@ -170,3 +171,78 @@ class TestKvLoadersFuzz:
         assert isinstance(profile, costmodel.ArchProfile)
         assert math.isfinite(profile.vit.mlp_ratio)
         assert math.isfinite(profile.llm.mlp_ratio)
+
+
+@st.composite
+def near_valid_bytes(draw, valid):
+    """Arbitrary bytes, or a valid blob with a few bytes replaced, inserted
+    or cut off."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=200))
+    blob = bytearray(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(blob)))
+        op = draw(st.integers(0, 2))
+        if op == 0 and at < len(blob):
+            blob[at] = draw(st.integers(0, 255))
+        elif op == 1:
+            blob[at:at] = draw(st.binary(min_size=1, max_size=8))
+        else:
+            del blob[at:]
+    return bytes(blob)
+
+
+def mask_documents():
+    """Arbitrary text, or a mask document with its header or one row edited."""
+    valid = mask_to_text(PatchMask(np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8), 0.5))
+    header_fields = st.one_of(
+        st.integers(-3, 4).map(str), st.sampled_from(["100000000000", "-1", "1e3", "x"]))
+
+    @st.composite
+    def edited(draw):
+        lines = valid.splitlines()
+        if draw(st.booleans()):
+            lines[0] = " ".join(draw(st.lists(header_fields, min_size=2, max_size=4)))
+        else:
+            at = draw(st.integers(1, len(lines) - 1))
+            lines[at] = draw(st.text(alphabet="01 2\t", max_size=10))
+        return "\n".join(lines) + "\n"
+
+    return st.one_of(st.text(max_size=80), edited())
+
+
+class TestReaderFuzz:
+    """Any input gives a value, a FormatError or a ValidationError."""
+
+    @pytest.mark.parametrize("text", ["1 -1 0.5\n1\n", "1 100000000000 0.5\n1\n",
+                                      "0 99999999999999999999 0.5\n"])
+    def test_mask_header_checked_before_allocation(self, text):
+        with pytest.raises(FormatError):
+            mask_from_text(text)
+
+    @settings(deadline=None, max_examples=300)
+    @given(mask_documents())
+    def test_mask_from_text(self, text):
+        try:
+            mask = mask_from_text(text)
+        except (FormatError, ValidationError):
+            return
+        assert mask_from_text(mask_to_text(mask)).bits.tolist() == mask.bits.tolist()
+
+    @settings(deadline=None, max_examples=300)
+    @given(near_valid_bytes(write_ppm(np.arange(18, dtype=np.uint8).reshape(2, 3, 3))))
+    def test_read_ppm(self, data):
+        try:
+            img = read_ppm(data)
+        except (FormatError, ValidationError):
+            return
+        assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] == 3
+
+    @settings(deadline=None, max_examples=300)
+    @given(near_valid_bytes(write_features(np.arange(6, dtype=np.float32).reshape(2, 3))))
+    def test_read_features(self, data):
+        try:
+            feats = read_features(data)
+        except (FormatError, ValidationError):
+            return
+        assert feats.dtype == np.float32 and feats.tobytes() == data[8:]

@@ -47,24 +47,50 @@ class TestPackedSequence:
         with pytest.raises(ValidationError):
             PackedSequence(np.zeros((2, 3)), ((0, 0),), (2, 2))
 
+    def test_first_offending_row_names_the_fault(self):
+        with pytest.raises(ValidationError, match="raster-increasing"):
+            PackedSequence(np.zeros((3, 1)), ((1, 0), (0, 1), (5, 5)), (2, 2))
+        with pytest.raises(ValidationError, match=r"coordinate \(5, 5\) outside grid"):
+            PackedSequence(np.zeros((3, 1)), ((0, 0), (5, 5), (0, 1)), (2, 2))
+
+    def test_rejects_non_integer_coordinates(self):
+        # indexing would truncate (1.7, 0.2) to (1, 0)
+        with pytest.raises(ValidationError, match="got float64"):
+            PackedSequence(np.zeros((1, 2)), ((1.7, 0.2),), (3, 3))
+
+    @pytest.mark.parametrize("kept", [(0, 1), ((0, 1, 2),), ((((0, 1),),),)])
+    def test_rejects_coordinates_not_shaped_n_by_2(self, kept):
+        with pytest.raises(ValidationError, match=r"\(n, 2\) integer array"):
+            PackedSequence(np.zeros((1, 2)), kept, (3, 3))
+
+    def test_fields_are_read_only(self):
+        kept = np.array([[0, 1], [1, 0]])
+        packed = PackedSequence(np.zeros((2, 3)), kept, (2, 2))
+        kept[0, 0] = 1  # the caller's array is copied
+        assert packed.kept[0, 0] == 0
+        with pytest.raises(ValueError, match="read-only"):
+            packed.kept[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            packed.tokens[0, 0] = 1.0
+
 
 class TestPackPatches:
     def test_all_ones_is_identity(self):
         tokens = np.arange(12.0).reshape(4, 3)
         packed = pack_patches(tokens, mask_of([[1, 1], [1, 1]]))
         assert np.array_equal(packed.tokens, tokens)
-        assert packed.kept == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert np.array_equal(packed.kept, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
     def test_interleaved_selection(self):
         tokens = np.array([[1.0], [2.0], [3.0], [4.0]])
         packed = pack_patches(tokens, mask_of([[1, 0, 1, 0]]))
         assert packed.tokens.ravel().tolist() == [1.0, 3.0]
-        assert packed.kept == ((0, 0), (0, 2))
+        assert np.array_equal(packed.kept, [(0, 0), (0, 2)])
 
     def test_all_zeros_is_empty(self):
         packed = pack_patches(np.ones((4, 2)), mask_of([[0, 0], [0, 0]]))
         assert len(packed) == 0
-        assert packed.kept == ()
+        assert np.array_equal(packed.kept, np.empty((0, 2)))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -81,7 +107,7 @@ class TestPackPatches:
             for v in range(mask.cols)
             if mask.bits[u, v]
         ]
-        assert packed.kept == tuple(want_rows)
+        assert np.array_equal(packed.kept, np.reshape(want_rows, (-1, 2)))
         for r, (u, v) in enumerate(want_rows):
             assert np.array_equal(packed.tokens[r], tokens[u * mask.cols + v])
 
@@ -94,7 +120,7 @@ class TestPackPatches:
             dtype=np.float64,
         )
         packed = pack_patches(coords, mask)
-        assert [tuple(row) for row in packed.tokens.tolist()] == list(packed.kept)
+        assert np.array_equal(packed.tokens, packed.kept)
 
 
 class TestUnpackScatter:
@@ -110,7 +136,7 @@ class TestUnpackScatter:
         dense = unpack_scatter(packed, np.full(2, -5.0))
         again = pack_patches(dense, mask)
         assert np.array_equal(again.tokens, packed.tokens)
-        assert again.kept == packed.kept
+        assert np.array_equal(again.kept, packed.kept)
 
     def test_empty_packed_gives_all_fill(self):
         packed = pack_patches(np.ones((4, 3)), mask_of([[0, 0], [0, 0]]))

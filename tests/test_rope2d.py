@@ -74,6 +74,20 @@ class TestApply:
         with pytest.raises(ValidationError):
             apply_rope(table, (0, 0), np.zeros(6))
 
+    def test_rejects_non_integer_positions(self):
+        # indexing would truncate (1.7, 0.2) to (1, 0)
+        table = build_rope(3, 3, 4)
+        with pytest.raises(ValidationError, match="got float64"):
+            apply_rope_many(table, [(1.7, 0.2)], np.ones((1, 4)))
+        with pytest.raises(ValidationError, match="got float64"):
+            apply_rope(table, (1.7, 0.2), np.ones(4))
+
+    @pytest.mark.parametrize("positions", [(1, 2), [(1, 2, 0)], np.zeros((1, 2, 1), int)])
+    def test_rejects_positions_not_shaped_n_by_2(self, positions):
+        table = build_rope(3, 3, 4)
+        with pytest.raises(ValidationError, match=r"\(n, 2\) integer array"):
+            apply_rope_many(table, positions, np.ones((1, 4)))
+
     def test_per_head_layout_matches_single(self):
         table = build_rope(3, 3, 8)
         rng = np.random.Generator(np.random.PCG64(41))

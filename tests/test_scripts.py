@@ -1,0 +1,30 @@
+"""The example scripts run end to end from a fresh directory."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(REPO / "scripts" / name), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_moving_square_demo(tmp_path):
+    proc = run_script("moving_square_demo.py", "--out-dir", "out", "--size", "64",
+                      "--square", "16", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == ["events.evt1", "frame_a.ppm", "frame_b.ppm", "mask.txt", "masked.ppm"]
+
+
+def test_cost_table(tmp_path):
+    proc = run_script("cost_table.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "qwen2vl_2b_like" in proc.stdout
