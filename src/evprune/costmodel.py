@@ -1,9 +1,10 @@
 """Analytic MAC/FLOP accounting for the sparse visual pipeline.
 
-Counts only matrix-multiply work (projections, attention score and mix
-matmuls, MLP layers). Normalization, softmax, and activation costs are
-O(n*d) noise at the scales compared and are excluded, so
-flops = 2 * macs holds identically.
+Counts only the transformer's matrix-multiply work (projections,
+attention score and mix matmuls, MLP layers), so flops = 2 * macs holds
+identically. Softmax is O(heads*n^2) per layer and normalization and
+activations are O(n*d); none is a matmul, so all are excluded. The
+patch-embedding matmul (n*p^2*C*d MACs for n patches) is not counted.
 
 Per transformer layer over n tokens of width d with MLP hidden size h:
 

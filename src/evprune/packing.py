@@ -32,7 +32,11 @@ class PackedSequence:
         kept = _as_positions(self.kept)
         if arr.shape[0] != kept.shape[0]:
             raise ValidationError("one kept coordinate per token row required")
-        rows, cols = self.origin_grid
+        grid = self.origin_grid
+        if not (isinstance(grid, tuple) and len(grid) == 2
+                and all(isinstance(v, (int, np.integer)) and v >= 0 for v in grid)):
+            raise ValidationError(f"origin grid must be two non-negative ints, got {grid!r}")
+        rows, cols = grid
         # the first row that is outside the grid or not after its predecessor
         inside = ((kept >= 0) & (kept < (rows, cols))).all(axis=1)
         rising = np.diff(kept[:, 0] * cols + kept[:, 1], prepend=-1) > 0

@@ -178,11 +178,10 @@ def apply_mask_to_image(
             f"{mask.cols}x{mask.rows} at patch size {p}"
         )
     out = img.copy()
-    fill_px = np.asarray(fill, dtype=img.dtype)
-    for u in range(mask.rows):
-        for v in range(mask.cols):
-            if not mask.bits[u, v]:
-                out[u * p : (u + 1) * p, v * p : (v + 1) * p, :] = fill_px
+    # (rows, cols, p, p, 3) view of the patch grid; pixels beyond it stay out
+    patches = out[: mask.rows * p, : mask.cols * p].reshape(
+        mask.rows, p, mask.cols, p, 3).transpose(0, 2, 1, 3, 4)
+    patches[mask.bits == 0] = np.asarray(fill, dtype=img.dtype)
     return out
 
 
@@ -201,6 +200,9 @@ def mask_from_text(text: str) -> PatchMask:
     if len(head) != 3:
         raise FormatError("mask header must be 'rows cols tau'")
     try:
+        # int() would also take "1_0" and non-ASCII digits; mask_to_text writes neither
+        if not all(f.isascii() and f.isdigit() for f in head[:2]):
+            raise ValueError
         rows, cols = int(head[0]), int(head[1])
         tau = float(head[2])
     except ValueError:

@@ -1,27 +1,31 @@
-"""Self-check suites runnable from the installed tool, no test harness
-required. Each suite replays a module's core invariants over seeded
-random cases; any violation reports the invariant name and the exact
-case seed that reproduces it.
+"""Invariant checks, and the seeded suites behind ``evprune verify``.
 
-The ``fault`` hook deliberately corrupts one case in a named suite so
-the failure path itself can be exercised end to end.
+Each check function is the one written form of a law the toolkit can
+test without pretrained weights; ``evprune verify`` and the acceptance
+tests both call it. Exact laws return an ``(invariant, detail)``
+violation or ``None``; numeric laws return the measured error and leave
+the bound to the caller.
+
+A suite replays checks over seeded cases and names the first violated
+invariant with the seed that reproduces it. Its ``fault`` hook corrupts
+one output, or the rotary table, of every case, so the first case the
+corruption changes must trip the suite.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from . import costmodel, events, packing, rope2d, saliency
-from .encoder import (
-    EncoderConfig,
-    encode_masked_dense_oracle,
-    encode_packed,
-    init_weights,
-    patchify,
-)
-from .errors import ValidationError
+from . import costmodel, encoder, events, packing, rope2d, saliency
+from .errors import FormatError, ValidationError
+
+Violation = tuple[str, str]
 
 
 class VerificationFailure(Exception):
@@ -43,295 +47,279 @@ class SuiteResult:
         return self.failure is None
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+def max_rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest |got - want| / max(|want|, 1e-9) over equal-shape arrays."""
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    if got.shape != want.shape:
+        raise ValidationError(f"shapes differ: {got.shape} vs {want.shape}")
+    return float((np.abs(got - want) / np.maximum(np.abs(want), 1e-9)).max(initial=0.0))
 
 
-def _suite_rope(full: bool, fault: bool) -> int:
-    per_d = 120 if full else 40
-    cases = 0
-    for d in (4, 8, 64):
-        table = rope2d.build_rope(16, 16, d)
-        for case in range(per_d):
-            seed = 10_000 + 1000 * d + case
-            rng = _rng(seed)
-            q = rng.standard_normal(d)
-            k = rng.standard_normal(d)
-            a = tuple(int(v) for v in rng.integers(0, 12, size=2))
-            b = tuple(int(v) for v in rng.integers(0, 12, size=2))
-            shift = tuple(int(v) for v in rng.integers(0, 4, size=2))
+def rope_errors(table: rope2d.RopeTable, a: tuple[int, int], b: tuple[int, int],
+                shift: tuple[int, int], q: np.ndarray, k: np.ndarray) -> dict[str, float]:
+    """Measured error of each rotary law, keyed by invariant: R(a) keeps the
+    norm of ``q``; <R(a) q, R(b) k> is unchanged when both positions move by
+    ``shift``; R(b) R(a) equals R(a + b), both as the table applies it to
+    ``q`` and as reference matrices."""
+    def rot(pos, v, by=(0, 0)):
+        return rope2d.apply_rope(table, (pos[0] + by[0], pos[1] + by[1]), v)
 
-            rq = rope2d.apply_rope(table, a, q)
-            if fault and cases == 0:
-                rq = rq * (1.0 + 1e-6)
-            if abs(np.linalg.norm(rq) - np.linalg.norm(q)) > 1e-9:
-                raise VerificationFailure(
-                    "rope.norm_preservation", seed,
-                    f"norm drift {abs(np.linalg.norm(rq) - np.linalg.norm(q)):.3e}")
-
-            rk = rope2d.apply_rope(table, b, k)
-            a2 = (a[0] + shift[0], a[1] + shift[1])
-            b2 = (b[0] + shift[0], b[1] + shift[1])
-            dot1 = float(rq @ rk)
-            dot2 = float(rope2d.apply_rope(table, a2, q) @ rope2d.apply_rope(table, b2, k))
-            if abs(dot1 - dot2) > 1e-9:
-                raise VerificationFailure(
-                    "rope.relative_shift_invariance", seed,
-                    f"dot products differ by {abs(dot1 - dot2):.3e}")
-
-            m1 = rope2d.rope_matrix(a[0], a[1], d) @ rope2d.rope_matrix(b[0], b[1], d)
-            m2 = rope2d.rope_matrix(a[0] + b[0], a[1] + b[1], d)
-            if np.abs(m1 - m2).max() > 1e-12:
-                raise VerificationFailure(
-                    "rope.composition", seed,
-                    f"matrix mismatch {np.abs(m1 - m2).max():.3e}")
-            cases += 1
-    return cases
+    whole = rope2d.rope_matrix(a[0] + b[0], a[1] + b[1], table.d)
+    product = rope2d.rope_matrix(*a, table.d) @ rope2d.rope_matrix(*b, table.d)
+    return {
+        "rope.norm_preservation": abs(float(np.linalg.norm(rot(a, q)) - np.linalg.norm(q))),
+        "rope.relative_shift_invariance":
+            abs(float(rot(a, q) @ rot(b, k) - rot(a, q, shift) @ rot(b, k, shift))),
+        "rope.composition":
+            float(max(np.abs(rot(b, rot(a, q)) - whole @ q).max(), np.abs(product - whole).max())),
+    }
 
 
-def _suite_saliency(full: bool, fault: bool) -> int:
-    n_cases = 200 if full else 60
-    for case in range(n_cases):
-        seed = 20_000 + case
-        rng = _rng(seed)
-        rows = int(rng.integers(1, 9))
-        cols = int(rng.integers(1, 9))
-        scores = rng.random((rows, cols))
-        smap = saliency.SaliencyMap(scores, patch_size=4)
-        tau1, tau2 = sorted(rng.random(2))
-
-        m1 = saliency.quantile_mask(smap, tau1)
-        m2 = saliency.quantile_mask(smap, tau2)
-        if fault and case == 0:
-            m2 = saliency.PatchMask(1 - m2.bits, m2.tau)
-        n = rows * cols
-        if m1.k != saliency.retained_count(tau1, n):
-            raise VerificationFailure(
-                "saliency.exact_cardinality", seed,
-                f"k={m1.k} for tau={tau1}, n={n}")
-        if np.any(m1.bits > m2.bits):
-            raise VerificationFailure(
-                "saliency.nesting", seed,
-                f"retained set at tau={tau1} not inside tau={tau2}")
-
-        kept = m2.bits.astype(bool)
-        if 0 < m2.k < n:
-            lo = scores[kept].min()
-            hi = scores[~kept].max()
-            if lo < hi:
-                raise VerificationFailure(
-                    "saliency.threshold_consistency", seed,
-                    f"min retained {lo} < max dropped {hi}")
-
-        scaled = saliency.SaliencyMap(scores * 7.5, patch_size=4)
-        m3 = saliency.quantile_mask(scaled, tau2)
-        if not np.array_equal(m2.bits, m3.bits):
-            raise VerificationFailure(
-                "saliency.scale_invariance", seed, "mask changed under positive scale")
-    return n_cases
+def check_mask_laws(smap: saliency.SaliencyMap, lower: saliency.PatchMask,
+                    upper: saliency.PatchMask, scale: float) -> Violation | None:
+    """Patch-granularity ``quantile_mask`` masks of ``smap`` at ``lower.tau <=
+    upper.tau`` nest; each keeps exactly ceil(tau * N) patches (exact rational
+    arithmetic), none scoring below a dropped one, and a raster prefix of a
+    constant map; scaling the scores by ``scale`` > 0 leaves ``upper`` as is.
+    A tau whose tau * N lies within 1e-9 above an integer (0.05 at N = 100)
+    fails the exact count, as ``retained_count`` rounds it down by design."""
+    if np.any(lower.bits > upper.bits):
+        return ("saliency.nesting",
+                f"retained set at tau={lower.tau} not inside tau={upper.tau}")
+    flat = smap.scores.ravel()
+    n = flat.size
+    for mask in (lower, upper):
+        kept = mask.bits.ravel().astype(bool)
+        if not mask.k == math.ceil(Fraction(mask.tau) * n) == saliency.retained_count(mask.tau, n):
+            return ("saliency.exact_cardinality", f"k={mask.k} for tau={mask.tau}, n={n}")
+        if 0 < mask.k < n and flat[kept].min() < flat[~kept].max():
+            return ("saliency.threshold_consistency",
+                    f"min retained {flat[kept].min()} < max dropped {flat[~kept].max()}")
+        if np.unique(flat).size == 1 and not np.array_equal(kept, np.arange(n) < mask.k):
+            return ("saliency.raster_tie_break", "constant map kept no raster prefix")
+    scaled = saliency.SaliencyMap(smap.scores * scale, smap.patch_size)
+    if not np.array_equal(saliency.quantile_mask(scaled, upper.tau).bits, upper.bits):
+        return ("saliency.scale_invariance", f"mask changed when scores scaled by {scale}")
+    return None
 
 
-def _suite_events_roundtrip(full: bool, fault: bool) -> int:
-    n_cases = 80 if full else 25
-    for case in range(n_cases):
-        seed = 30_000 + case
-        rng = _rng(seed)
-        n = int(rng.integers(0, 200))
-        width = int(rng.integers(1, 64))
-        height = int(rng.integers(1, 64))
-        ts = np.sort(rng.integers(0, 10_000, size=n))
-        evs = [
-            events.Event(int(t), int(rng.integers(0, width)),
-                         int(rng.integers(0, height)),
-                         1 if rng.random() < 0.5 else -1)
-            for t in ts
-        ]
-        stream = events.EventStream(width, height, tuple(evs))
-        blob = events.write_events_bin(stream)
-        if fault and case == 0:
-            blob = blob[:-1] + bytes([blob[-1] ^ 0xFF]) if n else blob + b"x"
-        try:
-            back = events.read_events_bin(blob)
-        except Exception as exc:
-            raise VerificationFailure(
-                "events.binary_roundtrip", seed, f"read back failed: {exc}")
-        same = (back.sensor_width == width and back.sensor_height == height
-                and back.events == stream.events)
-        if not same:
-            raise VerificationFailure(
-                "events.binary_roundtrip", seed, "stream not preserved")
-    return n_cases
+def check_pack(tokens: np.ndarray, mask: saliency.PatchMask,
+               packed: packing.PackedSequence, fill: np.ndarray) -> Violation | None:
+    """``packed`` is ``pack_patches(tokens, mask)``: scattering it over
+    ``fill`` restores every kept row and fills every dropped one, and its
+    coordinates rise in raster order."""
+    keep = mask.bits.reshape(-1, 1).astype(bool)
+    if not np.array_equal(packing.unpack_scatter(packed, fill), np.where(keep, tokens, fill)):
+        return ("pack.scatter_roundtrip", "rows not restored exactly")
+    if np.any(np.diff(packed.kept[:, 0] * mask.cols + packed.kept[:, 1]) <= 0):
+        return ("pack.raster_order", "kept coordinates not strictly increasing")
+    return None
 
 
-def _suite_events_accumulate(full: bool, fault: bool) -> int:
-    n_cases = 60 if full else 20
-    for case in range(n_cases):
-        seed = 40_000 + case
-        rng = _rng(seed)
-        width = int(rng.integers(2, 32))
-        height = int(rng.integers(2, 32))
-        n = int(rng.integers(0, 150))
-        ts = np.sort(rng.integers(0, 1000, size=n))
-        evs = [
-            events.Event(int(t), int(rng.integers(0, width)),
-                         int(rng.integers(0, height)),
-                         1 if rng.random() < 0.5 else -1)
-            for t in ts
-        ]
-        stream = events.EventStream(width, height, tuple(evs))
-        t0 = int(rng.integers(0, 500))
-        t1 = t0 + int(rng.integers(0, 600))
-        frame = events.accumulate(stream, t0, t1)
-        if fault and case == 0:
-            frame = events.EventFrame(frame.counts + 1.0)
-        expected = np.zeros((height, width))
-        for ev in evs:
-            if t0 <= ev.t_us < t1:
-                expected[ev.y, ev.x] += 1
-        if not np.array_equal(frame.counts, expected):
-            raise VerificationFailure(
-                "events.accumulate_bruteforce", seed, "count grid mismatch")
-        resized = events.resize_to(frame, max(1, width // 2), max(1, height // 2))
-        if resized.total() != frame.total():
-            raise VerificationFailure(
-                "events.resize_conservation", seed,
-                f"total {frame.total()} -> {resized.total()}")
-    return n_cases
+def packed_oracle_error(packed: encoder.TokenFeatures, oracle: encoder.TokenFeatures) -> float:
+    """Max relative error of packed encoder output against the masked-dense
+    oracle on the same inputs; infinite when their positions differ."""
+    if not np.array_equal(packed.positions, oracle.positions):
+        return math.inf
+    return max_rel_err(packed.tokens, oracle.tokens)
 
 
-def _suite_pack(full: bool, fault: bool) -> int:
-    n_cases = 60 if full else 20
-    fault_pending = fault
-    for case in range(n_cases):
-        seed = 50_000 + case
-        rng = _rng(seed)
-        rows = int(rng.integers(1, 8))
-        cols = int(rng.integers(1, 8))
-        d = 8
-        n = rows * cols
-        tokens = rng.standard_normal((n, d))
-        bits = (rng.random((rows, cols)) < rng.random()).astype(np.uint8)
-        mask = saliency.PatchMask(bits, tau=float(bits.mean()))
-        packed = packing.pack_patches(tokens, mask)
-        if fault_pending and len(packed) > 0:
-            fault_pending = False
-            packed = packing.PackedSequence(
-                packed.tokens + 1.0, packed.kept, packed.origin_grid)
-        fill = rng.standard_normal(d)
-        restored = packing.unpack_scatter(packed, fill)
-        flat_keep = bits.ravel().astype(bool)
-        ok = (np.array_equal(restored[flat_keep], tokens[flat_keep])
-              and np.array_equal(restored[~flat_keep],
-                                 np.tile(fill, ((~flat_keep).sum(), 1))))
-        if not ok:
-            raise VerificationFailure(
-                "pack.scatter_roundtrip", seed, "rows not restored exactly")
-        raster = packed.kept[:, 0] * cols + packed.kept[:, 1]
-        if np.any(np.diff(raster) <= 0):
-            raise VerificationFailure(
-                "pack.raster_order", seed, "kept coordinates not strictly increasing")
-    return n_cases
+def check_events_roundtrip(stream: events.EventStream, blob: bytes) -> Violation | None:
+    """``blob`` is ``write_events_bin(stream)``: it reads back as the same
+    stream and re-encodes to the same bytes, and the stream written as CSV
+    (polarity 0/1) is read into a stream with the same EVT1 bytes."""
+    try:
+        back = events.read_events_bin(blob)
+    except (FormatError, ValidationError) as exc:
+        return ("events.binary_roundtrip", f"read back failed: {exc}")
+    fields = ("sensor_width", "sensor_height", "t_us", "x", "y", "polarity")
+    if (not all(np.array_equal(getattr(back, f), getattr(stream, f)) for f in fields)
+            or events.write_events_bin(back) != blob):
+        return ("events.binary_roundtrip", "stream not preserved")
+    body = np.column_stack([stream.t_us, stream.x, stream.y, stream.polarity > 0])
+    csv = f"# width {stream.sensor_width}\n# height {stream.sensor_height}\n" + "".join(
+        f"{t},{x},{y},{p}\n" for t, x, y, p in body.tolist())
+    if events.write_events_bin(events.read_events_csv(csv)) != blob:
+        return ("events.csv_roundtrip", "CSV ingestion changed the stream")
+    return None
 
 
-def _suite_encoder(full: bool, fault: bool) -> int:
-    sizes = (64, 256) if full else (16, 64)
-    cases = 0
-    for n_patches in sizes:
-        side = int(np.sqrt(n_patches))
-        for case in range(6 if full else 4):
-            seed = 60_000 + 100 * n_patches + case
-            rng = _rng(seed)
-            d_model = 32 if case % 2 else 16
-            config = EncoderConfig(
-                patch_size=2, channels=1, d_model=d_model, n_layers=2,
-                n_heads=2, mlp_ratio=2.0, merge_size=1, d_out=d_model,
-                seed=seed)
-            weights = init_weights(config)
-            rope = rope2d.build_rope(side, side, config.head_dim)
-            image = rng.random((side * 2, side * 2))
-            patches = patchify(image, 2)
-            tau = (0.25, 0.5, 0.75)[case % 3]
-            scores = rng.random((side, side))
-            mask = saliency.quantile_mask(saliency.SaliencyMap(scores, 2), tau)
-            packed = packing.pack_patches(patches, mask)
-            got = encode_packed(packed, rope, weights, config).tokens
-            want = encode_masked_dense_oracle(
-                patches, rope, mask, weights, config).tokens
-            if fault and cases == 0:
-                got = got * (1 + 1e-4)
-            denom = np.maximum(np.abs(want), 1e-9)
-            rel = np.abs(got - want) / denom
-            worst = float(rel.max()) if rel.size else 0.0
-            if worst > 1e-5:
-                raise VerificationFailure(
-                    "encoder.packed_equals_masked_dense", seed,
-                    f"max relative error {worst:.3e} at N={n_patches}, tau={tau}")
-            cases += 1
-    return cases
+def check_accumulate(stream: events.EventStream, t0: int, t1: int,
+                     frame: events.EventFrame) -> Violation | None:
+    """``frame`` is ``accumulate(stream, t0, t1)``: it equals a per-event
+    count over [t0, t1), and rebinning it onto half the grid keeps its total."""
+    expected = np.zeros((stream.sensor_height, stream.sensor_width))
+    for t, x, y in zip(stream.t_us.tolist(), stream.x.tolist(), stream.y.tolist()):
+        if t0 <= t < t1:
+            expected[y, x] += 1
+    if not np.array_equal(frame.counts, expected):
+        return ("events.accumulate_bruteforce", "count grid mismatch")
+    resized = events.resize_to(frame, max(1, frame.width // 2), max(1, frame.height // 2))
+    if resized.total() != frame.total():
+        return ("events.resize_conservation", f"total {frame.total()} -> {resized.total()}")
+    return None
 
 
-def _suite_costmodel(full: bool, fault: bool) -> int:
-    profile = costmodel.load_shipped_profile("qwen2vl_2b_like")
-    n_cases = 40 if full else 15
-    for case in range(n_cases):
-        seed = 70_000 + case
-        rng = _rng(seed)
-        side = 14 * 2 * int(rng.integers(1, 9))
-        text = int(rng.integers(0, 300))
-        decode = int(rng.integers(0, 50))
-        taus = sorted(float(t) for t in rng.random(2))
-
-        reports = [
-            costmodel.estimate(profile, costmodel.WorkloadSpec(
-                side, side, tau, text, decode))
-            for tau in taus
-        ]
-        for rep in reports:
-            flops = rep.flops + (1 if fault and case == 0 else 0)
-            if flops != 2 * rep.macs:
-                raise VerificationFailure(
-                    "costmodel.flops_twice_macs", seed,
-                    f"flops={flops}, macs={rep.macs}")
-        # strictness needs the tau step to move at least one merge cell
-        cells = (side // 14 // 2) ** 2
-        if (taus[1] - taus[0]) * cells >= 1.0 and reports[1].macs >= reports[0].macs:
-            raise VerificationFailure(
-                "costmodel.monotonic_in_tau", seed,
+def check_cost_laws(profile: costmodel.ArchProfile, works: list[costmodel.WorkloadSpec],
+                    reports: list[costmodel.CostReport]) -> Violation | None:
+    """``reports[i]`` is ``estimate(profile, works[i])`` for two workloads
+    that differ only in a rising dropped fraction: FLOPs are twice MACs,
+    MACs fall when the step drops at least one merge cell, and an empty
+    workload costs nothing."""
+    for rep in reports:
+        if rep.flops != 2 * rep.macs:
+            return ("costmodel.flops_twice_macs", f"flops={rep.flops}, macs={rep.macs}")
+    cells = reports[0].visual_tokens_dense // profile.vit.merge_size ** 2
+    lo, hi = works
+    if (hi.tau - lo.tau) * cells >= 1.0 and reports[1].macs >= reports[0].macs:
+        return ("costmodel.monotonic_in_tau",
                 f"macs {reports[0].macs} -> {reports[1].macs} "
-                f"for tau {taus[0]:.3f} -> {taus[1]:.3f}")
-
-        zero = costmodel.estimate(
-            profile, costmodel.WorkloadSpec(0, 0, 0.5, 0, 0))
-        if zero.macs != 0:
-            raise VerificationFailure(
-                "costmodel.zero_workload", seed, f"macs={zero.macs}")
-    return n_cases
+                f"for tau {lo.tau:.3f} -> {hi.tau:.3f}")
+    zero = costmodel.estimate(profile, costmodel.WorkloadSpec(0, 0, 0.5, 0, 0))
+    if zero.macs != 0:
+        return ("costmodel.zero_workload", f"macs={zero.macs}")
+    return None
 
 
-_SUITES = {
-    "rope.properties": _suite_rope,
-    "saliency.mask": _suite_saliency,
-    "events.roundtrip": _suite_events_roundtrip,
-    "events.accumulate": _suite_events_accumulate,
-    "pack.roundtrip": _suite_pack,
-    "encoder.equivalence": _suite_encoder,
-    "costmodel.laws": _suite_costmodel,
-}
+_BOUNDS = {"rope.norm_preservation": 1e-9, "rope.relative_shift_invariance": 1e-9,
+           "rope.composition": 1e-12, "encoder.packed_equals_masked_dense": 1e-5}
+
+
+def _within(errors: dict[str, float]) -> Violation | None:
+    for invariant, error in errors.items():
+        if not error <= _BOUNDS[invariant]:
+            return (invariant, f"error {error:.3e} exceeds {_BOUNDS[invariant]:g}")
+    return None
+
+
+def _random_stream(rng: np.random.Generator, size_end: int, n_end: int,
+                   t_end: int) -> events.EventStream:
+    width, height = rng.integers(1, size_end, size=2).tolist()
+    n = int(rng.integers(0, n_end))
+    t = np.sort(rng.integers(0, t_end, size=n))
+    x, y = rng.integers(0, width, size=n), rng.integers(0, height, size=n)
+    return events.EventStream._from_columns(
+        width, height, t, x, y, np.where(rng.random(n) < 0.5, 1, -1))
+
+
+def _rope_case(rng: np.random.Generator, fault: bool, d: int) -> Violation | None:
+    table = rope2d.build_rope(16, 16, d)
+    if fault:
+        table = dataclasses.replace(table, **{
+            f: getattr(table, f) * (1 + 1e-6)
+            for f in ("cos_row", "sin_row", "cos_col", "sin_col")})
+    q, k = rng.standard_normal(d), rng.standard_normal(d)
+    a, b, shift = (tuple(rng.integers(0, end, size=2).tolist()) for end in (12, 12, 4))
+    return _within(rope_errors(table, a, b, shift, q, k))
+
+
+def _saliency_case(rng: np.random.Generator, fault: bool) -> Violation | None:
+    rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    smap = saliency.SaliencyMap(rng.random((rows, cols)), patch_size=4)
+    lower, upper = (saliency.quantile_mask(smap, tau) for tau in sorted(rng.random(2)))
+    if fault:
+        upper = saliency.PatchMask(1 - upper.bits, upper.tau)
+    return check_mask_laws(smap, lower, upper, 7.5)
+
+
+def _events_roundtrip_case(rng: np.random.Generator, fault: bool) -> Violation | None:
+    stream = _random_stream(rng, 64, 200, 10_000)
+    blob = events.write_events_bin(stream)
+    if fault:
+        blob = blob[:-1] + bytes([blob[-1] ^ 0xFF]) if len(stream) else blob + b"x"
+    return check_events_roundtrip(stream, blob)
+
+
+def _accumulate_case(rng: np.random.Generator, fault: bool) -> Violation | None:
+    stream = _random_stream(rng, 32, 150, 1000)
+    t0 = int(rng.integers(0, 500))
+    t1 = t0 + int(rng.integers(0, 600))
+    frame = events.accumulate(stream, t0, t1)
+    if fault:
+        frame = events.EventFrame(frame.counts + 1.0)
+    return check_accumulate(stream, t0, t1, frame)
+
+
+def _pack_case(rng: np.random.Generator, fault: bool) -> Violation | None:
+    rows, cols = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    tokens = rng.standard_normal((rows * cols, 8))
+    bits = (rng.random((rows, cols)) < rng.random()).astype(np.uint8)
+    mask = saliency.PatchMask(bits, tau=float(bits.mean()))
+    packed = packing.pack_patches(tokens, mask)
+    if fault:
+        packed = packing.PackedSequence(packed.tokens + 1.0, packed.kept, packed.origin_grid)
+    return check_pack(tokens, mask, packed, rng.standard_normal(8))
+
+
+def _encoder_case(rng: np.random.Generator, fault: bool, side: int, case: int) -> Violation | None:
+    patches = encoder.patchify(rng.random((side * 2, side * 2)), 2)
+    smap = saliency.SaliencyMap(rng.random((side, side)), 2)
+    mask = saliency.quantile_mask(smap, (0.25, 0.5, 0.75)[case % 3])
+    d_model = 32 if case % 2 else 16
+    config = encoder.EncoderConfig(
+        patch_size=2, channels=1, d_model=d_model, n_layers=2, n_heads=2,
+        mlp_ratio=2.0, merge_size=1, d_out=d_model, seed=int(rng.integers(2**31)))
+    weights = encoder.init_weights(config)
+    rope = rope2d.build_rope(side, side, config.head_dim)
+    got = encoder.encode_packed(packing.pack_patches(patches, mask), rope, weights, config)
+    want = encoder.encode_masked_dense_oracle(patches, rope, mask, weights, config)
+    if fault:
+        got = encoder.TokenFeatures(got.tokens * (1 + 1e-4), got.positions)
+    return _within({"encoder.packed_equals_masked_dense": packed_oracle_error(got, want)})
+
+
+def _cost_case(rng: np.random.Generator, fault: bool) -> Violation | None:
+    profile = costmodel.load_shipped_profile("qwen2vl_2b_like")
+    side = 14 * 2 * int(rng.integers(1, 9))
+    text, decode = int(rng.integers(0, 300)), int(rng.integers(0, 50))
+    works = [costmodel.WorkloadSpec(side, side, float(tau), text, decode)
+             for tau in sorted(rng.random(2))]
+    reports = [costmodel.estimate(profile, work) for work in works]
+    if fault:
+        reports[0] = copy.copy(reports[0])  # bypasses CostReport's own flops check
+        object.__setattr__(reports[0], "flops", reports[0].flops + 1)
+    return check_cost_laws(profile, works, reports)
+
+
+def _suites(full: bool) -> dict[str, tuple]:
+    """Suite name -> (case function, its (seed, *params) cases)."""
+    def seeds(first: int, quick: int, more: int) -> list[tuple[int]]:
+        return [(first + case,) for case in range(more if full else quick)]
+
+    return {
+        "rope.properties": (_rope_case, [
+            (10_000 + 1000 * d + case, d)
+            for d in (4, 8, 64) for case in range(120 if full else 40)]),
+        "saliency.mask": (_saliency_case, seeds(20_000, 60, 200)),
+        "events.roundtrip": (_events_roundtrip_case, seeds(30_000, 25, 80)),
+        "events.accumulate": (_accumulate_case, seeds(40_000, 20, 60)),
+        "pack.roundtrip": (_pack_case, seeds(50_000, 20, 60)),
+        "encoder.equivalence": (_encoder_case, [
+            (60_000 + 100 * side * side + case, side, case)
+            for side in ((8, 16) if full else (4, 8)) for case in range(6 if full else 4)]),
+        "costmodel.laws": (_cost_case, seeds(70_000, 15, 40)),
+    }
 
 
 def suite_names() -> list[str]:
-    return list(_SUITES)
+    return list(_suites(False))
 
 
 def run_suites(full: bool = False, inject_fault: str | None = None) -> list[SuiteResult]:
-    if inject_fault is not None and inject_fault not in _SUITES:
+    suites = _suites(full)
+    if inject_fault is not None and inject_fault not in suites:
         raise ValidationError(
             f"unknown suite {inject_fault!r}; choose from {suite_names()}")
     results = []
-    for name, fn in _SUITES.items():
-        try:
-            cases = fn(full, fault=(name == inject_fault))
-            results.append(SuiteResult(name, cases, None))
-        except VerificationFailure as failure:
-            results.append(SuiteResult(name, 0, failure))
+    for name, (case_fn, cases) in suites.items():
+        for seed, *params in cases:
+            rng = np.random.Generator(np.random.PCG64(seed))
+            violation = case_fn(rng, name == inject_fault, *params)
+            if violation is not None:
+                failure = VerificationFailure(violation[0], seed, violation[1])
+                results.append(SuiteResult(name, 0, failure))
+                break
+        else:
+            results.append(SuiteResult(name, len(cases), None))
     return results

@@ -1,4 +1,4 @@
-"""Shared helpers: synthetic scenes and tolerance checks."""
+"""Shared helpers: synthetic scenes."""
 
 from __future__ import annotations
 
@@ -28,12 +28,3 @@ def square_pair(tmp_path):
     path_a.write_bytes(write_ppm(square_scene(16, 16)))
     path_b.write_bytes(write_ppm(square_scene(64, 16)))
     return path_a, path_b
-
-
-def max_rel_err(got: np.ndarray, want: np.ndarray, floor: float = 1e-9) -> float:
-    got = np.asarray(got, dtype=np.float64)
-    want = np.asarray(want, dtype=np.float64)
-    assert got.shape == want.shape
-    if got.size == 0:
-        return 0.0
-    return float((np.abs(got - want) / np.maximum(np.abs(want), floor)).max())

@@ -22,8 +22,7 @@ from evprune.errors import FormatError, ValidationError
 from evprune.packing import pack_patches
 from evprune.rope2d import build_rope
 from evprune.saliency import PatchMask, SaliencyMap, quantile_mask
-
-from conftest import max_rel_err
+from evprune.verify import max_rel_err
 
 
 def small_config(**overrides):

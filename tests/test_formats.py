@@ -215,7 +215,8 @@ class TestReaderFuzz:
     """Any input gives a value, a FormatError or a ValidationError."""
 
     @pytest.mark.parametrize("text", ["1 -1 0.5\n1\n", "1 100000000000 0.5\n1\n",
-                                      "0 99999999999999999999 0.5\n"])
+                                      "0 99999999999999999999 0.5\n",
+                                      "1_0 1 0.5\n" + "1\n" * 10, "\u0661 1 0.5\n1\n"])
     def test_mask_header_checked_before_allocation(self, text):
         with pytest.raises(FormatError):
             mask_from_text(text)

@@ -53,6 +53,12 @@ class TestPackedSequence:
         with pytest.raises(ValidationError, match=r"coordinate \(5, 5\) outside grid"):
             PackedSequence(np.zeros((3, 1)), ((0, 0), (5, 5), (0, 1)), (2, 2))
 
+    @pytest.mark.parametrize("grid", [(-1, 2), (2, -3), (2,), (2, 2, 2), (2.0, 2), None])
+    def test_rejects_bad_origin_grid(self, grid):
+        # (-1, 2) used to be accepted; unpack_scatter then died in numpy
+        with pytest.raises(ValidationError, match="origin grid"):
+            PackedSequence(np.zeros((0, 2)), np.zeros((0, 2), int), grid)
+
     def test_rejects_non_integer_coordinates(self):
         # indexing would truncate (1.7, 0.2) to (1, 0)
         with pytest.raises(ValidationError, match="got float64"):

@@ -194,7 +194,31 @@ class TestQuantileMask:
         )
 
 
+def blank_patches_loop(image, mask, p, fill):
+    """Reference for apply_mask_to_image: fill each dropped patch in turn."""
+    out = np.asarray(image).copy()
+    for u in range(mask.rows):
+        for v in range(mask.cols):
+            if not mask.bits[u, v]:
+                out[u * p : (u + 1) * p, v * p : (v + 1) * p, :] = fill
+    return out
+
+
 class TestApplyMask:
+    def test_matches_loop_reference_with_trailing_pixels(self):
+        rng = np.random.Generator(np.random.PCG64(41))
+        for _ in range(60):
+            p = int(rng.integers(1, 6))
+            rows, cols = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+            shape = (rows * p + int(rng.integers(0, p)) + 1,
+                     cols * p + int(rng.integers(0, p)) + 1, 3)
+            img = rng.integers(0, 256, size=shape).astype(np.uint8)
+            mask = PatchMask(rng.integers(0, 2, size=(rows, cols)), 0.5)
+            fill = tuple(rng.integers(0, 256, size=3).tolist())
+            got = apply_mask_to_image(img, mask, p, fill)
+            want = blank_patches_loop(img, mask, p, fill)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_all_ones_is_identity(self):
         rng = np.random.Generator(np.random.PCG64(37))
         img = rng.integers(0, 256, size=(8, 8, 3)).astype(np.uint8)

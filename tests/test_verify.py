@@ -1,7 +1,25 @@
 import pytest
 
+from evprune import events
 from evprune.errors import ValidationError
 from evprune.verify import run_suites, suite_names
+
+QUICK_CASES = {"rope.properties": 120, "saliency.mask": 60, "events.roundtrip": 25,
+               "events.accumulate": 20, "pack.roundtrip": 20, "encoder.equivalence": 8,
+               "costmodel.laws": 15}
+FULL_CASES = {"rope.properties": 360, "saliency.mask": 200, "events.roundtrip": 80,
+              "events.accumulate": 60, "pack.roundtrip": 60, "encoder.equivalence": 12,
+              "costmodel.laws": 40}
+# (invariant, repro seed) each quick suite reports under --inject-fault
+FAULTS = {
+    "rope.properties": ("rope.norm_preservation", 14000),
+    "saliency.mask": ("saliency.nesting", 20000),
+    "events.roundtrip": ("events.binary_roundtrip", 30000),
+    "events.accumulate": ("events.accumulate_bruteforce", 40000),
+    "pack.roundtrip": ("pack.scatter_roundtrip", 50001),
+    "encoder.equivalence": ("encoder.packed_equals_masked_dense", 61600),
+    "costmodel.laws": ("costmodel.flops_twice_macs", 70000),
+}
 
 
 class TestRunSuites:
@@ -9,12 +27,13 @@ class TestRunSuites:
         results = run_suites(full=False)
         assert [r.name for r in results] == list(suite_names())
         assert all(r.passed for r in results)
-        assert all(r.cases > 0 for r in results)
+        assert {r.name: r.cases for r in results} == QUICK_CASES
 
     def test_full_runs_more_cases(self):
         quick = {r.name: r.cases for r in run_suites(full=False)}
         full = {r.name: r.cases for r in run_suites(full=True)}
         assert all(full[name] > quick[name] for name in quick)
+        assert full == FULL_CASES
 
     def test_unknown_fault_name_rejected(self):
         with pytest.raises(ValidationError, match="unknown suite"):
@@ -29,5 +48,15 @@ class TestRunSuites:
         assert not broken.passed
         assert broken.failure is not None
         assert "repro seed" in str(broken.failure)
+        assert (broken.failure.invariant, broken.failure.seed) == FAULTS[suite]
         others = [r for name, r in results.items() if name != suite]
         assert all(r.passed for r in others)
+
+
+def test_suites_build_no_event_objects(monkeypatch):
+    """The events suites draw their streams as columns."""
+    def no_event(*args, **kwargs):
+        raise AssertionError("an Event object was built")
+
+    monkeypatch.setattr(events, "Event", no_event)
+    assert all(r.passed for r in run_suites(full=True))
