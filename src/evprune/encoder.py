@@ -18,10 +18,20 @@ Three forward paths share one implementation:
 Weights are untrained: the mechanism under test (positional alignment,
 packed/dense agreement, cost) does not depend on trained values, and
 reproducible random weights make every comparison exact. All math runs
-in float64. Attention runs as head-batched BLAS matmuls, whose summation
-order is fixed only per matrix shape and BLAS thread count: a repeated
-call is bit-identical, but sequences of different lengths (packed versus
-masked-dense) agree to rounding, not bit for bit.
+in float64.
+
+Attention runs over blocks of query rows. Each block's (heads, rows, n)
+logits fill one tile of about 2 MiB, so the key mask, max-subtract, exp
+and row sum passes stay in a per-core L2 cache instead of streaming a
+(heads, n, n) array through memory. The unnormalised tile is multiplied
+by the values and the (heads, rows, head_dim) result is divided by the
+row sums, so the n x n probabilities are never divided. The block rows
+depend only on (n, heads). Matmuls are head-batched BLAS calls, whose
+summation order is fixed only per matrix shape and BLAS thread count: a
+repeated call is bit-identical, and so are sequences of equal length
+(dense, all-ones packed and the masked-dense oracle), but sequences of
+different lengths (packed versus masked-dense) or different block shapes
+agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .costmodel import _finite_product
 from .errors import FormatError, ValidationError
@@ -43,6 +52,10 @@ _CONFIG_KEYS = [
     "patch_size", "channels", "d_model", "n_layers", "n_heads",
     "mlp_ratio", "merge_size", "d_out", "seed",
 ]
+
+# Bytes of one query block's (heads, rows, n) float64 logits tile: small
+# enough to stay in a 2 MiB per-core L2 cache through the softmax passes.
+_TILE_BYTES = 2 * 1024 * 1024
 
 # Upper bound on the number of weights init_weights draws, checked when a
 # config is built. At the cap the float64 weights take 512 MiB, plus one
@@ -260,16 +273,23 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarra
     return (x - mean) / np.sqrt(var + _LN_EPS) * gamma + beta
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+def _gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 x (1 + erf(x / sqrt 2)), into ``out`` (not ``x`` itself) when given."""
+    # Imported here: scipy.special takes most of the package's import time,
+    # and only the encoder's forward and merge need it.
+    from scipy.special import erf
+
+    out = np.divide(x, np.sqrt(2.0), out=out)
+    erf(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
-def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
-    """Row softmax over the last axis, overwriting and returning ``logits``."""
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
+def _block_rows(n: int, heads: int) -> int:
+    """Query rows per attention block: as many as fit in ``_TILE_BYTES``."""
+    return max(1, min(n, _TILE_BYTES // (8 * heads * n)))
 
 
 def _forward(
@@ -294,8 +314,14 @@ def _forward(
         return h
     nh, dh = config.n_heads, config.head_dim
     scale = 1.0 / np.sqrt(dh)
-    # One (heads, n_q, n_k) buffer holds every layer's logits and softmax.
-    logits = np.empty((nh, n, n))
+    drop = None if key_keep is None else ~key_keep
+    rows = _block_rows(n, nh)
+    # Buffers reused by every layer. The tile is flat so that a short last
+    # block is still one contiguous (heads, rows, n) array.
+    tile = np.empty(nh * rows * n)
+    mixed = np.empty((n, nh, dh))
+    up = np.empty((n, config.mlp_hidden))
+    act = np.empty_like(up)
     for lw in weights.layers:
         a = _layer_norm(h, lw.ln1_gamma, lw.ln1_beta)
         q = (a @ lw.wq).reshape(n, nh, dh)
@@ -303,15 +329,23 @@ def _forward(
         v = (a @ lw.wv).reshape(n, nh, dh)
         q = apply_rope_many(rope, positions, q) * scale
         k = apply_rope_many(rope, positions, k)
-        # head-major batched matmuls: (heads, n_q, d_h) @ (heads, d_h, n_k)
-        np.matmul(q.transpose(1, 0, 2), k.transpose(1, 2, 0), out=logits)
-        if key_keep is not None:
-            logits[:, :, ~key_keep] = -np.inf
-        attn = _softmax_inplace(logits)
-        mixed = (attn @ v.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(n, nh * dh)
-        h = h + mixed @ lw.wo
+        # head-major views: (heads, n_q, d_h), (heads, d_h, n_k), (heads, n_k, d_h)
+        qh, kh, vh = q.transpose(1, 0, 2), k.transpose(1, 2, 0), v.transpose(1, 0, 2)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            logits = tile[: nh * (stop - start) * n].reshape(nh, stop - start, n)
+            np.matmul(qh[:, start:stop], kh, out=logits)
+            if drop is not None:
+                logits[:, :, drop] = -np.inf
+            logits -= logits.max(axis=-1, keepdims=True)
+            np.exp(logits, out=logits)
+            np.divide(logits @ vh, logits.sum(axis=-1, keepdims=True),
+                      out=mixed[start:stop].transpose(1, 0, 2))
+        h = h + mixed.reshape(n, nh * dh) @ lw.wo
         a2 = _layer_norm(h, lw.ln2_gamma, lw.ln2_beta)
-        h = h + _gelu(a2 @ lw.w_up + lw.b_up) @ lw.w_down + lw.b_down
+        np.matmul(a2, lw.w_up, out=up)
+        up += lw.b_up
+        h = h + _gelu(up, out=act) @ lw.w_down + lw.b_down
     return h
 
 

@@ -79,11 +79,11 @@ def rope_errors(table: rope2d.RopeTable, a: tuple[int, int], b: tuple[int, int],
 def check_mask_laws(smap: saliency.SaliencyMap, lower: saliency.PatchMask,
                     upper: saliency.PatchMask, scale: float) -> Violation | None:
     """Patch-granularity ``quantile_mask`` masks of ``smap`` at ``lower.tau <=
-    upper.tau`` nest; each keeps exactly ceil(tau * N) patches (exact rational
-    arithmetic), none scoring below a dropped one, and a raster prefix of a
-    constant map; scaling the scores by ``scale`` > 0 leaves ``upper`` as is.
-    A tau whose tau * N lies within 1e-9 above an integer (0.05 at N = 100)
-    fails the exact count, as ``retained_count`` rounds it down by design."""
+    upper.tau`` nest; each keeps exactly ceil(tau * N - 1e-9) patches clamped
+    to [0, N] (exact rational arithmetic on the float tau and guard, the
+    guard being ``retained_count``'s), none scoring below a dropped one, and
+    a raster prefix of a constant map; scaling the scores by ``scale`` > 0
+    leaves ``upper`` as is."""
     if np.any(lower.bits > upper.bits):
         return ("saliency.nesting",
                 f"retained set at tau={lower.tau} not inside tau={upper.tau}")
@@ -91,7 +91,9 @@ def check_mask_laws(smap: saliency.SaliencyMap, lower: saliency.PatchMask,
     n = flat.size
     for mask in (lower, upper):
         kept = mask.bits.ravel().astype(bool)
-        if not mask.k == math.ceil(Fraction(mask.tau) * n) == saliency.retained_count(mask.tau, n):
+        guarded = Fraction(mask.tau) * n - Fraction(saliency._CEIL_GUARD)
+        want = min(n, max(0, math.ceil(guarded)))
+        if not mask.k == want == saliency.retained_count(mask.tau, n):
             return ("saliency.exact_cardinality", f"k={mask.k} for tau={mask.tau}, n={n}")
         if 0 < mask.k < n and flat[kept].min() < flat[~kept].max():
             return ("saliency.threshold_consistency",

@@ -417,3 +417,18 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "evprune" in proc.stdout
+
+    def test_simulate_loads_no_scipy(self, square_pair, tmp_path):
+        """scipy.special is imported by the encoder's GELU alone, so importing
+        the CLI and running simulate leave scipy unloaded."""
+        script = ("import sys\n"
+                  "from evprune import cli\n"
+                  "assert 'scipy' not in sys.modules, 'after import'\n"
+                  "assert cli.main(sys.argv[1:]) == 0\n"
+                  "assert 'scipy' not in sys.modules, 'after simulate'\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "simulate", str(square_pair[0]), str(square_pair[1]),
+             "--contrast", "0.3", "--duration-us", "1000", "--out", str(tmp_path / "ev.evt1")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "ev.evt1").stat().st_size > 0

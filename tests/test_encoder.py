@@ -1,11 +1,13 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evprune import encoder
 from evprune.encoder import (
     EncoderConfig,
     TokenFeatures,
@@ -273,7 +275,10 @@ class TestEncodeDense:
 
 
 class TestPackedVsOracle:
-    def test_multi_head_masked_matches_hand_rolled_reference(self):
+    def test_multi_head_masked_matches_hand_rolled_reference(self, monkeypatch):
+        """Also with the tile budget shrunk so that attention runs in blocks
+        of 1, 2 and 3 query rows: 12 oracle rows, 7 packed rows (a short last
+        block for 2 and 3)."""
         config = small_config(d_model=32, n_heads=4)
         patches, rope, weights = random_setup(3, 4, config, seed=22)
         bits = np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 0, 1]], dtype=np.uint8)
@@ -281,22 +286,48 @@ class TestPackedVsOracle:
         coords = [(i, j) for i in range(3) for j in range(4) if bits[i, j]]
         kept_rows = [i * 4 + j for i, j in coords]
         want = hand_rolled_forward(patches[kept_rows], coords, weights, config)
-        oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
-        packed = encode_packed(pack_patches(patches, mask), rope, weights, config)
-        assert np.array_equal(oracle.positions, coords)
-        assert np.array_equal(packed.positions, coords)
-        assert max_rel_err(oracle.tokens, want) <= 1e-12
-        assert max_rel_err(packed.tokens, want) <= 1e-12
+
+        def shrink_tile(n, block_rows):
+            if block_rows is not None:
+                monkeypatch.setattr(encoder, "_TILE_BYTES", block_rows * 8 * config.n_heads * n)
+                assert encoder._block_rows(n, config.n_heads) == block_rows
+
+        for block_rows in (None, 1, 2, 3):
+            shrink_tile(12, block_rows)
+            oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
+            shrink_tile(len(coords), block_rows)
+            packed = encode_packed(pack_patches(patches, mask), rope, weights, config)
+            assert np.array_equal(oracle.positions, coords)
+            assert np.array_equal(packed.positions, coords)
+            assert max_rel_err(oracle.tokens, want) <= 1e-12, block_rows
+            assert max_rel_err(packed.tokens, want) <= 1e-12, block_rows
 
     def test_all_ones_mask_equals_dense_exactly(self):
+        """Also at side 24 (n = 576), where attention runs in 3 blocks, the
+        last one short."""
         config = small_config()
-        patches, rope, weights = random_setup(4, 4, config, seed=11)
-        mask = PatchMask(np.ones((4, 4), dtype=np.uint8), 1.0)
-        dense = encode_dense(patches, rope, weights, config)
-        packed = encode_packed(pack_patches(patches, mask), rope, weights, config)
-        oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
-        assert np.array_equal(packed.tokens, dense.tokens)
-        assert np.array_equal(oracle.tokens, dense.tokens)
+        for side in (4, 24):
+            patches, rope, weights = random_setup(side, side, config, seed=11)
+            mask = PatchMask(np.ones((side, side), dtype=np.uint8), 1.0)
+            dense = encode_dense(patches, rope, weights, config)
+            packed = encode_packed(pack_patches(patches, mask), rope, weights, config)
+            oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
+            assert np.array_equal(packed.tokens, dense.tokens), side
+            assert np.array_equal(oracle.tokens, dense.tokens), side
+
+    def test_dense_peak_memory_below_one_logits_array(self):
+        """A 32x32 grid with 4 heads runs in tiles: the traced peak stays below
+        the 32 MiB of one (heads, n, n) float64 array."""
+        config = small_config(d_model=32, n_heads=4, n_layers=1)
+        patches, rope, weights = random_setup(32, 32, config, seed=23)
+        encode_dense(patches, rope, weights, config)  # imports scipy.special untraced
+        tracemalloc.start()
+        try:
+            encode_dense(patches, rope, weights, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < config.n_heads * 1024 * 1024 * 8
 
     def test_single_retained_token_is_per_token_path(self):
         config = small_config()

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
-from evprune import events
+from evprune import events, saliency
 from evprune.errors import ValidationError
-from evprune.verify import run_suites, suite_names
+from evprune.verify import check_mask_laws, run_suites, suite_names
 
 QUICK_CASES = {"rope.properties": 120, "saliency.mask": 60, "events.roundtrip": 25,
                "events.accumulate": 20, "pack.roundtrip": 20, "encoder.equivalence": 8,
@@ -60,3 +61,16 @@ def test_suites_build_no_event_objects(monkeypatch):
 
     monkeypatch.setattr(events, "Event", no_event)
     assert all(r.passed for r in run_suites(full=True))
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.07, 0.3 + 0.1])
+def test_mask_count_law_states_the_guard(tau):
+    """tau * 100 lies just above an integer for these taus, and
+    ``retained_count``'s guard rounds it down; one extra kept patch trips."""
+    smap = saliency.SaliencyMap(np.random.Generator(np.random.PCG64(5)).random((10, 10)), 4)
+    mask = saliency.quantile_mask(smap, tau)
+    assert check_mask_laws(smap, mask, mask, 7.5) is None
+    bits = mask.bits.copy()
+    bits.flat[np.flatnonzero(bits == 0)[0]] = 1
+    extra = saliency.PatchMask(bits, tau)
+    assert check_mask_laws(smap, mask, extra, 7.5)[0] == "saliency.exact_cardinality"
