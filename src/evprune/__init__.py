@@ -32,7 +32,6 @@ from .encoder import (
 )
 from .errors import FormatError, ValidationError
 from .events import (
-    Event,
     EventFrame,
     EventStream,
     accumulate,

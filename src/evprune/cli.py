@@ -163,7 +163,7 @@ def _event_mask(args, image: np.ndarray, patch_size: int, merge_size: int):
     frame = accumulate(stream, t0, t1)
     frame = resize_to(frame, image.shape[1], image.shape[0])
     smap = patch_scores(frame, patch_size)
-    return quantile_mask(smap, _check_tau(args.tau), merge_size), (t0, t1)
+    return quantile_mask(smap, args.tau, merge_size), (t0, t1)
 
 
 def cmd_simulate(args) -> int:
@@ -172,8 +172,6 @@ def cmd_simulate(args) -> int:
     if frame_a.shape != frame_b.shape:
         raise ValidationError(
             f"frame dimensions differ: {frame_a.shape[:2]} vs {frame_b.shape[:2]}")
-    if args.duration_us < 0:
-        raise ValidationError("duration must be non-negative")
     stream = simulate_events(
         to_gray01(frame_a), to_gray01(frame_b), args.contrast, args.duration_us)
     _atomic_write(args.out, write_events_bin(stream))
@@ -189,6 +187,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mask(args) -> int:
+    _check_tau(args.tau)
     if args.out_mask is None and args.out_image is None:
         raise ValidationError("need --out-mask and/or --out-image")
     if args.patch_size < 1 or args.merge_size < 1:
@@ -223,6 +222,7 @@ def cmd_mask(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    _check_tau(args.tau)
     text = decode_ascii(_read_bytes(args.config), "encoder config")
     config = load_encoder_config(text)
     seed = _env_seed()

@@ -4,11 +4,10 @@ Core objects
 ------------
 - EventStream: an immutable, time-sorted event stream with sensor bounds,
   stored as four read-only numpy columns ``t_us`` (int64), ``x``, ``y``
-  (int64) and ``polarity`` (int8, -1 or +1). Every reader, writer and the
-  simulator work on these columns directly.
-- Event: one sensor record (t_us, x, y, polarity). It is the input of the
-  ``EventStream(width, height, events)`` constructor and the element type of
-  ``EventStream.events``, a tuple built only when that attribute is read.
+  (int64) and ``polarity`` (int8, -1 or +1). Its one constructor,
+  ``EventStream(width, height, t_us, x, y, polarity)``, takes integer
+  columns, sorts and validates them and keeps its own copies. Every reader,
+  writer and the simulator work on these columns directly.
 - EventFrame: a per-pixel accumulation of events over a temporal window.
 
 File formats
@@ -46,8 +45,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -74,24 +71,19 @@ MAX_SIMULATED_EVENTS = 2**24
 MAX_FRAME_PIXELS = 2**24
 
 
-@dataclass(frozen=True)
-class Event:
-    """One brightness-change record: time in microseconds, pixel, sign."""
-
-    t_us: int
-    x: int
-    y: int
-    polarity: int
+# Column name -> stored dtype, in constructor order.
+_COLUMNS = {"t_us": np.int64, "x": np.int64, "y": np.int64, "polarity": np.int8}
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class EventStream:
     """Time-sorted events within a fixed sensor extent, as numpy columns.
 
-    The constructor takes ``Event`` records, stable-sorts them by timestamp
-    (preserving the original order among equal timestamps) and validates
-    every record against the sensor bounds. The readers and the simulator
-    build streams from columns through the same validation.
+    The constructor takes four equal-length 1-D integer columns whose
+    dtype casts to int64 without loss. It stable-sorts them by timestamp
+    (preserving the input order among equal timestamps), validates every
+    event against the sensor bounds, and stores read-only int64 copies
+    (int8 for polarity); the caller's arrays are never aliased.
     """
 
     sensor_width: int
@@ -101,31 +93,18 @@ class EventStream:
     y: np.ndarray
     polarity: np.ndarray
 
-    def __init__(self, sensor_width: int, sensor_height: int, events: Iterable[Event]):
-        evs = tuple(events)
-        fields = {name: [getattr(e, name) for e in evs]
-                  for name in ("t_us", "x", "y", "polarity")}
-        # np.array would silently truncate 1.7 and parse "3".
-        if not all(isinstance(v, (int, np.integer)) for col in fields.values() for v in col):
-            raise ValidationError("event fields must be integers")
-        self._set_columns(sensor_width, sensor_height,
-                          *(_int_column(col, name) for name, col in fields.items()))
-
-    @classmethod
-    def _from_columns(cls, sensor_width: int, sensor_height: int,
-                      t_us: np.ndarray, x: np.ndarray, y: np.ndarray,
-                      polarity: np.ndarray) -> EventStream:
-        """Build from int columns the caller owns; they become read-only."""
-        stream = cls.__new__(cls)
-        stream._set_columns(sensor_width, sensor_height, t_us, x, y, polarity)
-        return stream
-
-    def _set_columns(self, width, height, t, x, y, p) -> None:
+    def __post_init__(self):
+        width, height = self.sensor_width, self.sensor_height
         if width < 0 or height < 0:
             raise ValidationError("sensor dimensions must be non-negative")
-        if np.any(t[1:] < t[:-1]):
-            order = np.argsort(t, kind="stable")
+        t, x, y, p = (_checked_column(getattr(self, name), name) for name in _COLUMNS)
+        if not len(t) == len(x) == len(y) == len(p):
+            raise ValidationError(
+                f"event columns differ in length: {len(t)}, {len(x)}, {len(y)}, {len(p)}")
+        order = np.argsort(t, kind="stable") if np.any(t[1:] < t[:-1]) else None
+        if order is not None:
             t, x, y, p = t[order], x[order], y[order], p[order]
+        # Checked before the int8 cast, which would wrap a polarity of 257 to 1.
         out_of_bounds = (x < 0) | (x >= width) | (y < 0) | (y >= height)
         bad = np.flatnonzero((t < 0) | out_of_bounds | ((p != 1) & (p != -1)))
         if bad.size:
@@ -136,21 +115,11 @@ class EventStream:
                 raise ValidationError(
                     f"event at ({int(x[i])}, {int(y[i])}) outside sensor {width}x{height}")
             raise ValidationError(f"polarity must be -1 or +1, got {int(p[i])}")
-        columns = {"t_us": t.astype(np.int64, copy=False),
-                   "x": x.astype(np.int64, copy=False),
-                   "y": y.astype(np.int64, copy=False),
-                   "polarity": p.astype(np.int8, copy=False)}
-        object.__setattr__(self, "sensor_width", width)
-        object.__setattr__(self, "sensor_height", height)
-        for name, col in columns.items():
+        for (name, dtype), col in zip(_COLUMNS.items(), (t, x, y, p)):
+            # The sorted gather is already a copy the caller cannot reach.
+            col = col.astype(dtype, copy=order is None)
             col.flags.writeable = False
             object.__setattr__(self, name, col)
-
-    @cached_property
-    def events(self) -> tuple[Event, ...]:
-        """The records as ``Event`` objects, built on first access."""
-        return tuple(map(Event, self.t_us.tolist(), self.x.tolist(),
-                         self.y.tolist(), self.polarity.tolist()))
 
     def __len__(self) -> int:
         return len(self.t_us)
@@ -160,6 +129,15 @@ class EventStream:
         if not len(self):
             return (0, 0)
         return (int(self.t_us[0]), int(self.t_us[-1]) + 1)
+
+
+def _checked_column(values, name: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
+        raise ValidationError(
+            f"{name} must be a 1-D column of integers that fit int64, "
+            f"got {arr.dtype} of shape {arr.shape}")
+    return arr
 
 
 def _int_column(values: list[int], name: str) -> np.ndarray:
@@ -176,14 +154,13 @@ class EventFrame:
     counts: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.counts, dtype=np.float64)
+        arr = np.array(self.counts, dtype=np.float64)
         if arr.ndim != 2:
             raise ValidationError("counts must be a 2D array")
         if not np.isfinite(arr).all():
             raise ValidationError("counts must be finite")
         if np.any(arr < 0):
             raise ValidationError("counts must be non-negative")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
 
@@ -222,7 +199,7 @@ def read_events_csv(data: bytes | str) -> EventStream:
     parsed = _csv_body_fast(lines, start, width, height) if text.isascii() else None
     if parsed is None:
         parsed = _csv_body_lines(lines, start, width, height)
-    return EventStream._from_columns(*parsed)
+    return EventStream(*parsed)
 
 
 def _csv_directives(lines: list[str]) -> tuple[int | None, int | None, int]:
@@ -357,8 +334,7 @@ def read_events_bin(data: bytes) -> EventStream:
             f"record count {count} implies {expected} bytes, file has {len(data)}"
         )
     records = np.frombuffer(data, dtype=_RECORD, count=count, offset=_HEADER.size)
-    t = records["t_us"].astype(np.int64)
-    p = records["polarity"].astype(np.int8)
+    t, p = records["t_us"], records["polarity"]
     # Report the lowest offending record; on a tie the polarity check wins,
     # as it runs first for each record.
     bad_polarity = np.flatnonzero((p != 1) & (p != -1))[:1]
@@ -368,8 +344,7 @@ def read_events_bin(data: bytes) -> EventStream:
         raise FormatError(f"record {i}: polarity byte must be -1 or +1, got {int(p[i])}")
     if unsorted.size:
         raise FormatError(f"record {unsorted[0]}: timestamps not sorted")
-    return EventStream._from_columns(
-        width, height, t, records["x"].astype(np.int64), records["y"].astype(np.int64), p)
+    return EventStream(width, height, t, records["x"], records["y"], p)
 
 
 def _count_before(t_us: np.ndarray, bound: int) -> int:
@@ -437,8 +412,8 @@ def simulate_events(
     b = np.asarray(frame_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise ValidationError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    if not contrast > 0:
-        raise ValidationError("contrast threshold must be > 0")
+    if not 0 < contrast < np.inf:
+        raise ValidationError(f"contrast threshold must be > 0 and finite, got {contrast}")
     if duration_us < 0:
         raise ValidationError("duration must be non-negative")
     if duration_us > _INT64_MAX:
@@ -467,4 +442,4 @@ def simulate_events(
     t = k * q + k * r // count
     y, x = np.divmod(pixel[owner], a.shape[1])
     p = np.where(dlog[pixel] >= 0, 1, -1).astype(np.int8)[owner]
-    return EventStream._from_columns(a.shape[1], a.shape[0], t, x, y, p)
+    return EventStream(a.shape[1], a.shape[0], t, x, y, p)

@@ -48,7 +48,7 @@ class SaliencyMap:
     patch_size: int
 
     def __post_init__(self):
-        arr = np.asarray(self.scores, dtype=np.float64)
+        arr = np.array(self.scores, dtype=np.float64)
         if arr.ndim != 2:
             raise ValidationError("scores must be a 2D array")
         if not np.isfinite(arr).all():
@@ -57,7 +57,6 @@ class SaliencyMap:
             raise ValidationError("scores must be non-negative")
         if self.patch_size < 1:
             raise ValidationError("patch size must be >= 1")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "scores", arr)
 
@@ -83,14 +82,13 @@ class PatchMask:
     tau: float
 
     def __post_init__(self):
-        arr = np.asarray(self.bits, dtype=np.uint8)
+        arr = np.array(self.bits, dtype=np.uint8)
         if arr.ndim != 2:
             raise ValidationError("mask bits must be a 2D array")
         if not np.all((arr == 0) | (arr == 1)):
             raise ValidationError("mask bits must be 0 or 1")
         if not 0.0 <= self.tau <= 1.0:
             raise ValidationError(f"tau must lie in [0, 1], got {self.tau}")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "bits", arr)
 

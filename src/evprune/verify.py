@@ -201,8 +201,7 @@ def _random_stream(rng: np.random.Generator, size_end: int, n_end: int,
     n = int(rng.integers(0, n_end))
     t = np.sort(rng.integers(0, t_end, size=n))
     x, y = rng.integers(0, width, size=n), rng.integers(0, height, size=n)
-    return events.EventStream._from_columns(
-        width, height, t, x, y, np.where(rng.random(n) < 0.5, 1, -1))
+    return events.EventStream(width, height, t, x, y, np.where(rng.random(n) < 0.5, 1, -1))
 
 
 def _rope_case(rng: np.random.Generator, fault: bool, d: int) -> Violation | None:

@@ -1,10 +1,11 @@
-"""Shared helpers: synthetic scenes."""
+"""Shared helpers: synthetic scenes and event streams."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from evprune.events import EventStream
 from evprune.ppm import write_ppm
 
 SQUARE = 32          # bright square edge, pixels
@@ -28,3 +29,13 @@ def square_pair(tmp_path):
     path_a.write_bytes(write_ppm(square_scene(16, 16)))
     path_b.write_bytes(write_ppm(square_scene(64, 16)))
     return path_a, path_b
+
+
+def stream_of(width, height, *events):
+    """A stream from (t_us, x, y, polarity) rows."""
+    return EventStream(width, height, *np.array(events, dtype=np.int64).reshape(-1, 4).T)
+
+
+def as_tuples(stream):
+    return list(zip(stream.t_us.tolist(), stream.x.tolist(), stream.y.tolist(),
+                    stream.polarity.tolist()))

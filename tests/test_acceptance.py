@@ -23,12 +23,7 @@ from evprune.encoder import (
     init_weights,
     patchify,
 )
-from evprune.events import (
-    Event,
-    EventFrame,
-    EventStream,
-    write_events_bin,
-)
+from evprune.events import EventFrame, write_events_bin
 from evprune.featio import read_features, write_features
 from evprune.packing import pack_patches
 from evprune.rope2d import build_rope
@@ -46,7 +41,7 @@ from evprune.verify import (
     rope_errors,
 )
 
-from conftest import SCENE, SQUARE, square_scene
+from conftest import SCENE, SQUARE, square_scene, stream_of
 
 
 def _report(num: int, name: str, detail: str) -> None:
@@ -265,11 +260,9 @@ def test_criterion_7_format_roundtrips():
         h = int(rng.integers(1, 200))
         n = int(rng.integers(0, 300))
         ts = np.sort(rng.integers(0, 10**6, size=n))
-        events = tuple(
-            Event(int(t), int(rng.integers(0, w)), int(rng.integers(0, h)),
-                  int(rng.choice((-1, 1))))
-            for t in ts)
-        stream = EventStream(w, h, events)
+        rows = [(t, rng.integers(0, w), rng.integers(0, h), rng.choice((-1, 1)))
+                for t in ts]
+        stream = stream_of(w, h, *rows)
         assert check_events_roundtrip(stream, write_events_bin(stream)) is None
 
     for _ in range(50):

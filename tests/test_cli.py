@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from evprune import cli, events
+from evprune import cli
 from evprune.cli import main
 from evprune.events import read_events_bin
 from evprune.featio import read_features
@@ -82,6 +82,16 @@ class TestSimulate:
                            "--out", str(tmp_path / "x.evt1"))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("contrast", ["inf", "nan"])
+    def test_non_finite_contrast_exit_1_and_no_output(self, square_pair, tmp_path, capsys,
+                                                      contrast):
+        out = tmp_path / "x.evt1"
+        code, _, err = run(capsys, "simulate", str(square_pair[0]), str(square_pair[1]),
+                           "--contrast", contrast, "--duration-us", "10", "--out", str(out))
+        assert code == 1
+        assert "contrast" in err
+        assert not out.exists()
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "simulate", str(tmp_path / "nope.ppm"),
@@ -236,6 +246,19 @@ class TestEncode:
         assert "param.seed=99" in stdout
         assert out_a.read_bytes() != out_b.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["dense", "packed", "oracle"])
+    @pytest.mark.parametrize("tau", ["nan", "7"])
+    def test_bad_tau_exit_1_and_no_output(self, square_events, tmp_path, capsys, tau, mode):
+        image, evt = square_events
+        out = tmp_path / "f.bin"
+        code, stdout, err = run(capsys, "encode", str(image), str(evt), "--tau", tau,
+                                "--config", str(write_encoder_config(tmp_path / "enc.cfg")),
+                                "--mode", mode, "--out", str(out))
+        assert code == 1
+        assert "tau must be in [0, 1]" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_bad_config_exit_2(self, square_events, tmp_path, capsys):
         image, evt = square_events
         cfg = tmp_path / "bad.cfg"
@@ -305,27 +328,6 @@ class TestAtomicWrite:
         assert code == 0
         assert (out_dir / "ev.evt1.tmp").read_bytes() == b"keep"
         assert sorted(p.name for p in out_dir.iterdir()) == ["ev.evt1", "ev.evt1.tmp"]
-
-
-def test_event_paths_build_no_event_objects(square_pair, tmp_path, capsys, monkeypatch):
-    """simulate, mask and encode work on the stream's columns alone."""
-    def no_event(*args, **kwargs):
-        raise AssertionError("an Event object was built")
-
-    monkeypatch.setattr(events, "Event", no_event)
-    image = square_pair[1]
-    evt = tmp_path / "ev.evt1"
-    csv = tmp_path / "ev.csv"
-    csv.write_text(f"# width {SCENE}\n# height {SCENE}\nt,x,y,p\n5,70,20,1\n9,3,4,0\n")
-    cfg = write_encoder_config(tmp_path / "enc.cfg")
-    assert run(capsys, "simulate", str(square_pair[0]), str(image), "--contrast", "0.3",
-               "--duration-us", "1000", "--out", str(evt))[0] == 0
-    for events_file in (evt, csv):
-        assert run(capsys, "mask", str(image), str(events_file), "--tau", "0.5",
-                   "--patch-size", "16", "--window", "0:800",
-                   "--out-mask", str(tmp_path / "m.txt"))[0] == 0
-        assert run(capsys, "encode", str(image), str(events_file), "--tau", "0.5",
-                   "--config", str(cfg), "--out", str(tmp_path / "f.bin"))[0] == 0
 
 
 class TestFlops:

@@ -3,6 +3,7 @@ their per-event references, input rejection, and reader fuzzing."""
 
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from evprune import events
 from evprune.errors import FormatError, ValidationError
 from evprune.events import (
-    Event,
     EventFrame,
     EventStream,
     accumulate,
@@ -22,6 +22,8 @@ from evprune.events import (
     simulate_events,
     write_events_bin,
 )
+
+from conftest import as_tuples, stream_of
 
 HEADER = struct.Struct("<4sHHHHI")
 RECORD = struct.Struct("<IHHb")
@@ -44,56 +46,91 @@ def simulate_reference(a, b, contrast, duration_us):
     return sorted(out, key=lambda e: e[0])
 
 
-def as_tuples(stream):
-    return list(zip(stream.t_us.tolist(), stream.x.tolist(), stream.y.tolist(),
-                    stream.polarity.tolist()))
-
-
 class TestColumns:
     def test_columns_are_read_only_typed_and_sorted(self):
-        stream = EventStream(4, 2, (Event(10, 1, 0, 1), Event(5, 3, 1, -1)))
+        stream = stream_of(4, 2, (10, 1, 0, 1), (5, 3, 1, -1))
         assert stream.t_us.tolist() == [5, 10]
         assert [c.dtype for c in (stream.t_us, stream.x, stream.y, stream.polarity)] == [
             np.int64, np.int64, np.int64, np.int8]
         with pytest.raises(ValueError):
             stream.x[0] = 0
 
-    def test_events_tuple_is_built_on_demand(self):
-        stream = read_events_csv(b"3,1,0,1\n1,0,1,0\n")
-        assert "events" not in vars(stream)
-        assert stream.events == (Event(1, 0, 1, -1), Event(3, 1, 0, 1))
-        assert stream.events is stream.events
+    def test_columns_must_be_one_dimensional_and_of_equal_length(self):
+        one = np.ones(2, dtype=np.int64)
+        with pytest.raises(ValidationError, match="differ in length: 2, 2, 2, 3"):
+            EventStream(4, 2, one, one, one, np.ones(3, dtype=np.int64))
+        with pytest.raises(ValidationError, match=r"x must be a 1-D column .* shape \(1, 2\)"):
+            EventStream(4, 2, one, one.reshape(1, 2), one, one)
+
+    @pytest.mark.parametrize("column", [
+        np.array([0.0, 1.0]), np.array([False, True]), np.array([0, 1], dtype=object),
+        np.array([0, 2**63], dtype=np.uint64)], ids=["float", "bool", "object", "uint64"])
+    @pytest.mark.parametrize("name", ["t_us", "x", "y", "polarity"])
+    def test_column_must_cast_to_int64_without_loss(self, name, column):
+        columns = {"t_us": [0, 1], "x": [0, 1], "y": [0, 1], "polarity": [1, 1]}
+        columns[name] = column
+        with pytest.raises(ValidationError, match=f"{name} must be a 1-D column of integers"):
+            EventStream(4, 2, **columns)
+
+    def test_polarity_is_checked_before_the_int8_cast(self):
+        with pytest.raises(ValidationError, match="polarity must be -1 or \\+1, got 257"):
+            stream_of(4, 2, (0, 0, 0, 257))
+
+    @pytest.mark.parametrize("t", [[1, 5], [5, 1]], ids=["sorted", "unsorted"])
+    def test_stream_keeps_its_own_copies(self, t):
+        columns = [np.array(t), np.array([1, 2]), np.array([0, 1]),
+                   np.array([1, -1], dtype=np.int8)]
+        stream = EventStream(4, 2, *columns)
+        before = as_tuples(stream)
+        for column in columns:
+            assert column.flags.writeable
+            column[:] = 0
+        assert as_tuples(stream) == before
 
     def test_first_offending_event_in_time_order_is_named(self):
         with pytest.raises(ValidationError, match=r"event at \(9, 0\)"):
-            EventStream(4, 2, (Event(7, 0, 0, 5), Event(3, 9, 0, 1)))
+            stream_of(4, 2, (7, 0, 0, 5), (3, 9, 0, 1))
         with pytest.raises(ValidationError, match="polarity must be -1 or \\+1, got 5"):
-            EventStream(4, 2, (Event(7, 9, 0, 1), Event(3, 0, 0, 5)))
+            stream_of(4, 2, (7, 9, 0, 1), (3, 0, 0, 5))
 
     @pytest.mark.parametrize("bad", [1.7, "3", None])
     def test_non_integer_field_rejected(self, bad):
+        """A float, string or object column is refused, not truncated or parsed."""
+        zeros = np.zeros(2, dtype=np.int64)
         with pytest.raises(ValidationError, match="integers"):
-            EventStream(4, 2, (Event(0, 0, 0, 1), Event(bad, 0, 0, 1)))
+            EventStream(4, 2, np.array([0, bad]), zeros, zeros, np.ones(2, dtype=np.int64))
 
     def test_timestamp_beyond_int64_rejected(self):
         with pytest.raises(ValidationError, match="int64"):
-            EventStream(4, 2, (Event(2**63, 0, 0, 1),))
+            EventStream(4, 2, [2**63], [0], [0], [1])
         with pytest.raises(ValidationError, match="int64"):
             read_events_csv(b"99999999999999999999,0,0,1\n")
 
     def test_window_bounds_beyond_int64(self):
-        stream = EventStream(2, 1, (Event(0, 0, 0, 1), Event(2**63 - 1, 1, 0, 1)))
+        stream = stream_of(2, 1, (0, 0, 0, 1), (2**63 - 1, 1, 0, 1))
         assert accumulate(stream, -(2**70), 2**70).total() == 2
         assert accumulate(stream, 2**63 - 1, 2**64).counts.tolist() == [[0.0, 1.0]]
 
     def test_accumulate_cap_checked_before_counting(self, monkeypatch):
-        stream = EventStream(4, 3, [Event(0, 1, 1, 1)])
+        stream = stream_of(4, 3, (0, 1, 1, 1))
         monkeypatch.setattr(events, "MAX_FRAME_PIXELS", 12)
         assert accumulate(stream, 0, 1).total() == 1
         monkeypatch.setattr(events, "MAX_FRAME_PIXELS", 11)
         monkeypatch.setattr(events.np, "bincount", None)  # never reached
         with pytest.raises(ValidationError, match="MAX_FRAME_PIXELS"):
             accumulate(stream, 0, 1)
+
+
+    def test_accumulate_copies_counts_once(self):
+        """int64 counts and their float64 copy: the peak stays under 2.5x the frame."""
+        stream = stream_of(1024, 1024, (0, 3, 4, 1))
+        tracemalloc.start()
+        try:
+            frame = accumulate(stream, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * frame.counts.nbytes
 
 
 class TestBinaryErrors:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from evprune.errors import FormatError, ValidationError
 from evprune.events import (
-    Event,
     EventFrame,
     EventStream,
     accumulate,
@@ -19,54 +18,49 @@ from evprune.events import (
     write_events_bin,
 )
 
+from conftest import as_tuples, stream_of
+
 
 @st.composite
 def streams(draw):
     width = draw(st.integers(1, 50))
     height = draw(st.integers(1, 50))
     n = draw(st.integers(0, 60))
-    ts = sorted(draw(st.lists(st.integers(0, 5000), min_size=n, max_size=n)))
-    evs = tuple(
-        Event(
-            t,
-            draw(st.integers(0, width - 1)),
-            draw(st.integers(0, height - 1)),
-            draw(st.sampled_from((-1, 1))),
-        )
-        for t in ts
-    )
-    return EventStream(width, height, evs)
+    column = lambda values: draw(st.lists(values, min_size=n, max_size=n))
+    t = sorted(column(st.integers(0, 5000)))
+    x = column(st.integers(0, width - 1))
+    y = column(st.integers(0, height - 1))
+    p = column(st.sampled_from((-1, 1)))
+    return EventStream(width, height, *(np.array(c, dtype=np.int64) for c in (t, x, y, p)))
 
 
 class TestEventStream:
     def test_sorts_stably_on_construction(self):
-        evs = (Event(10, 1, 0, 1), Event(5, 3, 1, -1), Event(5, 2, 0, 1))
-        stream = EventStream(4, 2, evs)
-        assert [e.t_us for e in stream.events] == [5, 5, 10]
+        stream = stream_of(4, 2, (10, 1, 0, 1), (5, 3, 1, -1), (5, 2, 0, 1))
         # stable: the two t=5 events keep their original relative order
-        assert stream.events[0].x == 3 and stream.events[1].x == 2
+        assert as_tuples(stream) == [(5, 3, 1, -1), (5, 2, 0, 1), (10, 1, 0, 1)]
 
     def test_rejects_out_of_bounds(self):
         with pytest.raises(ValidationError):
-            EventStream(4, 2, (Event(0, 4, 0, 1),))
+            stream_of(4, 2, (0, 4, 0, 1))
         with pytest.raises(ValidationError):
-            EventStream(4, 2, (Event(0, 0, 2, 1),))
+            stream_of(4, 2, (0, 0, 2, 1))
 
     def test_rejects_bad_polarity(self):
         with pytest.raises(ValidationError):
-            EventStream(4, 2, (Event(0, 0, 0, 0),))
+            stream_of(4, 2, (0, 0, 0, 0))
 
     def test_extent(self):
-        stream = EventStream(4, 4, (Event(7, 0, 0, 1), Event(30, 1, 1, -1)))
+        stream = stream_of(4, 4, (7, 0, 0, 1), (30, 1, 1, -1))
         assert stream.extent_us() == (7, 31)
-        assert EventStream(4, 4, ()).extent_us() == (0, 0)
+        assert stream_of(4, 4).extent_us() == (0, 0)
 
 
 class TestCsv:
     def test_directives_and_sorting(self):
         stream = read_events_csv(b"# width 4\n# height 2\n10,1,0,1\n5,3,1,-1\n")
         assert (stream.sensor_width, stream.sensor_height) == (4, 2)
-        assert [e.t_us for e in stream.events] == [5, 10]
+        assert stream.t_us.tolist() == [5, 10]
 
     def test_empty_body_with_directives(self):
         stream = read_events_csv(b"# width 4\n# height 2\n")
@@ -79,7 +73,7 @@ class TestCsv:
 
     def test_zero_polarity_maps_to_negative(self):
         stream = read_events_csv(b"3,0,0,0\n")
-        assert stream.events[0].polarity == -1
+        assert stream.polarity.tolist() == [-1]
 
     def test_header_line_skipped(self):
         stream = read_events_csv(b"t,x,y,p\n3,1,1,1\n")
@@ -98,20 +92,20 @@ class TestCsv:
 
 class TestBinary:
     def test_empty_stream_is_header_only(self):
-        blob = write_events_bin(EventStream(3, 2, ()))
+        blob = write_events_bin(stream_of(3, 2))
         assert len(blob) == 16
         assert blob[:4] == b"EVT1"
         width, height = struct.unpack_from("<HH", blob, 6)
         assert (width, height) == (3, 2)
 
     def test_truncated_record_count(self):
-        stream = EventStream(2, 2, (Event(1, 0, 0, 1), Event(2, 1, 1, -1)))
+        stream = stream_of(2, 2, (1, 0, 0, 1), (2, 1, 1, -1))
         blob = write_events_bin(stream)
         with pytest.raises(FormatError):
             read_events_bin(blob[:-9])  # count says 2, one record present
 
     def test_bad_magic_and_version(self):
-        blob = write_events_bin(EventStream(2, 2, ()))
+        blob = write_events_bin(stream_of(2, 2))
         with pytest.raises(FormatError):
             read_events_bin(b"XXXX" + blob[4:])
         with pytest.raises(FormatError):
@@ -124,43 +118,40 @@ class TestBinary:
         back = read_events_bin(blob)
         assert back.sensor_width == stream.sensor_width
         assert back.sensor_height == stream.sensor_height
-        assert back.events == stream.events
+        assert as_tuples(back) == as_tuples(stream)
         assert write_events_bin(back) == blob
 
     @settings(deadline=None, max_examples=30)
     @given(streams())
     def test_csv_to_binary_preserves_fields(self, stream):
         lines = [f"# width {stream.sensor_width}", f"# height {stream.sensor_height}"]
-        lines += [f"{e.t_us},{e.x},{e.y},{e.polarity}" for e in stream.events]
+        lines += [",".join(map(str, event)) for event in as_tuples(stream)]
         parsed = read_events_csv("\n".join(lines).encode())
-        assert read_events_bin(write_events_bin(parsed)).events == stream.events
+        assert as_tuples(read_events_bin(write_events_bin(parsed))) == as_tuples(stream)
 
 
 class TestAccumulate:
     def test_counts_per_pixel(self):
-        evs = (Event(0, 1, 1, 1), Event(1, 1, 1, -1), Event(2, 1, 1, 1),
-               Event(3, 0, 0, 1))
-        frame = accumulate(EventStream(2, 2, evs), 0, 4)
+        stream = stream_of(2, 2, (0, 1, 1, 1), (1, 1, 1, -1), (2, 1, 1, 1), (3, 0, 0, 1))
+        frame = accumulate(stream, 0, 4)
         assert frame.counts[1, 1] == 3
         assert frame.counts[0, 0] == 1
 
     def test_empty_window_is_zero(self):
-        evs = (Event(5, 0, 0, 1),)
-        frame = accumulate(EventStream(2, 2, evs), 5, 5)
+        frame = accumulate(stream_of(2, 2, (5, 0, 0, 1)), 5, 5)
         assert frame.total() == 0
 
     def test_no_polarity_cancellation(self):
-        evs = (Event(0, 0, 0, 1), Event(1, 0, 0, -1))
-        frame = accumulate(EventStream(1, 1, evs), 0, 2)
+        frame = accumulate(stream_of(1, 1, (0, 0, 0, 1), (1, 0, 0, -1)), 0, 2)
         assert frame.counts[0, 0] == 2
 
     def test_window_bounds_half_open(self):
-        evs = (Event(3, 0, 0, 1), Event(7, 0, 0, 1))
-        assert accumulate(EventStream(1, 1, evs), 3, 7).counts[0, 0] == 1
+        stream = stream_of(1, 1, (3, 0, 0, 1), (7, 0, 0, 1))
+        assert accumulate(stream, 3, 7).counts[0, 0] == 1
 
     def test_rejects_inverted_window(self):
         with pytest.raises(ValidationError):
-            accumulate(EventStream(1, 1, ()), 5, 4)
+            accumulate(stream_of(1, 1), 5, 4)
 
     @settings(deadline=None, max_examples=40)
     @given(streams(), st.integers(0, 5000), st.integers(0, 5000))
@@ -213,14 +204,14 @@ class TestSimulate:
         assert expected == 2
         stream = simulate_events(a, b, 0.2, 1000)
         assert len(stream) == expected
-        assert all(e.polarity == 1 for e in stream.events)
+        assert stream.polarity.tolist() == [1] * expected
 
     def test_single_pixel_clean_three_events(self):
         a = np.array([[0.2]])
         b = np.array([[0.2 * math.exp(0.65)]])
         stream = simulate_events(a, b, 0.2, 900)
-        assert [e.t_us for e in stream.events] == [0, 300, 600]
-        assert all(e.polarity == 1 for e in stream.events)
+        assert stream.t_us.tolist() == [0, 300, 600]
+        assert stream.polarity.tolist() == [1, 1, 1]
 
     def test_swap_flips_polarity_keeps_counts(self):
         rng = np.random.Generator(np.random.PCG64(11))
@@ -229,10 +220,10 @@ class TestSimulate:
         fwd = simulate_events(a, b, 0.15, 500)
         rev = simulate_events(b, a, 0.15, 500)
         assert len(fwd) == len(rev)
-        key = lambda e: (e.y, e.x, e.t_us)
-        for e1, e2 in zip(sorted(fwd.events, key=key), sorted(rev.events, key=key)):
-            assert (e1.t_us, e1.x, e1.y) == (e2.t_us, e2.x, e2.y)
-            assert e1.polarity == -e2.polarity
+        key = lambda e: (e[2], e[1], e[0])
+        for e1, e2 in zip(sorted(as_tuples(fwd), key=key), sorted(as_tuples(rev), key=key)):
+            assert e1[:3] == e2[:3]
+            assert e1[3] == -e2[3]
 
     def test_doubled_contrast_at_most_halves_counts_per_pixel(self):
         rng = np.random.Generator(np.random.PCG64(3))
