@@ -20,8 +20,6 @@ from .costmodel import (
 from .encoder import (
     EncoderConfig,
     EncoderWeights,
-    ProjectedTokens,
-    TokenFeatures,
     encode_dense,
     encode_masked_dense_oracle,
     encode_packed,

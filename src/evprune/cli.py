@@ -59,7 +59,8 @@ from .kvtext import decode_ascii
 from .packing import pack_patches
 from .ppm import read_ppm, to_gray01, write_ppm
 from .rope2d import build_rope
-from .saliency import apply_mask_to_image, mask_to_text, patch_scores, quantile_mask
+from .saliency import (
+    _merge_grid, apply_mask_to_image, mask_to_text, patch_scores, quantile_mask)
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -188,6 +189,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_mask(args) -> int:
     _check_tau(args.tau)
+    fill = _parse_fill(args.fill)
     if args.out_mask is None and args.out_image is None:
         raise ValidationError("need --out-mask and/or --out-image")
     if args.patch_size < 1 or args.merge_size < 1:
@@ -202,8 +204,7 @@ def cmd_mask(args) -> int:
     if args.out_mask is not None:
         _atomic_write(args.out_mask, mask_to_text(mask).encode("ascii"))
     if args.out_image is not None:
-        masked = apply_mask_to_image(
-            image, mask, args.patch_size, _parse_fill(args.fill))
+        masked = apply_mask_to_image(image, mask, args.patch_size, fill)
         _atomic_write(args.out_image, write_ppm(masked))
     _manifest("mask", [
         ("param.tau", args.tau),
@@ -233,6 +234,7 @@ def cmd_encode(args) -> int:
     patches = patchify(floats, config.patch_size)
     rows = image.shape[0] // config.patch_size
     cols = image.shape[1] // config.patch_size
+    _merge_grid(rows, cols, config.merge_size)
     rope = build_rope(rows, cols, config.head_dim)
     weights = init_weights(config)
 
@@ -256,8 +258,8 @@ def cmd_encode(args) -> int:
         ("input.events", args.events),
         ("output.features", args.out),
     ])
-    print(f"n_tokens={len(features.positions)}")
-    print(f"n_merged={len(merged.cells)}")
+    print(f"n_tokens={len(features)}")
+    print(f"n_merged={len(merged)}")
     return 0
 
 

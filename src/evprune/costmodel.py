@@ -31,7 +31,7 @@ from importlib import resources
 
 from .errors import FormatError, ValidationError
 from .kvtext import decode_ascii, parse_float, parse_int, parse_kv, require_keys
-from .saliency import retained_count
+from .saliency import _merge_grid, retained_count
 
 _STAGES = ("vit_attention", "vit_mlp", "merge", "llm_prefill", "llm_decode")
 
@@ -175,11 +175,7 @@ def estimate(profile: ArchProfile, work: WorkloadSpec) -> CostReport:
     grid_rows = work.image_height // vit.patch_size
     grid_cols = work.image_width // vit.patch_size
     m = vit.merge_size
-    if m > 1 and (grid_rows % m or grid_cols % m):
-        raise ValidationError(
-            f"patch grid {grid_rows}x{grid_cols} not divisible by merge size {m}"
-        )
-    cells = (grid_rows // m) * (grid_cols // m)
+    cells = math.prod(_merge_grid(grid_rows, grid_cols, m))
     dense = cells * m * m
     kept_cells = retained_count(1.0 - work.tau, cells)
     retained = kept_cells * m * m

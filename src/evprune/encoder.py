@@ -6,7 +6,8 @@ rotary position factors applied per head to queries and keys only, then
 a merge stage that concatenates each merge cell's member tokens and
 projects them through a two-layer MLP.
 
-Three forward paths share one implementation:
+Three forward paths share one implementation, and each returns a
+PackedSequence of output rows at their grid coordinates:
 
 - encode_dense: all N grid tokens.
 - encode_packed: only retained tokens, each rotated by its original grid
@@ -14,6 +15,9 @@ Three forward paths share one implementation:
 - encode_masked_dense_oracle: all N tokens, but attention logits to
   dropped keys forced to -inf; retained rows of the result are the
   reference against which the packed path is checked.
+
+merge_project takes such a sequence and returns another, one row per
+merge cell at its coordinate on the cell grid.
 
 Weights are untrained: the mechanism under test (positional alignment,
 packed/dense agreement, cost) does not depend on trained values, and
@@ -44,8 +48,8 @@ from .costmodel import _finite_product
 from .errors import FormatError, ValidationError
 from .kvtext import parse_float, parse_int, parse_kv, require_keys
 from .packing import PackedSequence
-from .rope2d import RopeTable, _as_positions, apply_rope_many
-from .saliency import PatchMask
+from .rope2d import RopeTable, apply_rope_many
+from .saliency import PatchMask, _blocks
 
 _LN_EPS = 1e-5
 _CONFIG_KEYS = [
@@ -226,24 +230,6 @@ def init_weights(config: EncoderConfig) -> EncoderWeights:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class TokenFeatures:
-    tokens: np.ndarray  # (n, d_model)
-    positions: np.ndarray  # (n, 2) integer grid (row, col), read-only
-
-    def __post_init__(self):
-        positions = _as_positions(self.positions)
-        if self.tokens.shape[0] != positions.shape[0]:
-            raise ValidationError("one position per token row required")
-        object.__setattr__(self, "positions", positions)
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectedTokens:
-    tokens: np.ndarray  # (n_merged, d_out)
-    cells: np.ndarray  # (n_merged, 2) integer merge-cell (row, col), read-only
-
-
 def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
     """Cut an (H, W, C) raster into N x (p*p*C) rows in raster order.
 
@@ -260,11 +246,7 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
     height, width, channels = img.shape
     if height < p or width < p:
         raise ValidationError(f"image {width}x{height} smaller than one {p}x{p} patch")
-    rows = height // p
-    cols = width // p
-    cropped = img[: rows * p, : cols * p, :]
-    blocks = cropped.reshape(rows, p, cols, p, channels)
-    return blocks.transpose(0, 2, 1, 3, 4).reshape(rows * cols, p * p * channels)
+    return _blocks(img, p).reshape((height // p) * (width // p), p * p * channels)
 
 
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -359,7 +341,7 @@ def encode_dense(
     rope: RopeTable,
     weights: EncoderWeights,
     config: EncoderConfig,
-) -> TokenFeatures:
+) -> PackedSequence:
     """Run the full stack over every grid token."""
     seq = np.asarray(patches, dtype=np.float64)
     if seq.ndim != 2 or seq.shape[0] != rope.rows * rope.cols:
@@ -368,7 +350,8 @@ def encode_dense(
             f"{rope.rows}x{rope.cols} grid"
         )
     positions = _grid_positions(rope.rows, rope.cols)
-    return TokenFeatures(_forward(seq, positions, rope, weights, config), positions)
+    return PackedSequence(_forward(seq, positions, rope, weights, config), positions,
+                          (rope.rows, rope.cols))
 
 
 def encode_packed(
@@ -376,7 +359,7 @@ def encode_packed(
     rope: RopeTable,
     weights: EncoderWeights,
     config: EncoderConfig,
-) -> TokenFeatures:
+) -> PackedSequence:
     """Run the stack over retained tokens only.
 
     Each token's rotary factors come from its original grid coordinate,
@@ -387,9 +370,8 @@ def encode_packed(
             f"packed grid {packed.origin_grid} != rope extent "
             f"{(rope.rows, rope.cols)}"
         )
-    return TokenFeatures(
-        _forward(packed.tokens, packed.kept, rope, weights, config), packed.kept
-    )
+    return PackedSequence(_forward(packed.tokens, packed.kept, rope, weights, config),
+                          packed.kept, packed.origin_grid)
 
 
 def encode_masked_dense_oracle(
@@ -398,7 +380,7 @@ def encode_masked_dense_oracle(
     mask: PatchMask,
     weights: EncoderWeights,
     config: EncoderConfig,
-) -> TokenFeatures:
+) -> PackedSequence:
     """Reference path: keep all tokens, exclude dropped keys from attention.
 
     Logits from any query to a dropped key are set to -inf before the
@@ -412,32 +394,36 @@ def encode_masked_dense_oracle(
         raise ValidationError("patch count does not match mask grid")
     keep = mask.bits.ravel().astype(bool)
     positions = _grid_positions(mask.rows, mask.cols)
+    grid = (mask.rows, mask.cols)
     if not keep.any():
-        return TokenFeatures(np.zeros((0, config.d_model)), positions[keep])
+        return PackedSequence(np.zeros((0, config.d_model)), positions[keep], grid)
     full = _forward(seq, positions, rope, weights, config, key_keep=keep)
-    return TokenFeatures(full[keep], positions[keep])
+    return PackedSequence(full[keep], positions[keep], grid)
 
 
 def merge_project(
-    features: TokenFeatures,
+    features: PackedSequence,
     config: EncoderConfig,
     weights: EncoderWeights,
-) -> ProjectedTokens:
+) -> PackedSequence:
     """Concatenate each complete merge cell and project through the MLP.
 
-    Positions are grouped into merge_size x merge_size cells; members are
+    Tokens are grouped into merge_size x merge_size cells; members are
     concatenated in raster order and passed through
-    merge_dim -> merge_dim (gelu) -> d_out. A cell with only some of its
-    members present means a patch-granularity mask was combined with
-    merge_size > 1 and is rejected.
+    merge_dim -> merge_dim (gelu) -> d_out. The result holds one row per
+    cell, at the cell's coordinate on the (rows // m, cols // m) cell grid.
+    A cell with only some of its members present means a patch-granularity
+    mask was combined with merge_size > 1 and is rejected.
     """
     m = config.merge_size
-    pos = features.positions
-    cell_of = pos // m
-    # by cell (raster order of cells), then by position within the cell
-    order = np.lexsort((pos[:, 1], pos[:, 0], cell_of[:, 1], cell_of[:, 0]))
-    cells, counts = np.unique(cell_of[order], axis=0, return_counts=True)
-    cells.flags.writeable = False
+    rows, cols = features.origin_grid
+    cell_of = features.kept // m
+    # kept is raster-ordered, so a stable sort by cell keeps each cell's
+    # members in raster order; a partial last cell column still gets an index
+    cell_index = cell_of[:, 0] * -(-cols // m) + cell_of[:, 1]
+    order = np.argsort(cell_index, kind="stable")
+    _, first, counts = np.unique(cell_index, return_index=True, return_counts=True)
+    cells = cell_of[first]
     incomplete = np.flatnonzero(counts != m * m)
     if incomplete.size:
         (i, j), k = cells[incomplete[0]], counts[incomplete[0]]
@@ -449,4 +435,4 @@ def merge_project(
     flat = features.tokens[order].reshape(len(cells), config.merge_dim)
     hidden = _gelu(flat @ weights.w_merge1 + weights.b_merge1)
     out = hidden @ weights.w_merge2 + weights.b_merge2
-    return ProjectedTokens(out, cells)
+    return PackedSequence(out, cells, (rows // m, cols // m))

@@ -1,9 +1,11 @@
-"""Selection of retained patches and their positions under one shared mask.
+"""Rows at grid coordinates, and the selection of retained patches under a mask.
 
 Positions are one read-only (n, 2) integer array of (row, col) grid
 coordinates in strictly increasing raster order. A PackedSequence keeps
-one such array (``kept``) for both the patch rows and the positional
+one such array (``kept``) for both the token rows and the positional
 factors, so a token can never be paired with another token's position.
+It is the one type for rows at grid coordinates: packed patches going
+into the encoder, encoder outputs, and merged cells on the cell grid.
 """
 
 from __future__ import annotations

@@ -40,6 +40,25 @@ def retained_count(tau: float, n: int) -> int:
     return max(0, min(n, k))
 
 
+def _blocks(a: np.ndarray, size: int) -> np.ndarray:
+    """(rows, cols, size, size, ...) view of the whole size x size blocks of
+    ``a`` in raster order; trailing rows and columns are left out."""
+    rows, cols = a.shape[0] // size, a.shape[1] // size
+    cropped = a[: rows * size, : cols * size]
+    return cropped.reshape(rows, size, cols, size, *a.shape[2:]).swapaxes(1, 2)
+
+
+def _merge_grid(rows: int, cols: int, merge_size: int) -> tuple[int, int]:
+    """The grid of merge_size x merge_size cells that tiles a rows x cols
+    patch grid; a grid the cells do not tile is a ValidationError."""
+    if merge_size < 1:
+        raise ValidationError("merge size must be >= 1")
+    if rows % merge_size or cols % merge_size:
+        raise ValidationError(
+            f"patch grid {rows}x{cols} not divisible by merge size {merge_size}")
+    return rows // merge_size, cols // merge_size
+
+
 @dataclass(frozen=True, eq=False)
 class SaliencyMap:
     """Per-patch finite, non-negative motion scores on a rows x cols grid."""
@@ -118,11 +137,7 @@ def patch_scores(frame: EventFrame, patch_size: int) -> SaliencyMap:
         raise ValidationError(
             f"patch size {p} exceeds frame {frame.width}x{frame.height}"
         )
-    rows = frame.height // p
-    cols = frame.width // p
-    cropped = np.abs(frame.counts[: rows * p, : cols * p])
-    scores = cropped.reshape(rows, p, cols, p).sum(axis=(1, 3))
-    return SaliencyMap(scores, p)
+    return SaliencyMap(_blocks(np.abs(frame.counts), p).sum(axis=(2, 3)), p)
 
 
 def quantile_mask(smap: SaliencyMap, tau: float, merge_size: int = 1) -> PatchMask:
@@ -134,27 +149,14 @@ def quantile_mask(smap: SaliencyMap, tau: float, merge_size: int = 1) -> PatchMa
     mask never splits a merge cell. Ties are broken by raster index, so
     the result is deterministic and scale-invariant.
     """
-    if merge_size < 1:
-        raise ValidationError("merge size must be >= 1")
-    rows, cols = smap.rows, smap.cols
-    if rows % merge_size or cols % merge_size:
-        raise ValidationError(
-            f"grid {rows}x{cols} not divisible by merge size {merge_size}"
-        )
-    g_rows = rows // merge_size
-    g_cols = cols // merge_size
-    unit_scores = smap.scores.reshape(g_rows, merge_size, g_cols, merge_size).sum(
-        axis=(1, 3)
-    )
+    g_rows, g_cols = _merge_grid(smap.rows, smap.cols, merge_size)
+    unit_scores = _blocks(smap.scores, merge_size).sum(axis=(2, 3))
     k = retained_count(tau, g_rows * g_cols)
     order = np.argsort(-unit_scores.ravel(), kind="stable")
     unit_bits = np.zeros(g_rows * g_cols, dtype=np.uint8)
     unit_bits[order[:k]] = 1
-    bits = np.repeat(
-        np.repeat(unit_bits.reshape(g_rows, g_cols), merge_size, axis=0),
-        merge_size,
-        axis=1,
-    )
+    bits = np.empty((smap.rows, smap.cols), dtype=np.uint8)
+    _blocks(bits, merge_size)[...] = unit_bits.reshape(g_rows, g_cols, 1, 1)
     return PatchMask(bits, tau)
 
 
@@ -176,9 +178,8 @@ def apply_mask_to_image(
             f"{mask.cols}x{mask.rows} at patch size {p}"
         )
     out = img.copy()
-    # (rows, cols, p, p, 3) view of the patch grid; pixels beyond it stay out
-    patches = out[: mask.rows * p, : mask.cols * p].reshape(
-        mask.rows, p, mask.cols, p, 3).transpose(0, 2, 1, 3, 4)
+    # pixels beyond the mask's patch grid stay out of the blocks
+    patches = _blocks(out[: mask.rows * p, : mask.cols * p], p)
     patches[mask.bits == 0] = np.asarray(fill, dtype=img.dtype)
     return out
 

@@ -119,10 +119,11 @@ def check_pack(tokens: np.ndarray, mask: saliency.PatchMask,
     return None
 
 
-def packed_oracle_error(packed: encoder.TokenFeatures, oracle: encoder.TokenFeatures) -> float:
+def packed_oracle_error(packed: packing.PackedSequence, oracle: packing.PackedSequence) -> float:
     """Max relative error of packed encoder output against the masked-dense
-    oracle on the same inputs; infinite when their positions differ."""
-    if not np.array_equal(packed.positions, oracle.positions):
+    oracle on the same inputs; infinite when their grids or positions differ."""
+    if (packed.origin_grid != oracle.origin_grid
+            or not np.array_equal(packed.kept, oracle.kept)):
         return math.inf
     return max_rel_err(packed.tokens, oracle.tokens)
 
@@ -266,7 +267,7 @@ def _encoder_case(rng: np.random.Generator, fault: bool, side: int, case: int) -
     got = encoder.encode_packed(packing.pack_patches(patches, mask), rope, weights, config)
     want = encoder.encode_masked_dense_oracle(patches, rope, mask, weights, config)
     if fault:
-        got = encoder.TokenFeatures(got.tokens * (1 + 1e-4), got.positions)
+        got = packing.PackedSequence(got.tokens * (1 + 1e-4), got.kept, got.origin_grid)
     return _within({"encoder.packed_equals_masked_dense": packed_oracle_error(got, want)})
 
 

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from evprune import cli
+from evprune import cli, encoder
 from evprune.cli import main
 from evprune.events import read_events_bin
 from evprune.featio import read_features
@@ -158,6 +158,19 @@ class TestMask:
         assert code == 1
         assert not out_mask.exists()
 
+    @pytest.mark.parametrize("fill", ["abc", "0,0"])
+    def test_bad_fill_exit_1_and_no_output(self, square_events, tmp_path, capsys, fill):
+        """--fill is checked even when no masked image is written."""
+        image, evt = square_events
+        out_mask = tmp_path / "m.txt"
+        code, stdout, err = run(capsys, "mask", str(image), str(evt),
+                                "--tau", "0.5", "--patch-size", "16",
+                                "--fill", fill, "--out-mask", str(out_mask))
+        assert code == 1
+        assert "fill must be" in err
+        assert stdout == ""
+        assert not out_mask.exists()
+
     def test_corrupt_event_file_exit_2(self, square_events, tmp_path, capsys):
         image, evt = square_events
         bad = tmp_path / "bad.evt1"
@@ -276,6 +289,27 @@ class TestEncode:
                            "--config", str(cfg), "--out", str(out))
         assert code == 2
         assert "non-ASCII" in err
+        assert not out.exists()
+
+    def test_untiled_merge_grid_exit_1_before_forward(self, square_events, tmp_path,
+                                                      capsys, monkeypatch):
+        """A 144x64 px image at patch 16 has a 4x9 patch grid, which 2x2 merge
+        cells do not tile: dense mode fails too, before the encoder runs."""
+        _, evt = square_events
+        image = tmp_path / "tall.ppm"
+        image.write_bytes(write_ppm(np.zeros((64, 144, 3), dtype=np.uint8)))
+
+        def never(*args, **kwargs):
+            raise AssertionError("encoder forward reached")
+
+        monkeypatch.setattr(encoder, "_forward", never)
+        out = tmp_path / "f.bin"
+        code, stdout, err = run(capsys, "encode", str(image), str(evt), "--mode", "dense",
+                                "--config", str(write_encoder_config(tmp_path / "enc.cfg")),
+                                "--out", str(out))
+        assert code == 1
+        assert "not divisible by merge size 2" in err
+        assert stdout == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides,message", [

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from evprune import encoder
 from evprune.encoder import (
     EncoderConfig,
-    TokenFeatures,
     _gelu,
     encode_dense,
     encode_masked_dense_oracle,
@@ -21,7 +20,7 @@ from evprune.encoder import (
     patchify,
 )
 from evprune.errors import FormatError, ValidationError
-from evprune.packing import pack_patches
+from evprune.packing import PackedSequence, pack_patches, unpack_scatter
 from evprune.rope2d import build_rope
 from evprune.saliency import PatchMask, SaliencyMap, quantile_mask
 from evprune.verify import max_rel_err
@@ -125,7 +124,7 @@ def merge_setup(m):
 
 @st.composite
 def merge_cases(draw):
-    """Token features at the positions a mask keeps, rows possibly permuted.
+    """Token features at the positions a mask keeps, in raster order.
 
     Merge-granular masks set whole merge cells that fit inside the grid;
     patch-granular masks set arbitrary patches and may split a cell.
@@ -139,10 +138,8 @@ def merge_cases(draw):
     else:
         bits = rng.random((rows, cols)) < rng.random()
     positions = [(i, j) for i in range(rows) for j in range(cols) if bits[i, j]]
-    if draw(st.booleans()):
-        positions = [positions[k] for k in rng.permutation(len(positions))]
     tokens = rng.standard_normal((len(positions), 16))
-    return tokens, positions, m
+    return tokens, positions, (rows, cols), m
 
 
 class TestConfig:
@@ -257,7 +254,7 @@ class TestEncodeDense:
         patches, rope, weights = random_setup(3, 5, config, seed=8)
         out = encode_dense(patches, rope, weights, config)
         assert out.tokens.shape == (15, 16)
-        assert len(out.positions) == 15
+        assert len(out.kept) == 15
 
     def test_rejects_grid_mismatch(self):
         config = small_config()
@@ -297,8 +294,8 @@ class TestPackedVsOracle:
             oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
             shrink_tile(len(coords), block_rows)
             packed = encode_packed(pack_patches(patches, mask), rope, weights, config)
-            assert np.array_equal(oracle.positions, coords)
-            assert np.array_equal(packed.positions, coords)
+            assert np.array_equal(oracle.kept, coords)
+            assert np.array_equal(packed.kept, coords)
             assert max_rel_err(oracle.tokens, want) <= 1e-12, block_rows
             assert max_rel_err(packed.tokens, want) <= 1e-12, block_rows
 
@@ -339,7 +336,7 @@ class TestPackedVsOracle:
         oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
         assert packed.tokens.shape == (1, 16)
         assert max_rel_err(packed.tokens, oracle.tokens) <= 1e-5
-        assert np.array_equal(packed.positions, [(1, 2)])
+        assert np.array_equal(packed.kept, [(1, 2)])
 
     def test_random_mask_equivalence(self):
         config = small_config(d_model=32, n_heads=4)
@@ -350,7 +347,7 @@ class TestPackedVsOracle:
         )
         packed = encode_packed(pack_patches(patches, mask), rope, weights, config)
         oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
-        assert np.array_equal(packed.positions, oracle.positions)
+        assert np.array_equal(packed.kept, oracle.kept)
         assert max_rel_err(packed.tokens, oracle.tokens) <= 1e-5
 
     def test_empty_mask_gives_empty_features(self):
@@ -378,7 +375,7 @@ class TestMergeProject:
         feats = encode_dense(patches, rope, weights, config)
         merged = merge_project(feats, config, weights)
         assert merged.tokens.shape == (4, 10)
-        assert np.array_equal(merged.cells, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        assert np.array_equal(merged.kept, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
     def test_dense_4x4_merge2_gives_4_cells(self):
         config = small_config(merge_size=2)
@@ -386,7 +383,7 @@ class TestMergeProject:
         feats = encode_dense(patches, rope, weights, config)
         merged = merge_project(feats, config, weights)
         assert merged.tokens.shape == (4, 16)
-        assert np.array_equal(merged.cells, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        assert np.array_equal(merged.kept, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
     def test_sparse_equals_dense_restriction(self):
         config = small_config(merge_size=2, d_out=12)
@@ -400,7 +397,7 @@ class TestMergeProject:
         sparse_merged = merge_project(
             encode_packed(pack_patches(patches, mask), rope, weights, config),
             config, weights)
-        assert np.array_equal(sparse_merged.cells, dense_merged.cells)
+        assert np.array_equal(sparse_merged.kept, dense_merged.kept)
         assert max_rel_err(sparse_merged.tokens, dense_merged.tokens) <= 1e-5
 
     def test_incomplete_cell_rejected(self):
@@ -416,9 +413,9 @@ class TestMergeProject:
     @settings(deadline=None, max_examples=200)
     @given(merge_cases())
     def test_matches_reference_grouping(self, case):
-        tokens, positions, m = case
+        tokens, positions, grid, m = case
         config, weights = merge_setup(m)
-        features = TokenFeatures(tokens, np.array(positions, dtype=int).reshape(-1, 2))
+        features = PackedSequence(tokens, np.array(positions, dtype=int).reshape(-1, 2), grid)
         try:
             want, want_cells = reference_merge_project(tokens, positions, config, weights)
         except ValidationError as exc:
@@ -428,22 +425,42 @@ class TestMergeProject:
             return
         merged = merge_project(features, config, weights)
         assert np.array_equal(merged.tokens, want)
-        assert np.array_equal(merged.cells, np.array(want_cells, dtype=int).reshape(-1, 2))
+        assert np.array_equal(merged.kept, np.array(want_cells, dtype=int).reshape(-1, 2))
+        assert merged.origin_grid == (grid[0] // m, grid[1] // m)
+
+    def test_merged_cells_are_the_masks_kept_groups(self):
+        """Packed and oracle runs over a merge-granular mask merge into one row
+        per kept merge group, on the cell grid, each scattering back to its cell."""
+        config = small_config(merge_size=2, d_out=12)
+        patches, rope, weights = random_setup(6, 8, config, seed=24)
+        scores = SaliencyMap(np.random.Generator(np.random.PCG64(25)).random((6, 8)), 2)
+        mask = quantile_mask(scores, 0.4, merge_size=2)
+        runs = {
+            "packed": encode_packed(pack_patches(patches, mask), rope, weights, config),
+            "oracle": encode_masked_dense_oracle(patches, rope, mask, weights, config),
+        }
+        for name, features in runs.items():
+            merged = merge_project(features, config, weights)
+            assert np.array_equal(merged.kept, np.argwhere(mask.bits[::2, ::2])), name
+            assert merged.origin_grid == (3, 4), name
+            dense = unpack_scatter(merged, np.zeros(12)).reshape(3, 4, 12)
+            assert np.array_equal(dense[tuple(merged.kept.T)], merged.tokens), name
+            assert not dense[mask.bits[::2, ::2] == 0].any(), name
 
 
 class TestPositionArrays:
     def test_rejects_non_integer_and_misshapen_positions(self):
         with pytest.raises(ValidationError, match="got float64"):
-            TokenFeatures(np.zeros((1, 4)), [(1.7, 0.2)])
+            PackedSequence(np.zeros((1, 4)), [(1.7, 0.2)], (2, 2))
         with pytest.raises(ValidationError, match=r"\(n, 2\) integer array"):
-            TokenFeatures(np.zeros((1, 4)), (1, 2))
+            PackedSequence(np.zeros((1, 4)), (1, 2), (2, 2))
 
     def test_positions_and_cells_are_read_only(self):
         config = small_config(merge_size=2)
         patches, rope, weights = random_setup(2, 2, config, seed=23)
         feats = encode_dense(patches, rope, weights, config)
         merged = merge_project(feats, config, weights)
-        with pytest.raises(ValueError, match="read-only"):
-            feats.positions[0, 0] = 1
-        with pytest.raises(ValueError, match="read-only"):
-            merged.cells[0, 0] = 1
+        for seq in (feats, merged):
+            for field in (seq.kept, seq.tokens):
+                with pytest.raises(ValueError, match="read-only"):
+                    field[0, 0] = 1

@@ -10,6 +10,7 @@ from evprune.events import EventFrame
 from evprune.saliency import (
     PatchMask,
     SaliencyMap,
+    _blocks,
     apply_mask_to_image,
     mask_from_text,
     mask_to_text,
@@ -149,6 +150,22 @@ class TestQuantileMask:
         # group sums: 9, 4, 8, 0 -> the top-left group wins
         assert mask.bits[:2, :2].sum() == 4
         assert mask.k == 4
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+           st.integers(0, 2**31), st.floats(0, 1))
+    def test_group_sums_and_expansion_match_repeat_reference(self, m, g_rows, g_cols,
+                                                             seed, tau):
+        """Bit for bit the reshape-sum of group scores and the np.repeat
+        expansion of the kept groups."""
+        rows, cols = g_rows * m, g_cols * m
+        scores = np.random.Generator(np.random.PCG64(seed)).random((rows, cols))
+        sums = scores.reshape(g_rows, m, g_cols, m).sum(axis=(1, 3))
+        unit_bits = np.zeros(g_rows * g_cols, dtype=np.uint8)
+        unit_bits[np.argsort(-sums.ravel(), kind="stable")[:retained_count(tau, sums.size)]] = 1
+        want = np.repeat(np.repeat(unit_bits.reshape(g_rows, g_cols), m, axis=0), m, axis=1)
+        assert np.array_equal(_blocks(scores, m).sum(axis=(2, 3)), sums)
+        assert np.array_equal(quantile_mask(SaliencyMap(scores, 4), tau, m).bits, want)
 
     def test_indivisible_merge_grid_rejected(self):
         smap = SaliencyMap(np.zeros((3, 4)), 4)
