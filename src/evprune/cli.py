@@ -60,7 +60,7 @@ from .packing import pack_patches
 from .ppm import read_ppm, to_gray01, write_ppm
 from .rope2d import build_rope
 from .saliency import (
-    _merge_grid, apply_mask_to_image, mask_to_text, patch_scores, quantile_mask)
+    _merge_grid, apply_mask_to_image, check_fill, mask_to_text, patch_scores, quantile_mask)
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -115,13 +115,11 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _parse_fill(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
     try:
-        vals = tuple(int(p) for p in parts)
+        vals = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValidationError(f"fill must be R,G,B bytes, got {text!r}") from None
-    if len(vals) != 3 or any(not 0 <= v <= 255 for v in vals):
-        raise ValidationError(f"fill must be three values in 0..255, got {text!r}")
+    check_fill(vals)
     return vals
 
 

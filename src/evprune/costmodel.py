@@ -29,25 +29,27 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import FormatError, ValidationError
-from .kvtext import decode_ascii, parse_float, parse_int, parse_kv, require_keys
+from .errors import ValidationError
+from .kvtext import check_keys, decode_ascii, parse_kv, parse_record, record_keys
 from .saliency import _merge_grid, retained_count
 
 _STAGES = ("vit_attention", "vit_mlp", "merge", "llm_prefill", "llm_decode")
 
-_VIT_KEYS = [
-    "vit.d_model", "vit.n_layers", "vit.n_heads", "vit.mlp_ratio",
-    "vit.patch_size", "vit.merge_size", "vit.channels",
-]
-_LLM_KEYS = ["llm.d_model", "llm.n_layers", "llm.n_heads", "llm.mlp_ratio"]
 
+def mlp_width(d_model: int, mlp_ratio: float, what: str) -> int:
+    """The MLP hidden width: d_model * mlp_ratio rounded, and at least 1.
 
-def _finite_product(d_model: int, mlp_ratio: float) -> bool:
-    """Whether the MLP width d_model * mlp_ratio is a finite float."""
+    A product that is not a finite float is a ValidationError; ``what``
+    names d_model in its message.
+    """
     try:
-        return math.isfinite(d_model * mlp_ratio)
+        width = d_model * mlp_ratio
+        finite = math.isfinite(width)
     except OverflowError:
-        return False
+        finite = False
+    if not finite:
+        raise ValidationError(f"{what} * mlp_ratio must be finite")
+    return max(1, round(width))
 
 
 @dataclass(frozen=True)
@@ -65,12 +67,11 @@ class VitDims:
                 self.patch_size, self.merge_size, self.channels)
         if any(v < 1 for v in dims) or self.mlp_ratio <= 0:
             raise ValidationError("all encoder dimensions must be >= 1")
-        if not _finite_product(self.d_model, self.mlp_ratio):
-            raise ValidationError("vit d_model * mlp_ratio must be finite")
+        mlp_width(self.d_model, self.mlp_ratio, "vit d_model")
 
     @property
     def mlp_hidden(self) -> int:
-        return max(1, round(self.d_model * self.mlp_ratio))
+        return mlp_width(self.d_model, self.mlp_ratio, "vit d_model")
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,11 @@ class LlmDims:
     def __post_init__(self):
         if min(self.d_model, self.n_layers, self.n_heads) < 1 or self.mlp_ratio <= 0:
             raise ValidationError("all LLM dimensions must be >= 1")
-        if not _finite_product(self.d_model, self.mlp_ratio):
-            raise ValidationError("llm d_model * mlp_ratio must be finite")
+        mlp_width(self.d_model, self.mlp_ratio, "llm d_model")
 
     @property
     def mlp_hidden(self) -> int:
-        return max(1, round(self.d_model * self.mlp_ratio))
+        return mlp_width(self.d_model, self.mlp_ratio, "llm d_model")
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,6 @@ class CostReport:
         d["visual_tokens_retained"] = self.visual_tokens_retained
         d["merged_tokens"] = self.merged_tokens
         return d
-
-    def as_text(self) -> str:
-        return "".join(f"{k}={v}\n" for k, v in self.to_dict().items())
 
 
 @dataclass(frozen=True)
@@ -229,26 +226,11 @@ def compare(dense: CostReport, sparse: CostReport) -> CostReduction:
 
 def load_arch_profile(text: str) -> ArchProfile:
     kv = parse_kv(text)
-    require_keys(kv, ["name"] + _VIT_KEYS + _LLM_KEYS, "arch profile")
-    extra = set(kv) - {"name"} - set(_VIT_KEYS) - set(_LLM_KEYS)
-    if extra:
-        raise FormatError(f"arch profile: unknown keys {sorted(extra)}")
-    vit = VitDims(
-        d_model=parse_int(kv, "vit.d_model"),
-        n_layers=parse_int(kv, "vit.n_layers"),
-        n_heads=parse_int(kv, "vit.n_heads"),
-        mlp_ratio=parse_float(kv, "vit.mlp_ratio"),
-        patch_size=parse_int(kv, "vit.patch_size"),
-        merge_size=parse_int(kv, "vit.merge_size"),
-        channels=parse_int(kv, "vit.channels"),
-    )
-    llm = LlmDims(
-        d_model=parse_int(kv, "llm.d_model"),
-        n_layers=parse_int(kv, "llm.n_layers"),
-        n_heads=parse_int(kv, "llm.n_heads"),
-        mlp_ratio=parse_float(kv, "llm.mlp_ratio"),
-    )
-    return ArchProfile(name=kv["name"], vit=vit, llm=llm)
+    keys = ["name", *record_keys(VitDims, "vit."), *record_keys(LlmDims, "llm.")]
+    check_keys(kv, keys, "arch profile")
+    # VitDims validates before any llm.* value is parsed
+    vit = parse_record(kv, VitDims, "vit.")
+    return ArchProfile(kv["name"], vit, parse_record(kv, LlmDims, "llm."))
 
 
 def shipped_profile_names() -> list[str]:

@@ -44,18 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costmodel import _finite_product
-from .errors import FormatError, ValidationError
-from .kvtext import parse_float, parse_int, parse_kv, require_keys
+from .costmodel import mlp_width
+from .errors import ValidationError
+from .kvtext import check_keys, parse_kv, parse_record, record_keys
 from .packing import PackedSequence
 from .rope2d import RopeTable, apply_rope_many
 from .saliency import PatchMask, _blocks
 
 _LN_EPS = 1e-5
-_CONFIG_KEYS = [
-    "patch_size", "channels", "d_model", "n_layers", "n_heads",
-    "mlp_ratio", "merge_size", "d_out", "seed",
-]
 
 # Bytes of one query block's (heads, rows, n) float64 logits tile: small
 # enough to stay in a 2 MiB per-core L2 cache through the softmax passes.
@@ -102,8 +98,7 @@ class EncoderConfig:
             raise ValidationError("d_out must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
-        if not _finite_product(self.d_model, self.mlp_ratio):
-            raise ValidationError("d_model * mlp_ratio must be finite")
+        # mlp_hidden rejects a d_model * mlp_ratio that is not finite
         d, h, md = self.d_model, self.mlp_hidden, self.merge_dim
         params = (self.patch_dim * d + d + self.n_layers * (4 * d * d + 2 * d * h + h + 5 * d)
                   + md * md + md + md * self.d_out + self.d_out)
@@ -117,7 +112,7 @@ class EncoderConfig:
 
     @property
     def mlp_hidden(self) -> int:
-        return max(1, int(round(self.d_model * self.mlp_ratio)))
+        return mlp_width(self.d_model, self.mlp_ratio, "d_model")
 
     @property
     def patch_dim(self) -> int:
@@ -130,21 +125,8 @@ class EncoderConfig:
 
 def load_encoder_config(text: str) -> EncoderConfig:
     kv = parse_kv(text)
-    require_keys(kv, _CONFIG_KEYS, "encoder config")
-    extra = set(kv) - set(_CONFIG_KEYS)
-    if extra:
-        raise FormatError(f"encoder config: unknown keys {sorted(extra)}")
-    return EncoderConfig(
-        patch_size=parse_int(kv, "patch_size"),
-        channels=parse_int(kv, "channels"),
-        d_model=parse_int(kv, "d_model"),
-        n_layers=parse_int(kv, "n_layers"),
-        n_heads=parse_int(kv, "n_heads"),
-        mlp_ratio=parse_float(kv, "mlp_ratio"),
-        merge_size=parse_int(kv, "merge_size"),
-        d_out=parse_int(kv, "d_out"),
-        seed=parse_int(kv, "seed"),
-    )
+    check_keys(kv, record_keys(EncoderConfig, ""), "encoder config")
+    return parse_record(kv, EncoderConfig, "")
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,6 +397,9 @@ def merge_project(
     A cell with only some of its members present means a patch-granularity
     mask was combined with merge_size > 1 and is rejected.
     """
+    if features.tokens.shape[1] != config.d_model:
+        raise ValidationError(
+            f"feature width {features.tokens.shape[1]} != d_model {config.d_model}")
     m = config.merge_size
     rows, cols = features.origin_grid
     cell_of = features.kept // m

@@ -410,7 +410,9 @@ def simulate_events(
     """
     a = np.asarray(frame_a, dtype=np.float64)
     b = np.asarray(frame_b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValidationError(f"frames must be 2-D, got shapes {a.shape} and {b.shape}")
+    if a.shape != b.shape:
         raise ValidationError(f"frame shapes differ: {a.shape} vs {b.shape}")
     if not 0 < contrast < np.inf:
         raise ValidationError(f"contrast threshold must be > 0 and finite, got {contrast}")

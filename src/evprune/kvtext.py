@@ -1,13 +1,17 @@
 """Flat ``key=value`` text documents, used for encoder configs and cost profiles.
 
 One assignment per line. Blank lines and lines starting with ``#`` are
-ignored. Keys may be dotted (``vit.d_model``). Values stay as strings;
-callers convert.
+ignored. Keys may be dotted (``vit.d_model``). Keys and their ``int`` or
+``float`` value types are the field names and annotations of a record.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Collection
+from dataclasses import fields
+from types import MappingProxyType
 
 from .errors import FormatError
 
@@ -39,24 +43,37 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def require_keys(kv: dict[str, str], keys: list[str], what: str) -> None:
-    missing = [k for k in keys if k not in kv]
-    if missing:
-        raise FormatError(f"{what}: missing keys {', '.join(missing)}")
+# A record field's annotation (text, as annotations are postponed) -> the
+# type that parses its value, and the word for such a value.
+_TYPES = {"int": (int, "integer"), "float": (float, "number")}
 
 
-def parse_int(kv: dict[str, str], key: str) -> int:
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise FormatError(f"key {key}: expected integer, got {kv[key]!r}") from None
+@functools.cache
+def record_keys(cls: type, prefix: str) -> MappingProxyType:
+    """Each document key of record ``cls``, in field declaration order,
+    mapped to the field's annotation, ``"int"`` or ``"float"``. Cached, and
+    so read-only: an encoder config is loaded once per encoded frame."""
+    return MappingProxyType({prefix + f.name: f.type for f in fields(cls)})
 
 
-def parse_float(kv: dict[str, str], key: str) -> float:
-    try:
-        value = float(kv[key])
-    except ValueError:
-        raise FormatError(f"key {key}: expected number, got {kv[key]!r}") from None
-    if not math.isfinite(value):
-        raise FormatError(f"key {key}: expected a finite number, got {kv[key]!r}")
-    return value
+def check_keys(kv: dict[str, str], keys: Collection[str], what: str) -> None:
+    """``kv`` holds exactly ``keys``: missing keys are reported before unknown ones."""
+    if kv.keys() != set(keys):
+        missing = [k for k in keys if k not in kv]
+        if missing:
+            raise FormatError(f"{what}: missing keys {', '.join(missing)}")
+        raise FormatError(f"{what}: unknown keys {sorted(set(kv).difference(keys))}")
+
+
+def parse_record(kv: dict[str, str], cls: type, prefix: str):
+    """Build ``cls`` from checked ``kv``, parsing its fields in declaration order."""
+    values = []
+    for key, annotation in record_keys(cls, prefix).items():
+        parse, noun = _TYPES[annotation]
+        try:
+            values.append(parse(kv[key]))
+        except ValueError:
+            raise FormatError(f"key {key}: expected {noun}, got {kv[key]!r}") from None
+        if annotation == "float" and not math.isfinite(values[-1]):
+            raise FormatError(f"key {key}: expected a finite number, got {kv[key]!r}")
+    return cls(*values)

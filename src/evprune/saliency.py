@@ -43,6 +43,8 @@ def retained_count(tau: float, n: int) -> int:
 def _blocks(a: np.ndarray, size: int) -> np.ndarray:
     """(rows, cols, size, size, ...) view of the whole size x size blocks of
     ``a`` in raster order; trailing rows and columns are left out."""
+    if size < 1:
+        raise ValidationError(f"patch size must be >= 1, got {size}")
     rows, cols = a.shape[0] // size, a.shape[1] // size
     cropped = a[: rows * size, : cols * size]
     return cropped.reshape(rows, size, cols, size, *a.shape[2:]).swapaxes(1, 2)
@@ -131,8 +133,6 @@ def patch_scores(frame: EventFrame, patch_size: int) -> SaliencyMap:
     columns that do not fill a patch are discarded.
     """
     p = patch_size
-    if p < 1:
-        raise ValidationError("patch size must be >= 1")
     if frame.height < p or frame.width < p:
         raise ValidationError(
             f"patch size {p} exceeds frame {frame.width}x{frame.height}"
@@ -160,6 +160,13 @@ def quantile_mask(smap: SaliencyMap, tau: float, merge_size: int = 1) -> PatchMa
     return PatchMask(bits, tau)
 
 
+def check_fill(fill: tuple[int, int, int]) -> None:
+    """A fill color is three integers in 0..255; anything else is a ValidationError."""
+    arr = np.asarray(fill)
+    if arr.shape != (3,) or arr.dtype.kind not in "iu" or ((arr < 0) | (arr > 255)).any():
+        raise ValidationError(f"fill must be three values in 0..255, got {fill!r}")
+
+
 def apply_mask_to_image(
     image: np.ndarray, mask: PatchMask, patch_size: int, fill: tuple[int, int, int]
 ) -> np.ndarray:
@@ -171,6 +178,7 @@ def apply_mask_to_image(
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValidationError("image must have shape (H, W, 3)")
+    check_fill(fill)
     p = patch_size
     if img.shape[0] < mask.rows * p or img.shape[1] < mask.cols * p:
         raise ValidationError(

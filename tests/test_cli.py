@@ -3,15 +3,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evprune import cli, encoder
 from evprune.cli import main
-from evprune.events import read_events_bin
+from evprune.events import read_events_bin, write_events_bin
 from evprune.featio import read_features
 from evprune.ppm import read_ppm, write_ppm
 from evprune.saliency import mask_from_text
 
-from conftest import SCENE, square_scene
+from conftest import (
+    SCENE, VALID_ENCODER, VALID_PROFILE, kv_documents, near_valid_bytes, square_scene,
+    stream_of)
 
 
 def run(capsys, *argv):
@@ -158,7 +162,7 @@ class TestMask:
         assert code == 1
         assert not out_mask.exists()
 
-    @pytest.mark.parametrize("fill", ["abc", "0,0"])
+    @pytest.mark.parametrize("fill", ["abc", "0,0", "300,0,0"])
     def test_bad_fill_exit_1_and_no_output(self, square_events, tmp_path, capsys, fill):
         """--fill is checked even when no masked image is written."""
         image, evt = square_events
@@ -468,3 +472,68 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "ev.evt1").stat().st_size > 0
+
+
+def files(valid):
+    """A valid file half the time, so later stages are reached, else a near-valid one."""
+    return st.one_of(st.just(valid), near_valid_bytes(valid))
+
+
+# Tiny inputs: a 4x4 frame pair, events on that sensor, and the 16-wide
+# one-layer encoder config; replacement values stay small, so no accepted
+# config draws more than a few thousand weights.
+FRAME_A = files(write_ppm(np.arange(48, dtype=np.uint8).reshape(4, 4, 3)))
+FRAME_B = files(write_ppm(np.arange(48, dtype=np.uint8).reshape(4, 4, 3)[::-1] * 5))
+EVENT_FILES = st.one_of(
+    files(b"# width 4\n# height 4\n0,1,1,1\n5,2,3,0\n9,0,2,1\n"),
+    files(write_events_bin(stream_of(4, 4, (0, 1, 1, 1), (5, 2, 3, -1)))),
+)
+SMALL_VALUES = st.one_of(
+    st.integers(-2, 8).map(str),
+    st.sampled_from(["2.0", "0.5", "nan", "1e999", "x", "", "1_0", "\u0663"]),
+)
+FUZZ = settings(deadline=None, max_examples=150,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFileFuzz:
+    """Any input file gives exit code 0, 1 or 2; no other exception escapes."""
+
+    @FUZZ
+    @given(frame_a=FRAME_A, frame_b=FRAME_B)
+    def test_simulate(self, tmp_path, frame_a, frame_b):
+        (tmp_path / "a.ppm").write_bytes(frame_a)
+        (tmp_path / "b.ppm").write_bytes(frame_b)
+        assert main(["simulate", str(tmp_path / "a.ppm"), str(tmp_path / "b.ppm"),
+                     "--contrast", "0.3", "--duration-us", "100",
+                     "--out", str(tmp_path / "out.evt1")]) in (0, 1, 2)
+
+    @FUZZ
+    @given(image=FRAME_A, events=EVENT_FILES)
+    def test_mask(self, tmp_path, image, events):
+        (tmp_path / "img.ppm").write_bytes(image)
+        (tmp_path / "ev").write_bytes(events)
+        assert main(["mask", str(tmp_path / "img.ppm"), str(tmp_path / "ev"),
+                     "--tau", "0.5", "--patch-size", "2",
+                     "--out-mask", str(tmp_path / "m.txt"),
+                     "--out-image", str(tmp_path / "m.ppm")]) in (0, 1, 2)
+
+    @FUZZ
+    @given(image=FRAME_A, events=EVENT_FILES,
+           config=kv_documents(VALID_ENCODER, SMALL_VALUES),
+           mode=st.sampled_from(["dense", "packed", "oracle"]))
+    def test_encode(self, tmp_path, image, events, config, mode):
+        (tmp_path / "img.ppm").write_bytes(image)
+        (tmp_path / "ev").write_bytes(events)
+        (tmp_path / "enc.cfg").write_bytes(config.encode())
+        assert main(["encode", str(tmp_path / "img.ppm"), str(tmp_path / "ev"),
+                     "--config", str(tmp_path / "enc.cfg"), "--mode", mode,
+                     "--tau", "0.5", "--out", str(tmp_path / "f.bin")]) in (0, 1, 2)
+
+    @FUZZ
+    @given(profile=kv_documents(VALID_PROFILE, SMALL_VALUES))
+    def test_flops(self, tmp_path, profile):
+        (tmp_path / "p.cfg").write_bytes(profile.encode())
+        assert main(["flops", "--profile", str(tmp_path / "p.cfg"),
+                     "--image-size", "8x8", "--tau-dropped", "0.5",
+                     "--baseline"]) in (0, 1, 2)

@@ -218,6 +218,11 @@ class TestPatchify:
         with pytest.raises(ValidationError):
             patchify(np.zeros((3, 10, 3)), 4)
 
+    @pytest.mark.parametrize("patch_size", [0, -1])
+    def test_rejects_non_positive_patch_size(self, patch_size):
+        with pytest.raises(ValidationError, match="patch size must be >= 1"):
+            patchify(np.zeros((4, 4, 3)), patch_size)
+
 
 class TestInitWeights:
     def test_same_seed_is_bit_identical(self):
@@ -408,6 +413,14 @@ class TestMergeProject:
         mask = PatchMask(bits, 0.0625)
         feats = encode_packed(pack_patches(patches, mask), rope, weights, config)
         with pytest.raises(ValidationError, match="merge cell"):
+            merge_project(feats, config, weights)
+
+    @pytest.mark.parametrize("width", [15, 32])
+    def test_rows_not_d_model_wide_rejected(self, width):
+        config = small_config(merge_size=2)
+        weights = init_weights(config)
+        feats = PackedSequence(np.zeros((4, width)), np.argwhere(np.ones((2, 2))), (2, 2))
+        with pytest.raises(ValidationError, match="feature width"):
             merge_project(feats, config, weights)
 
     @settings(deadline=None, max_examples=200)

@@ -238,6 +238,10 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             simulate_events(np.zeros((2, 2)), np.zeros((2, 3)), 0.2, 10)
 
+    def test_rejects_equal_shaped_frames_that_are_not_2d(self):
+        with pytest.raises(ValidationError, match="frames must be 2-D"):
+            simulate_events(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), 0.2, 10)
+
     def test_rejects_out_of_range_intensity(self):
         with pytest.raises(ValidationError):
             simulate_events(np.full((1, 1), 1.5), np.zeros((1, 1)), 0.2, 10)

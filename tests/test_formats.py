@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from evprune.featio import read_features, write_features
 from evprune.kvtext import decode_ascii, parse_kv
 from evprune.ppm import read_ppm, to_gray01, write_ppm
 from evprune.saliency import PatchMask, mask_from_text, mask_to_text
+
+from conftest import VALID_ENCODER, VALID_PROFILE, kv_documents, kv_text, near_valid_bytes
 
 
 class TestPpm:
@@ -100,15 +104,6 @@ class TestKvText:
             decode_ascii(b"a = \xe9\n", "doc")
 
 
-VALID_ENCODER = dict(patch_size="2", channels="3", d_model="16", n_layers="1",
-                     n_heads="2", mlp_ratio="2.0", merge_size="1", d_out="8",
-                     seed="5")
-VALID_PROFILE = {
-    "name": "tiny", "vit.d_model": "8", "vit.n_layers": "1", "vit.n_heads": "2",
-    "vit.mlp_ratio": "2.0", "vit.patch_size": "2", "vit.merge_size": "1",
-    "vit.channels": "3", "llm.d_model": "8", "llm.n_layers": "1",
-    "llm.n_heads": "2", "llm.mlp_ratio": "2.0",
-}
 VALUES = st.one_of(
     st.text(max_size=12),
     st.floats().map(repr),
@@ -116,28 +111,6 @@ VALUES = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e999", "Infinity"]),
     st.sampled_from(["1_0", "\u0663", "0x10", "", "2.0", "16"]),
 )
-
-
-@st.composite
-def kv_documents(draw, valid):
-    """Arbitrary text, or a valid document with a few values replaced or
-    dropped and possibly one arbitrary line added."""
-    if draw(st.integers(0, 3)) == 0:
-        return draw(st.text(max_size=200))
-    kv = dict(valid)
-    for key in draw(st.lists(st.sampled_from(sorted(valid)), max_size=2, unique=True)):
-        if draw(st.integers(0, 3)):
-            kv[key] = draw(VALUES)
-        else:
-            del kv[key]
-    lines = [f"{key} = {value}" for key, value in kv.items()]
-    if draw(st.integers(0, 3)) == 0:
-        lines.append(draw(st.text(max_size=20)))
-    return "\n".join(draw(st.permutations(lines)))
-
-
-def kv_text(kv):
-    return "".join(f"{key} = {value}\n" for key, value in kv.items())
 
 
 class TestKvLoadersFuzz:
@@ -152,7 +125,7 @@ class TestKvLoadersFuzz:
                 kv_text({**VALID_PROFILE, "llm.mlp_ratio": ratio}))
 
     @settings(deadline=None, max_examples=300)
-    @given(kv_documents(VALID_ENCODER))
+    @given(kv_documents(VALID_ENCODER, VALUES))
     def test_load_encoder_config(self, text):
         try:
             config = load_encoder_config(text)
@@ -162,7 +135,7 @@ class TestKvLoadersFuzz:
         assert math.isfinite(config.mlp_ratio)
 
     @settings(deadline=None, max_examples=300)
-    @given(kv_documents(VALID_PROFILE))
+    @given(kv_documents(VALID_PROFILE, VALUES))
     def test_load_arch_profile(self, text):
         try:
             profile = costmodel.load_arch_profile(text)
@@ -173,23 +146,74 @@ class TestKvLoadersFuzz:
         assert math.isfinite(profile.llm.mlp_ratio)
 
 
-@st.composite
-def near_valid_bytes(draw, valid):
-    """Arbitrary bytes, or a valid blob with a few bytes replaced, inserted
-    or cut off."""
-    if draw(st.integers(0, 3)) == 0:
-        return draw(st.binary(max_size=200))
-    blob = bytearray(valid)
-    for _ in range(draw(st.integers(1, 3))):
-        at = draw(st.integers(0, len(blob)))
-        op = draw(st.integers(0, 2))
-        if op == 0 and at < len(blob):
-            blob[at] = draw(st.integers(0, 255))
-        elif op == 1:
-            blob[at:at] = draw(st.binary(min_size=1, max_size=8))
-        else:
-            del blob[at:]
-    return bytes(blob)
+REPO = Path(__file__).resolve().parents[1]
+# Document keys are record field names, so these lists are the file formats:
+# renaming a field must fail here rather than silently rename a key.
+ENCODER_KEYS = ["patch_size", "channels", "d_model", "n_layers", "n_heads",
+                "mlp_ratio", "merge_size", "d_out", "seed"]
+PROFILE_KEYS = ["name", "vit.d_model", "vit.n_layers", "vit.n_heads", "vit.mlp_ratio",
+                "vit.patch_size", "vit.merge_size", "vit.channels",
+                "llm.d_model", "llm.n_layers", "llm.n_heads", "llm.mlp_ratio"]
+
+
+def readme_config_block():
+    readme = (REPO / "README.md").read_text()
+    return re.search(r"An encoder config is.*?```\n(.*?)```", readme, re.S).group(1)
+
+
+class TestDocumentKeys:
+    def test_loaders_require_exactly_the_pinned_keys_in_order(self):
+        with pytest.raises(FormatError) as info:
+            load_encoder_config("")
+        assert str(info.value) == f"encoder config: missing keys {', '.join(ENCODER_KEYS)}"
+        with pytest.raises(FormatError) as info:
+            costmodel.load_arch_profile("")
+        assert str(info.value) == f"arch profile: missing keys {', '.join(PROFILE_KEYS)}"
+
+    @pytest.mark.parametrize("source", ["configs/encoder.cfg", "README.md"])
+    def test_shipped_encoder_configs_load(self, source):
+        text = (readme_config_block() if source == "README.md"
+                else (REPO / source).read_text(encoding="ascii"))
+        kv = parse_kv(text)
+        assert list(kv) == ENCODER_KEYS
+        config = load_encoder_config(text)
+        assert [getattr(config, key) for key in ENCODER_KEYS] == [
+            float(v) if key == "mlp_ratio" else int(v) for key, v in kv.items()]
+
+    @pytest.mark.parametrize("name", ["qwen2vl_2b_like", "qwen2vl_7b_like"])
+    def test_shipped_profiles_load(self, name):
+        kv = parse_kv((REPO / "src/evprune/profiles" / f"{name}.cfg").read_text(encoding="ascii"))
+        assert list(kv) == PROFILE_KEYS
+        profile = costmodel.load_shipped_profile(name)
+        assert profile.name == kv.pop("name")
+        for key, value in kv.items():
+            record, field = key.split(".")
+            got = getattr(getattr(profile, record), field)
+            assert got == (float(value) if field == "mlp_ratio" else int(value))
+
+
+@pytest.mark.parametrize("load, valid, edits, error, message", [
+    # missing keys are reported before unknown keys
+    (load_encoder_config, VALID_ENCODER, {"seed": None, "bogus": "1"},
+     FormatError, "encoder config: missing keys seed"),
+    (costmodel.load_arch_profile, VALID_PROFILE, {"llm.n_heads": None, "vit.bogus": "1"},
+     FormatError, "arch profile: missing keys llm.n_heads"),
+    # the first unparseable field in declaration order is named
+    (load_encoder_config, VALID_ENCODER, {"seed": "x", "d_model": "y", "mlp_ratio": "nan"},
+     FormatError, "key d_model: expected integer, got 'y'"),
+    (costmodel.load_arch_profile, VALID_PROFILE,
+     {"llm.d_model": "x", "vit.channels": "y", "vit.mlp_ratio": "z"},
+     FormatError, "key vit.mlp_ratio: expected number, got 'z'"),
+    # vit dimensions are validated before any llm value is parsed: exit 1, not 2
+    (costmodel.load_arch_profile, VALID_PROFILE, {"vit.d_model": "0", "llm.d_model": "x"},
+     ValidationError, "all encoder dimensions must be >= 1"),
+])
+def test_loader_error_precedence(load, valid, edits, error, message):
+    kv = {key: value for key, value in {**valid, **edits}.items() if value is not None}
+    # reversed, so that document order is not declaration order
+    with pytest.raises(error) as info:
+        load(kv_text(dict(reversed(kv.items()))))
+    assert type(info.value) is error and str(info.value) == message
 
 
 def mask_documents():

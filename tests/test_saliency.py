@@ -263,6 +263,20 @@ class TestApplyMask:
         out = apply_mask_to_image(img, mask, 2, (0, 0, 0))
         assert np.all(out[4, :] == 7) and np.all(out[:, 4] == 7)
 
+    @pytest.mark.parametrize("patch_size, fill, match", [
+        (0, (0, 0, 0), "patch size"),
+        (-2, (0, 0, 0), "patch size"),
+        (2, (300, 0, 0), "fill"),
+        (2, (-1, 0, 0), "fill"),
+        (2, (0, 0), "fill"),
+        (2, (0.5, 0, 0), "fill"),
+    ])
+    def test_rejects_bad_patch_size_and_fill(self, patch_size, fill, match):
+        img = np.zeros((4, 4, 3), dtype=np.uint8)
+        mask = PatchMask(np.zeros((2, 2), dtype=np.uint8), 0.0)
+        with pytest.raises(ValidationError, match=match):
+            apply_mask_to_image(img, mask, patch_size, fill)
+
 
 class TestMaskText:
     def test_roundtrip(self):
