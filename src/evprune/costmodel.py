@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ValidationError
-from .kvtext import check_keys, decode_ascii, parse_kv, parse_record, record_keys
+from .kvtext import (check_field_types, check_keys, decode_ascii, parse_kv, parse_record,
+                     record_keys)
 from .saliency import _merge_grid, retained_count
 
 _STAGES = ("vit_attention", "vit_mlp", "merge", "llm_prefill", "llm_decode")
@@ -63,6 +64,7 @@ class VitDims:
     channels: int
 
     def __post_init__(self):
+        check_field_types(self)
         dims = (self.d_model, self.n_layers, self.n_heads,
                 self.patch_size, self.merge_size, self.channels)
         if any(v < 1 for v in dims) or self.mlp_ratio <= 0:
@@ -82,6 +84,7 @@ class LlmDims:
     mlp_ratio: float
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.d_model, self.n_layers, self.n_heads) < 1 or self.mlp_ratio <= 0:
             raise ValidationError("all LLM dimensions must be >= 1")
         mlp_width(self.d_model, self.mlp_ratio, "llm d_model")
@@ -107,6 +110,7 @@ class WorkloadSpec:
     decode_tokens: int
 
     def __post_init__(self):
+        check_field_types(self)
         if self.image_height < 0 or self.image_width < 0:
             raise ValidationError("image dimensions must be non-negative")
         if not 0.0 <= self.tau <= 1.0:

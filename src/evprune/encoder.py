@@ -46,7 +46,7 @@ import numpy as np
 
 from .costmodel import mlp_width
 from .errors import ValidationError
-from .kvtext import check_keys, parse_kv, parse_record, record_keys
+from .kvtext import check_field_types, check_keys, parse_kv, parse_record, record_keys
 from .packing import PackedSequence
 from .rope2d import RopeTable, apply_rope_many
 from .saliency import PatchMask, _blocks
@@ -76,6 +76,7 @@ class EncoderConfig:
     seed: int
 
     def __post_init__(self):
+        check_field_types(self)
         if self.patch_size < 1 or self.channels < 1:
             raise ValidationError("patch_size and channels must be >= 1")
         if self.d_model < 4 or self.d_model % 4 != 0:

@@ -12,13 +12,18 @@ Core objects
 
 File formats
 ------------
-CSV: UTF-8 lines ``t_us,x,y,p``. The file may start with up to two directive
-lines ``# width W`` and ``# height H``; without them the sensor dimensions
-are inferred as max(x)+1, max(y)+1. One optional header line (first field
-not an integer) is skipped after the directives. Polarity is given as -1/1
-or 0/1, with 0 mapped to -1. A well-formed body is parsed in one numpy
-call; any other body goes through a per-line parser, which either accepts
-the rarer spellings ``int()`` allows or raises an error naming the line.
+CSV: UTF-8 text, split into lines by ``str.splitlines``; only empty lines
+are skipped. The file may start with directive lines ``# width W`` and
+``# height H``; without them the sensor dimensions are inferred as
+max(x)+1, max(y)+1. The first non-empty line after the directives is a
+header, and is skipped, unless its first field, stripped, starts with a
+digit, ``+`` or ``-``. Every other non-empty line is ``t_us,x,y,p``: four
+ASCII decimal integers that fit int64, each with an optional sign and
+padding of spaces or tabs (``np.loadtxt`` also strips U+001F, the one
+other whitespace character a line can hold). Directive values are spelled
+the same way. Polarity is given as -1/1 or 0/1, with 0 mapped to -1. The
+body is parsed in one numpy call. A malformed row anywhere in it is
+reported, with its line number, before any value outside the domain.
 
 EVT1 binary: 16-byte header
 
@@ -140,13 +145,6 @@ def _checked_column(values, name: str) -> np.ndarray:
     return arr
 
 
-def _int_column(values: list[int], name: str) -> np.ndarray:
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValidationError(f"{name} value does not fit int64") from None
-
-
 @dataclass(frozen=True, eq=False)
 class EventFrame:
     """Per-pixel finite, non-negative accumulation, shape (height, width)."""
@@ -179,127 +177,104 @@ class EventFrame:
 def read_events_csv(data: bytes | str) -> EventStream:
     """Parse the CSV event format described in the module docstring.
 
-    Raises FormatError for malformed rows (wrong field count, non-integer
-    fields) or bytes that are not UTF-8, and ValidationError for domain
-    violations (coordinates outside the declared dimensions, negative
-    timestamps, bad polarity values), both with the offending line number.
-    """
-    if isinstance(data, str):
-        text = data
-    else:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"not UTF-8 text: {exc}") from None
+    Raises FormatError for bytes that are not UTF-8, bad directives and
+    malformed rows, and ValidationError for values that do not fit int64 or
+    break the domain, each naming the offending line."""
+    try:
+        text = data if isinstance(data, str) else data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}") from None
     lines = text.splitlines()
-    width, height, start = _csv_directives(lines)
-    # Only ASCII text goes to np.loadtxt: on numpy 2.4 some lines holding
-    # characters outside the Basic Multilingual Plane crash the interpreter
-    # there ('\U000cb30eEb' does, within a few thousand calls).
-    parsed = _csv_body_fast(lines, start, width, height) if text.isascii() else None
-    if parsed is None:
-        parsed = _csv_body_lines(lines, start, width, height)
-    return EventStream(*parsed)
+    width, height, first = _csv_directives(lines)
+    first = next((i for i in range(first, len(lines)) if lines[i]), len(lines))
+    if first < len(lines):
+        lead = lines[first].split(",", 1)[0].strip()
+        if not (lead[:1].isdigit() or lead.startswith(("+", "-"))):
+            first += 1  # the optional header line
+    body = lines[first:]
+    rows = _csv_rows(body, text.isascii())
+    if rows is None:
+        raise _csv_row_error(body, first)
+    t, x, y, p = (np.ascontiguousarray(col) for col in rows.T)
+    del rows  # so that the stream's copies of the columns can reuse its memory
+    p[p == 0] = -1
+    width = int(x.max(initial=-1)) + 1 if width is None else width
+    height = int(y.max(initial=-1)) + 1 if height is None else height
+    # Any bad value is reported before any event outside the sensor.
+    bad_value = (t < 0) | ((p != 1) & (p != -1))
+    bad = np.flatnonzero(bad_value if bad_value.any() else
+                         (x < 0) | (x >= width) | (y < 0) | (y >= height))
+    if bad.size:
+        i = bad[0]
+        where = f"line {first + [j for j, line in enumerate(body) if line][i] + 1}"
+        if t[i] < 0:
+            raise ValidationError(f"{where}: negative timestamp {t[i]}")
+        if bad_value[i]:
+            raise ValidationError(f"{where}: polarity must be -1, 0 or 1, got {p[i]}")
+        raise ValidationError(
+            f"{where}: event at ({x[i]}, {y[i]}) outside declared dimensions {width}x{height}")
+    return EventStream(width, height, t, x, y, p)
 
 
 def _csv_directives(lines: list[str]) -> tuple[int | None, int | None, int]:
-    """Declared (width, height) and the index of the first body line."""
+    """Declared (width, height) and the index of the first line after them."""
     dims: dict[str, int] = {}
     idx = 0
     while idx < len(lines):
         parts = lines[idx].strip().split()
         if not (len(parts) == 3 and parts[0] == "#" and parts[1] in ("width", "height")):
             break
-        try:
-            dims[parts[1]] = int(parts[2])
-        except ValueError:
-            raise FormatError(f"line {idx + 1}: bad {parts[1]} directive") from None
+        if not _is_int(parts[2]):
+            raise FormatError(f"line {idx + 1}: bad {parts[1]} directive")
+        dims[parts[1]] = int(parts[2])
         idx += 1
     return dims.get("width"), dims.get("height"), idx
 
 
-def _csv_body_fast(lines: list[str], start: int, width: int | None, height: int | None):
-    """(width, height, t, x, y, p) of a body that numpy parses in one call
-    and that holds only valid rows; None when the body needs the per-line
-    parser, which then accepts it or raises the line-numbered error.
-
-    ``np.loadtxt`` accepts a subset of what ``int()`` accepts: it rejects
-    ``1_000``, overflow, ``1.0`` and whitespace-only lines, which all fall
-    back."""
-    first = next((i for i in range(start, len(lines)) if lines[i].strip()), None)
-    if first is None:
-        return None
-    if not _is_int(lines[first].split(",")[0].strip()):
-        first += 1  # the optional header line
-    body = lines[first:]
-    if not any(body):
+def _csv_rows(lines: list[str], is_ascii: bool = False) -> np.ndarray | None:
+    """The (n, 4) int64 rows of the non-empty ``lines``, or None if any is not
+    four integers that fit int64: the one parse of CSV rows. ``is_ascii`` vouches
+    that the lines are ASCII; joining 50k lines to check that costs 1 ms."""
+    if not any(lines):
+        return np.empty((0, 4), dtype=np.int64)  # np.loadtxt warns on no data
+    # Only ASCII text goes to np.loadtxt: on numpy 2.4 some lines holding
+    # characters outside the Basic Multilingual Plane crash the interpreter
+    # there ('\U000cb30eEb' does, within a few thousand calls).
+    if not (is_ascii or "".join(lines).isascii()):
         return None
     try:
-        rows = np.loadtxt(body, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+        rows = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
     except ValueError:
         return None
-    if rows.shape[1] != 4:
-        return None
-    t, x, y, p = (np.ascontiguousarray(col) for col in rows.T)
-    p[p == 0] = -1
-    width = int(x.max()) + 1 if width is None else width
-    height = int(y.max()) + 1 if height is None else height
-    valid = ((t >= 0) & ((p == 1) | (p == -1))
-             & (x >= 0) & (x < width) & (y >= 0) & (y < height))
-    if not valid.all():
-        return None
-    return width, height, t, x, y, p
+    return rows if rows.shape[1] == 4 else None
 
 
-def _csv_body_lines(lines: list[str], start: int, width: int | None, height: int | None):
-    """Per-line parse of the body: (width, height, t, x, y, p) or the
-    error naming the first offending line."""
-    rows: list[tuple[int, int, int, int, int]] = []
-    header_allowed = True
-    for lineno in range(start, len(lines)):
-        line = lines[lineno].strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if header_allowed and fields and not _is_int(fields[0]):
-            header_allowed = False
-            continue
-        header_allowed = False
-        if len(fields) != 4:
-            raise FormatError(f"line {lineno + 1}: expected 4 fields, got {len(fields)}")
-        try:
-            t, x, y, p = (int(f) for f in fields)
-        except ValueError:
-            raise FormatError(f"line {lineno + 1}: non-integer field in {line!r}") from None
-        if t < 0:
-            raise ValidationError(f"line {lineno + 1}: negative timestamp {t}")
-        if p == 0:
-            p = -1
-        if p not in (-1, 1):
-            raise ValidationError(f"line {lineno + 1}: polarity must be -1, 0 or 1, got {p}")
-        rows.append((lineno + 1, t, x, y, p))
-
-    if width is None:
-        width = max((r[2] for r in rows), default=-1) + 1
-    if height is None:
-        height = max((r[3] for r in rows), default=-1) + 1
-    for lineno, t, x, y, p in rows:
-        if not (0 <= x < width and 0 <= y < height):
-            raise ValidationError(
-                f"line {lineno}: event at ({x}, {y}) outside declared "
-                f"dimensions {width}x{height}"
-            )
-    t, x, y, p = (_int_column([r[i] for r in rows], name)
-                  for i, name in enumerate(("t_us", "x", "y", "polarity"), start=1))
-    return width, height, t, x, y, p
+def _csv_row_error(body: list[str], first: int) -> Exception:
+    """The error naming the first line that ``_csv_rows`` rejects in a
+    ``body`` it rejects, found by binary search for the shortest rejected
+    prefix: ceil(log2(len(body))) parses of its still unchecked part."""
+    lo, hi = 0, len(body)  # body[:lo] is accepted, body[:hi] is not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _csv_rows(body[lo:mid]) is None:
+            hi = mid
+        else:
+            lo = mid
+    fields = body[lo].split(",")
+    where = f"line {first + lo + 1}"
+    if len(fields) != 4:
+        return FormatError(f"{where}: expected 4 fields, got {len(fields)}")
+    if all(map(_is_int, fields)):
+        return ValidationError(f"{where}: value does not fit int64 in {body[lo]!r}")
+    return FormatError(f"{where}: non-integer field in {body[lo]!r}")
 
 
 def _is_int(field: str) -> bool:
-    try:
-        int(field)
-        return True
-    except ValueError:
-        return False
+    """A padded, optionally signed ASCII decimal integer of any size."""
+    digits = field.strip()
+    if digits.startswith(("+", "-")):
+        digits = digits[1:]
+    return field.isascii() and digits.isdigit()
 
 
 def write_events_bin(stream: EventStream) -> bytes:

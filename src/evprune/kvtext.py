@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Collection
 from dataclasses import fields
 from types import MappingProxyType
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 
 def decode_ascii(data: bytes, what: str) -> str:
@@ -44,8 +45,9 @@ def parse_kv(text: str) -> dict[str, str]:
 
 
 # A record field's annotation (text, as annotations are postponed) -> the
-# type that parses its value, and the word for such a value.
-_TYPES = {"int": (int, "integer"), "float": (float, "number")}
+# type that parses its value, the word for such a value, and the values the
+# field holds (never a bool, though bool is an int).
+_TYPES = {"int": (int, "integer", numbers.Integral), "float": (float, "number", numbers.Real)}
 
 
 @functools.cache
@@ -54,6 +56,17 @@ def record_keys(cls: type, prefix: str) -> MappingProxyType:
     mapped to the field's annotation, ``"int"`` or ``"float"``. Cached, and
     so read-only: an encoder config is loaded once per encoded frame."""
     return MappingProxyType({prefix + f.name: f.type for f in fields(cls)})
+
+
+def check_field_types(record) -> None:
+    """ValidationError unless each field of ``record`` holds its annotation's
+    kind: an integer for ``int``, a real number for ``float``, never a bool.
+    Records call this first in ``__post_init__``."""
+    for name, annotation in record_keys(type(record), "").items():
+        value = getattr(record, name)
+        _, noun, kind = _TYPES[annotation]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValidationError(f"field {name}: expected {noun}, got {value!r}")
 
 
 def check_keys(kv: dict[str, str], keys: Collection[str], what: str) -> None:
@@ -69,7 +82,7 @@ def parse_record(kv: dict[str, str], cls: type, prefix: str):
     """Build ``cls`` from checked ``kv``, parsing its fields in declaration order."""
     values = []
     for key, annotation in record_keys(cls, prefix).items():
-        parse, noun = _TYPES[annotation]
+        parse, noun, _ = _TYPES[annotation]
         try:
             values.append(parse(kv[key]))
         except ValueError:

@@ -46,10 +46,10 @@ def read_ppm(data: bytes) -> np.ndarray:
     if not data.startswith(b"P6"):
         raise FormatError("not a P6 PPM (bad magic)")
     toks, offset = _tokens(data, 4)
-    try:
-        width, height, maxval = (int(t) for t in toks[1:])
-    except ValueError:
-        raise FormatError(f"non-numeric PPM header fields {toks[1:]}") from None
+    # Unsigned ASCII decimal; int() would also take b"+2" and b"1_0".
+    if not all(t.isascii() and t.isdigit() for t in toks[1:]):
+        raise FormatError(f"non-numeric PPM header fields {toks[1:]}")
+    width, height, maxval = (int(t) for t in toks[1:])
     if width < 1 or height < 1:
         raise FormatError(f"bad PPM dimensions {width}x{height}")
     if not 0 < maxval <= 255:

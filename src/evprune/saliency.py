@@ -17,6 +17,7 @@ Mask text format: first line ``rows cols tau``, then ``rows`` lines of
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -43,6 +44,10 @@ def retained_count(tau: float, n: int) -> int:
 def _blocks(a: np.ndarray, size: int) -> np.ndarray:
     """(rows, cols, size, size, ...) view of the whole size x size blocks of
     ``a`` in raster order; trailing rows and columns are left out."""
+    try:
+        size = operator.index(size)
+    except TypeError:
+        raise ValidationError(f"patch size must be an integer, got {size!r}") from None
     if size < 1:
         raise ValidationError(f"patch size must be >= 1, got {size}")
     rows, cols = a.shape[0] // size, a.shape[1] // size
@@ -186,8 +191,7 @@ def apply_mask_to_image(
             f"{mask.cols}x{mask.rows} at patch size {p}"
         )
     out = img.copy()
-    # pixels beyond the mask's patch grid stay out of the blocks
-    patches = _blocks(out[: mask.rows * p, : mask.cols * p], p)
+    patches = _blocks(out, p)[: mask.rows, : mask.cols]
     patches[mask.bits == 0] = np.asarray(fill, dtype=img.dtype)
     return out
 

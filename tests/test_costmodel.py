@@ -215,6 +215,18 @@ class TestWorkload:
         with pytest.raises(ValidationError):
             WorkloadSpec(32, 32, -0.1, 0, 0)
 
+    def test_field_types_checked(self):
+        """392.5 rows gave a report with visual_tokens_dense=784.0."""
+        with pytest.raises(ValidationError, match="field image_height: expected integer"):
+            WorkloadSpec(392.5, 392, 0.5, 0, 0)
+        with pytest.raises(ValidationError, match="field tau: expected number"):
+            WorkloadSpec(32, 32, True, 0, 0)
+        with pytest.raises(ValidationError, match="field n_heads: expected integer"):
+            VitDims(8, 1, 2.0, 1.0, 1, 1, 1)
+        with pytest.raises(ValidationError, match="field mlp_ratio: expected number"):
+            LlmDims(8, 1, 1, "2.0")
+        assert WorkloadSpec(32, 32, 1, 0, 0).tau == 1
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
             WorkloadSpec(32, 32, 0.5, -1, 0)

@@ -184,6 +184,16 @@ class TestConfig:
         with pytest.raises(ValidationError, match="mlp_ratio"):
             small_config(mlp_ratio=ratio)
 
+    def test_field_types_checked_before_use(self):
+        """A float in an int field reached init_weights as a TypeError."""
+        with pytest.raises(ValidationError, match="field d_model: expected integer, got 16.0"):
+            init_weights(EncoderConfig(2, 3, 16.0, 1, 2, 2.0, 1, 8, 0))
+        with pytest.raises(ValidationError, match="field seed: expected integer"):
+            small_config(seed=False)
+        with pytest.raises(ValidationError, match="field mlp_ratio: expected number"):
+            small_config(mlp_ratio=True)
+        assert small_config(mlp_ratio=2, d_model=np.int64(16)).mlp_hidden == 32
+
     def test_rejects_unknown_and_missing_keys(self):
         with pytest.raises(FormatError):
             load_encoder_config("patch_size = 2\n")
@@ -222,6 +232,13 @@ class TestPatchify:
     def test_rejects_non_positive_patch_size(self, patch_size):
         with pytest.raises(ValidationError, match="patch size must be >= 1"):
             patchify(np.zeros((4, 4, 3)), patch_size)
+
+    @pytest.mark.parametrize("patch_size", [2.5, 2.0, float("nan")])
+    def test_rejects_non_integer_patch_size(self, patch_size):
+        """2.5 died in slicing with a TypeError."""
+        with pytest.raises(ValidationError, match="patch size must be an integer"):
+            patchify(np.zeros((4, 4, 3)), patch_size)
+        assert patchify(np.zeros((4, 4, 3)), np.int64(2)).shape == (4, 12)
 
 
 class TestInitWeights:

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evprune import events
@@ -249,30 +249,32 @@ def test_fuzz_read_events_csv(data):
 
 
 def test_non_ascii_text_skips_the_numpy_parser(monkeypatch):
-    monkeypatch.setattr(events, "_csv_body_fast",
-                        lambda *args: pytest.fail("non-ASCII text reached np.loadtxt"))
+    """On numpy 2.4 some non-BMP text crashes np.loadtxt, so no call may get any."""
+    loadtxt = np.loadtxt
+
+    def ascii_only(lines, *args, **kwargs):
+        assert all(line.isascii() for line in lines), "non-ASCII text reached np.loadtxt"
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", ascii_only)
     assert len(read_events_csv("t,\U000cb30e\n1,2,3,1\n")) == 1
     with pytest.raises(FormatError, match="line 2: non-integer field"):
         read_events_csv("1,2,3,1\n1,2,3,\U000cb30eEb\n")
 
 
-def _split(text):
-    lines = text.splitlines()
-    return lines, *events._csv_directives(lines)
-
-
 @st.composite
 def valid_csv(draw):
-    """Valid CSV files in the spellings writers produce: directives or not,
-    a header or not, blank lines, padding, signs, 0/1 or -1/1 polarity,
-    and LF, CRLF or CR line ends."""
+    """(text, events, (width, height)): a valid CSV file in the spellings
+    writers produce (directives or not, a header or not, blank lines,
+    padding, signs, 0/1 or -1/1 polarity, LF, CRLF or CR line ends), the
+    (t, x, y, p) events it holds in file order and its sensor dimensions."""
     width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     declared = draw(st.booleans())
     head = [f"# width {width}", f"# height {height}"] if declared else []
     if draw(st.booleans()):
         head.append(draw(st.sampled_from(["t_us,x,y,polarity", "t,x,y,p", " time , x"])))
     zero_one = draw(st.booleans())
-    rows = []
+    rows, written = [], []
     for _ in range(draw(st.integers(0, 30))):
         t = draw(st.integers(0, 2**40))
         x, y = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
@@ -280,34 +282,82 @@ def valid_csv(draw):
         pad = draw(st.sampled_from(["", " ", "\t"]))
         sign = draw(st.sampled_from(["", "+"]))
         rows.append(f"{pad}{sign}{t}{pad},{x},{pad}{y},{p}{pad}")
+        written.append((t, x, y, p or -1))
         if draw(st.integers(0, 9)) == 0:
             rows.append("")
+    if not declared:
+        width = max((e[1] for e in written), default=-1) + 1
+        height = max((e[2] for e in written), default=-1) + 1
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return newline.join(head + rows) + draw(st.sampled_from(["", newline]))
+    text = newline.join(head + rows) + draw(st.sampled_from(["", newline]))
+    return text, written, (width, height)
 
 
 @settings(deadline=None, max_examples=150)
 @given(valid_csv())
-def test_csv_fast_parse_agrees_with_per_line_parser(text):
-    lines, width, height, start = _split(text)
-    fast = events._csv_body_fast(lines, start, width, height)
-    slow = events._csv_body_lines(lines, start, width, height)
-    if fast is None:
-        assert not slow[2].size  # only an empty body falls back
-        return
-    assert fast[:2] == slow[:2]
-    for got, want in zip(fast[2:], slow[2:]):
-        assert got.tolist() == want.tolist()
+def test_csv_reads_exactly_the_events_written(case):
+    text, written, dims = case
+    stream = read_events_csv(text)
+    assert (stream.sensor_width, stream.sensor_height) == dims
+    assert as_tuples(stream) == sorted(written, key=lambda e: e[0])  # stable, as the stream
 
 
-@settings(deadline=None, max_examples=300)
-@given(_CSV_TEXT)
-def test_csv_fast_parse_never_accepts_what_the_per_line_parser_reads_differently(text):
-    lines, width, height, start = _split(text)
-    fast = events._csv_body_fast(lines, start, width, height)
-    if fast is None:
-        return
-    slow = events._csv_body_lines(lines, start, width, height)
-    assert fast[:2] == slow[:2]
-    for got, want in zip(fast[2:], slow[2:]):
-        assert got.tolist() == want.tolist()
+_BAD_ROWS = ["1_000,1,1,1", "1.5,0,0,1", "1,2,3", "1,2,3,1,5", "x,0,0,1", "1,,0,1",
+             "１,0,0,1", "\xa01,0,0,1", " ", "\x1f", "# width 4",
+             "99999999999999999999,0,0,1", "-5,0,0,1", "0,0,0,2"]
+
+
+@settings(deadline=None, max_examples=150)
+@given(valid_csv(), st.sampled_from(_BAD_ROWS), st.data())
+def test_csv_error_names_the_one_corrupted_line(case, bad, data):
+    text, written, _ = case
+    lines = text.splitlines()
+    # Event lines after the first: the first body line may be read as a header.
+    candidates = [i for i, line in enumerate(lines) if line and line.strip()[0] in "+0123456789"]
+    assume(len(candidates) >= 2)
+    i = data.draw(st.sampled_from(candidates[1:]))
+    lines[i] = bad
+    with pytest.raises((FormatError, ValidationError), match=f"^line {i + 1}: "):
+        read_events_csv("\n".join(lines))
+
+
+@pytest.mark.parametrize("where", [0, 37_123, 49_999])
+def test_csv_error_search_takes_logarithmic_parses(monkeypatch, where):
+    n = 50_000
+    lines = [f"{i},{i % 7},{i % 5},1" for i in range(n)]
+    lines[where] = "1_5,0,0,1"
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+    with pytest.raises(FormatError, match=f"^line {where + 1}: non-integer field"):
+        read_events_csv("\n".join(lines))
+    assert len(calls) <= math.ceil(math.log2(n)) + 1
+
+
+@pytest.mark.parametrize("text, error, line", [
+    ("1_000,1,1,1\n", FormatError, 1),              # not skipped as a header
+    ("46.56,1,1,1\n0,0,0,1\n", FormatError, 1),     # not skipped as a header
+    ("0,0,0,1\n1_000,1,1,1\n", FormatError, 2),
+    ("0,0,0,1\n１,1,1,1\n", FormatError, 2),    # fullwidth digit
+    ("0,0,0,1\n1,١,1,1\n", FormatError, 2),    # Arabic-Indic digit
+    ("0,0,0,1\n\xa01,1,1,1\n", FormatError, 2),     # NBSP padding
+    ("0,0,0,1\n1,1,1,1　\n", FormatError, 2),   # ideographic space padding
+    ("0,0,0,1\n \n1,1,1,1\n", FormatError, 2),      # whitespace-only line
+    ("0,0,0,1\n\x1f\n1,1,1,1\n", FormatError, 2),
+    ("# width 1_0\n0,0,0,1\n", FormatError, 1),
+    ("# width 4\n# height +1_0\n0,0,0,1\n", FormatError, 2),
+    ("# width ４\n0,0,0,1\n", FormatError, 1),
+])
+def test_csv_rejects_spellings_outside_the_integer_grammar(text, error, line):
+    with pytest.raises(error, match=f"^line {line}: "):
+        read_events_csv(text)
+
+
+@pytest.mark.parametrize("text, dims", [
+    ("# width +4\n# height -0\n", (4, 0)),
+    ("t,x,y,p\n +3\t,\x1f1,-0, 1\n", (2, 1)),
+    ("# width 4\n# height 2\n\n0,0,0,1\n\n", (4, 2)),
+])
+def test_csv_accepts_signs_and_padding(text, dims):
+    stream = read_events_csv(text)
+    assert (stream.sensor_width, stream.sensor_height) == dims

@@ -31,6 +31,13 @@ class TestPpm:
         img = read_ppm(b"P6 # comment\n# another\n 2\t1 # w h\n255\n" + bytes(6))
         assert img.shape == (1, 2, 3)
 
+    @pytest.mark.parametrize("header", [b"P6 1_0 1 255\n", b"P6 +2 1 255\n",
+                                        b"P6 2 1 0_255\n", b"P6 2 -0 255\n"])
+    def test_header_fields_are_unsigned_ascii_decimal(self, header):
+        """int() read b"1_0" as 10 and took signs."""
+        with pytest.raises(FormatError, match="non-numeric PPM header"):
+            read_ppm(header + bytes(30))
+
     def test_rejects_wrong_magic(self):
         with pytest.raises(FormatError):
             read_ppm(b"P5\n2 1\n255\n" + bytes(2))

@@ -64,6 +64,10 @@ class TestRetainedCount:
 
 
 class TestPatchScores:
+    def test_rejects_non_integer_patch_size(self):
+        with pytest.raises(ValidationError, match="patch size must be an integer"):
+            patch_scores(EventFrame(np.zeros((4, 4))), 2.5)
+
     def test_all_zero_frame(self):
         smap = patch_scores(EventFrame(np.zeros((4, 4))), 2)
         assert np.array_equal(smap.scores, np.zeros((2, 2)))
@@ -266,6 +270,7 @@ class TestApplyMask:
     @pytest.mark.parametrize("patch_size, fill, match", [
         (0, (0, 0, 0), "patch size"),
         (-2, (0, 0, 0), "patch size"),
+        (1.5, (0, 0, 0), "patch size must be an integer"),
         (2, (300, 0, 0), "fill"),
         (2, (-1, 0, 0), "fill"),
         (2, (0, 0), "fill"),
