@@ -270,11 +270,11 @@ class TestApplyMask:
     @pytest.mark.parametrize("patch_size, fill, match", [
         (0, (0, 0, 0), "patch size"),
         (-2, (0, 0, 0), "patch size"),
-        (1.5, (0, 0, 0), "patch size must be an integer"),
         (2, (300, 0, 0), "fill"),
         (2, (-1, 0, 0), "fill"),
         (2, (0, 0), "fill"),
         (2, (0.5, 0, 0), "fill"),
+        (1.5, (0, 0, 0), "patch size must be an integer"),
     ])
     def test_rejects_bad_patch_size_and_fill(self, patch_size, fill, match):
         img = np.zeros((4, 4, 3), dtype=np.uint8)
