@@ -16,9 +16,6 @@ give byte-identical outputs and manifests.
 Sparsity conventions: ``mask``/``encode`` take the RETAINED fraction;
 ``flops`` takes the DROPPED fraction (``--tau-dropped`` is an explicit
 alias of its ``--tau``).
-
-The environment variable ``EVPRUNE_SEED`` overrides the encoder config
-seed.
 """
 
 from __future__ import annotations
@@ -136,16 +133,6 @@ def _manifest(subcommand: str, pairs: list[tuple[str, object]]) -> None:
         print(f"manifest.{key}={value}")
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("EVPRUNE_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"EVPRUNE_SEED must be an integer, got {raw!r}") from None
-
-
 def _image_to_float(image: np.ndarray, channels: int) -> np.ndarray:
     if channels == 3:
         return np.asarray(image, dtype=np.float64) / 255.0
@@ -224,9 +211,6 @@ def cmd_encode(args) -> int:
     _check_tau(args.tau)
     text = decode_ascii(_read_bytes(args.config), "encoder config")
     config = load_encoder_config(text)
-    seed = _env_seed()
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
     image = read_ppm(_read_bytes(args.image))
     floats = _image_to_float(image, config.channels)
     patches = patchify(floats, config.patch_size)

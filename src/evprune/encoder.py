@@ -40,7 +40,8 @@ agree to rounding, not bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -99,10 +100,7 @@ class EncoderConfig:
             raise ValidationError("d_out must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
-        # mlp_hidden rejects a d_model * mlp_ratio that is not finite
-        d, h, md = self.d_model, self.mlp_hidden, self.merge_dim
-        params = (self.patch_dim * d + d + self.n_layers * (4 * d * d + 2 * d * h + h + 5 * d)
-                  + md * md + md + md * self.d_out + self.d_out)
+        params = _weight_count(self)  # mlp_hidden rejects a non-finite width
         if params > MAX_ENCODER_PARAMS:
             raise ValidationError(
                 f"config has {params} weights, more than MAX_ENCODER_PARAMS = {MAX_ENCODER_PARAMS}")
@@ -130,87 +128,74 @@ def load_encoder_config(text: str) -> EncoderConfig:
     return parse_record(kv, EncoderConfig, "")
 
 
+def _param(*dims: str, gain: bool = False):
+    """An array field shaped by the named EncoderConfig attributes."""
+    return field(metadata={"dims": dims, "gain": gain})
+
+
 @dataclass(frozen=True, eq=False)
 class LayerWeights:
-    ln1_gamma: np.ndarray
-    ln1_beta: np.ndarray
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    ln2_gamma: np.ndarray
-    ln2_beta: np.ndarray
-    w_up: np.ndarray
-    b_up: np.ndarray
-    w_down: np.ndarray
-    b_down: np.ndarray
+    ln1_gamma: np.ndarray = _param("d_model", gain=True)
+    ln1_beta: np.ndarray = _param("d_model")
+    wq: np.ndarray = _param("d_model", "d_model")
+    wk: np.ndarray = _param("d_model", "d_model")
+    wv: np.ndarray = _param("d_model", "d_model")
+    wo: np.ndarray = _param("d_model", "d_model")
+    ln2_gamma: np.ndarray = _param("d_model", gain=True)
+    ln2_beta: np.ndarray = _param("d_model")
+    w_up: np.ndarray = _param("d_model", "mlp_hidden")
+    b_up: np.ndarray = _param("mlp_hidden")
+    w_down: np.ndarray = _param("mlp_hidden", "d_model")
+    b_down: np.ndarray = _param("d_model")
 
 
 @dataclass(frozen=True, eq=False)
 class EncoderWeights:
-    w_embed: np.ndarray
-    b_embed: np.ndarray
-    layers: tuple[LayerWeights, ...]
-    w_merge1: np.ndarray
-    b_merge1: np.ndarray
-    w_merge2: np.ndarray
-    b_merge2: np.ndarray
+    w_embed: np.ndarray = _param("patch_dim", "d_model")
+    b_embed: np.ndarray = _param("d_model")
+    layers: tuple[LayerWeights, ...] = field(metadata={"per_layer": LayerWeights})
+    w_merge1: np.ndarray = _param("merge_dim", "merge_dim")
+    b_merge1: np.ndarray = _param("merge_dim")
+    w_merge2: np.ndarray = _param("merge_dim", "d_out")
+    b_merge2: np.ndarray = _param("d_out")
+
+
+def _shape(f, config: EncoderConfig) -> tuple[int, ...]:
+    return tuple(getattr(config, dim) for dim in f.metadata["dims"])
+
+
+def _weight_count(config: EncoderConfig, record: type = EncoderWeights) -> int:
+    """Number of weights init_weights draws for ``config``, from the same
+    fields; the layer stack counts as n_layers times one layer, unbuilt."""
+    return sum(config.n_layers * _weight_count(config, f.metadata["per_layer"])
+               if "per_layer" in f.metadata else math.prod(_shape(f, config))
+               for f in fields(record))
 
 
 def init_weights(config: EncoderConfig) -> EncoderWeights:
     """Draw every parameter from numpy's PCG64 stream for config.seed.
 
-    The generator is ``np.random.Generator(np.random.PCG64(seed))`` and
-    parameters are drawn as standard normals in this fixed order:
-
-      1. w_embed (patch_dim, d_model), scaled 1/sqrt(patch_dim)
-      2. b_embed (d_model,), scaled 0.02
-      3. per layer: ln1_gamma = 1 + 0.02 z, ln1_beta = 0.02 z,
-         wq, wk, wv, wo (d, d) scaled 1/sqrt(d),
-         ln2_gamma = 1 + 0.02 z, ln2_beta = 0.02 z,
-         w_up (d, h) scaled 1/sqrt(d), b_up (h,) scaled 0.02,
-         w_down (h, d) scaled 1/sqrt(h), b_down (d,) scaled 0.02
-      4. w_merge1 (merge_dim, merge_dim) scaled 1/sqrt(merge_dim),
-         b_merge1 scaled 0.02, w_merge2 (merge_dim, d_out) scaled
-         1/sqrt(merge_dim), b_merge2 scaled 0.02
-
+    The generator is ``np.random.Generator(np.random.PCG64(seed))``. The
+    fields of EncoderWeights are drawn in declaration order, ``layers`` as
+    n_layers LayerWeights in turn, each array as one standard normal draw
+    of the shape its declaration names: a matrix scaled 1/sqrt(rows), a
+    vector scaled 0.02, and a layer-norm gain 1 plus that vector.
     Same seed gives bit-identical weights on any platform.
     """
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    d = config.d_model
-    h = config.mlp_hidden
+    return _draw(EncoderWeights, config, np.random.Generator(np.random.PCG64(config.seed)))
 
-    def normal(*shape, scale):
-        return rng.standard_normal(shape) * scale
 
-    w_embed = normal(config.patch_dim, d, scale=1.0 / np.sqrt(config.patch_dim))
-    b_embed = normal(d, scale=0.02)
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(LayerWeights(
-            ln1_gamma=1.0 + normal(d, scale=0.02),
-            ln1_beta=normal(d, scale=0.02),
-            wq=normal(d, d, scale=1.0 / np.sqrt(d)),
-            wk=normal(d, d, scale=1.0 / np.sqrt(d)),
-            wv=normal(d, d, scale=1.0 / np.sqrt(d)),
-            wo=normal(d, d, scale=1.0 / np.sqrt(d)),
-            ln2_gamma=1.0 + normal(d, scale=0.02),
-            ln2_beta=normal(d, scale=0.02),
-            w_up=normal(d, h, scale=1.0 / np.sqrt(d)),
-            b_up=normal(h, scale=0.02),
-            w_down=normal(h, d, scale=1.0 / np.sqrt(h)),
-            b_down=normal(d, scale=0.02),
-        ))
-    md = config.merge_dim
-    return EncoderWeights(
-        w_embed=w_embed,
-        b_embed=b_embed,
-        layers=tuple(layers),
-        w_merge1=normal(md, md, scale=1.0 / np.sqrt(md)),
-        b_merge1=normal(md, scale=0.02),
-        w_merge2=normal(md, config.d_out, scale=1.0 / np.sqrt(md)),
-        b_merge2=normal(config.d_out, scale=0.02),
-    )
+def _draw(record: type, config: EncoderConfig, rng: np.random.Generator):
+    values = {}
+    for f in fields(record):
+        if "per_layer" in f.metadata:
+            values[f.name] = tuple(_draw(f.metadata["per_layer"], config, rng)
+                                   for _ in range(config.n_layers))
+            continue
+        shape = _shape(f, config)
+        z = rng.standard_normal(shape) * (1.0 / np.sqrt(shape[0]) if len(shape) == 2 else 0.02)
+        values[f.name] = 1.0 + z if f.metadata["gain"] else z
+    return record(**values)
 
 
 def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:

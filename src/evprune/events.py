@@ -20,10 +20,12 @@ header, and is skipped, unless its first field, stripped, starts with a
 digit, ``+`` or ``-``. Every other non-empty line is ``t_us,x,y,p``: four
 ASCII decimal integers that fit int64, each with an optional sign and
 padding of spaces or tabs (``np.loadtxt`` also strips U+001F, the one
-other whitespace character a line can hold). Directive values are spelled
-the same way. Polarity is given as -1/1 or 0/1, with 0 mapped to -1. The
-body is parsed in one numpy call. A malformed row anywhere in it is
-reported, with its line number, before any value outside the domain.
+other whitespace character a line can hold). A directive's ``#``, name
+and value are separated by spaces or tabs, and its value is a
+non-negative integer spelled the same way. Polarity is given as -1/1 or
+0/1, with 0 mapped to -1. The body is parsed in one numpy call. A
+malformed row anywhere in it is reported, with its line number, before
+any value outside the domain.
 
 EVT1 binary: 16-byte header
 
@@ -221,12 +223,15 @@ def _csv_directives(lines: list[str]) -> tuple[int | None, int | None, int]:
     dims: dict[str, int] = {}
     idx = 0
     while idx < len(lines):
-        parts = lines[idx].strip().split()
+        parts = [part for part in lines[idx].replace("\t", " ").split(" ") if part]
         if not (len(parts) == 3 and parts[0] == "#" and parts[1] in ("width", "height")):
             break
         if not _is_int(parts[2]):
             raise FormatError(f"line {idx + 1}: bad {parts[1]} directive")
-        dims[parts[1]] = int(parts[2])
+        value = int(parts[2])
+        if value < 0:
+            raise ValidationError(f"line {idx + 1}: {parts[1]} must be non-negative, got {value}")
+        dims[parts[1]] = value
         idx += 1
     return dims.get("width"), dims.get("height"), idx
 

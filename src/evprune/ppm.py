@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# Netpbm header whitespace; unlike C isspace, VT and FF are not in it.
+_WHITESPACE = b" \t\n\r"
 
 
 def _tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
@@ -22,14 +23,14 @@ def _tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     out: list[bytes] = []
     pos = 0
     while len(out) < count:
-        while pos < len(data) and data[pos : pos + 1] in (b" ", b"\t", b"\n", b"\r"):
+        while pos < len(data) and data[pos] in _WHITESPACE:
             pos += 1
         if pos < len(data) and data[pos : pos + 1] == b"#":
             while pos < len(data) and data[pos : pos + 1] != b"\n":
                 pos += 1
             continue
         start = pos
-        while pos < len(data) and data[pos : pos + 1] not in (b" ", b"\t", b"\n", b"\r", b"#"):
+        while pos < len(data) and data[pos] not in _WHITESPACE + b"#":
             pos += 1
         if pos == start:
             raise FormatError("truncated PPM header")

@@ -136,8 +136,8 @@ def check_events_roundtrip(stream: events.EventStream, blob: bytes) -> Violation
         back = events.read_events_bin(blob)
     except (FormatError, ValidationError) as exc:
         return ("events.binary_roundtrip", f"read back failed: {exc}")
-    fields = ("sensor_width", "sensor_height", "t_us", "x", "y", "polarity")
-    if (not all(np.array_equal(getattr(back, f), getattr(stream, f)) for f in fields)
+    names = [f.name for f in dataclasses.fields(events.EventStream)]
+    if (not all(np.array_equal(getattr(back, n), getattr(stream, n)) for n in names)
             or events.write_events_bin(back) != blob):
         return ("events.binary_roundtrip", "stream not preserved")
     body = np.column_stack([stream.t_us, stream.x, stream.y, stream.polarity > 0])

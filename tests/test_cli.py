@@ -247,21 +247,24 @@ class TestEncode:
         rel = np.abs(packed - oracle) / np.maximum(np.abs(oracle), 1e-9)
         assert rel.max() <= 1e-5
 
-    def test_env_seed_override_changes_features(self, square_events, tmp_path,
-                                                capsys, monkeypatch):
+    def test_seed_comes_from_the_config_alone(self, square_events, tmp_path,
+                                               capsys, monkeypatch):
+        """An EVPRUNE_SEED environment variable once overrode the config's seed."""
         image, evt = square_events
         cfg = write_encoder_config(tmp_path / "enc.cfg", seed=7)
-        out_a = tmp_path / "a.bin"
-        out_b = tmp_path / "b.bin"
-        assert run(capsys, "encode", str(image), str(evt), "--config", str(cfg),
-                   "--mode", "dense", "--out", str(out_a))[0] == 0
-        monkeypatch.setenv("EVPRUNE_SEED", "99")
-        code, stdout, _ = run(capsys, "encode", str(image), str(evt),
-                              "--config", str(cfg), "--mode", "dense",
-                              "--out", str(out_b))
-        assert code == 0
-        assert "param.seed=99" in stdout
-        assert out_a.read_bytes() != out_b.read_bytes()
+        outs, stdouts = [], []
+        for env_seed in (None, "99"):
+            if env_seed is not None:
+                monkeypatch.setenv("EVPRUNE_SEED", env_seed)
+            out = tmp_path / f"{env_seed}.bin"
+            code, stdout, _ = run(capsys, "encode", str(image), str(evt), "--config",
+                                  str(cfg), "--mode", "dense", "--out", str(out))
+            assert code == 0
+            outs.append(out.read_bytes())
+            stdouts.append(stdout.replace(str(out), "OUT"))
+        assert "param.seed=7" in stdouts[0]
+        assert stdouts[0] == stdouts[1]
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("mode", ["dense", "packed", "oracle"])
     @pytest.mark.parametrize("tau", ["nan", "7"])

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -9,8 +10,12 @@ from hypothesis import strategies as st
 
 from evprune import encoder
 from evprune.encoder import (
+    MAX_ENCODER_PARAMS,
     EncoderConfig,
+    EncoderWeights,
+    LayerWeights,
     _gelu,
+    _weight_count,
     encode_dense,
     encode_masked_dense_oracle,
     encode_packed,
@@ -41,6 +46,69 @@ def random_setup(rows, cols, config, seed):
     patches = patchify(image, p)
     rope = build_rope(rows, cols, config.head_dim)
     return patches, rope, init_weights(config)
+
+
+def reference_init_weights(config):
+    """The weight draw written out field by field, in the documented order."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    d = config.d_model
+    h = config.mlp_hidden
+
+    def normal(*shape, scale):
+        return rng.standard_normal(shape) * scale
+
+    w_embed = normal(config.patch_dim, d, scale=1.0 / np.sqrt(config.patch_dim))
+    b_embed = normal(d, scale=0.02)
+    layers = []
+    for _ in range(config.n_layers):
+        layers.append(LayerWeights(
+            ln1_gamma=1.0 + normal(d, scale=0.02),
+            ln1_beta=normal(d, scale=0.02),
+            wq=normal(d, d, scale=1.0 / np.sqrt(d)),
+            wk=normal(d, d, scale=1.0 / np.sqrt(d)),
+            wv=normal(d, d, scale=1.0 / np.sqrt(d)),
+            wo=normal(d, d, scale=1.0 / np.sqrt(d)),
+            ln2_gamma=1.0 + normal(d, scale=0.02),
+            ln2_beta=normal(d, scale=0.02),
+            w_up=normal(d, h, scale=1.0 / np.sqrt(d)),
+            b_up=normal(h, scale=0.02),
+            w_down=normal(h, d, scale=1.0 / np.sqrt(h)),
+            b_down=normal(d, scale=0.02),
+        ))
+    md = config.merge_dim
+    return EncoderWeights(
+        w_embed=w_embed,
+        b_embed=b_embed,
+        layers=tuple(layers),
+        w_merge1=normal(md, md, scale=1.0 / np.sqrt(md)),
+        b_merge1=normal(md, scale=0.02),
+        w_merge2=normal(md, config.d_out, scale=1.0 / np.sqrt(md)),
+        b_merge2=normal(config.d_out, scale=0.02),
+    )
+
+
+def weight_arrays(weights):
+    """(name, array) for every array of ``weights``, layers expanded in order."""
+    out = []
+    for f in dataclasses.fields(EncoderWeights):
+        if f.name == "layers":
+            out += [(f"layers[{i}].{g.name}", getattr(lw, g.name))
+                    for i, lw in enumerate(weights.layers)
+                    for g in dataclasses.fields(LayerWeights)]
+        else:
+            out.append((f.name, getattr(weights, f.name)))
+    return out
+
+
+# n_layers 0-3, merge_size 1-3, channels 1 and 3; 12 * 1.3 = 15.6 is not an integer
+WEIGHT_CONFIGS = [
+    dict(n_layers=0, merge_size=1),
+    dict(n_layers=1, merge_size=2, channels=1, seed=7),
+    dict(n_layers=2, merge_size=3, mlp_ratio=1.5, d_out=5),
+    dict(n_layers=3, merge_size=2, d_model=12, n_heads=3, mlp_ratio=1.3, seed=11),
+    dict(n_layers=3, merge_size=1, channels=1, patch_size=3, d_model=32, mlp_ratio=4.0),
+    dict(n_layers=2, merge_size=2, d_model=24, n_heads=6, mlp_ratio=2.5, d_out=9, seed=99),
+]
 
 
 def layer_norm(x, g, b):
@@ -179,6 +247,16 @@ class TestConfig:
         with pytest.raises(ValidationError, match="MAX_ENCODER_PARAMS"):
             load_encoder_config(text)
 
+    def test_layer_count_is_capped_without_building_layers(self):
+        with pytest.raises(ValidationError, match="MAX_ENCODER_PARAMS"):
+            small_config(n_layers=10**12)
+        base = _weight_count(small_config(n_layers=0))
+        per_layer = _weight_count(small_config(n_layers=1)) - base
+        most = (MAX_ENCODER_PARAMS - base) // per_layer
+        assert _weight_count(small_config(n_layers=most)) <= MAX_ENCODER_PARAMS
+        with pytest.raises(ValidationError, match="MAX_ENCODER_PARAMS"):
+            small_config(n_layers=most + 1)
+
     @pytest.mark.parametrize("ratio", [1e308, float("nan")])
     def test_rejects_unrepresentable_mlp_width(self, ratio):
         with pytest.raises(ValidationError, match="mlp_ratio"):
@@ -253,6 +331,23 @@ class TestInitWeights:
         w1 = init_weights(small_config(seed=1))
         w2 = init_weights(small_config(seed=2))
         assert not np.array_equal(w1.w_embed, w2.w_embed)
+
+    @pytest.mark.parametrize("overrides", WEIGHT_CONFIGS)
+    def test_matches_the_field_by_field_draw(self, overrides):
+        config = small_config(**overrides)
+        got = weight_arrays(init_weights(config))
+        want = weight_arrays(reference_init_weights(config))
+        assert [name for name, _ in got] == [name for name, _ in want]
+        assert len(got) == 6 + 12 * config.n_layers
+        for (name, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("overrides", WEIGHT_CONFIGS)
+    def test_weight_count_is_the_drawn_size(self, overrides):
+        config = small_config(**overrides)
+        assert _weight_count(config) == sum(
+            a.size for _, a in weight_arrays(init_weights(config)))
 
     def test_seed_zero_reference_vector(self):
         # first standard normal draw of the documented generator for

@@ -67,6 +67,22 @@ class TestCsv:
         assert len(stream) == 0
         assert (stream.sensor_width, stream.sensor_height) == (4, 2)
 
+    def test_directives_split_on_ascii_space_and_tab_only(self):
+        stream = read_events_csv("#\twidth  4\n # height\t\t3 \n1,2,2,1\n")
+        assert (stream.sensor_width, stream.sensor_height) == (4, 3)
+        # U+3000 and NBSP do not separate: line 1 is the header, line 2 a bad row
+        with pytest.raises(FormatError, match="line 2"):
+            read_events_csv("# width\u3000 4\n# height\xa03\n1,2,2,1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("# width -4\n1,0,0,1\n", "line 1: width must be non-negative, got -4"),
+        ("# width -4\n", "line 1: width must be non-negative, got -4"),
+        ("# width 4\n# height -1\n", "line 2: height must be non-negative, got -1"),
+    ], ids=["width_before_an_event", "width_alone", "height_on_line_2"])
+    def test_negative_directive_names_its_line(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            read_events_csv(text)
+
     def test_out_of_bounds_against_declared_dims(self):
         with pytest.raises(ValidationError, match="line"):
             read_events_csv(b"# width 4\n# height 2\n10,9,0,1\n")

@@ -38,6 +38,14 @@ class TestPpm:
         with pytest.raises(FormatError, match="non-numeric PPM header"):
             read_ppm(header + bytes(30))
 
+    @pytest.mark.parametrize("byte", [b"\x0b", b"\x0c"], ids=["VT", "FF"])
+    def test_vertical_tab_and_form_feed_are_not_header_whitespace(self, byte):
+        assert read_ppm(b"P6 1\t1\r255\n" + bytes(3)).shape == (1, 1, 3)
+        with pytest.raises(FormatError, match="non-numeric PPM header"):
+            read_ppm(b"P6 1" + byte + b"1 1 255\n" + bytes(3))
+        with pytest.raises(FormatError, match="not terminated by whitespace"):
+            read_ppm(b"P6 1 1 255" + byte + bytes(3))
+
     def test_rejects_wrong_magic(self):
         with pytest.raises(FormatError):
             read_ppm(b"P5\n2 1\n255\n" + bytes(2))
