@@ -45,7 +45,6 @@ from .ppm import read_ppm, to_gray01, write_ppm
 from .rope2d import RopeTable, apply_rope, apply_rope_many, build_rope, rope_matrix
 from .saliency import (
     PatchMask,
-    SaliencyMap,
     apply_mask_to_image,
     mask_from_text,
     mask_to_text,

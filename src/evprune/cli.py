@@ -57,7 +57,8 @@ from .packing import pack_patches
 from .ppm import read_ppm, to_gray01, write_ppm
 from .rope2d import build_rope
 from .saliency import (
-    _merge_grid, apply_mask_to_image, check_fill, mask_to_text, patch_scores, quantile_mask)
+    _merge_grid, apply_mask_to_image, check_fill, check_tau, mask_to_text, patch_scores,
+    quantile_mask)
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -120,12 +121,6 @@ def _parse_fill(text: str) -> tuple[int, int, int]:
     return vals
 
 
-def _check_tau(tau: float) -> float:
-    if not 0.0 <= tau <= 1.0:
-        raise ValidationError(f"tau must be in [0, 1], got {tau}")
-    return tau
-
-
 def _manifest(subcommand: str, pairs: list[tuple[str, object]]) -> None:
     print(f"manifest.tool=evprune {__version__}")
     print(f"manifest.subcommand={subcommand}")
@@ -146,10 +141,8 @@ def _event_mask(args, image: np.ndarray, patch_size: int, merge_size: int):
     patch scores -> exact-quantile retention mask."""
     stream = _read_event_file(args.events)
     t0, t1 = _parse_window(getattr(args, "window", None), stream)
-    frame = accumulate(stream, t0, t1)
-    frame = resize_to(frame, image.shape[1], image.shape[0])
-    smap = patch_scores(frame, patch_size)
-    return quantile_mask(smap, args.tau, merge_size), (t0, t1)
+    frame = resize_to(accumulate(stream, t0, t1), image.shape[1], image.shape[0])
+    return quantile_mask(patch_scores(frame, patch_size), args.tau, merge_size), (t0, t1)
 
 
 def cmd_simulate(args) -> int:
@@ -173,7 +166,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mask(args) -> int:
-    _check_tau(args.tau)
+    check_tau(args.tau)
     fill = _parse_fill(args.fill)
     if args.out_mask is None and args.out_image is None:
         raise ValidationError("need --out-mask and/or --out-image")
@@ -208,7 +201,7 @@ def cmd_mask(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    _check_tau(args.tau)
+    check_tau(args.tau)
     text = decode_ascii(_read_bytes(args.config), "encoder config")
     config = load_encoder_config(text)
     image = read_ppm(_read_bytes(args.image))
@@ -259,7 +252,7 @@ def cmd_flops(args) -> int:
     profile = _load_profile_arg(args.profile)
     height, width = _parse_size(args.image_size)
     work = costmodel.WorkloadSpec(
-        image_height=height, image_width=width, tau=_check_tau(args.tau),
+        image_height=height, image_width=width, tau=args.tau,
         text_tokens=args.text_tokens, decode_tokens=args.decode)
     report = costmodel.estimate(profile, work)
 

@@ -32,7 +32,7 @@ from importlib import resources
 from .errors import ValidationError
 from .kvtext import (check_field_types, check_keys, decode_ascii, parse_kv, parse_record,
                      record_keys)
-from .saliency import _merge_grid, retained_count
+from .saliency import _merge_grid, check_tau, retained_count
 
 _STAGES = ("vit_attention", "vit_mlp", "merge", "llm_prefill", "llm_decode")
 
@@ -113,8 +113,7 @@ class WorkloadSpec:
         check_field_types(self)
         if self.image_height < 0 or self.image_width < 0:
             raise ValidationError("image dimensions must be non-negative")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValidationError(f"tau must be in [0, 1], got {self.tau}")
+        check_tau(self.tau)
         if self.text_tokens < 0 or self.decode_tokens < 0:
             raise ValidationError("token counts must be non-negative")
 

@@ -8,7 +8,8 @@ Core objects
   ``EventStream(width, height, t_us, x, y, polarity)``, takes integer
   columns, sorts and validates them and keeps its own copies. Every reader,
   writer and the simulator work on these columns directly.
-- EventFrame: a per-pixel accumulation of events over a temporal window.
+- EventFrame: event counts per cell: per pixel over a temporal window, or
+  per patch as saliency scores.
 
 File formats
 ------------
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, as_size, real_array
 
 EVT1_MAGIC = b"EVT1"
 EVT1_VERSION = 1
@@ -149,18 +150,17 @@ def _checked_column(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EventFrame:
-    """Per-pixel finite, non-negative accumulation, shape (height, width)."""
+    """Finite, non-negative event counts per cell, shape (height, width): per
+    pixel for a windowed frame, per patch for ``saliency.patch_scores``."""
 
     counts: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.counts, dtype=np.float64)
+        arr = np.array(real_array(self.counts, "counts"), dtype=np.float64)
         if arr.ndim != 2:
             raise ValidationError("counts must be a 2D array")
-        if not np.isfinite(arr).all():
-            raise ValidationError("counts must be finite")
-        if np.any(arr < 0):
-            raise ValidationError("counts must be non-negative")
+        if not (np.isfinite(arr).all() and (arr >= 0).all()):
+            raise ValidationError("counts must be finite and non-negative")
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
 
@@ -361,8 +361,7 @@ def resize_to(frame: EventFrame, width: int, height: int) -> EventFrame:
     pure coordinate rebinning, no interpolation, so no fractional
     pseudo-events are introduced.
     """
-    if width < 1 or height < 1:
-        raise ValidationError("target dimensions must be >= 1")
+    width, height = as_size(width, "target width"), as_size(height, "target height")
     if width == frame.width and height == frame.height:
         return frame
     ys = (np.arange(frame.height, dtype=np.int64) * height) // frame.height

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real_array
 from .rope2d import _as_positions
 from .saliency import PatchMask
 
@@ -28,7 +28,7 @@ class PackedSequence:
     origin_grid: tuple[int, int]
 
     def __post_init__(self):
-        arr = np.asarray(self.tokens, dtype=np.float64)
+        arr = np.array(real_array(self.tokens, "tokens"), dtype=np.float64)
         if arr.ndim != 2:
             raise ValidationError("tokens must be a 2D matrix")
         kept = _as_positions(self.kept)
@@ -48,7 +48,6 @@ class PackedSequence:
             raise ValidationError(f"coordinate ({i}, {j}) outside grid {self.origin_grid}")
         if bad.size:
             raise ValidationError("kept coordinates must be strictly raster-increasing")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "tokens", arr)
         object.__setattr__(self, "kept", kept)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_size, real_array
 
 
 def _thetas(d: int) -> np.ndarray:
@@ -38,12 +38,19 @@ class RopeTable:
     cos_col: np.ndarray  # (cols, d/4)
     sin_col: np.ndarray
 
+    def __post_init__(self):
+        rows, cols, d = (as_size(getattr(self, name), name) for name in ("rows", "cols", "d"))
+        if d % 4:
+            raise ValidationError(f"embedding dimension must be divisible by 4, got {d}")
+        for name in ("cos_row", "sin_row", "cos_col", "sin_col"):
+            arr = real_array(getattr(self, name), name)
+            shape = (rows if name.endswith("row") else cols, d // 4)
+            if arr.shape != shape:
+                raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
+            object.__setattr__(self, name, arr)
+
 
 def build_rope(rows: int, cols: int, d: int) -> RopeTable:
-    if d < 4 or d % 4 != 0:
-        raise ValidationError(f"embedding dimension must be divisible by 4, got {d}")
-    if rows < 1 or cols < 1:
-        raise ValidationError("grid extent must be >= 1")
     theta = _thetas(d)
     row_angles = np.arange(rows, dtype=np.float64)[:, None] * theta[None, :]
     col_angles = np.arange(cols, dtype=np.float64)[:, None] * theta[None, :]
@@ -57,7 +64,7 @@ def build_rope(rows: int, cols: int, d: int) -> RopeTable:
 def _as_positions(positions) -> np.ndarray:
     """A read-only (n, 2) integer copy of packed coordinates or token
     positions. Floats are rejected, not truncated."""
-    arr = np.asarray(positions)
+    arr = real_array(positions, "positions")
     if arr.ndim != 2 or arr.shape[1] != 2 or not np.issubdtype(arr.dtype, np.integer):
         raise ValidationError(
             f"positions must be an (n, 2) integer array, got {arr.dtype} {arr.shape}")

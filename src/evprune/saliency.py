@@ -1,9 +1,9 @@
 """Per-patch motion scores and quantile retention masks.
 
 An event frame is cut into non-overlapping p x p patches (trailing pixels
-beyond the last full patch are ignored). Each patch scores the l1 sum of
-the frame values it covers; a mask then retains exactly the top fraction
-of scoring units.
+beyond the last full patch are ignored). Each patch scores the number of
+events it covers, and the scores are again an ``EventFrame``, one cell
+per patch; a mask then retains exactly the top fraction of scoring units.
 
 Retention is an exact-k contract rather than a literal quantile cut:
 units are ordered by (score descending, raster index ascending) and the
@@ -17,13 +17,13 @@ Mask text format: first line ``rows cols tau``, then ``rows`` lines of
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, as_size, real_array
 from .events import EventFrame
 
 # Tolerance for tau*n landing a hair above an integer due to binary
@@ -31,10 +31,15 @@ from .events import EventFrame
 _CEIL_GUARD = 1e-9
 
 
+def check_tau(tau: float) -> None:
+    """A fraction tau is a real number in [0, 1], never a bool; else a ValidationError."""
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or not 0 <= tau <= 1:
+        raise ValidationError(f"tau must be in [0, 1], got {tau!r}")
+
+
 def retained_count(tau: float, n: int) -> int:
     """ceil(tau * n), clamped to [0, n], robust to float representation noise."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValidationError(f"retention fraction must lie in [0, 1], got {tau}")
+    check_tau(tau)
     if n < 0:
         raise ValidationError("unit count must be non-negative")
     k = math.ceil(tau * n - _CEIL_GUARD)
@@ -44,12 +49,7 @@ def retained_count(tau: float, n: int) -> int:
 def _blocks(a: np.ndarray, size: int) -> np.ndarray:
     """(rows, cols, size, size, ...) view of the whole size x size blocks of
     ``a`` in raster order; trailing rows and columns are left out."""
-    try:
-        size = operator.index(size)
-    except TypeError:
-        raise ValidationError(f"patch size must be an integer, got {size!r}") from None
-    if size < 1:
-        raise ValidationError(f"patch size must be >= 1, got {size}")
+    size = as_size(size, "patch size")
     rows, cols = a.shape[0] // size, a.shape[1] // size
     cropped = a[: rows * size, : cols * size]
     return cropped.reshape(rows, size, cols, size, *a.shape[2:]).swapaxes(1, 2)
@@ -58,41 +58,11 @@ def _blocks(a: np.ndarray, size: int) -> np.ndarray:
 def _merge_grid(rows: int, cols: int, merge_size: int) -> tuple[int, int]:
     """The grid of merge_size x merge_size cells that tiles a rows x cols
     patch grid; a grid the cells do not tile is a ValidationError."""
-    if merge_size < 1:
-        raise ValidationError("merge size must be >= 1")
+    merge_size = as_size(merge_size, "merge size")
     if rows % merge_size or cols % merge_size:
         raise ValidationError(
             f"patch grid {rows}x{cols} not divisible by merge size {merge_size}")
     return rows // merge_size, cols // merge_size
-
-
-@dataclass(frozen=True, eq=False)
-class SaliencyMap:
-    """Per-patch finite, non-negative motion scores on a rows x cols grid."""
-
-    scores: np.ndarray
-    patch_size: int
-
-    def __post_init__(self):
-        arr = np.array(self.scores, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValidationError("scores must be a 2D array")
-        if not np.isfinite(arr).all():
-            raise ValidationError("scores must be finite")
-        if np.any(arr < 0):
-            raise ValidationError("scores must be non-negative")
-        if self.patch_size < 1:
-            raise ValidationError("patch size must be >= 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "scores", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.scores.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,13 +78,13 @@ class PatchMask:
     tau: float
 
     def __post_init__(self):
-        arr = np.array(self.bits, dtype=np.uint8)
-        if arr.ndim != 2:
+        raw = real_array(self.bits, "mask bits")  # checked before the uint8 cast
+        if raw.ndim != 2:
             raise ValidationError("mask bits must be a 2D array")
-        if not np.all((arr == 0) | (arr == 1)):
+        if not np.all((raw == 0) | (raw == 1)):
             raise ValidationError("mask bits must be 0 or 1")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValidationError(f"tau must lie in [0, 1], got {self.tau}")
+        check_tau(self.tau)
+        arr = np.array(raw, dtype=np.uint8)
         arr.flags.writeable = False
         object.__setattr__(self, "bits", arr)
 
@@ -131,22 +101,18 @@ class PatchMask:
         return int(self.bits.sum())
 
 
-def patch_scores(frame: EventFrame, patch_size: int) -> SaliencyMap:
-    """Sum |counts| over each full p x p block of the frame.
-
-    The grid is floor(height/p) x floor(width/p); trailing rows and
-    columns that do not fill a patch are discarded.
-    """
-    p = patch_size
-    if frame.height < p or frame.width < p:
+def patch_scores(frame: EventFrame, patch_size: int) -> EventFrame:
+    """Per-patch event counts: the sum over each full p x p block of the frame, as
+    an EventFrame of floor(height/p) x floor(width/p) cells; trailing pixels are dropped."""
+    blocks = _blocks(frame.counts, patch_size)
+    if 0 in blocks.shape[:2]:
         raise ValidationError(
-            f"patch size {p} exceeds frame {frame.width}x{frame.height}"
-        )
-    return SaliencyMap(_blocks(np.abs(frame.counts), p).sum(axis=(2, 3)), p)
+            f"patch size {patch_size} exceeds frame {frame.width}x{frame.height}")
+    return EventFrame(blocks.sum(axis=(2, 3)))
 
 
-def quantile_mask(smap: SaliencyMap, tau: float, merge_size: int = 1) -> PatchMask:
-    """Retain exactly the top ceil(tau * N) scoring units.
+def quantile_mask(scores: EventFrame, tau: float, merge_size: int = 1) -> PatchMask:
+    """Retain exactly the top ceil(tau * N) units of a per-patch score grid.
 
     With merge_size == 1 the units are individual patches. With
     merge_size m > 1 the units are m x m patch groups (group score = sum
@@ -154,13 +120,13 @@ def quantile_mask(smap: SaliencyMap, tau: float, merge_size: int = 1) -> PatchMa
     mask never splits a merge cell. Ties are broken by raster index, so
     the result is deterministic and scale-invariant.
     """
-    g_rows, g_cols = _merge_grid(smap.rows, smap.cols, merge_size)
-    unit_scores = _blocks(smap.scores, merge_size).sum(axis=(2, 3))
+    g_rows, g_cols = _merge_grid(scores.height, scores.width, merge_size)
+    unit_scores = _blocks(scores.counts, merge_size).sum(axis=(2, 3))
     k = retained_count(tau, g_rows * g_cols)
     order = np.argsort(-unit_scores.ravel(), kind="stable")
     unit_bits = np.zeros(g_rows * g_cols, dtype=np.uint8)
     unit_bits[order[:k]] = 1
-    bits = np.empty((smap.rows, smap.cols), dtype=np.uint8)
+    bits = np.empty((scores.height, scores.width), dtype=np.uint8)
     _blocks(bits, merge_size)[...] = unit_bits.reshape(g_rows, g_cols, 1, 1)
     return PatchMask(bits, tau)
 
@@ -197,10 +163,8 @@ def apply_mask_to_image(
 
 
 def mask_to_text(mask: PatchMask) -> str:
-    lines = [f"{mask.rows} {mask.cols} {mask.tau!r}"]
-    for u in range(mask.rows):
-        lines.append(" ".join(str(int(b)) for b in mask.bits[u]))
-    return "\n".join(lines) + "\n"
+    rows = (" ".join(map(str, row)) for row in mask.bits.tolist())
+    return "\n".join([f"{mask.rows} {mask.cols} {mask.tau!r}", *rows]) + "\n"
 
 
 def mask_from_text(text: str) -> PatchMask:

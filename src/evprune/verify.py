@@ -76,9 +76,9 @@ def rope_errors(table: rope2d.RopeTable, a: tuple[int, int], b: tuple[int, int],
     }
 
 
-def check_mask_laws(smap: saliency.SaliencyMap, lower: saliency.PatchMask,
+def check_mask_laws(scores: events.EventFrame, lower: saliency.PatchMask,
                     upper: saliency.PatchMask, scale: float) -> Violation | None:
-    """Patch-granularity ``quantile_mask`` masks of ``smap`` at ``lower.tau <=
+    """Patch-granularity ``quantile_mask`` masks of ``scores`` at ``lower.tau <=
     upper.tau`` nest; each keeps exactly ceil(tau * N - 1e-9) patches clamped
     to [0, N] (exact rational arithmetic on the float tau and guard, the
     guard being ``retained_count``'s), none scoring below a dropped one, and
@@ -87,7 +87,7 @@ def check_mask_laws(smap: saliency.SaliencyMap, lower: saliency.PatchMask,
     if np.any(lower.bits > upper.bits):
         return ("saliency.nesting",
                 f"retained set at tau={lower.tau} not inside tau={upper.tau}")
-    flat = smap.scores.ravel()
+    flat = scores.counts.ravel()
     n = flat.size
     for mask in (lower, upper):
         kept = mask.bits.ravel().astype(bool)
@@ -100,7 +100,7 @@ def check_mask_laws(smap: saliency.SaliencyMap, lower: saliency.PatchMask,
                     f"min retained {flat[kept].min()} < max dropped {flat[~kept].max()}")
         if np.unique(flat).size == 1 and not np.array_equal(kept, np.arange(n) < mask.k):
             return ("saliency.raster_tie_break", "constant map kept no raster prefix")
-    scaled = saliency.SaliencyMap(smap.scores * scale, smap.patch_size)
+    scaled = events.EventFrame(scores.counts * scale)
     if not np.array_equal(saliency.quantile_mask(scaled, upper.tau).bits, upper.bits):
         return ("saliency.scale_invariance", f"mask changed when scores scaled by {scale}")
     return None
@@ -218,11 +218,11 @@ def _rope_case(rng: np.random.Generator, fault: bool, d: int) -> Violation | Non
 
 def _saliency_case(rng: np.random.Generator, fault: bool) -> Violation | None:
     rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-    smap = saliency.SaliencyMap(rng.random((rows, cols)), patch_size=4)
-    lower, upper = (saliency.quantile_mask(smap, tau) for tau in sorted(rng.random(2)))
+    scores = events.EventFrame(rng.random((rows, cols)))
+    lower, upper = (saliency.quantile_mask(scores, tau) for tau in sorted(rng.random(2)))
     if fault:
         upper = saliency.PatchMask(1 - upper.bits, upper.tau)
-    return check_mask_laws(smap, lower, upper, 7.5)
+    return check_mask_laws(scores, lower, upper, 7.5)
 
 
 def _events_roundtrip_case(rng: np.random.Generator, fault: bool) -> Violation | None:
@@ -256,8 +256,8 @@ def _pack_case(rng: np.random.Generator, fault: bool) -> Violation | None:
 
 def _encoder_case(rng: np.random.Generator, fault: bool, side: int, case: int) -> Violation | None:
     patches = encoder.patchify(rng.random((side * 2, side * 2)), 2)
-    smap = saliency.SaliencyMap(rng.random((side, side)), 2)
-    mask = saliency.quantile_mask(smap, (0.25, 0.5, 0.75)[case % 3])
+    scores = events.EventFrame(rng.random((side, side)))
+    mask = saliency.quantile_mask(scores, (0.25, 0.5, 0.75)[case % 3])
     d_model = 32 if case % 2 else 16
     config = encoder.EncoderConfig(
         patch_size=2, channels=1, d_model=d_model, n_layers=2, n_heads=2,

@@ -28,7 +28,6 @@ from evprune.featio import read_features, write_features
 from evprune.packing import pack_patches
 from evprune.rope2d import build_rope
 from evprune.saliency import (
-    SaliencyMap,
     mask_from_text,
     patch_scores,
     quantile_mask,
@@ -74,8 +73,7 @@ def test_criterion_1_packed_equivalence():
                         seed=int(rng.integers(0, 2**31)))
                     image = rng.random((side * 2, side * 2, 3))
                     patches = patchify(image, config.patch_size)
-                    scores = SaliencyMap(rng.random((side, side)),
-                                         config.patch_size)
+                    scores = EventFrame(rng.random((side, side)))
                     mask = quantile_mask(scores, tau)
                     rope = build_rope(side, side, config.head_dim)
                     weights = init_weights(config)
@@ -190,7 +188,7 @@ def test_criterion_5_mask_properties():
             scores = np.full((rows, cols), float(rng.random()) + 0.5)
         else:
             scores = rng.random((rows, cols)) * float(10.0 ** rng.integers(-3, 4))
-        smap = SaliencyMap(scores, patch_size=1)
+        smap = EventFrame(scores)
         tau = float(rng.random())
 
         mask = quantile_mask(smap, tau)
@@ -302,8 +300,8 @@ def test_criterion_8_patch_scores_brute_force():
             for c in range(cols):
                 want[r, c] = frame.counts[r * p:(r + 1) * p,
                                           c * p:(c + 1) * p].sum()
-        assert smap.scores.shape == (rows, cols)
-        assert np.array_equal(smap.scores, want)
+        assert smap.counts.shape == (rows, cols)
+        assert np.array_equal(smap.counts, want)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _report(8, "patch score brute force", f"100 frames, {elapsed:.1f}s")

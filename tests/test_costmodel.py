@@ -16,8 +16,9 @@ from evprune.costmodel import (
     shipped_profile_names,
 )
 from evprune.errors import FormatError, ValidationError
+from evprune.events import EventFrame
 from evprune.packing import pack_patches
-from evprune.saliency import SaliencyMap, quantile_mask, retained_count
+from evprune.saliency import quantile_mask, retained_count
 
 
 def toy_profile(d_vit=64, d_llm=128, merge=1):
@@ -109,7 +110,7 @@ class TestEstimate:
         rng = np.random.Generator(np.random.PCG64(3))
         for tau in (0.0, 0.3, 0.45, 0.7, 1.0):
             report = estimate(prof, WorkloadSpec(32, 32, tau, 5, 0))
-            smap = SaliencyMap(rng.random((8, 8)), 4)
+            smap = EventFrame(rng.random((8, 8)))
             mask = quantile_mask(smap, 1.0 - tau, merge_size=2)
             packed = pack_patches(rng.standard_normal((64, 3)), mask)
             assert report.visual_tokens_retained == mask.k == len(packed)

@@ -25,9 +25,10 @@ from evprune.encoder import (
     patchify,
 )
 from evprune.errors import FormatError, ValidationError
+from evprune.events import EventFrame
 from evprune.packing import PackedSequence, pack_patches, unpack_scatter
 from evprune.rope2d import build_rope
-from evprune.saliency import PatchMask, SaliencyMap, quantile_mask
+from evprune.saliency import PatchMask, quantile_mask
 from evprune.verify import max_rel_err
 
 
@@ -459,7 +460,7 @@ class TestPackedVsOracle:
         config = small_config(d_model=32, n_heads=4)
         patches, rope, weights = random_setup(8, 8, config, seed=13)
         mask = quantile_mask(
-            SaliencyMap(np.random.Generator(np.random.PCG64(14)).random((8, 8)), 2),
+            EventFrame(np.random.Generator(np.random.PCG64(14)).random((8, 8))),
             0.5,
         )
         packed = encode_packed(pack_patches(patches, mask), rope, weights, config)
@@ -505,8 +506,7 @@ class TestMergeProject:
     def test_sparse_equals_dense_restriction(self):
         config = small_config(merge_size=2, d_out=12)
         patches, rope, weights = random_setup(4, 4, config, seed=19)
-        scores = SaliencyMap(
-            np.random.Generator(np.random.PCG64(20)).random((4, 4)), 2)
+        scores = EventFrame(np.random.Generator(np.random.PCG64(20)).random((4, 4)))
         mask = quantile_mask(scores, 0.5, merge_size=2)
         dense_merged = merge_project(
             encode_masked_dense_oracle(patches, rope, mask, weights, config),
@@ -558,7 +558,7 @@ class TestMergeProject:
         per kept merge group, on the cell grid, each scattering back to its cell."""
         config = small_config(merge_size=2, d_out=12)
         patches, rope, weights = random_setup(6, 8, config, seed=24)
-        scores = SaliencyMap(np.random.Generator(np.random.PCG64(25)).random((6, 8)), 2)
+        scores = EventFrame(np.random.Generator(np.random.PCG64(25)).random((6, 8)))
         mask = quantile_mask(scores, 0.4, merge_size=2)
         runs = {
             "packed": encode_packed(pack_patches(patches, mask), rope, weights, config),

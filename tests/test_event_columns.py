@@ -212,6 +212,22 @@ class TestEventFrameFinite:
         with pytest.raises(ValidationError, match="finite"):
             EventFrame(np.array([[1.0, bad]]))
 
+    @pytest.mark.parametrize("counts, match", [
+        ("abc", "real numbers"),
+        ([[1, 2], [3]], "rectangular"),
+        (np.array([[1 + 2j, 3]]), "real numbers"),
+        (np.array([[1, None]], dtype=object), "real numbers"),
+    ], ids=["str", "ragged", "complex", "object"])
+    def test_non_real_counts_rejected_before_the_float_copy(self, counts, match):
+        # "abc" and the ragged list raised numpy's ValueError; complex counts
+        # were accepted with their imaginary part dropped
+        with pytest.raises(ValidationError, match=match):
+            EventFrame(counts)
+
+    def test_bool_int_and_float_counts_are_accepted(self):
+        for counts in ([[True, False]], [[1, 0]], np.array([[1.0, 0.0]], dtype=np.float32)):
+            assert EventFrame(counts).counts.tolist() == [[1.0, 0.0]]
+
 
 # ------------------------------------------------------------------ fuzzing
 

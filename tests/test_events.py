@@ -203,6 +203,16 @@ class TestResize:
         out = resize_to(frame, 5, 7)
         assert out.total() == frame.total()
 
+    @pytest.mark.parametrize("width, height, match", [
+        (1.5, 1, "target width must be an integer"),
+        (1, "2", "target height must be an integer"),
+        (0, 1, "target width must be >= 1"),
+    ])
+    def test_rejects_sizes_that_are_not_positive_integers(self, width, height, match):
+        # 1.5 raised TypeError from np.zeros
+        with pytest.raises(ValidationError, match=match):
+            resize_to(EventFrame(np.ones((2, 2))), width, height)
+
 
 class TestSimulate:
     def test_static_scene_is_empty(self):

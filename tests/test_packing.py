@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evprune.errors import ValidationError
+from evprune.events import EventFrame
 from evprune.packing import (
     PackedSequence,
     pack_patches,
     unpack_scatter,
 )
-from evprune.saliency import PatchMask, SaliencyMap, quantile_mask, retained_count
+from evprune.saliency import PatchMask, quantile_mask, retained_count
 
 
 def mask_of(bits_2d):
@@ -68,6 +69,18 @@ class TestPackedSequence:
     def test_rejects_coordinates_not_shaped_n_by_2(self, kept):
         with pytest.raises(ValidationError, match=r"\(n, 2\) integer array"):
             PackedSequence(np.zeros((1, 2)), kept, (3, 3))
+
+    @pytest.mark.parametrize("tokens, match", [
+        ("x", "real numbers"),
+        ([[1.0, 2.0], [3.0]], "rectangular"),
+        (np.array([[1j], [2.0]]), "real numbers"),
+    ], ids=["str", "ragged", "complex"])
+    def test_rejects_non_real_tokens(self, tokens, match):
+        # the str and the ragged rows raised numpy's ValueError
+        with pytest.raises(ValidationError, match=match):
+            PackedSequence(tokens, np.array([[0, 0], [0, 1]]), (1, 2))
+        with pytest.raises(ValidationError, match=match):
+            PackedSequence(tokens, np.zeros((0, 2), int), (1, 1))
 
     def test_fields_are_read_only(self):
         kept = np.array([[0, 1], [1, 0]])
@@ -161,7 +174,7 @@ class TestQuantileMaskIntegration:
            st.floats(0, 1, allow_nan=False), st.integers(0, 2**31))
     def test_packed_length_follows_ceil_law(self, rows, cols, tau, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
-        smap = SaliencyMap(rng.random((rows, cols)), 4)
+        smap = EventFrame(rng.random((rows, cols)))
         mask = quantile_mask(smap, tau)
         tokens = rng.standard_normal((rows * cols, 5))
         packed = pack_patches(tokens, mask)

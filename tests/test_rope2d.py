@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from evprune.errors import ValidationError
 from evprune.rope2d import (
+    RopeTable,
     apply_rope,
     apply_rope_many,
     build_rope,
@@ -47,6 +48,16 @@ class TestTable:
     def test_rejects_empty_extent(self):
         with pytest.raises(ValidationError):
             build_rope(0, 2, 4)
+
+    def test_rejects_tables_that_do_not_fit_the_grid(self):
+        # accepted before; apply_rope_many then failed with IndexError
+        with pytest.raises(ValidationError, match=r"cos_row must have shape \(4, 2\)"):
+            RopeTable(4, 4, 8, *[np.zeros((1, 2))] * 4)
+        rows, cols = np.zeros((4, 2)), np.zeros((3, 2))
+        with pytest.raises(ValidationError, match=r"cos_col must have shape \(4, 2\)"):
+            RopeTable(4, 4, 8, rows, rows, cols, cols)
+        with pytest.raises(ValidationError, match="d must be an integer"):
+            RopeTable(4, 4, 8.0, *[np.zeros((4, 2))] * 4)
 
 
 class TestApply:

@@ -9,7 +9,6 @@ from evprune.errors import FormatError, ValidationError
 from evprune.events import EventFrame
 from evprune.saliency import (
     PatchMask,
-    SaliencyMap,
     _blocks,
     apply_mask_to_image,
     mask_from_text,
@@ -31,7 +30,7 @@ def score_grids(draw):
             max_size=rows * cols,
         )
     )
-    return SaliencyMap(np.array(scores).reshape(rows, cols), patch_size=4)
+    return EventFrame(np.array(scores).reshape(rows, cols))
 
 
 class TestRetainedCount:
@@ -70,19 +69,19 @@ class TestPatchScores:
 
     def test_all_zero_frame(self):
         smap = patch_scores(EventFrame(np.zeros((4, 4))), 2)
-        assert np.array_equal(smap.scores, np.zeros((2, 2)))
+        assert np.array_equal(smap.counts, np.zeros((2, 2)))
 
     def test_single_count_lands_in_its_patch(self):
         counts = np.zeros((4, 4))
         counts[0, 0] = 3
         smap = patch_scores(EventFrame(counts), 2)
-        assert np.array_equal(smap.scores, np.array([[3.0, 0.0], [0.0, 0.0]]))
+        assert np.array_equal(smap.counts, np.array([[3.0, 0.0], [0.0, 0.0]]))
 
     def test_matches_double_loop_on_non_divisible_frame(self):
         rng = np.random.Generator(np.random.PCG64(17))
         counts = rng.integers(0, 7, size=(9, 7)).astype(np.float64)
         smap = patch_scores(EventFrame(counts), 2)
-        assert smap.scores.shape == (4, 3)
+        assert smap.counts.shape == (4, 3)
         for u in range(4):
             for v in range(3):
                 want = sum(
@@ -90,15 +89,15 @@ class TestPatchScores:
                     for y in range(2 * u, 2 * u + 2)
                     for x in range(2 * v, 2 * v + 2)
                 )
-                assert smap.scores[u, v] == want
+                assert smap.counts[u, v] == want
 
     def test_score_total_bounded_by_frame_total(self):
         rng = np.random.Generator(np.random.PCG64(23))
         counts = rng.integers(0, 5, size=(10, 11)).astype(np.float64)
         smap = patch_scores(EventFrame(counts), 3)
-        assert smap.scores.sum() <= counts.sum()
+        assert smap.counts.sum() <= counts.sum()
         divisible = patch_scores(EventFrame(counts[:9, :9]), 3)
-        assert divisible.scores.sum() == counts[:9, :9].sum()
+        assert divisible.counts.sum() == counts[:9, :9].sum()
 
     def test_rejects_patch_larger_than_frame(self):
         with pytest.raises(ValidationError):
@@ -107,7 +106,7 @@ class TestPatchScores:
 
 class TestQuantileMask:
     def test_top_two_of_four(self):
-        smap = SaliencyMap(np.array([[3.0, 1.0, 4.0, 1.0]]), 4)
+        smap = EventFrame(np.array([[3.0, 1.0, 4.0, 1.0]]))
         mask = quantile_mask(smap, 0.5)
         assert mask.bits.tolist() == [[1, 0, 1, 0]]
 
@@ -115,17 +114,17 @@ class TestQuantileMask:
     def test_non_finite_score_rejected(self, bad):
         # a NaN score used to be ranked silently: [nan, 1, .5, .2] kept [0 1 1 0]
         with pytest.raises(ValidationError, match="finite"):
-            SaliencyMap(np.array([[bad, 1.0, 0.5, 0.2]]), 4)
+            EventFrame(np.array([[bad, 1.0, 0.5, 0.2]]))
 
     def test_raster_tie_break_on_equal_scores(self):
-        smap = SaliencyMap(np.full((1, 4), 2.0), 4)
+        smap = EventFrame(np.full((1, 4), 2.0))
         mask = quantile_mask(smap, 0.5)
         assert mask.bits.tolist() == [[1, 1, 0, 0]]
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.Generator(np.random.PCG64(29))
         scores = rng.random((8, 8))
-        mask = quantile_mask(SaliencyMap(scores, 4), 0.3)
+        mask = quantile_mask(EventFrame(scores), 0.3)
         k = math.ceil(0.3 * 64)
         assert k == 20 and mask.k == 20
         order = sorted(range(64), key=lambda i: (-scores.ravel()[i], i))
@@ -136,7 +135,7 @@ class TestQuantileMask:
     def test_merge_group_granularity(self):
         rng = np.random.Generator(np.random.PCG64(31))
         scores = rng.random((4, 4))
-        mask = quantile_mask(SaliencyMap(scores, 4), 0.5, merge_size=2)
+        mask = quantile_mask(EventFrame(scores), 0.5, merge_size=2)
         # 4 groups, ceil(0.5*4)=2 kept, each expanded to a full 2x2 cell
         assert mask.k == 8
         cells = mask.bits.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
@@ -150,7 +149,7 @@ class TestQuantileMask:
             [2.0, 2.0, 0.0, 0.0],
             [2.0, 2.0, 0.0, 0.0],
         ])
-        mask = quantile_mask(SaliencyMap(scores, 4), 0.25, merge_size=2)
+        mask = quantile_mask(EventFrame(scores), 0.25, merge_size=2)
         # group sums: 9, 4, 8, 0 -> the top-left group wins
         assert mask.bits[:2, :2].sum() == 4
         assert mask.k == 4
@@ -169,15 +168,15 @@ class TestQuantileMask:
         unit_bits[np.argsort(-sums.ravel(), kind="stable")[:retained_count(tau, sums.size)]] = 1
         want = np.repeat(np.repeat(unit_bits.reshape(g_rows, g_cols), m, axis=0), m, axis=1)
         assert np.array_equal(_blocks(scores, m).sum(axis=(2, 3)), sums)
-        assert np.array_equal(quantile_mask(SaliencyMap(scores, 4), tau, m).bits, want)
+        assert np.array_equal(quantile_mask(EventFrame(scores), tau, m).bits, want)
 
     def test_indivisible_merge_grid_rejected(self):
-        smap = SaliencyMap(np.zeros((3, 4)), 4)
+        smap = EventFrame(np.zeros((3, 4)))
         with pytest.raises(ValidationError):
             quantile_mask(smap, 0.5, merge_size=2)
 
     def test_zero_saliency_gives_raster_prefix(self):
-        smap = SaliencyMap(np.zeros((2, 3)), 4)
+        smap = EventFrame(np.zeros((2, 3)))
         mask = quantile_mask(smap, 0.5)
         assert mask.bits.ravel().tolist() == [1, 1, 1, 0, 0, 0]
 
@@ -185,7 +184,7 @@ class TestQuantileMask:
     @given(score_grids(), st.floats(0, 1, allow_nan=False))
     def test_cardinality_exact(self, smap, tau):
         mask = quantile_mask(smap, tau)
-        assert mask.k == retained_count(tau, smap.rows * smap.cols)
+        assert mask.k == retained_count(tau, smap.counts.size)
         assert mask.k == int(mask.bits.sum())
 
     @settings(deadline=None, max_examples=80)
@@ -203,13 +202,13 @@ class TestQuantileMask:
         mask = quantile_mask(smap, tau)
         kept = mask.bits.astype(bool)
         if 0 < mask.k < kept.size:
-            assert smap.scores[kept].min() >= smap.scores[~kept].max()
+            assert smap.counts[kept].min() >= smap.counts[~kept].max()
 
     @settings(deadline=None, max_examples=80)
     @given(score_grids(), st.floats(0, 1, allow_nan=False),
            st.floats(0.001, 1000, allow_nan=False))
     def test_positive_scale_invariance(self, smap, tau, c):
-        scaled = SaliencyMap(smap.scores * c, smap.patch_size)
+        scaled = EventFrame(smap.counts * c)
         assert np.array_equal(
             quantile_mask(smap, tau).bits, quantile_mask(scaled, tau).bits
         )
@@ -223,6 +222,26 @@ def blank_patches_loop(image, mask, p, fill):
             if not mask.bits[u, v]:
                 out[u * p : (u + 1) * p, v * p : (v + 1) * p, :] = fill
     return out
+
+
+class TestPatchMask:
+    def test_float_bits_of_zero_and_one_are_kept(self):
+        mask = PatchMask(np.ones((2, 2)), 1.0)
+        assert mask.bits.dtype == np.uint8 and mask.k == 4
+
+    @pytest.mark.parametrize("bits, tau, match", [
+        ([[0.5, 1.0]], 0.5, "mask bits must be 0 or 1"),
+        ([[-1]], 0.5, "mask bits must be 0 or 1"),
+        (np.array([[256, 1]]), 0.5, "mask bits must be 0 or 1"),
+        (np.ones((2, 2)), "x", "tau must be in"),
+        (np.ones((2, 2)), True, "tau must be in"),
+        (np.ones((2, 2)), 1 + 0j, "tau must be in"),
+    ], ids=["half", "minus-one", "wraps-to-zero", "str-tau", "bool-tau", "complex-tau"])
+    def test_values_are_checked_as_given(self, bits, tau, match):
+        # before: 0.5 was truncated to 0, an int64 256 wrapped to 0 and a
+        # bool tau was kept; -1 raised OverflowError, a str or complex tau TypeError
+        with pytest.raises(ValidationError, match=match):
+            PatchMask(bits, tau)
 
 
 class TestApplyMask:

@@ -3,6 +3,7 @@ import pytest
 
 from evprune import saliency
 from evprune.errors import ValidationError
+from evprune.events import EventFrame
 from evprune.verify import check_mask_laws, run_suites, suite_names
 
 QUICK_CASES = {"rope.properties": 120, "saliency.mask": 60, "events.roundtrip": 25,
@@ -60,7 +61,7 @@ class TestRunSuites:
 def test_mask_count_law_states_the_guard(tau):
     """tau * 100 lies just above an integer for these taus, and
     ``retained_count``'s guard rounds it down; one extra kept patch trips."""
-    smap = saliency.SaliencyMap(np.random.Generator(np.random.PCG64(5)).random((10, 10)), 4)
+    smap = EventFrame(np.random.Generator(np.random.PCG64(5)).random((10, 10)))
     mask = saliency.quantile_mask(smap, tau)
     assert check_mask_laws(smap, mask, mask, 7.5) is None
     bits = mask.bits.copy()
