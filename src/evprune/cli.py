@@ -170,8 +170,6 @@ def cmd_mask(args) -> int:
     fill = _parse_fill(args.fill)
     if args.out_mask is None and args.out_image is None:
         raise ValidationError("need --out-mask and/or --out-image")
-    if args.patch_size < 1 or args.merge_size < 1:
-        raise ValidationError("patch and merge sizes must be >= 1")
     image = read_ppm(_read_bytes(args.image))
     min_px = args.patch_size * args.merge_size
     if image.shape[0] < min_px or image.shape[1] < min_px:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ValidationError
+from .errors import ValidationError, as_size
 from .kvtext import (check_field_types, check_keys, decode_ascii, parse_kv, parse_record,
                      record_keys)
 from .saliency import _merge_grid, check_tau, retained_count
@@ -111,11 +111,9 @@ class WorkloadSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.image_height < 0 or self.image_width < 0:
-            raise ValidationError("image dimensions must be non-negative")
+        for name in ("image_height", "image_width", "text_tokens", "decode_tokens"):
+            as_size(getattr(self, name), name, 0)
         check_tau(self.tau)
-        if self.text_tokens < 0 or self.decode_tokens < 0:
-            raise ValidationError("token counts must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .costmodel import mlp_width
-from .errors import ValidationError
+from .errors import ValidationError, as_size, real_array
 from .kvtext import check_field_types, check_keys, parse_kv, parse_record, record_keys
 from .packing import PackedSequence
 from .rope2d import RopeTable, apply_rope_many
@@ -78,8 +78,9 @@ class EncoderConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.patch_size < 1 or self.channels < 1:
-            raise ValidationError("patch_size and channels must be >= 1")
+        for name, least in (("patch_size", 1), ("channels", 1), ("n_layers", 0),
+                            ("merge_size", 1), ("d_out", 1), ("seed", 0)):
+            as_size(getattr(self, name), name, least)
         if self.d_model < 4 or self.d_model % 4 != 0:
             raise ValidationError(f"d_model must be a positive multiple of 4, got {self.d_model}")
         if self.n_heads < 1 or self.d_model % self.n_heads != 0:
@@ -90,16 +91,8 @@ class EncoderConfig:
             raise ValidationError(
                 "head dimension must be divisible by 4 for per-head rotation"
             )
-        if self.n_layers < 0:
-            raise ValidationError("n_layers must be >= 0")
         if self.mlp_ratio <= 0:
             raise ValidationError("mlp_ratio must be > 0")
-        if self.merge_size < 1:
-            raise ValidationError("merge_size must be >= 1")
-        if self.d_out < 1:
-            raise ValidationError("d_out must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
         params = _weight_count(self)  # mlp_hidden rejects a non-finite width
         if params > MAX_ENCODER_PARAMS:
             raise ValidationError(
@@ -205,12 +198,12 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
     flattened row-major with channels last. Trailing pixels beyond the
     last full patch are dropped.
     """
-    img = np.asarray(image, dtype=np.float64)
+    img = real_array(image, "image").astype(np.float64, copy=False)
     if img.ndim == 2:
         img = img[:, :, None]
     if img.ndim != 3:
         raise ValidationError("image must have shape (H, W) or (H, W, C)")
-    p = patch_size
+    p = as_size(patch_size, "patch size")
     height, width, channels = img.shape
     if height < p or width < p:
         raise ValidationError(f"image {width}x{height} smaller than one {p}x{p} patch")
@@ -251,6 +244,8 @@ def _forward(
     key_keep: np.ndarray | None = None,
 ) -> np.ndarray:
     n = patches.shape[0]
+    if not np.isfinite(patches).all():
+        raise ValidationError("patches must be finite")
     if patches.shape[1] != weights.w_embed.shape[0]:
         raise ValidationError(
             f"patch dim {patches.shape[1]} != embedding input {weights.w_embed.shape[0]}"
@@ -311,8 +306,8 @@ def encode_dense(
     config: EncoderConfig,
 ) -> PackedSequence:
     """Run the full stack over every grid token."""
-    seq = np.asarray(patches, dtype=np.float64)
-    if seq.ndim != 2 or seq.shape[0] != rope.rows * rope.cols:
+    seq = real_array(patches, "patches", 2).astype(np.float64, copy=False)
+    if seq.shape[0] != rope.rows * rope.cols:
         raise ValidationError(
             f"expected {rope.rows * rope.cols} patch rows for a "
             f"{rope.rows}x{rope.cols} grid"
@@ -355,10 +350,10 @@ def encode_masked_dense_oracle(
     softmax, so dropped tokens cannot leak into retained rows; after the
     full stack only the retained rows are returned, in raster order.
     """
-    seq = np.asarray(patches, dtype=np.float64)
+    seq = real_array(patches, "patches", 2).astype(np.float64, copy=False)
     if (mask.rows, mask.cols) != (rope.rows, rope.cols):
         raise ValidationError("mask grid does not match rope extent")
-    if seq.ndim != 2 or seq.shape[0] != mask.rows * mask.cols:
+    if seq.shape[0] != mask.rows * mask.cols:
         raise ValidationError("patch count does not match mask grid")
     keep = mask.bits.ravel().astype(bool)
     positions = _grid_positions(mask.rows, mask.cols)

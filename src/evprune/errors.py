@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the argument checks that raise them.
+"""Exception types shared across the package, and the one argument intake that raises them.
 
-The CLI maps these onto exit codes: ValidationError -> 1, FormatError -> 2.
+Every public entry point returns a value or raises ValidationError (CLI exit 1) or
+FormatError (CLI exit 2). It takes each array argument through ``real_array`` and each
+integer argument through ``as_size`` before it compares or converts the value.
 """
 
 import operator
@@ -16,23 +18,27 @@ class FormatError(ValueError):
     """A byte stream or text document does not conform to its file format."""
 
 
-def real_array(values, name: str) -> np.ndarray:
-    """``values`` as an array of bool, integer or float numbers; an array is not copied."""
+def real_array(values, name: str, ndim: int | None = None) -> np.ndarray:
+    """``values`` as an array of bool, integer or float numbers, with ``ndim``
+    dimensions unless that is None; an array is not copied."""
     try:
         arr = np.asarray(values)
     except ValueError:  # a ragged nesting
         raise ValidationError(f"{name} must be a rectangular array") from None
     if arr.dtype.kind not in "biuf":
         raise ValidationError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    if ndim is not None and arr.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     return arr
 
 
-def as_size(value, name: str) -> int:
-    """``value`` as an int >= 1, if ``operator.index`` takes it; else a ValidationError."""
+def as_size(value, name: str, least: int | None = 1) -> int:
+    """``value`` as an int, if ``operator.index`` takes it, that is >= ``least``
+    unless that is None; else a ValidationError."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValidationError(f"{name} must be >= 1, got {value}")
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
     return value

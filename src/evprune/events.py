@@ -51,6 +51,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -102,9 +103,8 @@ class EventStream:
     polarity: np.ndarray
 
     def __post_init__(self):
-        width, height = self.sensor_width, self.sensor_height
-        if width < 0 or height < 0:
-            raise ValidationError("sensor dimensions must be non-negative")
+        width = as_size(self.sensor_width, "sensor width", 0)
+        height = as_size(self.sensor_height, "sensor height", 0)
         t, x, y, p = (_checked_column(getattr(self, name), name) for name in _COLUMNS)
         if not len(t) == len(x) == len(y) == len(p):
             raise ValidationError(
@@ -123,6 +123,8 @@ class EventStream:
                 raise ValidationError(
                     f"event at ({int(x[i])}, {int(y[i])}) outside sensor {width}x{height}")
             raise ValidationError(f"polarity must be -1 or +1, got {int(p[i])}")
+        object.__setattr__(self, "sensor_width", width)
+        object.__setattr__(self, "sensor_height", height)
         for (name, dtype), col in zip(_COLUMNS.items(), (t, x, y, p)):
             # The sorted gather is already a copy the caller cannot reach.
             col = col.astype(dtype, copy=order is None)
@@ -140,12 +142,15 @@ class EventStream:
 
 
 def _checked_column(values, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1 or arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
-        raise ValidationError(
-            f"{name} must be a 1-D column of integers that fit int64, "
-            f"got {arr.dtype} of shape {arr.shape}")
-    return arr
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        got = "a ragged nesting"
+    else:
+        if arr.ndim == 1 and arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64):
+            return arr
+        got = f"{arr.dtype} of shape {arr.shape}"
+    raise ValidationError(f"{name} must be a 1-D column of integers that fit int64, got {got}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,9 +161,7 @@ class EventFrame:
     counts: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(real_array(self.counts, "counts"), dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValidationError("counts must be a 2D array")
+        arr = np.array(real_array(self.counts, "counts", 2), dtype=np.float64)
         if not (np.isfinite(arr).all() and (arr >= 0).all()):
             raise ValidationError("counts must be finite and non-negative")
         arr.flags.writeable = False
@@ -341,6 +344,7 @@ def accumulate(stream: EventStream, t0_us: int, t1_us: int) -> EventFrame:
     pixel add up instead of cancelling, so motion is never masked by
     alternating signs.
     """
+    t0_us, t1_us = as_size(t0_us, "window start", None), as_size(t1_us, "window end", None)
     if t0_us > t1_us:
         raise ValidationError(f"window start {t0_us} after end {t1_us}")
     width, height = stream.sensor_width, stream.sensor_height
@@ -387,16 +391,13 @@ def simulate_events(
     frames produce the empty stream. Raises ValidationError when the total
     would exceed MAX_SIMULATED_EVENTS.
     """
-    a = np.asarray(frame_a, dtype=np.float64)
-    b = np.asarray(frame_b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValidationError(f"frames must be 2-D, got shapes {a.shape} and {b.shape}")
+    a, b = (real_array(f, "frames", 2).astype(np.float64, copy=False) for f in (frame_a, frame_b))
     if a.shape != b.shape:
         raise ValidationError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    if not 0 < contrast < np.inf:
-        raise ValidationError(f"contrast threshold must be > 0 and finite, got {contrast}")
-    if duration_us < 0:
-        raise ValidationError("duration must be non-negative")
+    real = isinstance(contrast, numbers.Real) and not isinstance(contrast, bool)
+    if not (real and 0 < contrast < np.inf):
+        raise ValidationError(f"contrast threshold must be > 0 and finite, got {contrast!r}")
+    duration_us = as_size(duration_us, "duration", 0)
     if duration_us > _INT64_MAX:
         raise ValidationError("duration does not fit int64")
     # Written so that NaN fails too.

@@ -9,15 +9,13 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, real_array
 
 _HEADER = struct.Struct("<II")
 
 
 def write_features(features: np.ndarray) -> bytes:
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ValidationError(f"features must be 2D, got shape {feats.shape}")
+    feats = real_array(features, "features", 2).astype(np.float64, copy=False)
     count, dim = feats.shape
     body = np.ascontiguousarray(feats, dtype="<f4").tobytes()
     return _HEADER.pack(count, dim) + body

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, real_array
+from .errors import ValidationError, as_size, real_array
 from .rope2d import _as_positions
 from .saliency import PatchMask
 
@@ -28,29 +28,27 @@ class PackedSequence:
     origin_grid: tuple[int, int]
 
     def __post_init__(self):
-        arr = np.array(real_array(self.tokens, "tokens"), dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValidationError("tokens must be a 2D matrix")
+        arr = np.array(real_array(self.tokens, "tokens", 2), dtype=np.float64)
         kept = _as_positions(self.kept)
         if arr.shape[0] != kept.shape[0]:
             raise ValidationError("one kept coordinate per token row required")
         grid = self.origin_grid
-        if not (isinstance(grid, tuple) and len(grid) == 2
-                and all(isinstance(v, (int, np.integer)) and v >= 0 for v in grid)):
+        if not (isinstance(grid, tuple) and len(grid) == 2):
             raise ValidationError(f"origin grid must be two non-negative ints, got {grid!r}")
-        rows, cols = grid
+        rows, cols = (as_size(v, "origin grid", 0) for v in grid)
         # the first row that is outside the grid or not after its predecessor
         inside = ((kept >= 0) & (kept < (rows, cols))).all(axis=1)
         rising = np.diff(kept[:, 0] * cols + kept[:, 1], prepend=-1) > 0
         bad = np.flatnonzero(~(inside & rising))[:1]
         if bad.size and not inside[bad[0]]:
             i, j = kept[bad[0]]
-            raise ValidationError(f"coordinate ({i}, {j}) outside grid {self.origin_grid}")
+            raise ValidationError(f"coordinate ({i}, {j}) outside grid {(rows, cols)}")
         if bad.size:
             raise ValidationError("kept coordinates must be strictly raster-increasing")
         arr.flags.writeable = False
         object.__setattr__(self, "tokens", arr)
         object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "origin_grid", (rows, cols))
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
@@ -58,9 +56,7 @@ class PackedSequence:
 
 def pack_patches(patch_seq: np.ndarray, mask: PatchMask) -> PackedSequence:
     """Keep the rows whose mask bit is set, preserving raster order."""
-    seq = np.asarray(patch_seq, dtype=np.float64)
-    if seq.ndim != 2:
-        raise ValidationError("patch sequence must be a 2D matrix")
+    seq = real_array(patch_seq, "patch sequence", 2).astype(np.float64, copy=False)
     n = mask.rows * mask.cols
     if seq.shape[0] != n:
         raise ValidationError(
@@ -74,7 +70,7 @@ def unpack_scatter(packed: PackedSequence, fill: np.ndarray) -> np.ndarray:
     """Dense raster matrix with packed rows at their kept indices, fill elsewhere."""
     rows, cols = packed.origin_grid
     d = packed.tokens.shape[1]
-    fill_vec = np.asarray(fill, dtype=np.float64)
+    fill_vec = real_array(fill, "fill vector").astype(np.float64, copy=False)
     if fill_vec.shape != (d,):
         raise ValidationError(f"fill vector must have length {d}")
     out = np.tile(fill_vec, (rows * cols, 1))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, real_array
 
 # Netpbm header whitespace; unlike C isspace, VT and FF are not in it.
 _WHITESPACE = b" \t\n\r"
@@ -65,7 +65,7 @@ def read_ppm(data: bytes) -> np.ndarray:
 
 
 def write_ppm(image: np.ndarray) -> bytes:
-    img = np.asarray(image)
+    img = real_array(image, "image")
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
         raise ValidationError("PPM writer needs a (H, W, 3) uint8 array")
     height, width = img.shape[:2]
@@ -78,7 +78,7 @@ def write_ppm(image: np.ndarray) -> bytes:
 def to_gray01(image: np.ndarray) -> np.ndarray:
     """Mean over channels, scaled to [0, 1] float64; input for the
     brightness-change simulator."""
-    img = np.asarray(image, dtype=np.float64)
+    img = real_array(image, "image").astype(np.float64, copy=False)
     if img.ndim == 3:
         img = img.mean(axis=2)
     return img / 255.0

@@ -51,6 +51,7 @@ class RopeTable:
 
 
 def build_rope(rows: int, cols: int, d: int) -> RopeTable:
+    rows, cols, d = as_size(rows, "rows"), as_size(cols, "cols"), as_size(d, "d")
     theta = _thetas(d)
     row_angles = np.arange(rows, dtype=np.float64)[:, None] * theta[None, :]
     col_angles = np.arange(cols, dtype=np.float64)[:, None] * theta[None, :]
@@ -75,7 +76,7 @@ def _as_positions(positions) -> np.ndarray:
 
 def apply_rope(table: RopeTable, pos: tuple[int, int], v: np.ndarray) -> np.ndarray:
     """Rotate one d-vector by its position's block rotations."""
-    return apply_rope_many(table, [pos], np.reshape(v, (1, -1)))[0]
+    return apply_rope_many(table, [pos], real_array(v, "v", 1)[None])[0]
 
 
 def apply_rope_many(
@@ -83,9 +84,9 @@ def apply_rope_many(
 ) -> np.ndarray:
     """Rotate a batch: v has shape (n, d) or (n, heads, d); positions is an
     (n, 2) integer array of (row, col) pairs, one per row of v."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape[-1] != table.d:
-        raise ValidationError(f"last dimension must be {table.d}, got {arr.shape[-1]}")
+    arr = real_array(v, "v").astype(np.float64, copy=False)
+    if arr.ndim < 2 or arr.shape[-1] != table.d:
+        raise ValidationError(f"v must have shape (n, ..., {table.d}), got {arr.shape}")
     pos = _as_positions(positions)
     n = arr.shape[0]
     if pos.shape[0] != n:
@@ -116,7 +117,8 @@ def rope_matrix(i: int, j: int, d: int) -> np.ndarray:
     Accepts any integer coordinates (including sums of positions) so the
     composition law can be checked directly.
     """
-    if d < 4 or d % 4 != 0:
+    i, j, d = as_size(i, "i", None), as_size(j, "j", None), as_size(d, "d")
+    if d % 4:
         raise ValidationError(f"embedding dimension must be divisible by 4, got {d}")
     theta = _thetas(d)
     mat = np.zeros((d, d), dtype=np.float64)

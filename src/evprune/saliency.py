@@ -40,8 +40,7 @@ def check_tau(tau: float) -> None:
 def retained_count(tau: float, n: int) -> int:
     """ceil(tau * n), clamped to [0, n], robust to float representation noise."""
     check_tau(tau)
-    if n < 0:
-        raise ValidationError("unit count must be non-negative")
+    n = as_size(n, "unit count", 0)
     k = math.ceil(tau * n - _CEIL_GUARD)
     return max(0, min(n, k))
 
@@ -78,9 +77,7 @@ class PatchMask:
     tau: float
 
     def __post_init__(self):
-        raw = real_array(self.bits, "mask bits")  # checked before the uint8 cast
-        if raw.ndim != 2:
-            raise ValidationError("mask bits must be a 2D array")
+        raw = real_array(self.bits, "mask bits", 2)  # checked before the uint8 cast
         if not np.all((raw == 0) | (raw == 1)):
             raise ValidationError("mask bits must be 0 or 1")
         check_tau(self.tau)
@@ -133,7 +130,7 @@ def quantile_mask(scores: EventFrame, tau: float, merge_size: int = 1) -> PatchM
 
 def check_fill(fill: tuple[int, int, int]) -> None:
     """A fill color is three integers in 0..255; anything else is a ValidationError."""
-    arr = np.asarray(fill)
+    arr = real_array(fill, "fill")
     if arr.shape != (3,) or arr.dtype.kind not in "iu" or ((arr < 0) | (arr > 255)).any():
         raise ValidationError(f"fill must be three values in 0..255, got {fill!r}")
 
@@ -146,11 +143,11 @@ def apply_mask_to_image(
     Retained patches are copied byte-identically; pixels beyond the
     mask's patch grid are left untouched.
     """
-    img = np.asarray(image)
+    img = real_array(image, "image")
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValidationError("image must have shape (H, W, 3)")
     check_fill(fill)
-    p = patch_size
+    p = as_size(patch_size, "patch size")
     if img.shape[0] < mask.rows * p or img.shape[1] < mask.cols * p:
         raise ValidationError(
             f"image {img.shape[1]}x{img.shape[0]} smaller than mask grid "

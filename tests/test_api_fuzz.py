@@ -1,4 +1,4 @@
-"""Near-valid arguments to the grid and mask constructors and functions.
+"""Near-valid arguments to every public callable of the package.
 
 Each case starts from a valid argument list and swaps any of its
 arguments for a value one step away: an int/float swap, zero, a negative,
@@ -16,11 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evprune
+from evprune.costmodel import (LlmDims, VitDims, WorkloadSpec, compare, estimate,
+                               load_shipped_profile)
+from evprune.encoder import (EncoderConfig, encode_dense, encode_masked_dense_oracle,
+                             encode_packed, init_weights, merge_project, patchify)
 from evprune.errors import FormatError, ValidationError
-from evprune.events import EventFrame, resize_to
-from evprune.packing import PackedSequence
-from evprune.rope2d import RopeTable, apply_rope_many, build_rope
-from evprune.saliency import PatchMask, patch_scores, quantile_mask
+from evprune.events import (EventFrame, EventStream, accumulate, resize_to, simulate_events,
+                            write_events_bin)
+from evprune.featio import write_features
+from evprune.packing import PackedSequence, pack_patches, unpack_scatter
+from evprune.ppm import to_gray01, write_ppm
+from evprune.rope2d import (RopeTable, apply_rope, apply_rope_many, build_rope,
+                            rope_matrix)
+from evprune.saliency import (PatchMask, apply_mask_to_image, mask_to_text, patch_scores,
+                              quantile_mask, retained_count)
 
 
 def near_valid(value) -> list:
@@ -29,9 +39,10 @@ def near_valid(value) -> list:
         with_nan = value.astype(np.float64)
         with_nan.flat[0] = np.nan
         rows = value.tolist()
+        ragged = [rows[0], rows[0][:-1]] if value.ndim > 1 else [rows[0], rows[:1]]
         return [value.astype(np.float64) + 0.5, value.astype(np.int64), with_nan,
                 -value.astype(np.int64) - 1, value[0], value[None], value[:0],
-                value.ravel()[0], rows, [rows[0], rows[0][:-1]], value.astype(str),
+                value.ravel()[0], rows, ragged, value.astype(str),
                 value.astype(np.complex128), value.astype(object)]
     if isinstance(value, tuple):
         return [value[:1], value + (1,), tuple(v + 0.5 for v in value),
@@ -43,6 +54,19 @@ def near_valid(value) -> list:
 
 _RNG = np.random.Generator(np.random.PCG64(83))
 _ROPE = build_rope(3, 4, 8)
+_STREAM = [3, 2, np.array([5, 1, 3]), np.array([0, 2, 1]), np.array([1, 0, 1]),
+           np.array([1, -1, 1])]
+_IMAGE = _RNG.integers(0, 256, size=(4, 6, 3), dtype=np.uint8)
+_BITS = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+# A 2x2 patch grid of 2x2 gray patches, and an encoder whose one merge cell covers it.
+_CONFIG = [2, 1, 8, 1, 2, 2.0, 2, 4, 0]
+_ENCODER = EncoderConfig(*_CONFIG)
+_WEIGHTS = init_weights(_ENCODER)
+_GRID_ROPE = build_rope(2, 2, _ENCODER.head_dim)
+_PATCHES = _RNG.standard_normal((4, _ENCODER.patch_dim))
+_ALL_KEPT = np.argwhere(np.ones((2, 2), dtype=bool))
+_PROFILE = load_shipped_profile("qwen2vl_2b_like")
+_WORK = [448, 448, 0.5, 16, 4]
 
 
 def rope_at_far_corner(*fields):
@@ -51,7 +75,7 @@ def rope_at_far_corner(*fields):
     return apply_rope_many(table, np.array([[table.rows - 1, table.cols - 1]]), np.ones((1, 8)))
 
 
-# name -> (call, valid arguments); a frame argument is passed as its counts
+# name -> (call, valid arguments); a record argument is passed as its fields
 CASES = {
     "EventFrame": (EventFrame, [_RNG.integers(0, 5, size=(3, 4))]),
     "PatchMask": (PatchMask, [np.array([[1, 0], [0, 1]], dtype=np.uint8), 0.5]),
@@ -65,7 +89,66 @@ CASES = {
                      [_RNG.integers(0, 5, size=(4, 6)), 2]),
     "quantile_mask": (lambda scores, tau, m: quantile_mask(EventFrame(scores), tau, m),
                       [_RNG.random((2, 4)), 0.5, 2]),
+    "EventStream": (EventStream, _STREAM),
+    "write_events_bin": (lambda *columns: write_events_bin(EventStream(*columns)), _STREAM),
+    "accumulate": (lambda t0, t1: accumulate(EventStream(*_STREAM), t0, t1), [1, 4]),
+    "simulate_events": (simulate_events, [_RNG.random((3, 4)), _RNG.random((3, 4)), 0.5, 10]),
+    "retained_count": (retained_count, [0.5, 7]),
+    "mask_to_text": (lambda bits, tau: mask_to_text(PatchMask(bits, tau)), [_BITS, 0.5]),
+    "apply_mask_to_image": (
+        lambda image, bits, p, fill: apply_mask_to_image(image, PatchMask(bits, 0.5), p, fill),
+        [_IMAGE, np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8), 2, (0, 0, 0)]),
+    "write_ppm": (write_ppm, [_IMAGE]),
+    "to_gray01": (to_gray01, [_IMAGE]),
+    "write_features": (write_features, [_RNG.standard_normal((3, 4))]),
+    "pack_patches": (lambda seq, bits: pack_patches(seq, PatchMask(bits, 0.5)),
+                     [_PATCHES, _BITS]),
+    "unpack_scatter": (lambda tokens, kept, grid, fill:
+                       unpack_scatter(PackedSequence(tokens, kept, grid), fill),
+                       [_RNG.standard_normal((2, 3)), np.array([[0, 0], [1, 1]]), (2, 2),
+                        np.zeros(3)]),
+    "build_rope": (build_rope, [3, 4, 8]),
+    "apply_rope_many": (lambda positions, v: apply_rope_many(_ROPE, positions, v),
+                        [np.array([[2, 3]]), np.ones((1, 8))]),
+    "apply_rope": (lambda pos, v: apply_rope(_ROPE, pos, v), [(2, 3), np.ones(8)]),
+    "rope_matrix": (rope_matrix, [1, 2, 8]),
+    "patchify": (patchify, [_IMAGE, 2]),
+    "EncoderConfig": (EncoderConfig, _CONFIG),
+    "init_weights": (lambda *fields: init_weights(EncoderConfig(*fields)), _CONFIG),
+    "encode_dense": (lambda patches: encode_dense(patches, _GRID_ROPE, _WEIGHTS, _ENCODER),
+                     [_PATCHES]),
+    "encode_packed": (lambda tokens, kept, grid: encode_packed(
+        PackedSequence(tokens, kept, grid), _GRID_ROPE, _WEIGHTS, _ENCODER),
+                      [_PATCHES, _ALL_KEPT, (2, 2)]),
+    "encode_masked_dense_oracle": (lambda patches, bits: encode_masked_dense_oracle(
+        patches, _GRID_ROPE, PatchMask(bits, 0.5), _WEIGHTS, _ENCODER), [_PATCHES, _BITS]),
+    "merge_project": (lambda tokens, kept, grid: merge_project(
+        PackedSequence(tokens, kept, grid), _ENCODER, _WEIGHTS),
+                      [_RNG.standard_normal((4, _ENCODER.d_model)), _ALL_KEPT, (2, 2)]),
+    "VitDims": (VitDims, [8, 1, 2, 2.0, 2, 1, 1]),
+    "LlmDims": (LlmDims, [8, 1, 2, 2.0]),
+    "WorkloadSpec": (WorkloadSpec, _WORK),
+    "estimate": (lambda *work: estimate(_PROFILE, WorkloadSpec(*work)), _WORK),
+    "compare": (lambda *work: compare(estimate(_PROFILE, WorkloadSpec(*work)),
+                                      estimate(_PROFILE, WorkloadSpec(*_WORK))), _WORK),
 }
+
+# Public callables that take no near-valid arguments in the sense above.
+NOT_FUZZED = {
+    # exception classes
+    "FormatError", "ValidationError",
+    # byte and text readers: the CLI's TestFileFuzz drives them with whole files
+    "read_events_bin", "read_events_csv", "read_features", "read_ppm", "mask_from_text",
+    "load_arch_profile", "load_encoder_config", "load_shipped_profile",
+    # records of records or of results, checked where their fields are built
+    "ArchProfile", "CostReport", "CostReduction", "EncoderWeights",
+}
+
+
+def test_every_public_callable_is_fuzzed_or_excluded():
+    public = {name for name in evprune.__all__ if callable(getattr(evprune, name))}
+    assert public == set(CASES) | NOT_FUZZED
+    assert not set(CASES) & NOT_FUZZED
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -78,6 +161,17 @@ def test_near_valid_arguments_return_or_raise_domain_errors(name, data):
         call(*args)
     except (ValidationError, FormatError):
         pass
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_each_near_valid_argument_alone_returns_or_raises_domain_errors(name):
+    call, valid = CASES[name]
+    for i, arg in enumerate(valid):
+        for value in near_valid(arg):
+            try:
+                call(*valid[:i], value, *valid[i + 1:])
+            except (ValidationError, FormatError):
+                pass
 
 
 @pytest.mark.parametrize("name", CASES)

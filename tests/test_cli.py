@@ -162,6 +162,22 @@ class TestMask:
         assert code == 1
         assert not out_mask.exists()
 
+    @pytest.mark.parametrize("sizes, message", [
+        (["--patch-size", "0"], "patch size must be >= 1, got 0"),
+        (["--patch-size", "-16"], "patch size must be >= 1, got -16"),
+        (["--patch-size", "16", "--merge-size", "0"], "merge size must be >= 1, got 0"),
+    ])
+    def test_bad_sizes_exit_1_and_no_output(self, square_events, tmp_path, capsys, sizes,
+                                            message):
+        image, evt = square_events
+        out_mask, out_img = tmp_path / "m.txt", tmp_path / "m.ppm"
+        code, stdout, err = run(capsys, "mask", str(image), str(evt), "--tau", "0.5", *sizes,
+                                "--out-mask", str(out_mask), "--out-image", str(out_img))
+        assert code == 1
+        assert message in err
+        assert stdout == ""
+        assert not out_mask.exists() and not out_img.exists()
+
     @pytest.mark.parametrize("fill", ["abc", "0,0", "300,0,0"])
     def test_bad_fill_exit_1_and_no_output(self, square_events, tmp_path, capsys, fill):
         """--fill is checked even when no masked image is written."""

@@ -312,7 +312,7 @@ class TestPatchify:
         with pytest.raises(ValidationError, match="patch size must be >= 1"):
             patchify(np.zeros((4, 4, 3)), patch_size)
 
-    @pytest.mark.parametrize("patch_size", [2.5, 2.0, float("nan")])
+    @pytest.mark.parametrize("patch_size", [2.5, 2.0, float("nan"), "2", None])
     def test_rejects_non_integer_patch_size(self, patch_size):
         """2.5 died in slicing with a TypeError."""
         with pytest.raises(ValidationError, match="patch size must be an integer"):
@@ -380,6 +380,22 @@ class TestEncodeDense:
         rope = build_rope(3, 3, config.head_dim)
         with pytest.raises(ValidationError):
             encode_dense(patches, rope, weights, config)
+
+    @pytest.mark.parametrize("mode", ["dense", "packed", "oracle"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_patches(self, mode, bad):
+        # each path returned non-finite features without complaint
+        config = small_config()
+        patches, rope, weights = random_setup(2, 2, config, seed=11)
+        patches[3, 1] = bad
+        mask = PatchMask(np.array([[1, 0], [0, 1]], dtype=np.uint8), 0.5)
+        with pytest.raises(ValidationError, match="patches must be finite"):
+            if mode == "dense":
+                encode_dense(patches, rope, weights, config)
+            elif mode == "packed":
+                encode_packed(pack_patches(patches, mask), rope, weights, config)
+            else:
+                encode_masked_dense_oracle(patches, rope, mask, weights, config)
 
     def test_two_token_hand_rolled_forward(self):
         config = small_config(d_model=8, n_layers=1, n_heads=1, mlp_ratio=2.0)

@@ -64,7 +64,8 @@ class TestColumns:
 
     @pytest.mark.parametrize("column", [
         np.array([0.0, 1.0]), np.array([False, True]), np.array([0, 1], dtype=object),
-        np.array([0, 2**63], dtype=np.uint64)], ids=["float", "bool", "object", "uint64"])
+        np.array([0, 2**63], dtype=np.uint64), [0, [1]]],
+        ids=["float", "bool", "object", "uint64", "ragged"])
     @pytest.mark.parametrize("name", ["t_us", "x", "y", "polarity"])
     def test_column_must_cast_to_int64_without_loss(self, name, column):
         columns = {"t_us": [0, 1], "x": [0, 1], "y": [0, 1], "polarity": [1, 1]}
@@ -105,6 +106,25 @@ class TestColumns:
             EventStream(4, 2, [2**63], [0], [0], [1])
         with pytest.raises(ValidationError, match="int64"):
             read_events_csv(b"99999999999999999999,0,0,1\n")
+
+    @pytest.mark.parametrize("t0, t1, match", [
+        (0.0, 5, "window start must be an integer"),
+        (0, "5", "window end must be an integer"),
+        (0, None, "window end must be an integer"),
+    ])
+    def test_window_bounds_must_be_integers(self, t0, t1, match):
+        # a float bound was accepted; a str or None one raised TypeError
+        with pytest.raises(ValidationError, match=match):
+            accumulate(stream_of(2, 1, (0, 0, 0, 1)), t0, t1)
+
+    @pytest.mark.parametrize("width, height, match", [
+        (-1, 2, "sensor width must be >= 0, got -1"),
+        (4, "2", "sensor height must be an integer"),
+        (4.0, 2, "sensor width must be an integer"),
+    ])
+    def test_sensor_dimensions_are_non_negative_integers(self, width, height, match):
+        with pytest.raises(ValidationError, match=match):
+            EventStream(width, height, [0], [0], [0], [1])
 
     def test_window_bounds_beyond_int64(self):
         stream = stream_of(2, 1, (0, 0, 0, 1), (2**63 - 1, 1, 0, 1))
@@ -184,6 +204,24 @@ class TestSimulateColumns:
         a = np.zeros((1, 1))
         with pytest.raises(ValidationError, match="contrast"):
             simulate_events(a, a, float("nan"), 100)
+
+    @pytest.mark.parametrize("contrast", [None, "0.5", True, 0.5 + 0j])
+    def test_contrast_must_be_a_real_number(self, contrast):
+        # None and "0.5" raised TypeError, a complex one TypeError, and True ran as 1
+        a = np.zeros((1, 1))
+        with pytest.raises(ValidationError, match="contrast"):
+            simulate_events(a, a, contrast, 10)
+
+    @pytest.mark.parametrize("duration, match", [
+        (10.0, "duration must be an integer"),
+        ("10", "duration must be an integer"),
+        (-1, "duration must be >= 0, got -1"),
+    ])
+    def test_duration_must_be_a_non_negative_integer(self, duration, match):
+        # equal frames emit no events, so 10.0 was accepted; "10" raised TypeError
+        a = np.zeros((1, 1))
+        with pytest.raises(ValidationError, match=match):
+            simulate_events(a, a, 0.5, duration)
 
     def test_cap_checked_before_allocating(self, monkeypatch):
         a, b = np.zeros((1, 2)), np.ones((1, 2))

@@ -49,6 +49,16 @@ class TestTable:
         with pytest.raises(ValidationError):
             build_rope(0, 2, 4)
 
+    @pytest.mark.parametrize("rows, cols, d, match", [
+        ("3", 4, 8, "rows must be an integer"),
+        (3, 4.0, 8, "cols must be an integer"),
+        (3, 4, None, "d must be an integer"),
+    ])
+    def test_rejects_non_integer_sizes_before_building(self, rows, cols, d, match):
+        # each failed inside np.arange or _thetas with TypeError
+        with pytest.raises(ValidationError, match=match):
+            build_rope(rows, cols, d)
+
     def test_rejects_tables_that_do_not_fit_the_grid(self):
         # accepted before; apply_rope_many then failed with IndexError
         with pytest.raises(ValidationError, match=r"cos_row must have shape \(4, 2\)"):
@@ -93,6 +103,18 @@ class TestApply:
         with pytest.raises(ValidationError, match="got float64"):
             apply_rope(table, (1.7, 0.2), np.ones(4))
 
+    def test_rejects_v_that_is_not_a_batch_of_vectors(self):
+        # a 0-D v raised IndexError; a ragged one numpy's ValueError in np.reshape
+        table = build_rope(3, 3, 4)
+        with pytest.raises(ValidationError, match="v must have shape"):
+            apply_rope_many(table, [(1, 1)], np.float64(0.7))
+        with pytest.raises(ValidationError, match="v must have shape"):
+            apply_rope_many(table, [(1, 1)], np.ones(4))
+        with pytest.raises(ValidationError, match="v must be a rectangular array"):
+            apply_rope(table, (1, 1), [0.1, [0.2]])
+        with pytest.raises(ValidationError, match="v must be 1-D"):
+            apply_rope(table, (1, 1), np.ones((1, 4)))
+
     @pytest.mark.parametrize("positions", [(1, 2), [(1, 2, 0)], np.zeros((1, 2, 1), int)])
     def test_rejects_positions_not_shaped_n_by_2(self, positions):
         table = build_rope(3, 3, 4)
@@ -123,6 +145,18 @@ class TestMatrix:
     def test_origin_is_identity(self):
         for d in DIMS:
             assert np.array_equal(rope_matrix(0, 0, d), np.eye(d))
+
+    @pytest.mark.parametrize("i, j, d, match", [
+        ("1", 0, 8, "i must be an integer"),
+        (1, 2, 8.0, "d must be an integer"),
+        (math.inf, 0, 8, "i must be an integer"),
+        (0, 1.5, 8, "j must be an integer"),
+        (0, 0, 6, "divisible by 4"),
+    ])
+    def test_rejects_non_integer_arguments(self, i, j, d, match):
+        # "1" and 8.0 raised TypeError, inf warned in np.cos, 1.5 rotated by 1.5
+        with pytest.raises(ValidationError, match=match):
+            rope_matrix(i, j, d)
 
     def test_d4_block_layout(self):
         theta = 10000.0 ** (-2.0 / 4.0)
