@@ -32,7 +32,6 @@ import numpy as np
 
 from . import __version__, costmodel, verify
 from .encoder import (
-    EncoderConfig,
     encode_dense,
     encode_masked_dense_oracle,
     encode_packed,
@@ -171,11 +170,6 @@ def cmd_mask(args) -> int:
     if args.out_mask is None and args.out_image is None:
         raise ValidationError("need --out-mask and/or --out-image")
     image = read_ppm(_read_bytes(args.image))
-    min_px = args.patch_size * args.merge_size
-    if image.shape[0] < min_px or image.shape[1] < min_px:
-        raise ValidationError(
-            f"image {image.shape[1]}x{image.shape[0]} smaller than one "
-            f"merge cell ({min_px} px)")
     mask, window = _event_mask(args, image, args.patch_size, args.merge_size)
     if args.out_mask is not None:
         _atomic_write(args.out_mask, mask_to_text(mask).encode("ascii"))

@@ -6,7 +6,7 @@ rotary position factors applied per head to queries and keys only, then
 a merge stage that concatenates each merge cell's member tokens and
 projects them through a two-layer MLP.
 
-Three forward paths share one implementation, and each returns a
+Three entry points wrap one checked forward pass, and each returns a
 PackedSequence of output rows at their grid coordinates:
 
 - encode_dense: all N grid tokens.
@@ -48,7 +48,7 @@ import numpy as np
 from .costmodel import mlp_width
 from .errors import ValidationError, as_size, real_array
 from .kvtext import check_field_types, check_keys, parse_kv, parse_record, record_keys
-from .packing import PackedSequence
+from .packing import PackedSequence, _grid_rows
 from .rope2d import RopeTable, apply_rope_many
 from .saliency import PatchMask, _blocks
 
@@ -191,6 +191,21 @@ def _draw(record: type, config: EncoderConfig, rng: np.random.Generator):
     return record(**values)
 
 
+def _check_fit(record: type, weights, config: EncoderConfig) -> None:
+    """Weights fit ``config``: n_layers layers, each array shaped as its declaration names."""
+    for f in fields(record):
+        value = getattr(weights, f.name)
+        if "per_layer" in f.metadata:
+            if len(value) != config.n_layers:
+                raise ValidationError(
+                    f"weights have {len(value)} layers, config has {config.n_layers}")
+            for layer in value:
+                _check_fit(f.metadata["per_layer"], layer, config)
+        elif np.shape(value) != _shape(f, config):
+            raise ValidationError(
+                f"weight {f.name} has shape {np.shape(value)}, config needs {_shape(f, config)}")
+
+
 def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
     """Cut an (H, W, C) raster into N x (p*p*C) rows in raster order.
 
@@ -235,29 +250,28 @@ def _block_rows(n: int, heads: int) -> int:
     return max(1, min(n, _TILE_BYTES // (8 * heads * n)))
 
 
-def _forward(
-    patches: np.ndarray,
-    positions: np.ndarray,
-    rope: RopeTable,
-    weights: EncoderWeights,
-    config: EncoderConfig,
-    key_keep: np.ndarray | None = None,
-) -> np.ndarray:
-    n = patches.shape[0]
-    if not np.isfinite(patches).all():
+def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], rope: RopeTable,
+             weights: EncoderWeights, config: EncoderConfig,
+             key_keep: np.ndarray | None = None) -> PackedSequence:
+    """Check the inputs and run the stack over float64 token rows at their
+    (row, col) ``positions`` on ``grid``. With ``key_keep``, attention to the
+    other rows is blocked and only the kept rows are returned."""
+    if grid != (rope.rows, rope.cols):
+        raise ValidationError(f"token grid {grid} != rope extent {(rope.rows, rope.cols)}")
+    if not np.isfinite(tokens).all():
         raise ValidationError("patches must be finite")
-    if patches.shape[1] != weights.w_embed.shape[0]:
+    if tokens.shape[1] != weights.w_embed.shape[0]:
         raise ValidationError(
-            f"patch dim {patches.shape[1]} != embedding input {weights.w_embed.shape[0]}"
-        )
+            f"patch dim {tokens.shape[1]} != embedding input {weights.w_embed.shape[0]}")
     if rope.d != config.head_dim:
         raise ValidationError(
-            f"rotary table dimension {rope.d} != head dimension {config.head_dim}"
-        )
-    h = patches @ weights.w_embed + weights.b_embed
-    if n == 0:
-        return h
-    nh, dh = config.n_heads, config.head_dim
+            f"rotary table dimension {rope.d} != head dimension {config.head_dim}")
+    _check_fit(EncoderWeights, weights, config)
+    out = slice(None) if key_keep is None else key_keep
+    h = tokens @ weights.w_embed + weights.b_embed
+    if not len(positions[out]):  # no query row; with no key kept, softmax would be 0/0
+        return PackedSequence(h[out], positions[out], grid)
+    n, nh, dh = h.shape[0], config.n_heads, config.head_dim
     scale = 1.0 / np.sqrt(dh)
     drop = None if key_keep is None else ~key_keep
     rows = _block_rows(n, nh)
@@ -291,12 +305,7 @@ def _forward(
         np.matmul(a2, lw.w_up, out=up)
         up += lw.b_up
         h = h + _gelu(up, out=act) @ lw.w_down + lw.b_down
-    return h
-
-
-def _grid_positions(rows: int, cols: int) -> np.ndarray:
-    """Every (row, col) in raster order: the coordinates an all-ones mask packs."""
-    return np.argwhere(np.ones((rows, cols), dtype=bool))
+    return PackedSequence(h[out], positions[out], grid)
 
 
 def encode_dense(
@@ -306,15 +315,8 @@ def encode_dense(
     config: EncoderConfig,
 ) -> PackedSequence:
     """Run the full stack over every grid token."""
-    seq = real_array(patches, "patches", 2).astype(np.float64, copy=False)
-    if seq.shape[0] != rope.rows * rope.cols:
-        raise ValidationError(
-            f"expected {rope.rows * rope.cols} patch rows for a "
-            f"{rope.rows}x{rope.cols} grid"
-        )
-    positions = _grid_positions(rope.rows, rope.cols)
-    return PackedSequence(_forward(seq, positions, rope, weights, config), positions,
-                          (rope.rows, rope.cols))
+    grid = (rope.rows, rope.cols)
+    return _forward(*_grid_rows(patches, grid), grid, rope, weights, config)
 
 
 def encode_packed(
@@ -328,13 +330,7 @@ def encode_packed(
     Each token's rotary factors come from its original grid coordinate,
     not its index in the shortened sequence.
     """
-    if packed.origin_grid != (rope.rows, rope.cols):
-        raise ValidationError(
-            f"packed grid {packed.origin_grid} != rope extent "
-            f"{(rope.rows, rope.cols)}"
-        )
-    return PackedSequence(_forward(packed.tokens, packed.kept, rope, weights, config),
-                          packed.kept, packed.origin_grid)
+    return _forward(packed.tokens, packed.kept, packed.origin_grid, rope, weights, config)
 
 
 def encode_masked_dense_oracle(
@@ -350,18 +346,9 @@ def encode_masked_dense_oracle(
     softmax, so dropped tokens cannot leak into retained rows; after the
     full stack only the retained rows are returned, in raster order.
     """
-    seq = real_array(patches, "patches", 2).astype(np.float64, copy=False)
-    if (mask.rows, mask.cols) != (rope.rows, rope.cols):
-        raise ValidationError("mask grid does not match rope extent")
-    if seq.shape[0] != mask.rows * mask.cols:
-        raise ValidationError("patch count does not match mask grid")
-    keep = mask.bits.ravel().astype(bool)
-    positions = _grid_positions(mask.rows, mask.cols)
     grid = (mask.rows, mask.cols)
-    if not keep.any():
-        return PackedSequence(np.zeros((0, config.d_model)), positions[keep], grid)
-    full = _forward(seq, positions, rope, weights, config, key_keep=keep)
-    return PackedSequence(full[keep], positions[keep], grid)
+    return _forward(*_grid_rows(patches, grid), grid, rope, weights, config,
+                    key_keep=mask.bits.ravel().astype(bool))
 
 
 def merge_project(
@@ -378,6 +365,7 @@ def merge_project(
     A cell with only some of its members present means a patch-granularity
     mask was combined with merge_size > 1 and is rejected.
     """
+    _check_fit(EncoderWeights, weights, config)
     if features.tokens.shape[1] != config.d_model:
         raise ValidationError(
             f"feature width {features.tokens.shape[1]} != d_model {config.d_model}")

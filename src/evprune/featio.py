@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, real_array
+from .errors import FormatError, ValidationError, real_array
 
 _HEADER = struct.Struct("<II")
 
@@ -17,8 +17,11 @@ _HEADER = struct.Struct("<II")
 def write_features(features: np.ndarray) -> bytes:
     feats = real_array(features, "features", 2).astype(np.float64, copy=False)
     count, dim = feats.shape
-    body = np.ascontiguousarray(feats, dtype="<f4").tobytes()
-    return _HEADER.pack(count, dim) + body
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, refused below
+        body = np.ascontiguousarray(feats, dtype="<f4")
+    if not np.isfinite(body).all():
+        raise ValidationError("features must be finite and within float32 range")
+    return _HEADER.pack(count, dim) + body.tobytes()
 
 
 def read_features(data: bytes) -> np.ndarray:

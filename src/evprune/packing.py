@@ -54,16 +54,21 @@ class PackedSequence:
         return self.tokens.shape[0]
 
 
+def _grid_rows(patches, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``patches`` as float64 (not copied) if its rows fill the rows x cols
+    ``grid`` in raster order, and the (row, col) coordinate of each row."""
+    seq = real_array(patches, "patches", 2).astype(np.float64, copy=False)
+    rows, cols = grid
+    if seq.shape[0] != rows * cols:
+        raise ValidationError(f"{seq.shape[0]} patch rows do not fill a {rows}x{cols} grid")
+    return seq, np.argwhere(np.ones(grid, dtype=bool))
+
+
 def pack_patches(patch_seq: np.ndarray, mask: PatchMask) -> PackedSequence:
     """Keep the rows whose mask bit is set, preserving raster order."""
-    seq = real_array(patch_seq, "patch sequence", 2).astype(np.float64, copy=False)
-    n = mask.rows * mask.cols
-    if seq.shape[0] != n:
-        raise ValidationError(
-            f"patch sequence has {seq.shape[0]} rows, mask grid implies {n}"
-        )
+    seq, positions = _grid_rows(patch_seq, (mask.rows, mask.cols))
     flat = mask.bits.ravel().astype(bool)
-    return PackedSequence(seq[flat], np.argwhere(mask.bits), (mask.rows, mask.cols))
+    return PackedSequence(seq[flat], positions[flat], (mask.rows, mask.cols))
 
 
 def unpack_scatter(packed: PackedSequence, fill: np.ndarray) -> np.ndarray:

@@ -44,7 +44,8 @@ def _tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
 
 def read_ppm(data: bytes) -> np.ndarray:
     """Decode P6 bytes to a (height, width, 3) uint8 array."""
-    if not data.startswith(b"P6"):
+    # the magic is the whole first header token
+    if data[:2] != b"P6" or data[2:3] not in _WHITESPACE + b"#":
         raise FormatError("not a P6 PPM (bad magic)")
     toks, offset = _tokens(data, 4)
     # Unsigned ASCII decimal; int() would also take b"+2" and b"1_0".
@@ -79,6 +80,8 @@ def to_gray01(image: np.ndarray) -> np.ndarray:
     """Mean over channels, scaled to [0, 1] float64; input for the
     brightness-change simulator."""
     img = real_array(image, "image").astype(np.float64, copy=False)
+    if not (img.ndim == 2 or img.ndim == 3 and img.shape[2] >= 1):
+        raise ValidationError(f"image must have shape (H, W) or (H, W, C >= 1), got {img.shape}")
     if img.ndim == 3:
         img = img.mean(axis=2)
     return img / 255.0

@@ -14,6 +14,7 @@ positions, which is what makes packed sequences position-faithful.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ def _thetas(d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RopeTable:
-    """Cos/sin factors cached per coordinate value (O(rows + cols) memory)."""
+    """Finite cos/sin factors per coordinate value (O(rows + cols) memory), as read-only copies."""
 
     rows: int
     cols: int
@@ -43,10 +44,13 @@ class RopeTable:
         if d % 4:
             raise ValidationError(f"embedding dimension must be divisible by 4, got {d}")
         for name in ("cos_row", "sin_row", "cos_col", "sin_col"):
-            arr = real_array(getattr(self, name), name)
+            arr = np.array(real_array(getattr(self, name), name), dtype=np.float64)
             shape = (rows if name.endswith("row") else cols, d // 4)
             if arr.shape != shape:
                 raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} must be finite")
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
 
@@ -118,6 +122,8 @@ def rope_matrix(i: int, j: int, d: int) -> np.ndarray:
     composition law can be checked directly.
     """
     i, j, d = as_size(i, "i", None), as_size(j, "j", None), as_size(d, "d")
+    if max(abs(i), abs(j)) > sys.float_info.max:
+        raise ValidationError("coordinates i and j must be within float range")
     if d % 4:
         raise ValidationError(f"embedding dimension must be divisible by 4, got {d}")
     theta = _thetas(d)

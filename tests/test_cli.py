@@ -178,6 +178,24 @@ class TestMask:
         assert stdout == ""
         assert not out_mask.exists() and not out_img.exists()
 
+    @pytest.mark.parametrize("edge, message", [
+        (8, "patch size 16 exceeds frame 8x8"),
+        (24, "patch grid 1x1 not divisible by merge size 2"),
+    ])
+    def test_image_smaller_than_one_merge_cell_exit_1_and_no_output(
+            self, square_events, tmp_path, capsys, edge, message):
+        _, evt = square_events
+        image = tmp_path / "small.ppm"
+        image.write_bytes(write_ppm(np.zeros((edge, edge, 3), dtype=np.uint8)))
+        out_mask, out_img = tmp_path / "m.txt", tmp_path / "m.ppm"
+        code, stdout, err = run(capsys, "mask", str(image), str(evt), "--tau", "0.5",
+                                "--patch-size", "16", "--merge-size", "2",
+                                "--out-mask", str(out_mask), "--out-image", str(out_img))
+        assert code == 1
+        assert message in err
+        assert stdout == ""
+        assert not out_mask.exists() and not out_img.exists()
+
     @pytest.mark.parametrize("fill", ["abc", "0,0", "300,0,0"])
     def test_bad_fill_exit_1_and_no_output(self, square_events, tmp_path, capsys, fill):
         """--fill is checked even when no masked image is written."""

@@ -405,6 +405,69 @@ class TestEncodeDense:
         assert max_rel_err(got, want) <= 1e-12
 
 
+class TestOneForwardPath:
+    EMPTY = PatchMask(np.zeros((2, 2), dtype=np.uint8), 0.0)
+
+    def test_each_entry_point_runs_forward_once(self, monkeypatch):
+        config = small_config()
+        patches, rope, weights = random_setup(2, 2, config, seed=13)
+        calls, forward = [], encoder._forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, "_forward", counted)
+        for mask in (self.EMPTY, PatchMask(np.eye(2, dtype=np.uint8), 0.5)):
+            for run in (lambda: encode_dense(patches, rope, weights, config),
+                        lambda: encode_packed(pack_patches(patches, mask), rope, weights, config),
+                        lambda: encode_masked_dense_oracle(patches, rope, mask, weights, config)):
+                calls.clear()
+                assert isinstance(run(), PackedSequence)
+                assert len(calls) == 1
+
+    @pytest.mark.parametrize("fault, match", [
+        ("nan", "patches must be finite"),
+        ("width", "patch dim 7 != embedding input 12"),
+        ("rope", "rotary table dimension 4 != head dimension 8"),
+        ("grid", r"token grid \(2, 2\) != rope extent \(2, 3\)"),
+    ])
+    def test_empty_mask_oracle_checks_its_input(self, fault, match):
+        # with nothing kept the oracle returned no rows before any check ran
+        config = small_config()
+        patches, rope, weights = random_setup(2, 2, config, seed=15)
+        if fault == "nan":
+            patches[1, 2] = np.nan
+        elif fault == "width":
+            patches = patches[:, :7]
+        elif fault == "rope":
+            rope = build_rope(2, 2, 4)
+        else:
+            rope = build_rope(2, 3, config.head_dim)
+        with pytest.raises(ValidationError, match=match):
+            encode_masked_dense_oracle(patches, rope, self.EMPTY, weights, config)
+
+    @pytest.mark.parametrize("other, match", [
+        (dict(d_model=32), r"weight w_embed has shape \(12, 32\), config needs \(12, 16\)"),
+        (dict(n_layers=3), "weights have 3 layers, config has 2"),
+        (dict(mlp_ratio=4.0), r"weight w_up has shape \(16, 64\), config needs \(16, 32\)"),
+        (dict(d_out=8), r"weight w_merge2 has shape \(16, 8\), config needs \(16, 16\)"),
+    ])
+    def test_weights_drawn_for_another_config_rejected(self, other, match):
+        # numpy's reshape and matmul errors escaped before
+        config = small_config()
+        patches, rope, _ = random_setup(2, 2, config, seed=16)
+        weights = init_weights(small_config(**other))
+        mask = PatchMask(np.ones((2, 2), dtype=np.uint8), 1.0)
+        for run in (lambda: encode_dense(patches, rope, weights, config),
+                    lambda: encode_packed(pack_patches(patches, mask), rope, weights, config),
+                    lambda: encode_masked_dense_oracle(patches, rope, mask, weights, config),
+                    lambda: merge_project(encode_dense(patches, rope, init_weights(config), config),
+                                          config, weights)):
+            with pytest.raises(ValidationError, match=match):
+                run()
+
+
 class TestPackedVsOracle:
     def test_multi_head_masked_matches_hand_rolled_reference(self, monkeypatch):
         """Also with the tile budget shrunk so that attention runs in blocks

@@ -50,6 +50,12 @@ class TestPpm:
         with pytest.raises(FormatError):
             read_ppm(b"P5\n2 1\n255\n" + bytes(2))
 
+    def test_magic_is_the_whole_first_token(self):
+        # only the prefix was compared, so "P6x" was read as "P6"
+        with pytest.raises(FormatError, match=r"not a P6 PPM \(bad magic\)"):
+            read_ppm(b"P6x 1 1 255\n" + bytes(3))
+        assert read_ppm(b"P6#c\n1 1 255\n" + bytes(3)).shape == (1, 1, 3)
+
     def test_rejects_two_byte_maxval(self):
         with pytest.raises(FormatError):
             read_ppm(b"P6\n1 1\n65535\n" + bytes(6))
@@ -71,6 +77,12 @@ class TestPpm:
         img[0, 0] = (255, 255, 255)
         gray = to_gray01(img)
         assert gray[0, 0] == 1.0 and gray[1, 1] == 0.0
+
+    @pytest.mark.parametrize("shape", [(2, 2, 0), (2, 2, 3, 1), (4,)])
+    def test_gray_conversion_rejects_other_shapes(self, shape):
+        # (2, 2, 0) gave NaN with a warning and (2, 2, 3, 1) was averaged over axis 2
+        with pytest.raises(ValidationError, match=r"\(H, W\) or \(H, W, C >= 1\)"):
+            to_gray01(np.zeros(shape, dtype=np.uint8))
 
 
 class TestFeatureDump:
@@ -98,6 +110,12 @@ class TestFeatureDump:
     def test_rejects_non_2d(self):
         with pytest.raises(ValidationError):
             write_features(np.zeros(5))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300, -3.5e38])
+    def test_rejects_values_float32_cannot_hold(self, value):
+        # NaN was written silently and 1e300 warned "overflow encountered in cast"
+        with pytest.raises(ValidationError, match="finite and within float32 range"):
+            write_features(np.array([[0.0, value]]))
 
 
 class TestKvText:
@@ -265,6 +283,17 @@ class TestReaderFuzz:
     def test_mask_from_text(self, text):
         try:
             mask = mask_from_text(text)
+        except (FormatError, ValidationError):
+            return
+        assert mask_from_text(mask_to_text(mask)).bits.tolist() == mask.bits.tolist()
+
+    @settings(deadline=None, max_examples=300)
+    @given(near_valid_bytes(mask_to_text(
+        PatchMask(np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8), 0.5)).encode("ascii")))
+    def test_mask_from_text_bytes(self, data):
+        """Every byte value, through latin-1, which maps each to one character."""
+        try:
+            mask = mask_from_text(data.decode("latin-1"))
         except (FormatError, ValidationError):
             return
         assert mask_from_text(mask_to_text(mask)).bits.tolist() == mask.bits.tolist()

@@ -69,6 +69,18 @@ class TestTable:
         with pytest.raises(ValidationError, match="d must be an integer"):
             RopeTable(4, 4, 8.0, *[np.zeros((4, 2))] * 4)
 
+    def test_keeps_read_only_finite_copies(self):
+        # the caller's arrays were kept aliased and writable, and NaN was accepted
+        factors = [np.ones((2, 1)) for _ in range(4)]
+        table = RopeTable(2, 2, 4, *factors)
+        factors[0][0, 0] = 5.0
+        assert table.cos_row[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.sin_col[0, 0] = 5.0
+        factors[3][1, 0] = np.nan
+        with pytest.raises(ValidationError, match="sin_col must be finite"):
+            RopeTable(2, 2, 4, *factors)
+
 
 class TestApply:
     def test_origin_is_identity(self):
@@ -157,6 +169,12 @@ class TestMatrix:
         # "1" and 8.0 raised TypeError, inf warned in np.cos, 1.5 rotated by 1.5
         with pytest.raises(ValidationError, match=match):
             rope_matrix(i, j, d)
+
+    @pytest.mark.parametrize("i, j", [(10**400, 0), (0, -(10**400))], ids=["i", "j"])
+    def test_rejects_coordinates_beyond_float_range(self, i, j):
+        # raised OverflowError
+        with pytest.raises(ValidationError, match="within float range"):
+            rope_matrix(i, j, 8)
 
     def test_d4_block_layout(self):
         theta = 10000.0 ** (-2.0 / 4.0)
