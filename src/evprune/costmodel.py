@@ -147,8 +147,12 @@ class CostReport:
 
 @dataclass(frozen=True)
 class CostReduction:
-    flops_pct: float
     macs_pct: float
+
+    @property
+    def flops_pct(self) -> float:
+        """The same percentage: flops = 2 * macs in both reports."""
+        return self.macs_pct
 
     def to_dict(self) -> dict:
         return {
@@ -217,12 +221,9 @@ def estimate(profile: ArchProfile, work: WorkloadSpec) -> CostReport:
 
 def compare(dense: CostReport, sparse: CostReport) -> CostReduction:
     """Signed percentage reduction of sparse relative to dense."""
-    if dense.flops == 0 or dense.macs == 0:
+    if dense.macs == 0:
         raise ValidationError("cannot compute reduction against zero dense cost")
-    return CostReduction(
-        flops_pct=100.0 * (dense.flops - sparse.flops) / dense.flops,
-        macs_pct=100.0 * (dense.macs - sparse.macs) / dense.macs,
-    )
+    return CostReduction(macs_pct=100.0 * (dense.macs - sparse.macs) / dense.macs)
 
 
 def load_arch_profile(text: str) -> ArchProfile:

@@ -126,8 +126,24 @@ def _param(*dims: str, gain: bool = False):
     return field(metadata={"dims": dims, "gain": gain})
 
 
+class _Weights:
+    """A record of weight arrays, each declared by ``_param``: every array is
+    checked finite and kept as read-only float64, a writable one as a copy."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if "dims" not in f.metadata:
+                continue
+            arr = real_array(getattr(self, f.name), f"weight {f.name}")
+            arr = arr.astype(np.float64, copy=arr.flags.writeable)
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"weight {f.name} must be finite")
+            arr.flags.writeable = False
+            object.__setattr__(self, f.name, arr)
+
+
 @dataclass(frozen=True, eq=False)
-class LayerWeights:
+class LayerWeights(_Weights):
     ln1_gamma: np.ndarray = _param("d_model", gain=True)
     ln1_beta: np.ndarray = _param("d_model")
     wq: np.ndarray = _param("d_model", "d_model")
@@ -143,7 +159,7 @@ class LayerWeights:
 
 
 @dataclass(frozen=True, eq=False)
-class EncoderWeights:
+class EncoderWeights(_Weights):
     w_embed: np.ndarray = _param("patch_dim", "d_model")
     b_embed: np.ndarray = _param("d_model")
     layers: tuple[LayerWeights, ...] = field(metadata={"per_layer": LayerWeights})
@@ -187,7 +203,9 @@ def _draw(record: type, config: EncoderConfig, rng: np.random.Generator):
             continue
         shape = _shape(f, config)
         z = rng.standard_normal(shape) * (1.0 / np.sqrt(shape[0]) if len(shape) == 2 else 0.02)
-        values[f.name] = 1.0 + z if f.metadata["gain"] else z
+        value = 1.0 + z if f.metadata["gain"] else z
+        value.flags.writeable = False  # so the record keeps it without a copy
+        values[f.name] = value
     return record(**values)
 
 

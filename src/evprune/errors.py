@@ -33,9 +33,11 @@ def real_array(values, name: str, ndim: int | None = None) -> np.ndarray:
 
 
 def as_size(value, name: str, least: int | None = 1) -> int:
-    """``value`` as an int, if ``operator.index`` takes it, that is >= ``least``
-    unless that is None; else a ValidationError."""
+    """``value`` as an int, if ``operator.index`` takes it and it is not a bool,
+    that is >= ``least`` unless that is None; else a ValidationError."""
     try:
+        if isinstance(value, bool):  # operator.index takes True as 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None

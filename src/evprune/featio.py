@@ -14,12 +14,17 @@ from .errors import FormatError, ValidationError, real_array
 _HEADER = struct.Struct("<II")
 
 
+def _holds_finite(body: np.ndarray) -> bool:
+    """Whether a float32 body is a valid dump's: no NaN and no infinity."""
+    return bool(np.isfinite(body).all())
+
+
 def write_features(features: np.ndarray) -> bytes:
     feats = real_array(features, "features", 2).astype(np.float64, copy=False)
     count, dim = feats.shape
     with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, refused below
         body = np.ascontiguousarray(feats, dtype="<f4")
-    if not np.isfinite(body).all():
+    if not _holds_finite(body):
         raise ValidationError("features must be finite and within float32 range")
     return _HEADER.pack(count, dim) + body.tobytes()
 
@@ -36,4 +41,6 @@ def read_features(data: bytes) -> np.ndarray:
             f"for {count}x{dim}"
         )
     body = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
+    if not _holds_finite(body):
+        raise FormatError("feature dump holds non-finite values")
     return body.reshape(count, dim).copy()

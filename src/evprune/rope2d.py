@@ -15,7 +15,7 @@ positions, which is what makes packed sequences position-faithful.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,41 +29,33 @@ def _thetas(d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RopeTable:
-    """Finite cos/sin factors per coordinate value (O(rows + cols) memory), as read-only copies."""
+    """Read-only cos/sin factors per coordinate value (O(rows + cols) memory),
+    computed from the extent and the dimension, so every table is a rotation."""
 
     rows: int
     cols: int
     d: int
-    cos_row: np.ndarray  # (rows, d/4)
-    sin_row: np.ndarray
-    cos_col: np.ndarray  # (cols, d/4)
-    sin_col: np.ndarray
+    cos_row: np.ndarray = field(init=False)  # (rows, d/4)
+    sin_row: np.ndarray = field(init=False)
+    cos_col: np.ndarray = field(init=False)  # (cols, d/4)
+    sin_col: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        rows, cols, d = (as_size(getattr(self, name), name) for name in ("rows", "cols", "d"))
-        if d % 4:
-            raise ValidationError(f"embedding dimension must be divisible by 4, got {d}")
-        for name in ("cos_row", "sin_row", "cos_col", "sin_col"):
-            arr = np.array(real_array(getattr(self, name), name), dtype=np.float64)
-            shape = (rows if name.endswith("row") else cols, d // 4)
-            if arr.shape != shape:
-                raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"{name} must be finite")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name in ("rows", "cols", "d"):
+            object.__setattr__(self, name, as_size(getattr(self, name), name))
+        if self.d % 4:
+            raise ValidationError(f"embedding dimension must be divisible by 4, got {self.d}")
+        theta = _thetas(self.d)
+        for axis, extent in (("row", self.rows), ("col", self.cols)):
+            angles = np.arange(extent, dtype=np.float64)[:, None] * theta[None, :]
+            for name, fn in (("cos", np.cos), ("sin", np.sin)):
+                factors = fn(angles)
+                factors.flags.writeable = False
+                object.__setattr__(self, f"{name}_{axis}", factors)
 
 
 def build_rope(rows: int, cols: int, d: int) -> RopeTable:
-    rows, cols, d = as_size(rows, "rows"), as_size(cols, "cols"), as_size(d, "d")
-    theta = _thetas(d)
-    row_angles = np.arange(rows, dtype=np.float64)[:, None] * theta[None, :]
-    col_angles = np.arange(cols, dtype=np.float64)[:, None] * theta[None, :]
-    return RopeTable(
-        rows, cols, d,
-        np.cos(row_angles), np.sin(row_angles),
-        np.cos(col_angles), np.sin(col_angles),
-    )
+    return RopeTable(rows, cols, d)
 
 
 def _as_positions(positions) -> np.ndarray:

@@ -9,6 +9,7 @@ any other exception, or a warning, fails the test.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -69,9 +70,9 @@ _PROFILE = load_shipped_profile("qwen2vl_2b_like")
 _WORK = [448, 448, 0.5, 16, 4]
 
 
-def rope_at_far_corner(*fields):
-    """A table from ``fields``, applied at the last row and column it covers."""
-    table = RopeTable(*fields)
+def rope_at_far_corner(rows, cols, d):
+    """A table for the extent and dimension, applied at the last row and column it covers."""
+    table = RopeTable(rows, cols, d)
     return apply_rope_many(table, np.array([[table.rows - 1, table.cols - 1]]), np.ones((1, 8)))
 
 
@@ -81,8 +82,7 @@ CASES = {
     "PatchMask": (PatchMask, [np.array([[1, 0], [0, 1]], dtype=np.uint8), 0.5]),
     "PackedSequence": (PackedSequence, [_RNG.standard_normal((2, 3)),
                                         np.array([[0, 0], [1, 1]]), (2, 2)]),
-    "RopeTable": (rope_at_far_corner, [_ROPE.rows, _ROPE.cols, _ROPE.d, _ROPE.cos_row,
-                                       _ROPE.sin_row, _ROPE.cos_col, _ROPE.sin_col]),
+    "RopeTable": (rope_at_far_corner, [_ROPE.rows, _ROPE.cols, _ROPE.d]),
     "resize_to": (lambda counts, width, height: resize_to(EventFrame(counts), width, height),
                   [_RNG.integers(0, 5, size=(3, 4)), 5, 2]),
     "patch_scores": (lambda counts, p: patch_scores(EventFrame(counts), p),
@@ -178,3 +178,39 @@ def test_each_near_valid_argument_alone_returns_or_raises_domain_errors(name):
 def test_valid_arguments_return_a_value(name):
     call, valid = CASES[name]
     assert call(*valid) is not None
+
+
+@pytest.mark.parametrize("call", [
+    lambda: patchify(np.zeros((4, 4)), True),
+    lambda: build_rope(True, True, 4),
+    lambda: retained_count(0.5, True),
+    lambda: EventStream(True, True, [0], [0], [0], [1]),
+    lambda: PackedSequence(np.zeros((1, 2)), np.array([[0, 0]]), (True, True)),
+], ids=["patchify", "build_rope", "retained_count", "EventStream", "PackedSequence"])
+def test_a_bool_is_not_an_integer(call):
+    # each took True as 1
+    with pytest.raises(ValidationError, match="must be an integer, got True"):
+        call()
+
+
+def held_arrays(value, path: str, held: bool = False):
+    """(path, array) for every ndarray that a record within ``value`` holds."""
+    if isinstance(value, np.ndarray):
+        if held:
+            yield path, value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from held_arrays(getattr(value, f.name), f"{path}.{f.name}", True)
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from held_arrays(item, f"{path}[{i}]", held)
+
+
+def test_every_array_a_public_record_holds_is_read_only():
+    # the encoder weights were writable
+    arrays = []
+    for name, (call, valid) in CASES.items():
+        record = getattr(evprune, name)
+        arrays += held_arrays(record(*valid) if isinstance(record, type) else call(*valid), name)
+    assert {path.split(".")[0] for path, _ in arrays} >= {"RopeTable", "init_weights"}
+    assert [path for path, arr in arrays if arr.flags.writeable] == []

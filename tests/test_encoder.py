@@ -359,6 +359,40 @@ class TestInitWeights:
         want = first / np.sqrt(12.0)
         assert weights.w_embed[0, 0] == want
 
+    def test_drawn_weights_are_read_only_and_not_copied(self):
+        # every array was writable; freezing must not copy the weights
+        config = small_config(n_layers=6, d_model=32)
+        tracemalloc.start()
+        try:
+            weights = init_weights(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [a for _, a in weight_arrays(weights)]
+        assert not any(a.flags.writeable for a in arrays)
+        size = sum(a.nbytes for a in arrays)
+        assert peak < size + 2 * max(a.nbytes for a in arrays) + 64 * 1024
+
+    @pytest.mark.parametrize("field, value", [
+        ("b_embed", np.nan), ("w_merge2", np.inf), ("layers.ln2_gamma", -np.inf)])
+    def test_rejects_non_finite_weights(self, field, value):
+        # encode_dense returned all-NaN rows
+        config = small_config(n_layers=1)
+        weights = init_weights(config)
+        record, name = ((weights.layers[0], field.split(".")[1]) if "." in field
+                        else (weights, field))
+        with pytest.raises(ValidationError, match=f"weight {name} must be finite"):
+            dataclasses.replace(record, **{name: getattr(record, name) * value})
+
+    def test_keeps_a_read_only_copy_of_a_writable_array(self):
+        weights = init_weights(small_config(n_layers=0))
+        bias = np.zeros(weights.b_embed.shape, dtype=np.float32)
+        replaced = dataclasses.replace(weights, b_embed=bias)
+        bias[0] = 5.0
+        assert replaced.b_embed[0] == 0.0 and replaced.b_embed.dtype == np.float64
+        assert not replaced.b_embed.flags.writeable
+        assert replaced.w_embed is weights.w_embed
+
 
 class TestEncodeDense:
     def test_zero_layers_is_patch_embedding(self):

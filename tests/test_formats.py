@@ -117,6 +117,13 @@ class TestFeatureDump:
         with pytest.raises(ValidationError, match="finite and within float32 range"):
             write_features(np.array([[0.0, value]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_reader_rejects_what_the_writer_refuses(self, value):
+        # returned [[0. nan]] and the like
+        blob = write_features(np.zeros((1, 2), dtype=np.float32))
+        with pytest.raises(FormatError, match="non-finite"):
+            read_features(blob[:-4] + np.array([value], "<f4").tobytes())
+
 
 class TestKvText:
     def test_parses_comments_blanks_dotted_keys(self):

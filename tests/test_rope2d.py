@@ -59,27 +59,29 @@ class TestTable:
         with pytest.raises(ValidationError, match=match):
             build_rope(rows, cols, d)
 
-    def test_rejects_tables_that_do_not_fit_the_grid(self):
-        # accepted before; apply_rope_many then failed with IndexError
-        with pytest.raises(ValidationError, match=r"cos_row must have shape \(4, 2\)"):
-            RopeTable(4, 4, 8, *[np.zeros((1, 2))] * 4)
-        rows, cols = np.zeros((4, 2)), np.zeros((3, 2))
-        with pytest.raises(ValidationError, match=r"cos_col must have shape \(4, 2\)"):
-            RopeTable(4, 4, 8, rows, rows, cols, cols)
-        with pytest.raises(ValidationError, match="d must be an integer"):
-            RopeTable(4, 4, 8.0, *[np.zeros((4, 2))] * 4)
-
     def test_keeps_read_only_finite_copies(self):
-        # the caller's arrays were kept aliased and writable, and NaN was accepted
-        factors = [np.ones((2, 1)) for _ in range(4)]
-        table = RopeTable(2, 2, 4, *factors)
-        factors[0][0, 0] = 5.0
-        assert table.cos_row[0, 0] == 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            table.sin_col[0, 0] = 5.0
-        factors[3][1, 0] = np.nan
-        with pytest.raises(ValidationError, match="sin_col must be finite"):
-            RopeTable(2, 2, 4, *factors)
+        # factor arrays were taken from the caller; NaN or zeros broke the rotation
+        table = RopeTable(2, 2, 4)
+        for factors in (table.cos_row, table.sin_row, table.cos_col, table.sin_col):
+            assert np.isfinite(factors).all()
+            with pytest.raises(ValueError, match="read-only"):
+                factors[0, 0] = 5.0
+        with pytest.raises(TypeError):
+            RopeTable(2, 2, 4, *[np.zeros((2, 1))] * 4)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 24), st.integers(0, 2**31))
+    def test_every_table_the_constructor_accepts_rotates(self, rows, cols, d, seed):
+        try:
+            table = RopeTable(rows, cols, d)
+        except ValidationError:
+            assert d % 4
+            return
+        v = np.random.Generator(np.random.PCG64(seed)).standard_normal(d)
+        for i in range(rows):
+            for j in range(cols):
+                want = rope_matrix(i, j, d) @ v
+                assert np.abs(apply_rope(table, (i, j), v) - want).max() <= 1e-12
 
 
 class TestApply:
