@@ -354,8 +354,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: building takes ten times as long as a parse. Parsing reads the
+# tree without changing it, and each ``cmd_*`` looks up what it calls in this
+# module's namespace when it runs, so rebinding those names still takes effect.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -128,11 +128,19 @@ def _param(*dims: str, gain: bool = False):
 
 class _Weights:
     """A record of weight arrays, each declared by ``_param``: every array is
-    checked finite and kept as read-only float64, a writable one as a copy."""
+    checked finite and kept as read-only float64, a writable one as a copy.
+    A ``per_layer`` field must be a list or tuple of its record type, and is
+    kept as a tuple."""
 
     def __post_init__(self):
         for f in fields(self):
-            if "dims" not in f.metadata:
+            if "per_layer" in f.metadata:
+                layers, record = getattr(self, f.name), f.metadata["per_layer"]
+                if not (isinstance(layers, (list, tuple))
+                        and all(isinstance(layer, record) for layer in layers)):
+                    raise ValidationError(
+                        f"weight {f.name} must be a list or tuple of {record.__name__}")
+                object.__setattr__(self, f.name, tuple(layers))
                 continue
             arr = real_array(getattr(self, f.name), f"weight {f.name}")
             arr = arr.astype(np.float64, copy=arr.flags.writeable)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,6 +486,38 @@ class TestVerify:
         assert code == 3
         assert "FAIL saliency.mask" in stdout
         assert "repro seed" in stdout
+
+
+class TestParser:
+    def test_shared_parser_is_reentrant(self, square_pair, tmp_path, capsys, monkeypatch):
+        """Calls after a rejected and a non-default call give what calls
+        through a freshly built parser give; no default leaks between calls."""
+        path_a, path_b = square_pair
+        evt, mask, image = (str(tmp_path / name) for name in ("ev.evt1", "m.txt", "m.ppm"))
+        calls = [
+            ["simulate", str(path_a), str(path_b), "--contrast", "0.3",
+             "--duration-us", "1000", "--out", evt],
+            ["mask", str(path_b), evt, "--tau", "0.25", "--patch-size", "16",
+             "--out-mask", mask, "--out-image", image],
+        ]
+
+        def outputs():
+            got = [run(capsys, *argv) for argv in calls]
+            return got + [Path(path).read_bytes() for path in (evt, mask, image)]
+
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        fresh = outputs()
+        monkeypatch.undo()
+        with pytest.raises(SystemExit) as exc:
+            main(["mask", str(path_b), evt, "--tau", "0.25", "--patch-size", "sixteen"])
+        assert exc.value.code == 2
+        code, _, _ = run(capsys, "mask", str(path_b), evt, "--tau", "0.5", "--patch-size", "16",
+                         "--merge-size", "2", "--fill", "9,9,9", "--window", "0:500",
+                         "--out-mask", mask, "--out-image", image)
+        assert code == 0
+        assert outputs() == fresh
+        args = cli._PARSER.parse_args(calls[1])
+        assert (args.merge_size, args.fill, args.window) == (1, "0,0,0", None)
 
 
 class TestEntryPoint:

@@ -384,6 +384,26 @@ class TestInitWeights:
         with pytest.raises(ValidationError, match=f"weight {name} must be finite"):
             dataclasses.replace(record, **{name: getattr(record, name) * value})
 
+    @pytest.mark.parametrize("layers", [
+        [{}], None, "", [None], 7, np.array([]), {"ln1_gamma": 1.0}])
+    def test_rejects_layers_that_are_not_layer_weights(self, layers):
+        # encode_dense raised AttributeError ([{}]) or TypeError (None)
+        weights = init_weights(small_config(n_layers=1))
+        with pytest.raises(ValidationError, match="weight layers must be a list or tuple of "
+                                                  "LayerWeights"):
+            dataclasses.replace(weights, layers=layers)
+
+    def test_keeps_a_list_of_layers_as_a_tuple(self):
+        config = small_config(n_layers=2)
+        weights = init_weights(config)
+        layers = list(weights.layers)
+        replaced = dataclasses.replace(weights, layers=layers)
+        layers.pop()
+        assert replaced.layers == weights.layers and isinstance(replaced.layers, tuple)
+        patches, rope, _ = random_setup(2, 2, config, seed=3)
+        assert np.array_equal(encode_dense(patches, rope, replaced, config).tokens,
+                              encode_dense(patches, rope, weights, config).tokens)
+
     def test_keeps_a_read_only_copy_of_a_writable_array(self):
         weights = init_weights(small_config(n_layers=0))
         bias = np.zeros(weights.b_embed.shape, dtype=np.float32)

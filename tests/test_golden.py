@@ -1,6 +1,7 @@
 """Pinned SHA-256 digests of the CLI outputs that run no BLAS code.
 
-The EVT1 file of ``simulate`` and the mask text and blanked PPM of
+The EVT1 files of ``simulate`` (with timestamps spanning less and more
+than 0xFFFF microseconds) and the mask text and blanked PPM of
 ``mask`` (merge sizes 1 and 2) are pure integer and elementwise float
 work, so their bytes are the same on every machine. A refactor of the
 event, saliency or PPM code must leave them unchanged. Feature dumps are
@@ -19,6 +20,8 @@ from evprune.ppm import write_ppm
 
 GOLDEN = {
     "scene.evt1": "8a9993002ed1ab7b6206c7c5b58e4df24f33085b05337ed8747ecd339b162cc2",
+    # Timestamps spanning 75000 us, more than a 16-bit sort key holds.
+    "scene_wide.evt1": "7dceea3f35a808a14bc640bfd6f31e8bffa7041ce35f351824b9f1f5f6d9b71e",
     "mask_m1.txt": "5a6d8f68bebca3fd75ab4845c9961090668ad1b2bfdc43d38d79ebdc990a3161",
     "mask_m1.ppm": "880b69072090783a4eeb30e2b823dee499f9fb9148819db31c473750713c8b6e",
     "mask_m2.txt": "c05236571ebd2961cc9a9b3d7597eca05e2dfbecf45ea42196f28f57d6b4864a",
@@ -41,9 +44,10 @@ def test_cli_outputs_match_their_digests(tmp_path, capsys):
     frame_a, frame_b = scene_pair()
     (tmp_path / "a.ppm").write_bytes(write_ppm(frame_a))
     (tmp_path / "b.ppm").write_bytes(write_ppm(frame_b))
-    assert main(["simulate", str(tmp_path / "a.ppm"), str(tmp_path / "b.ppm"),
-                 "--contrast", "0.25", "--duration-us", "5000",
-                 "--out", str(tmp_path / "scene.evt1")]) == 0
+    for name, duration in (("scene.evt1", 5000), ("scene_wide.evt1", 100_000)):
+        assert main(["simulate", str(tmp_path / "a.ppm"), str(tmp_path / "b.ppm"),
+                     "--contrast", "0.25", "--duration-us", str(duration),
+                     "--out", str(tmp_path / name)]) == 0
     for m in (1, 2):
         assert main(["mask", str(tmp_path / "b.ppm"), str(tmp_path / "scene.evt1"),
                      "--tau", "0.3", "--patch-size", "8", "--merge-size", str(m),
