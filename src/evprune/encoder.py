@@ -21,8 +21,10 @@ merge cell at its coordinate on the cell grid.
 
 Weights are untrained: the mechanism under test (positional alignment,
 packed/dense agreement, cost) does not depend on trained values, and
-reproducible random weights make every comparison exact. All math runs
-in float64.
+reproducible random weights make every comparison exact. A process draws
+a config's weights once and shares them read-only; the last config's
+weights stay resident until another config is drawn, at most 512 MiB at
+MAX_ENCODER_PARAMS. All math runs in float64.
 
 Attention runs over blocks of query rows. Each block's (heads, rows, n)
 logits fill one tile of about 2 MiB, so the key mask, max-subtract, exp
@@ -40,8 +42,10 @@ agree to rounding, not bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,7 +181,22 @@ class EncoderWeights(_Weights):
     b_merge2: np.ndarray = _param("d_out")
 
 
-def _shape(f, config: EncoderConfig) -> tuple[int, ...]:
+class _Dims(NamedTuple):
+    """What the weight draw reads from a config, as Python ints, and so the
+    key of its cache. Equal configs need not agree here: ``d_model *
+    mlp_ratio`` is rounded in float32 for an ``np.float32`` ratio and in
+    float64 for the equal float, and the MLP widths can differ by one."""
+
+    patch_dim: int
+    d_model: int
+    mlp_hidden: int
+    merge_dim: int
+    d_out: int
+    n_layers: int
+    seed: int
+
+
+def _shape(f, config: EncoderConfig | _Dims) -> tuple[int, ...]:
     return tuple(getattr(config, dim) for dim in f.metadata["dims"])
 
 
@@ -198,18 +217,32 @@ def init_weights(config: EncoderConfig) -> EncoderWeights:
     of the shape its declaration names: a matrix scaled 1/sqrt(rows), a
     vector scaled 0.02, and a layer-norm gain 1 plus that vector.
     Same seed gives bit-identical weights on any platform.
+
+    A process draws a config's weights once and shares the record, whose
+    arrays are read-only: a later call whose config draws the same shapes
+    from the same seed, as an equal config does, returns the same record.
+    The last config's weights stay resident until another config is drawn,
+    and while that draw runs both are held: 9.1 MiB at the benchmark
+    config, at most 512 MiB per config at MAX_ENCODER_PARAMS.
     """
-    return _draw(EncoderWeights, config, np.random.Generator(np.random.PCG64(config.seed)))
+    if not isinstance(config, EncoderConfig):
+        raise ValidationError(f"config must be an EncoderConfig, got {type(config).__name__}")
+    return _drawn(_Dims(*(int(getattr(config, name)) for name in _Dims._fields)))
 
 
-def _draw(record: type, config: EncoderConfig, rng: np.random.Generator):
+@functools.lru_cache(maxsize=1)
+def _drawn(dims: _Dims) -> EncoderWeights:
+    return _draw(EncoderWeights, dims, np.random.Generator(np.random.PCG64(dims.seed)))
+
+
+def _draw(record: type, dims: _Dims, rng: np.random.Generator):
     values = {}
     for f in fields(record):
         if "per_layer" in f.metadata:
-            values[f.name] = tuple(_draw(f.metadata["per_layer"], config, rng)
-                                   for _ in range(config.n_layers))
+            values[f.name] = tuple(_draw(f.metadata["per_layer"], dims, rng)
+                                   for _ in range(dims.n_layers))
             continue
-        shape = _shape(f, config)
+        shape = _shape(f, dims)
         z = rng.standard_normal(shape) * (1.0 / np.sqrt(shape[0]) if len(shape) == 2 else 0.02)
         value = 1.0 + z if f.metadata["gain"] else z
         value.flags.writeable = False  # so the record keeps it without a copy

@@ -301,6 +301,26 @@ class TestEncode:
         assert stdouts[0] == stdouts[1]
         assert outs[0] == outs[1]
 
+    def test_weights_follow_the_config_text_not_its_path(self, square_events, tmp_path,
+                                                         capsys):
+        image, evt = square_events
+        cfg = tmp_path / "enc.cfg"
+
+        def dump(seed, fresh=False):
+            write_encoder_config(cfg, seed=seed)
+            if fresh:
+                encoder._drawn.cache_clear()
+            out = tmp_path / "f.bin"
+            assert run(capsys, "encode", str(image), str(evt), "--config", str(cfg),
+                       "--out", str(out))[0] == 0
+            return out.read_bytes()
+
+        first = dump(7)
+        second = dump(8)
+        assert second != first
+        assert dump(8, fresh=True) == second
+        assert dump(7) == first
+
     @pytest.mark.parametrize("mode", ["dense", "packed", "oracle"])
     @pytest.mark.parametrize("tau", ["nan", "7"])
     def test_bad_tau_exit_1_and_no_output(self, square_events, tmp_path, capsys, tau, mode):

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -333,6 +335,66 @@ class TestInitWeights:
         w2 = init_weights(small_config(seed=2))
         assert not np.array_equal(w1.w_embed, w2.w_embed)
 
+    @pytest.mark.parametrize("config", [
+        None, {}, "cfg", dataclasses.asdict(small_config()), dataclasses.astuple(small_config())])
+    def test_rejects_a_config_that_is_not_an_encoder_config(self, config):
+        # raised AttributeError: 'NoneType' object has no attribute 'seed'
+        with pytest.raises(ValidationError, match="config must be an EncoderConfig, got "):
+            init_weights(config)
+
+    @pytest.mark.parametrize("one, other", [
+        (dict(seed=21), dict(seed=21)),
+        (dict(mlp_ratio=2), dict(mlp_ratio=2.0)),
+        (dict(seed=np.int64(0)), dict(seed=0)),
+        (dict(d_model=np.int64(16), patch_size=np.int32(2)), dict(d_model=16, patch_size=2)),
+    ])
+    def test_equal_configs_share_one_draw(self, one, other):
+        first = init_weights(small_config(**one))
+        assert init_weights(small_config(**other)) is first
+        for (name, a), (_, b) in zip(weight_arrays(first),
+                                     weight_arrays(reference_init_weights(small_config(**other)))):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_equal_configs_with_other_mlp_widths_draw_their_own(self):
+        # 12 * ratio rounds to 90 in float32 and to 91 in float64
+        narrow = small_config(d_model=12, n_heads=3, mlp_ratio=np.float32(7.541667))
+        wide = small_config(d_model=12, n_heads=3, mlp_ratio=float(np.float32(7.541667)))
+        assert narrow == wide and (narrow.mlp_hidden, wide.mlp_hidden) == (90, 91)
+        patches, rope, _ = random_setup(2, 2, narrow, seed=5)
+        for config in (narrow, wide, narrow):
+            weights = init_weights(config)
+            assert weights.layers[0].w_up.shape == (12, config.mlp_hidden)
+            assert encode_dense(patches, rope, weights, config).tokens.shape == (4, 12)
+
+    def test_draws_over_a_b_a_match_the_field_by_field_draw(self):
+        one, other = small_config(seed=22), small_config(seed=23, n_layers=1, merge_size=2)
+        for config in (one, other, one):
+            got = weight_arrays(init_weights(config))
+            want = weight_arrays(reference_init_weights(config))
+            assert len(got) == len(want)
+            for (name, a), (_, b) in zip(got, want):
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_drawing_another_config_frees_the_last_one(self):
+        kept = weakref.ref(init_weights(small_config(seed=24)))
+        gc.collect()
+        assert kept() is not None
+        init_weights(small_config(seed=25))
+        gc.collect()
+        assert kept() is None
+
+    def test_replace_leaves_the_shared_record_unchanged(self):
+        config = small_config(seed=26, n_layers=1)
+        shared = init_weights(config)
+        before = [(name, a.tobytes()) for name, a in weight_arrays(shared)]
+        dataclasses.replace(shared, b_embed=np.ones(config.d_model), layers=[
+            dataclasses.replace(shared.layers[0], wq=np.eye(config.d_model))])
+        assert init_weights(config) is shared
+        assert [(name, a.tobytes()) for name, a in weight_arrays(shared)] == before
+        assert not any(a.flags.writeable for _, a in weight_arrays(shared))
+        with pytest.raises(ValueError, match="read-only"):
+            shared.b_embed[0] = 1.0
+
     @pytest.mark.parametrize("overrides", WEIGHT_CONFIGS)
     def test_matches_the_field_by_field_draw(self, overrides):
         config = small_config(**overrides)
@@ -362,6 +424,7 @@ class TestInitWeights:
     def test_drawn_weights_are_read_only_and_not_copied(self):
         # every array was writable; freezing must not copy the weights
         config = small_config(n_layers=6, d_model=32)
+        encoder._drawn.cache_clear()  # so the draw runs, not a cache hit
         tracemalloc.start()
         try:
             weights = init_weights(config)
