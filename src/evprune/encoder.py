@@ -38,14 +38,40 @@ repeated call is bit-identical, and so are sequences of equal length
 (dense, all-ones packed and the masked-dense oracle), but sequences of
 different lengths (packed versus masked-dense) or different block shapes
 agree to rounding, not bit for bit.
+
+Each layer runs in lanes, one thread per CPU that BLAS leaves idle. A
+lane owns a contiguous share of the token rows, a contiguous run of the
+attention blocks and a tile of its own. A layer has three phases with a
+barrier after the first two: layer norm, Q/K/V projections and rotation
+of the lane's rows; the lane's attention blocks, which read every row's
+keys and values; then the out projection, MLP and residuals of its rows.
+The next layer starts on the lane's own rows, so two barriers suffice.
+Lane 0 is the calling thread; the other lanes' threads end before the
+forward returns, and the first error a lane raises is raised to the
+caller. The lane count is the CPUs the process may use divided by BLAS's
+thread count (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, read at import;
+unset or not a positive integer means BLAS uses every CPU), at most half
+the number of attention blocks and at least 1. So a default run has one
+lane, no thread and no barrier, while OPENBLAS_NUM_THREADS=1 on an N-CPU
+host gives up to N lanes. A lane gets at least two blocks: with one
+each, the lane with the short last block idles at every layer's second
+barrier, and every lane waits for the slowest CPU. At n = 308 (blocks of
+212 and 96 rows) two lanes spread the frame tail across benchmark runs
+about six times as wide as one lane on a shared 2-CPU machine. The block
+boundaries are those of one lane, fixed by (n, heads), because a block's
+shape sets its summation order; a lane's matmuls run over fewer rows than
+one lane's, which on this BLAS leaves every row's sums unchanged, and the
+tests pin the same bits for 1, 2 and 3 lanes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +86,8 @@ _LN_EPS = 1e-5
 
 # Bytes of one query block's (heads, rows, n) float64 logits tile: small
 # enough to stay in a 2 MiB per-core L2 cache through the softmax passes.
+# Each lane has its own tile. The budget sets the block rows and so the
+# block boundaries, which do not move with the lane count.
 _TILE_BYTES = 2 * 1024 * 1024
 
 # Upper bound on the number of weights init_weights draws, checked when a
@@ -181,22 +209,7 @@ class EncoderWeights(_Weights):
     b_merge2: np.ndarray = _param("d_out")
 
 
-class _Dims(NamedTuple):
-    """What the weight draw reads from a config, as Python ints, and so the
-    key of its cache. Equal configs need not agree here: ``d_model *
-    mlp_ratio`` is rounded in float32 for an ``np.float32`` ratio and in
-    float64 for the equal float, and the MLP widths can differ by one."""
-
-    patch_dim: int
-    d_model: int
-    mlp_hidden: int
-    merge_dim: int
-    d_out: int
-    n_layers: int
-    seed: int
-
-
-def _shape(f, config: EncoderConfig | _Dims) -> tuple[int, ...]:
+def _shape(f, config: EncoderConfig) -> tuple[int, ...]:
     return tuple(getattr(config, dim) for dim in f.metadata["dims"])
 
 
@@ -219,30 +232,30 @@ def init_weights(config: EncoderConfig) -> EncoderWeights:
     Same seed gives bit-identical weights on any platform.
 
     A process draws a config's weights once and shares the record, whose
-    arrays are read-only: a later call whose config draws the same shapes
-    from the same seed, as an equal config does, returns the same record.
+    arrays are read-only: a later call with an equal config returns the
+    same record.
     The last config's weights stay resident until another config is drawn,
     and while that draw runs both are held: 9.1 MiB at the benchmark
     config, at most 512 MiB per config at MAX_ENCODER_PARAMS.
     """
     if not isinstance(config, EncoderConfig):
         raise ValidationError(f"config must be an EncoderConfig, got {type(config).__name__}")
-    return _drawn(_Dims(*(int(getattr(config, name)) for name in _Dims._fields)))
+    return _drawn(config)
 
 
 @functools.lru_cache(maxsize=1)
-def _drawn(dims: _Dims) -> EncoderWeights:
-    return _draw(EncoderWeights, dims, np.random.Generator(np.random.PCG64(dims.seed)))
+def _drawn(config: EncoderConfig) -> EncoderWeights:
+    return _draw(EncoderWeights, config, np.random.Generator(np.random.PCG64(config.seed)))
 
 
-def _draw(record: type, dims: _Dims, rng: np.random.Generator):
+def _draw(record: type, config: EncoderConfig, rng: np.random.Generator):
     values = {}
     for f in fields(record):
         if "per_layer" in f.metadata:
-            values[f.name] = tuple(_draw(f.metadata["per_layer"], dims, rng)
-                                   for _ in range(dims.n_layers))
+            values[f.name] = tuple(_draw(f.metadata["per_layer"], config, rng)
+                                   for _ in range(config.n_layers))
             continue
-        shape = _shape(f, dims)
+        shape = _shape(f, config)
         z = rng.standard_normal(shape) * (1.0 / np.sqrt(shape[0]) if len(shape) == 2 else 0.02)
         value = 1.0 + z if f.metadata["gain"] else z
         value.flags.writeable = False  # so the record keeps it without a copy
@@ -309,6 +322,59 @@ def _block_rows(n: int, heads: int) -> int:
     return max(1, min(n, _TILE_BYTES // (8 * heads * n)))
 
 
+def _idle_lanes(cpus: int, env: Mapping[str, str]) -> int:
+    """Lanes that fit on the ``cpus`` BLAS leaves idle: ``cpus`` divided by
+    BLAS's thread count, ``OPENBLAS_NUM_THREADS`` or else ``OMP_NUM_THREADS``
+    in ``env``, and at least 1. A count that is unset or not a positive
+    integer means BLAS uses every CPU."""
+    threads = env.get("OPENBLAS_NUM_THREADS", env.get("OMP_NUM_THREADS", ""))
+    blas = int(threads) if threads.isdecimal() and int(threads) > 0 else cpus
+    return max(1, cpus // blas)
+
+
+# Read once, as BLAS reads its thread count once when it is loaded. A
+# forward runs min(_LANES, attention blocks // 2) lanes, and at least 1.
+_LANES = _idle_lanes(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1, os.environ)
+
+
+def _run_lanes(lanes: int, lane) -> None:
+    """Run ``lane(i, sync)`` for each i < lanes, where ``sync()`` waits for
+    every lane to reach it. Lane 0 runs on this thread and the others on
+    threads joined before this returns; one lane runs with no thread and no
+    barrier. The first error a lane raises aborts the barrier and is raised
+    here."""
+    if lanes == 1:
+        lane(0, lambda: None)
+        return
+    barrier, errors = threading.Barrier(lanes), []
+
+    def run(i: int) -> None:
+        try:
+            lane(i, barrier.wait)
+        except threading.BrokenBarrierError:
+            pass  # another lane failed, and its error is raised
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+            barrier.abort()
+
+    threads = []
+    try:
+        for i in range(1, lanes):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    except BaseException:  # a thread did not start: release the lanes that did
+        barrier.abort()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], rope: RopeTable,
              weights: EncoderWeights, config: EncoderConfig,
              key_keep: np.ndarray | None = None) -> PackedSequence:
@@ -334,36 +400,49 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
     scale = 1.0 / np.sqrt(dh)
     drop = None if key_keep is None else ~key_keep
     rows = _block_rows(n, nh)
-    # Buffers reused by every layer. The tile is flat so that a short last
-    # block is still one contiguous (heads, rows, n) array.
-    tile = np.empty(nh * rows * n)
-    mixed = np.empty((n, nh, dh))
-    up = np.empty((n, config.mlp_hidden))
-    act = np.empty_like(up)
-    for lw in weights.layers:
-        a = _layer_norm(h, lw.ln1_gamma, lw.ln1_beta)
-        q = (a @ lw.wq).reshape(n, nh, dh)
-        k = (a @ lw.wk).reshape(n, nh, dh)
-        v = (a @ lw.wv).reshape(n, nh, dh)
-        q = apply_rope_many(rope, positions, q) * scale
-        k = apply_rope_many(rope, positions, k)
-        # head-major views: (heads, n_q, d_h), (heads, d_h, n_k), (heads, n_k, d_h)
-        qh, kh, vh = q.transpose(1, 0, 2), k.transpose(1, 2, 0), v.transpose(1, 0, 2)
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            logits = tile[: nh * (stop - start) * n].reshape(nh, stop - start, n)
-            np.matmul(qh[:, start:stop], kh, out=logits)
-            if drop is not None:
-                logits[:, :, drop] = -np.inf
-            logits -= logits.max(axis=-1, keepdims=True)
-            np.exp(logits, out=logits)
-            np.divide(logits @ vh, logits.sum(axis=-1, keepdims=True),
-                      out=mixed[start:stop].transpose(1, 0, 2))
-        h = h + mixed.reshape(n, nh * dh) @ lw.wo
-        a2 = _layer_norm(h, lw.ln2_gamma, lw.ln2_beta)
-        np.matmul(a2, lw.w_up, out=up)
-        up += lw.b_up
-        h = h + _gelu(up, out=act) @ lw.w_down + lw.b_down
+    starts = range(0, n, rows)
+    lanes = max(1, min(_LANES, len(starts) // 2))
+    # Shared by the lanes and reused by every layer: rotated queries and
+    # keys, values, and the attention result, with head-major views
+    # (heads, n_q, d_h), (heads, d_h, n_k), (heads, n_k, d_h).
+    q, k, v, mixed = (np.empty((n, nh, dh)) for _ in range(4))
+    qh, kh, vh = q.transpose(1, 0, 2), k.transpose(1, 2, 0), v.transpose(1, 0, 2)
+    v_rows, mixed_rows = v.reshape(n, nh * dh), mixed.reshape(n, nh * dh)
+
+    def lane(i: int, sync) -> None:
+        own = slice(i * n // lanes, (i + 1) * n // lanes)
+        x, pos = h[own], positions[own]
+        # The tile is flat so that a short last block is still one
+        # contiguous (heads, rows, n) array.
+        tile = np.empty(nh * rows * n)
+        up = np.empty((len(x), config.mlp_hidden))
+        act = np.empty_like(up)
+        for lw in weights.layers:
+            a = _layer_norm(x, lw.ln1_gamma, lw.ln1_beta)
+            np.multiply(apply_rope_many(rope, pos, (a @ lw.wq).reshape(-1, nh, dh)), scale,
+                        out=q[own])
+            k[own] = apply_rope_many(rope, pos, (a @ lw.wk).reshape(-1, nh, dh))
+            np.matmul(a, lw.wv, out=v_rows[own])
+            sync()
+            for start in starts[i * len(starts) // lanes: (i + 1) * len(starts) // lanes]:
+                stop = min(start + rows, n)
+                logits = tile[: nh * (stop - start) * n].reshape(nh, stop - start, n)
+                np.matmul(qh[:, start:stop], kh, out=logits)
+                if drop is not None:
+                    logits[:, :, drop] = -np.inf
+                logits -= logits.max(axis=-1, keepdims=True)
+                np.exp(logits, out=logits)
+                np.divide(logits @ vh, logits.sum(axis=-1, keepdims=True),
+                          out=mixed[start:stop].transpose(1, 0, 2))
+            sync()
+            x += mixed_rows[own] @ lw.wo
+            a2 = _layer_norm(x, lw.ln2_gamma, lw.ln2_beta)
+            np.matmul(a2, lw.w_up, out=up)
+            up += lw.b_up
+            x += _gelu(up, out=act) @ lw.w_down
+            x += lw.b_down
+
+    _run_lanes(lanes, lane)
     return PackedSequence(h[out], positions[out], grid)
 
 

@@ -61,12 +61,18 @@ def record_keys(cls: type, prefix: str) -> MappingProxyType:
 def check_field_types(record) -> None:
     """ValidationError unless each field of ``record`` holds its annotation's
     kind: an integer for ``int``, a real number for ``float``, never a bool.
-    Records call this first in ``__post_init__``."""
+    The field is then stored as a Python ``int`` or ``float``, so that sizes
+    derived from it are computed in Python arithmetic, not in the dtype of a
+    numpy scalar. Records call this first in ``__post_init__``."""
     for name, annotation in record_keys(type(record), "").items():
         value = getattr(record, name)
-        _, noun, kind = _TYPES[annotation]
+        parse, noun, kind = _TYPES[annotation]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValidationError(f"field {name}: expected {noun}, got {value!r}")
+        try:
+            object.__setattr__(record, name, parse(value))
+        except OverflowError:
+            raise ValidationError(f"field {name}: {value!r} is beyond float range") from None
 
 
 def check_keys(kv: dict[str, str], keys: Collection[str], what: str) -> None:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,31 @@ class TestWorkload:
         with pytest.raises(ValidationError, match="field mlp_ratio: expected number"):
             LlmDims(8, 1, 1, "2.0")
         assert WorkloadSpec(32, 32, 1, 0, 0).tau == 1
+
+    def test_numpy_scalar_fields_are_stored_as_python_numbers(self):
+        # int32 dimensions made the MAC counts wrap, with an overflow warning
+        profile = ArchProfile(
+            "np", VitDims(*map(np.int32, (1024, 24, 16)), np.float32(4.0),
+                          *map(np.int32, (14, 2, 3))),
+            LlmDims(*map(np.int32, (4096, 32, 32)), np.float32(2.6875)))
+        work = WorkloadSpec(np.int64(448), np.uint16(448), np.float32(0.5),
+                            np.int16(32), np.int8(8))
+        records = (profile.vit, profile.llm, work)
+        for record in records:
+            for f in dataclasses.fields(record):
+                assert type(getattr(record, f.name)) is {"int": int, "float": float}[f.type]
+        python = ArchProfile("py", VitDims(1024, 24, 16, 4.0, 14, 2, 3),
+                             LlmDims(4096, 32, 32, 2.6875))
+        assert estimate(profile, work) == estimate(python, WorkloadSpec(448, 448, 0.5, 32, 8))
+
+    @pytest.mark.parametrize("build", [
+        lambda: WorkloadSpec(32, 32, 10**400, 0, 0),
+        lambda: VitDims(8, 1, 1, 10**400, 1, 1, 1),
+        lambda: LlmDims(8, 1, 1, -(10**400)),
+    ])
+    def test_float_fields_beyond_float_range_rejected(self, build):
+        with pytest.raises(ValidationError, match="beyond float range"):
+            build()
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):

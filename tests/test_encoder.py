@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -275,6 +276,22 @@ class TestConfig:
             small_config(mlp_ratio=True)
         assert small_config(mlp_ratio=2, d_model=np.int64(16)).mlp_hidden == 32
 
+    def test_numpy_scalar_fields_are_stored_as_python_numbers(self):
+        # uint8 fields overflowed in patch_dim (16 * 16 * 3): a RuntimeWarning,
+        # then OverflowError in the parameter count
+        config = EncoderConfig(
+            patch_size=np.uint8(16), channels=np.uint8(3), d_model=np.int64(12),
+            n_layers=np.int8(1), n_heads=np.uint8(1), mlp_ratio=np.float32(2.0),
+            merge_size=np.uint8(1), d_out=np.uint8(8), seed=np.uint64(0))
+        assert config == EncoderConfig(16, 3, 12, 1, 1, 2.0, 1, 8, 0)
+        for f in dataclasses.fields(config):
+            assert type(getattr(config, f.name)) is {"int": int, "float": float}[f.type], f.name
+        assert config.patch_dim == 768 and init_weights(config).w_embed.shape == (768, 12)
+
+    def test_rejects_a_ratio_beyond_float_range(self):
+        with pytest.raises(ValidationError, match="field mlp_ratio: 1000.* is beyond float range"):
+            small_config(mlp_ratio=10**400)
+
     def test_rejects_unknown_and_missing_keys(self):
         with pytest.raises(FormatError):
             load_encoder_config("patch_size = 2\n")
@@ -355,16 +372,17 @@ class TestInitWeights:
                                      weight_arrays(reference_init_weights(small_config(**other)))):
             assert a.tobytes() == b.tobytes(), name
 
-    def test_equal_configs_with_other_mlp_widths_draw_their_own(self):
-        # 12 * ratio rounds to 90 in float32 and to 91 in float64
+    def test_a_float32_ratio_is_stored_as_its_float_and_shares_its_draw(self):
+        # 12 * ratio rounded to 90 in float32 and to 91 in float64, so two
+        # equal configs described weights of different MLP widths
         narrow = small_config(d_model=12, n_heads=3, mlp_ratio=np.float32(7.541667))
         wide = small_config(d_model=12, n_heads=3, mlp_ratio=float(np.float32(7.541667)))
-        assert narrow == wide and (narrow.mlp_hidden, wide.mlp_hidden) == (90, 91)
+        assert type(narrow.mlp_ratio) is float
+        assert narrow == wide and narrow.mlp_hidden == wide.mlp_hidden == 91
+        weights = init_weights(narrow)
+        assert init_weights(wide) is weights and weights.layers[0].w_up.shape == (12, 91)
         patches, rope, _ = random_setup(2, 2, narrow, seed=5)
-        for config in (narrow, wide, narrow):
-            weights = init_weights(config)
-            assert weights.layers[0].w_up.shape == (12, config.mlp_hidden)
-            assert encode_dense(patches, rope, weights, config).tokens.shape == (4, 12)
+        assert encode_dense(patches, rope, weights, narrow).tokens.shape == (4, 12)
 
     def test_draws_over_a_b_a_match_the_field_by_field_draw(self):
         one, other = small_config(seed=22), small_config(seed=23, n_layers=1, merge_size=2)
@@ -589,7 +607,8 @@ class TestPackedVsOracle:
     def test_multi_head_masked_matches_hand_rolled_reference(self, monkeypatch):
         """Also with the tile budget shrunk so that attention runs in blocks
         of 1, 2 and 3 query rows: 12 oracle rows, 7 packed rows (a short last
-        block for 2 and 3)."""
+        block for 2 and 3); each in 1, 2 and 3 lanes where every lane has two
+        blocks."""
         config = small_config(d_model=32, n_heads=4)
         patches, rope, weights = random_setup(3, 4, config, seed=22)
         bits = np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 0, 1]], dtype=np.uint8)
@@ -604,14 +623,16 @@ class TestPackedVsOracle:
                 assert encoder._block_rows(n, config.n_heads) == block_rows
 
         for block_rows in (None, 1, 2, 3):
-            shrink_tile(12, block_rows)
-            oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
-            shrink_tile(len(coords), block_rows)
-            packed = encode_packed(pack_patches(patches, mask), rope, weights, config)
-            assert np.array_equal(oracle.kept, coords)
-            assert np.array_equal(packed.kept, coords)
-            assert max_rel_err(oracle.tokens, want) <= 1e-12, block_rows
-            assert max_rel_err(packed.tokens, want) <= 1e-12, block_rows
+            for lanes in (1, 2, 3):
+                monkeypatch.setattr(encoder, "_LANES", lanes)
+                shrink_tile(12, block_rows)
+                oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
+                shrink_tile(len(coords), block_rows)
+                packed = encode_packed(pack_patches(patches, mask), rope, weights, config)
+                assert np.array_equal(oracle.kept, coords)
+                assert np.array_equal(packed.kept, coords)
+                assert max_rel_err(oracle.tokens, want) <= 1e-12, (block_rows, lanes)
+                assert max_rel_err(packed.tokens, want) <= 1e-12, (block_rows, lanes)
 
     def test_all_ones_mask_equals_dense_exactly(self):
         """Also at side 24 (n = 576), where attention runs in 3 blocks, the
@@ -680,6 +701,116 @@ class TestPackedVsOracle:
         run = lambda: encode_packed(
             pack_patches(patches, mask), rope, weights, config).tokens
         assert np.array_equal(run(), run())
+
+
+class TestLanes:
+    """The forward runs in lanes, threads that each own a share of the rows
+    and of the attention blocks. Tier-1 leaves BLAS at its default thread
+    count, which gives one lane, so these tests set the lane count."""
+
+    SIDE = 30  # n = 900: seven attention blocks at small_config's tile, so 3 lanes
+
+    def case(self, seed):
+        config = small_config()
+        patches, rope, weights = random_setup(self.SIDE, self.SIDE, config, seed=seed)
+        scores = np.random.Generator(np.random.PCG64(seed)).random((self.SIDE, self.SIDE))
+        return config, patches, rope, weights, quantile_mask(EventFrame(scores), 0.5)
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 2, 3])
+    def test_every_lane_count_gives_the_same_bits(self, monkeypatch, block_rows):
+        config, patches, rope, weights, mask = self.case(31)
+        packed = pack_patches(patches, mask)
+        seen, run_lanes = [], encoder._run_lanes
+        monkeypatch.setattr(encoder, "_run_lanes",
+                            lambda lanes, lane: (seen.append(lanes), run_lanes(lanes, lane)))
+        for n, run in ((self.SIDE**2, lambda: encode_dense(patches, rope, weights, config)),
+                       (len(packed), lambda: encode_packed(packed, rope, weights, config)),
+                       (self.SIDE**2, lambda: encode_masked_dense_oracle(
+                           patches, rope, mask, weights, config))):
+            if block_rows is not None:
+                monkeypatch.setattr(encoder, "_TILE_BYTES", block_rows * 8 * config.n_heads * n)
+            blocks = -(-n // encoder._block_rows(n, config.n_heads))
+            got = []
+            for lanes in (1, 2, 3):
+                monkeypatch.setattr(encoder, "_LANES", lanes)
+                seen.clear()
+                result = run()
+                assert seen == [max(1, min(lanes, blocks // 2))]
+                got.append((result.tokens.tobytes(), result.kept.tobytes()))
+            assert got[1] == got[0] and got[2] == got[0], (n, block_rows)
+
+    def test_every_lane_has_two_attention_blocks(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(encoder, "_LANES", 64)
+        monkeypatch.setattr(encoder, "_run_lanes", lambda lanes, lane: seen.append(lanes))
+        config = small_config()
+        for side in (4, 24, self.SIDE):  # 1, 3 and 7 blocks
+            encode_dense(*random_setup(side, side, config, seed=33), config)
+        assert seen == [1, 1, 3]
+
+    @pytest.mark.parametrize("cpus, env, lanes", [
+        (2, {}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "x"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "-1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": ""}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "3"}, 1),
+        (4, {"OMP_NUM_THREADS": "2"}, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+        (4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (64, {"OPENBLAS_NUM_THREADS": "1"}, 64),  # a forward caps it at half its blocks
+    ])
+    def test_lane_count_is_the_cpus_blas_leaves_idle(self, cpus, env, lanes):
+        before = threading.active_count()
+        assert encoder._idle_lanes(cpus, env) == lanes
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("lanes, failing", [(2, 1), (3, 1), (3, 0), (3, 2)])
+    @pytest.mark.parametrize("call", [1, 4])  # layer 0's queries, layer 1's keys
+    def test_an_error_in_one_lane_reaches_the_caller(self, monkeypatch, lanes, failing, call):
+        config, patches, rope, weights, _ = self.case(32)
+        n = self.SIDE**2
+        first = divmod(failing * n // lanes, self.SIDE)  # the lane's first position
+        rotate, calls = encoder.apply_rope_many, []
+
+        def fail_in_one_lane(table, positions, v):
+            if tuple(positions[0]) == first:
+                calls.append(1)
+                if len(calls) == call:
+                    raise ValidationError(f"lane {failing} fails")
+            return rotate(table, positions, v)
+
+        monkeypatch.setattr(encoder, "_LANES", lanes)
+        monkeypatch.setattr(encoder, "apply_rope_many", fail_in_one_lane)
+        before = threading.active_count()
+        with pytest.raises(ValidationError, match=f"lane {failing} fails"):
+            encode_dense(patches, rope, weights, config)
+        assert threading.active_count() == before
+        monkeypatch.setattr(encoder, "apply_rope_many", rotate)
+        again = encode_dense(patches, rope, weights, config).tokens
+        monkeypatch.setattr(encoder, "_LANES", 1)
+        assert again.tobytes() == encode_dense(patches, rope, weights, config).tokens.tobytes()
+
+    def test_a_thread_that_cannot_start_releases_the_started_lanes(self, monkeypatch):
+        config, patches, rope, weights, _ = self.case(34)
+        start, started = threading.Thread.start, []
+
+        def start_one(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(encoder, "_LANES", 3)
+        monkeypatch.setattr(threading.Thread, "start", start_one)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            encode_dense(patches, rope, weights, config)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
 
 
 class TestMergeProject:
