@@ -38,7 +38,7 @@ def main() -> int:
             sparse = estimate(profile, dataclasses.replace(work, tau=drop))
             red = compare(dense, sparse)
             print(f"  dropped {drop:>4.0%}: {sparse.flops / 1e12:.2f} TFLOPs  "
-                  f"(-{red.flops_pct:.1f}% FLOPs, -{red.macs_pct:.1f}% MACs)")
+                  f"(-{red:.1f}% FLOPs, -{red:.1f}% MACs)")
         print()
     return 0
 

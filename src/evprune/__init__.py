@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .costmodel import (
     ArchProfile,
-    CostReduction,
     CostReport,
     LlmDims,
     VitDims,

@@ -253,7 +253,8 @@ def cmd_flops(args) -> int:
         dense = costmodel.estimate(profile, dataclasses.replace(work, tau=0.0))
         reduction = costmodel.compare(dense, report)
         payload["baseline"] = dense.to_dict()
-        payload["reduction"] = reduction.to_dict()
+        payload["reduction"] = {"reduction_flops_pct": reduction,
+                                "reduction_macs_pct": reduction}
 
     _manifest("flops", [
         ("param.profile", profile.name),

@@ -1,10 +1,15 @@
 """Analytic MAC/FLOP accounting for the sparse visual pipeline.
 
 Counts only the transformer's matrix-multiply work (projections,
-attention score and mix matmuls, MLP layers), so flops = 2 * macs holds
-identically. Softmax is O(heads*n^2) per layer and normalization and
-activations are O(n*d); none is a matmul, so all are excluded. The
-patch-embedding matmul (n*p^2*C*d MACs for n patches) is not counted.
+attention score and mix matmuls, MLP layers). Softmax is O(heads*n^2)
+per layer and normalization and activations are O(n*d); none is a
+matmul, so all are excluded. The patch-embedding matmul (n*p^2*C*d MACs
+for n patches) is not counted.
+
+A CostReport stores only its per-stage MACs and token counts: its total
+MACs are the sum of the stages and its FLOPs twice that, so
+flops = 2 * macs holds by construction. ``compare`` returns the signed
+percentage reduction as one float, the same for MACs and FLOPs.
 
 Per transformer layer over n tokens of width d with MLP hidden size h:
 
@@ -29,7 +34,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ValidationError, as_size
+from .errors import ValidationError, as_record, as_size
 from .kvtext import (check_field_types, check_keys, decode_ascii, parse_kv, parse_record,
                      record_keys)
 from .saliency import _merge_grid, check_tau, retained_count
@@ -100,6 +105,11 @@ class ArchProfile:
     vit: VitDims
     llm: LlmDims
 
+    def __post_init__(self):
+        as_record(self.name, str, "name")
+        as_record(self.vit, VitDims, "vit")
+        as_record(self.llm, LlmDims, "llm")
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -118,22 +128,26 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class CostReport:
-    macs: int
-    flops: int
     breakdown: dict[str, int]  # per-stage MACs
     visual_tokens_dense: int
     visual_tokens_retained: int
     merged_tokens: int
 
     def __post_init__(self):
-        if self.flops != 2 * self.macs:
-            raise ValidationError("flops must equal 2 * macs in this model")
         if tuple(self.breakdown) != _STAGES:
             raise ValidationError(f"breakdown must cover stages {_STAGES}")
-        if any(v < 0 for v in self.breakdown.values()) or self.macs < 0:
+        if any(v < 0 for v in self.breakdown.values()):
             raise ValidationError("costs must be non-negative")
         if self.visual_tokens_retained > self.visual_tokens_dense:
             raise ValidationError("retained tokens cannot exceed dense tokens")
+
+    @property
+    def macs(self) -> int:
+        return sum(self.breakdown.values())
+
+    @property
+    def flops(self) -> int:
+        return 2 * self.macs
 
     def to_dict(self) -> dict:
         d = {"macs_total": self.macs, "flops_total": self.flops}
@@ -143,22 +157,6 @@ class CostReport:
         d["visual_tokens_retained"] = self.visual_tokens_retained
         d["merged_tokens"] = self.merged_tokens
         return d
-
-
-@dataclass(frozen=True)
-class CostReduction:
-    macs_pct: float
-
-    @property
-    def flops_pct(self) -> float:
-        """The same percentage: flops = 2 * macs in both reports."""
-        return self.macs_pct
-
-    def to_dict(self) -> dict:
-        return {
-            "reduction_flops_pct": self.flops_pct,
-            "reduction_macs_pct": self.macs_pct,
-        }
 
 
 def _layer_macs(n: int, d: int, hidden: int) -> tuple[int, int]:
@@ -173,6 +171,8 @@ def estimate(profile: ArchProfile, work: WorkloadSpec) -> CostReport:
     what quantile_mask (retained fraction 1 - tau, merge groups) followed
     by pack actually produces.
     """
+    as_record(profile, ArchProfile, "profile")
+    as_record(work, WorkloadSpec, "work")
     vit, llm = profile.vit, profile.llm
     grid_rows = work.image_height // vit.patch_size
     grid_cols = work.image_width // vit.patch_size
@@ -208,10 +208,7 @@ def estimate(profile: ArchProfile, work: WorkloadSpec) -> CostReport:
         "llm_prefill": llm_prefill,
         "llm_decode": llm_decode,
     }
-    macs = sum(breakdown.values())
     return CostReport(
-        macs=macs,
-        flops=2 * macs,
         breakdown=breakdown,
         visual_tokens_dense=dense,
         visual_tokens_retained=retained,
@@ -219,11 +216,14 @@ def estimate(profile: ArchProfile, work: WorkloadSpec) -> CostReport:
     )
 
 
-def compare(dense: CostReport, sparse: CostReport) -> CostReduction:
-    """Signed percentage reduction of sparse relative to dense."""
+def compare(dense: CostReport, sparse: CostReport) -> float:
+    """Signed percentage reduction of sparse relative to dense: the same
+    number for MACs and FLOPs, since flops = 2 * macs in both reports."""
+    as_record(dense, CostReport, "dense")
+    as_record(sparse, CostReport, "sparse")
     if dense.macs == 0:
         raise ValidationError("cannot compute reduction against zero dense cost")
-    return CostReduction(macs_pct=100.0 * (dense.macs - sparse.macs) / dense.macs)
+    return 100.0 * (dense.macs - sparse.macs) / dense.macs
 
 
 def load_arch_profile(text: str) -> ArchProfile:

@@ -70,13 +70,14 @@ import functools
 import math
 import os
 import threading
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .costmodel import mlp_width
-from .errors import ValidationError, as_size, real_array
+from .errors import ValidationError, as_record, as_size, real_array
 from .kvtext import check_field_types, check_keys, parse_kv, parse_record, record_keys
 from .packing import PackedSequence, _grid_rows
 from .rope2d import RopeTable, apply_rope_many
@@ -158,11 +159,17 @@ def _param(*dims: str, gain: bool = False):
     return field(metadata={"dims": dims, "gain": gain})
 
 
+# Every array a weight record holds, by id. A record made each one, by a draw
+# or a copy, and keeps it read-only, so another record may share it uncopied.
+_HELD: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class _Weights:
     """A record of weight arrays, each declared by ``_param``: every array is
-    checked finite and kept as read-only float64, a writable one as a copy.
-    A ``per_layer`` field must be a list or tuple of its record type, and is
-    kept as a tuple."""
+    checked finite and kept as read-only float64, one that a weight record
+    already holds as it is and any other as a copy, so no caller shares its
+    memory. A ``per_layer`` field must be a list or tuple of its record type,
+    and is kept as a tuple."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -175,10 +182,12 @@ class _Weights:
                 object.__setattr__(self, f.name, tuple(layers))
                 continue
             arr = real_array(getattr(self, f.name), f"weight {f.name}")
-            arr = arr.astype(np.float64, copy=arr.flags.writeable)
+            if _HELD.get(id(arr)) is not arr or arr.flags.writeable:
+                arr = np.array(arr, dtype=np.float64)
             if not np.isfinite(arr).all():
                 raise ValidationError(f"weight {f.name} must be finite")
             arr.flags.writeable = False
+            _HELD[id(arr)] = arr
             object.__setattr__(self, f.name, arr)
 
 
@@ -238,9 +247,7 @@ def init_weights(config: EncoderConfig) -> EncoderWeights:
     and while that draw runs both are held: 9.1 MiB at the benchmark
     config, at most 512 MiB per config at MAX_ENCODER_PARAMS.
     """
-    if not isinstance(config, EncoderConfig):
-        raise ValidationError(f"config must be an EncoderConfig, got {type(config).__name__}")
-    return _drawn(config)
+    return _drawn(as_record(config, EncoderConfig, "config"))
 
 
 @functools.lru_cache(maxsize=1)
@@ -258,7 +265,8 @@ def _draw(record: type, config: EncoderConfig, rng: np.random.Generator):
         shape = _shape(f, config)
         z = rng.standard_normal(shape) * (1.0 / np.sqrt(shape[0]) if len(shape) == 2 else 0.02)
         value = 1.0 + z if f.metadata["gain"] else z
-        value.flags.writeable = False  # so the record keeps it without a copy
+        value.flags.writeable = False
+        _HELD[id(value)] = value  # so the record keeps it without a copy
         values[f.name] = value
     return record(**values)
 
@@ -381,6 +389,9 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
     """Check the inputs and run the stack over float64 token rows at their
     (row, col) ``positions`` on ``grid``. With ``key_keep``, attention to the
     other rows is blocked and only the kept rows are returned."""
+    as_record(rope, RopeTable, "rope")
+    as_record(weights, EncoderWeights, "weights")
+    as_record(config, EncoderConfig, "config")
     if grid != (rope.rows, rope.cols):
         raise ValidationError(f"token grid {grid} != rope extent {(rope.rows, rope.cols)}")
     if not np.isfinite(tokens).all():
@@ -453,6 +464,7 @@ def encode_dense(
     config: EncoderConfig,
 ) -> PackedSequence:
     """Run the full stack over every grid token."""
+    as_record(rope, RopeTable, "rope")
     grid = (rope.rows, rope.cols)
     return _forward(*_grid_rows(patches, grid), grid, rope, weights, config)
 
@@ -468,6 +480,7 @@ def encode_packed(
     Each token's rotary factors come from its original grid coordinate,
     not its index in the shortened sequence.
     """
+    as_record(packed, PackedSequence, "packed")
     return _forward(packed.tokens, packed.kept, packed.origin_grid, rope, weights, config)
 
 
@@ -484,6 +497,7 @@ def encode_masked_dense_oracle(
     softmax, so dropped tokens cannot leak into retained rows; after the
     full stack only the retained rows are returned, in raster order.
     """
+    as_record(mask, PatchMask, "mask")
     grid = (mask.rows, mask.cols)
     return _forward(*_grid_rows(patches, grid), grid, rope, weights, config,
                     key_keep=mask.bits.ravel().astype(bool))
@@ -503,6 +517,9 @@ def merge_project(
     A cell with only some of its members present means a patch-granularity
     mask was combined with merge_size > 1 and is rejected.
     """
+    as_record(features, PackedSequence, "features")
+    as_record(config, EncoderConfig, "config")
+    as_record(weights, EncoderWeights, "weights")
     _check_fit(EncoderWeights, weights, config)
     if features.tokens.shape[1] != config.d_model:
         raise ValidationError(

@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the one argument intake that raises them.
 
 Every public entry point returns a value or raises ValidationError (CLI exit 1) or
-FormatError (CLI exit 2). It takes each array argument through ``real_array`` and each
-integer argument through ``as_size`` before it compares or converts the value.
+FormatError (CLI exit 2). It takes each array argument through ``real_array``, each
+integer argument through ``as_size`` and each record argument through ``as_record``
+before it compares or converts the value.
 """
 
 import operator
@@ -43,4 +44,13 @@ def as_size(value, name: str, least: int | None = 1) -> int:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
     if least is not None and value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def as_record(value, cls: type, name: str):
+    """``value`` if it is a ``cls``, else a ValidationError."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(
+            f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value

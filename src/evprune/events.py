@@ -45,8 +45,8 @@ bit-exactly.
 
 Simulation emits at most MAX_SIMULATED_EVENTS events per frame pair; the
 total is checked before any per-event array is allocated. Accumulation
-counts at most MAX_FRAME_PIXELS sensor pixels, checked before the counts
-are allocated.
+counts at most MAX_FRAME_PIXELS sensor pixels, and resizing makes at most
+that many cells, each checked before the counts are allocated.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, as_size, real_array
+from .errors import FormatError, ValidationError, as_record, as_size, real_array
 
 EVT1_MAGIC = b"EVT1"
 EVT1_VERSION = 1
@@ -78,8 +78,15 @@ MAX_SIMULATED_EVENTS = 2**24
 # Upper bound on width * height for accumulate, checked before the per-pixel
 # counts exist. A frame at the cap (4096 x 4096) holds int64 counts and then
 # their float64 copy, 128 MiB each; EVT1's u16 header fields alone would allow
-# 4.3G pixels.
+# 4.3G pixels. ``check_cells`` applies the same cap to every other grid- or
+# table-sized allocation.
 MAX_FRAME_PIXELS = 2**24
+
+
+def check_cells(cells: int, what: str) -> None:
+    """A grid or table of ``cells`` cells fits MAX_FRAME_PIXELS, else a ValidationError."""
+    if cells > MAX_FRAME_PIXELS:
+        raise ValidationError(f"{what} exceeds MAX_FRAME_PIXELS = {MAX_FRAME_PIXELS}")
 
 
 # Column name -> stored dtype, in constructor order.
@@ -300,6 +307,7 @@ def _is_int(field: str) -> bool:
 
 def write_events_bin(stream: EventStream) -> bytes:
     """Serialize to EVT1. Bit-exact inverse of read_events_bin."""
+    as_record(stream, EventStream, "stream")
     if not (0 <= stream.sensor_width <= 0xFFFF and 0 <= stream.sensor_height <= 0xFFFF):
         raise ValidationError("sensor dimensions do not fit u16")
     too_late = np.flatnonzero(stream.t_us > 0xFFFFFFFF)
@@ -357,13 +365,12 @@ def accumulate(stream: EventStream, t0_us: int, t1_us: int) -> EventFrame:
     pixel add up instead of cancelling, so motion is never masked by
     alternating signs.
     """
+    as_record(stream, EventStream, "stream")
     t0_us, t1_us = as_size(t0_us, "window start", None), as_size(t1_us, "window end", None)
     if t0_us > t1_us:
         raise ValidationError(f"window start {t0_us} after end {t1_us}")
     width, height = stream.sensor_width, stream.sensor_height
-    if width * height > MAX_FRAME_PIXELS:
-        raise ValidationError(
-            f"sensor {width}x{height} exceeds MAX_FRAME_PIXELS = {MAX_FRAME_PIXELS}")
+    check_cells(width * height, f"sensor {width}x{height}")
     lo = _count_before(stream.t_us, t0_us)
     hi = _count_before(stream.t_us, t1_us)
     pixels = stream.y[lo:hi] * width + stream.x[lo:hi]
@@ -378,7 +385,9 @@ def resize_to(frame: EventFrame, width: int, height: int) -> EventFrame:
     pure coordinate rebinning, no interpolation, so no fractional
     pseudo-events are introduced.
     """
+    as_record(frame, EventFrame, "frame")
     width, height = as_size(width, "target width"), as_size(height, "target height")
+    check_cells(width * height, f"target {width}x{height}")
     if width == frame.width and height == frame.height:
         return frame
     ys = (np.arange(frame.height, dtype=np.int64) * height) // frame.height

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, as_size, real_array
+from .errors import ValidationError, as_record, as_size, real_array
+from .events import check_cells
 from .rope2d import _as_positions
 from .saliency import PatchMask
 
@@ -66,6 +67,7 @@ def _grid_rows(patches, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 
 def pack_patches(patch_seq: np.ndarray, mask: PatchMask) -> PackedSequence:
     """Keep the rows whose mask bit is set, preserving raster order."""
+    as_record(mask, PatchMask, "mask")
     seq, positions = _grid_rows(patch_seq, (mask.rows, mask.cols))
     flat = mask.bits.ravel().astype(bool)
     return PackedSequence(seq[flat], positions[flat], (mask.rows, mask.cols))
@@ -73,7 +75,9 @@ def pack_patches(patch_seq: np.ndarray, mask: PatchMask) -> PackedSequence:
 
 def unpack_scatter(packed: PackedSequence, fill: np.ndarray) -> np.ndarray:
     """Dense raster matrix with packed rows at their kept indices, fill elsewhere."""
+    as_record(packed, PackedSequence, "packed")
     rows, cols = packed.origin_grid
+    check_cells(rows * cols, f"origin grid {rows}x{cols}")
     d = packed.tokens.shape[1]
     fill_vec = real_array(fill, "fill vector").astype(np.float64, copy=False)
     if fill_vec.shape != (d,):

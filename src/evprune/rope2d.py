@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, as_size, real_array
+from .errors import ValidationError, as_record, as_size, real_array
+from .events import check_cells
 
 
 def _thetas(d: int) -> np.ndarray:
@@ -45,6 +46,8 @@ class RopeTable:
             object.__setattr__(self, name, as_size(getattr(self, name), name))
         if self.d % 4:
             raise ValidationError(f"embedding dimension must be divisible by 4, got {self.d}")
+        check_cells((self.rows + self.cols) * self.d,
+                    f"rotary table ({self.rows} + {self.cols}) x {self.d}")
         theta = _thetas(self.d)
         for axis, extent in (("row", self.rows), ("col", self.cols)):
             angles = np.arange(extent, dtype=np.float64)[:, None] * theta[None, :]
@@ -80,6 +83,7 @@ def apply_rope_many(
 ) -> np.ndarray:
     """Rotate a batch: v has shape (n, d) or (n, heads, d); positions is an
     (n, 2) integer array of (row, col) pairs, one per row of v."""
+    as_record(table, RopeTable, "table")
     arr = real_array(v, "v").astype(np.float64, copy=False)
     if arr.ndim < 2 or arr.shape[-1] != table.d:
         raise ValidationError(f"v must have shape (n, ..., {table.d}), got {arr.shape}")
@@ -118,6 +122,7 @@ def rope_matrix(i: int, j: int, d: int) -> np.ndarray:
         raise ValidationError("coordinates i and j must be within float range")
     if d % 4:
         raise ValidationError(f"embedding dimension must be divisible by 4, got {d}")
+    check_cells(d * d, f"rotation matrix {d}x{d}")
     theta = _thetas(d)
     mat = np.zeros((d, d), dtype=np.float64)
     for b in range(d // 4):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, as_size, real_array
+from .errors import FormatError, ValidationError, as_record, as_size, real_array
 from .events import EventFrame
 
 # Tolerance for tau*n landing a hair above an integer due to binary
@@ -101,6 +101,7 @@ class PatchMask:
 def patch_scores(frame: EventFrame, patch_size: int) -> EventFrame:
     """Per-patch event counts: the sum over each full p x p block of the frame, as
     an EventFrame of floor(height/p) x floor(width/p) cells; trailing pixels are dropped."""
+    as_record(frame, EventFrame, "frame")
     blocks = _blocks(frame.counts, patch_size)
     if 0 in blocks.shape[:2]:
         raise ValidationError(
@@ -117,6 +118,7 @@ def quantile_mask(scores: EventFrame, tau: float, merge_size: int = 1) -> PatchM
     mask never splits a merge cell. Ties are broken by raster index, so
     the result is deterministic and scale-invariant.
     """
+    as_record(scores, EventFrame, "scores")
     g_rows, g_cols = _merge_grid(scores.height, scores.width, merge_size)
     unit_scores = _blocks(scores.counts, merge_size).sum(axis=(2, 3))
     k = retained_count(tau, g_rows * g_cols)
@@ -144,6 +146,7 @@ def apply_mask_to_image(
     mask's patch grid are left untouched.
     """
     img = real_array(image, "image")
+    as_record(mask, PatchMask, "mask")
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValidationError("image must have shape (H, W, 3)")
     check_fill(fill)
@@ -160,6 +163,7 @@ def apply_mask_to_image(
 
 
 def mask_to_text(mask: PatchMask) -> str:
+    as_record(mask, PatchMask, "mask")
     rows = (" ".join(map(str, row)) for row in mask.bits.tolist())
     return "\n".join([f"{mask.rows} {mask.cols} {mask.tau!r}", *rows]) + "\n"
 

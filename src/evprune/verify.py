@@ -167,12 +167,8 @@ def check_accumulate(stream: events.EventStream, t0: int, t1: int,
 def check_cost_laws(profile: costmodel.ArchProfile, works: list[costmodel.WorkloadSpec],
                     reports: list[costmodel.CostReport]) -> Violation | None:
     """``reports[i]`` is ``estimate(profile, works[i])`` for two workloads
-    that differ only in a rising dropped fraction: FLOPs are twice MACs,
-    MACs fall when the step drops at least one merge cell, and an empty
-    workload costs nothing."""
-    for rep in reports:
-        if rep.flops != 2 * rep.macs:
-            return ("costmodel.flops_twice_macs", f"flops={rep.flops}, macs={rep.macs}")
+    that differ only in a rising dropped fraction: MACs fall when the step
+    drops at least one merge cell, and an empty workload costs nothing."""
     cells = reports[0].visual_tokens_dense // profile.vit.merge_size ** 2
     lo, hi = works
     if (hi.tau - lo.tau) * cells >= 1.0 and reports[1].macs >= reports[0].macs:
@@ -279,8 +275,7 @@ def _cost_case(rng: np.random.Generator, fault: bool) -> Violation | None:
              for tau in sorted(rng.random(2))]
     reports = [costmodel.estimate(profile, work) for work in works]
     if fault:
-        reports[0] = copy.copy(reports[0])  # bypasses CostReport's own flops check
-        object.__setattr__(reports[0], "flops", reports[0].flops + 1)
+        reports.reverse()
     return check_cost_laws(profile, works, reports)
 
 

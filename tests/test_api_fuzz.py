@@ -4,7 +4,9 @@ Each case starts from a valid argument list and swaps any of its
 arguments for a value one step away: an int/float swap, zero, a negative,
 NaN, the wrong rank, a ragged nesting, or a str, complex or object dtype.
 Every call must return a value or raise ValidationError or FormatError;
-any other exception, or a warning, fails the test.
+any other exception, or a warning, fails the test. A record argument
+that is None, a str or a record of another type must raise
+ValidationError.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evprune
-from evprune.costmodel import (LlmDims, VitDims, WorkloadSpec, compare, estimate,
+from evprune.costmodel import (ArchProfile, LlmDims, VitDims, WorkloadSpec, compare, estimate,
                                load_shipped_profile)
 from evprune.encoder import (EncoderConfig, encode_dense, encode_masked_dense_oracle,
                              encode_packed, init_weights, merge_project, patchify)
@@ -141,8 +143,55 @@ NOT_FUZZED = {
     "read_events_bin", "read_events_csv", "read_features", "read_ppm", "mask_from_text",
     "load_arch_profile", "load_encoder_config", "load_shipped_profile",
     # records of records or of results, checked where their fields are built
-    "ArchProfile", "CostReport", "CostReduction", "EncoderWeights",
+    "ArchProfile", "CostReport", "EncoderWeights",
 }
+
+
+_FRAME = EventFrame(_RNG.integers(0, 5, size=(4, 6)))
+_MASK = PatchMask(_BITS, 0.5)
+_PACKED = pack_patches(_PATCHES, _MASK)
+_REPORT = estimate(_PROFILE, WorkloadSpec(*_WORK))
+
+# name -> (callable, valid arguments, indices of the record arguments)
+RECORD_CASES = {
+    "accumulate": (accumulate, [EventStream(*_STREAM), 1, 4], [0]),
+    "resize_to": (resize_to, [_FRAME, 5, 2], [0]),
+    "write_events_bin": (write_events_bin, [EventStream(*_STREAM)], [0]),
+    "patch_scores": (patch_scores, [_FRAME, 2], [0]),
+    "quantile_mask": (quantile_mask, [_FRAME, 0.5, 1], [0]),
+    "apply_mask_to_image": (apply_mask_to_image, [_IMAGE, _MASK, 2, (0, 0, 0)], [1]),
+    "mask_to_text": (mask_to_text, [_MASK], [0]),
+    "pack_patches": (pack_patches, [_PATCHES, _MASK], [1]),
+    "unpack_scatter": (unpack_scatter, [_PACKED, np.zeros(_ENCODER.patch_dim)], [0]),
+    "apply_rope": (apply_rope, [_ROPE, (2, 3), np.ones(8)], [0]),
+    "apply_rope_many": (apply_rope_many, [_ROPE, np.array([[2, 3]]), np.ones((1, 8))], [0]),
+    "encode_dense": (encode_dense, [_PATCHES, _GRID_ROPE, _WEIGHTS, _ENCODER], [1, 2, 3]),
+    "encode_packed": (encode_packed, [_PACKED, _GRID_ROPE, _WEIGHTS, _ENCODER], [0, 1, 2, 3]),
+    "encode_masked_dense_oracle": (encode_masked_dense_oracle,
+                                   [_PATCHES, _GRID_ROPE, _MASK, _WEIGHTS, _ENCODER],
+                                   [1, 2, 3, 4]),
+    "merge_project": (merge_project, [encode_dense(_PATCHES, _GRID_ROPE, _WEIGHTS, _ENCODER),
+                                      _ENCODER, _WEIGHTS], [0, 1, 2]),
+    "init_weights": (init_weights, [_ENCODER], [0]),
+    "estimate": (estimate, [_PROFILE, WorkloadSpec(*_WORK)], [0, 1]),
+    "compare": (compare, [_REPORT, _REPORT], [0, 1]),
+    "ArchProfile": (ArchProfile, [_PROFILE.name, _PROFILE.vit, _PROFILE.llm], [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_CASES)
+def test_a_record_argument_of_another_type_is_a_validation_error(name):
+    # each raised AttributeError, or was accepted (ArchProfile)
+    call, valid, records = RECORD_CASES[name]
+    assert call(*valid) is not None
+    for i in records:
+        other = _MASK if isinstance(valid[i], EventFrame) else _FRAME
+        for value in (None, "text", other):
+            if type(value) is type(valid[i]):
+                continue
+            with pytest.raises(ValidationError, match=f"must be an? {type(valid[i]).__name__}, "
+                                                      f"got {type(value).__name__}"):
+                call(*valid[:i], value, *valid[i + 1:])
 
 
 def test_every_public_callable_is_fuzzed_or_excluded():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evprune import cli, encoder
+from evprune import cli, encoder, events
 from evprune.cli import main
 from evprune.events import read_events_bin, write_events_bin
 from evprune.featio import read_features
@@ -241,6 +241,19 @@ class TestMask:
         assert code == 1
         assert "MAX_FRAME_PIXELS" in err
         assert not out_mask.exists()
+
+    def test_image_beyond_the_pixel_cap_exit_1(self, square_events, tmp_path, capsys,
+                                               monkeypatch):
+        # the event counts were resized to any image size
+        image, _ = square_events
+        small = tmp_path / "small.csv"
+        small.write_text("# width 8\n# height 8\n0,1,1,1\n")
+        monkeypatch.setattr(events, "MAX_FRAME_PIXELS", SCENE * SCENE - 1)
+        code, _, err = run(capsys, "mask", str(image), str(small),
+                           "--tau", "0.5", "--patch-size", "16",
+                           "--out-mask", str(tmp_path / "m.txt"))
+        assert code == 1
+        assert f"target {SCENE}x{SCENE} exceeds MAX_FRAME_PIXELS" in err
 
 
 class TestEncode:

@@ -494,6 +494,34 @@ class TestInitWeights:
         assert not replaced.b_embed.flags.writeable
         assert replaced.w_embed is weights.w_embed
 
+    @staticmethod
+    def read_only_view(base):
+        view = base.view()
+        view.flags.writeable = False
+        return view
+
+    @staticmethod
+    def owned_then_reopened(base):
+        base.flags.writeable = False  # base owns its data: its holder may reopen it
+        return base
+
+    @pytest.mark.parametrize("share", [
+        read_only_view, lambda base: np.broadcast_to(base, base.shape), owned_then_reopened],
+        ids=["read-only view", "broadcast_to view", "owned read-only array"])
+    def test_never_shares_memory_with_a_callers_array(self, share):
+        # the record kept each of these uncopied, and NaN written into the
+        # caller's array made encode_dense return all-NaN rows
+        config = small_config(n_layers=1)
+        patches, rope, weights = random_setup(2, 2, config, seed=4)
+        base = weights.b_embed.copy()
+        replaced = dataclasses.replace(weights, b_embed=share(base))
+        assert not np.shares_memory(replaced.b_embed, base)
+        want = encode_dense(patches, rope, replaced, config).tokens
+        base.flags.writeable = True
+        base[:] = np.nan
+        got = encode_dense(patches, rope, replaced, config).tokens
+        assert np.isfinite(got).all() and np.array_equal(got, want)
+
 
 class TestEncodeDense:
     def test_zero_layers_is_patch_embedding(self):

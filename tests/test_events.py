@@ -213,6 +213,12 @@ class TestResize:
         with pytest.raises(ValidationError, match=match):
             resize_to(EventFrame(np.ones((2, 2))), width, height)
 
+    @pytest.mark.parametrize("width, height", [(2**70, 1), (1, 2**70), (2**12 + 1, 2**12)])
+    def test_rejects_a_target_beyond_the_pixel_cap_before_allocating(self, width, height):
+        # 2**70 raised OverflowError; smaller targets were allocated uncapped
+        with pytest.raises(ValidationError, match="exceeds MAX_FRAME_PIXELS"):
+            resize_to(EventFrame(np.ones((2, 2))), width, height)
+
 
 class TestSimulate:
     def test_static_scene_is_empty(self):

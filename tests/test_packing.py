@@ -162,6 +162,13 @@ class TestUnpackScatter:
         dense = unpack_scatter(packed, np.array([7.0, 8.0, 9.0]))
         assert np.array_equal(dense, np.tile([7.0, 8.0, 9.0], (4, 1)))
 
+    @pytest.mark.parametrize("grid", [(2**40, 2**40), (2**12 + 1, 2**12)])
+    def test_rejects_a_grid_beyond_the_pixel_cap_before_allocating(self, grid):
+        # (2**40, 2**40) raised OverflowError; smaller grids were allocated uncapped
+        packed = PackedSequence(np.zeros((0, 1)), np.zeros((0, 2), dtype=np.int64), grid)
+        with pytest.raises(ValidationError, match="exceeds MAX_FRAME_PIXELS"):
+            unpack_scatter(packed, np.zeros(1))
+
     def test_rejects_fill_length_mismatch(self):
         packed = pack_patches(np.ones((4, 3)), mask_of([[1, 0], [0, 1]]))
         with pytest.raises(ValidationError):

@@ -59,6 +59,13 @@ class TestTable:
         with pytest.raises(ValidationError, match=match):
             build_rope(rows, cols, d)
 
+    @pytest.mark.parametrize("rows, cols, d", [
+        (2**70, 1, 4), (1, 1, 2**70), (2**22, 1, 4)])
+    def test_rejects_a_table_beyond_the_pixel_cap_before_allocating(self, rows, cols, d):
+        # 2**70 raised a plain ValueError; smaller tables were allocated uncapped
+        with pytest.raises(ValidationError, match="exceeds MAX_FRAME_PIXELS"):
+            RopeTable(rows, cols, d)
+
     def test_keeps_read_only_finite_copies(self):
         # factor arrays were taken from the caller; NaN or zeros broke the rotation
         table = RopeTable(2, 2, 4)
@@ -177,6 +184,12 @@ class TestMatrix:
         # raised OverflowError
         with pytest.raises(ValidationError, match="within float range"):
             rope_matrix(i, j, 8)
+
+    @pytest.mark.parametrize("d", [2**70, 4100])
+    def test_rejects_a_matrix_beyond_the_pixel_cap_before_allocating(self, d):
+        # 2**70 raised a plain ValueError; 4100 x 4100 was allocated uncapped
+        with pytest.raises(ValidationError, match="exceeds MAX_FRAME_PIXELS"):
+            rope_matrix(0, 0, d)
 
     def test_d4_block_layout(self):
         theta = 10000.0 ** (-2.0 / 4.0)

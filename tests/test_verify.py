@@ -20,7 +20,8 @@ FAULTS = {
     "events.accumulate": ("events.accumulate_bruteforce", 40000),
     "pack.roundtrip": ("pack.scatter_roundtrip", 50001),
     "encoder.equivalence": ("encoder.packed_equals_masked_dense", 61600),
-    "costmodel.laws": ("costmodel.flops_twice_macs", 70000),
+    # the fault swaps the two reports; that step drops 2.4 merge cells
+    "costmodel.laws": ("costmodel.monotonic_in_tau", 70000),
 }
 
 
