@@ -31,6 +31,7 @@ variable name without the suffix making it explicit.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
 
@@ -134,10 +135,13 @@ class CostReport:
     merged_tokens: int
 
     def __post_init__(self):
-        if tuple(self.breakdown) != _STAGES:
-            raise ValidationError(f"breakdown must cover stages {_STAGES}")
-        if any(v < 0 for v in self.breakdown.values()):
-            raise ValidationError("costs must be non-negative")
+        if not (isinstance(self.breakdown, Mapping) and tuple(self.breakdown) == _STAGES):
+            raise ValidationError(f"breakdown must be a mapping over stages {_STAGES}")
+        # A copy of plain ints: a float total would print as macs_total=7.5.
+        object.__setattr__(self, "breakdown", {
+            stage: as_size(macs, f"{stage} MACs", 0) for stage, macs in self.breakdown.items()})
+        for name in ("visual_tokens_dense", "visual_tokens_retained", "merged_tokens"):
+            object.__setattr__(self, name, as_size(getattr(self, name), name, 0))
         if self.visual_tokens_retained > self.visual_tokens_dense:
             raise ValidationError("retained tokens cannot exceed dense tokens")
 

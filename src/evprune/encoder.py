@@ -160,16 +160,23 @@ def _param(*dims: str, gain: bool = False):
 
 
 # Every array a weight record holds, by id. A record made each one, by a draw
-# or a copy, and keeps it read-only, so another record may share it uncopied.
+# or a copy, and keeps it sealed, so another record may share it uncopied.
 _HELD: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _sealed(values: np.ndarray) -> np.ndarray:
+    """C-contiguous float64 ``values`` seen through a read-only memoryview:
+    numpy refuses ``flags.writeable = True`` on the result and its views."""
+    return np.frombuffer(memoryview(values).toreadonly(), dtype=np.float64).reshape(values.shape)
 
 
 class _Weights:
     """A record of weight arrays, each declared by ``_param``: every array is
-    checked finite and kept as read-only float64, one that a weight record
-    already holds as it is and any other as a copy, so no caller shares its
-    memory. A ``per_layer`` field must be a list or tuple of its record type,
-    and is kept as a tuple."""
+    checked finite and kept as sealed float64 (see ``_sealed``), one that a
+    weight record already holds as it is and any other as a copy, so no
+    caller shares its memory or can make it writable again. A ``per_layer``
+    field must be a list or tuple of its record type, and is kept as a
+    tuple."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -182,11 +189,10 @@ class _Weights:
                 object.__setattr__(self, f.name, tuple(layers))
                 continue
             arr = real_array(getattr(self, f.name), f"weight {f.name}")
-            if _HELD.get(id(arr)) is not arr or arr.flags.writeable:
-                arr = np.array(arr, dtype=np.float64)
+            if _HELD.get(id(arr)) is not arr:
+                arr = _sealed(np.array(arr, dtype=np.float64, order="C"))
             if not np.isfinite(arr).all():
                 raise ValidationError(f"weight {f.name} must be finite")
-            arr.flags.writeable = False
             _HELD[id(arr)] = arr
             object.__setattr__(self, f.name, arr)
 
@@ -252,23 +258,38 @@ def init_weights(config: EncoderConfig) -> EncoderWeights:
 
 @functools.lru_cache(maxsize=1)
 def _drawn(config: EncoderConfig) -> EncoderWeights:
-    return _draw(EncoderWeights, config, np.random.Generator(np.random.PCG64(config.seed)))
+    """Every weight is drawn into one flat buffer, in place, and the record
+    holds views of it sealed as one (``_sealed``)."""
+    flat = np.empty(_weight_count(config))
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    return _draw(EncoderWeights, config, rng, flat, _sealed(flat))[0]
 
 
-def _draw(record: type, config: EncoderConfig, rng: np.random.Generator):
+def _draw(record: type, config: EncoderConfig, rng: np.random.Generator,
+          flat: np.ndarray, sealed: np.ndarray, at: int = 0):
+    """A ``record`` drawn into ``flat[at:]``, holding the matching views of
+    ``sealed``, and the offset just past its weights."""
     values = {}
     for f in fields(record):
         if "per_layer" in f.metadata:
-            values[f.name] = tuple(_draw(f.metadata["per_layer"], config, rng)
-                                   for _ in range(config.n_layers))
+            layers = []
+            for _ in range(config.n_layers):
+                layer, at = _draw(f.metadata["per_layer"], config, rng, flat, sealed, at)
+                layers.append(layer)
+            values[f.name] = tuple(layers)
             continue
         shape = _shape(f, config)
-        z = rng.standard_normal(shape) * (1.0 / np.sqrt(shape[0]) if len(shape) == 2 else 0.02)
-        value = 1.0 + z if f.metadata["gain"] else z
-        value.flags.writeable = False
+        end = at + math.prod(shape)
+        # In place, with the bits of ``standard_normal(shape) * scale`` (+ 1.0).
+        z = rng.standard_normal(out=flat[at:end].reshape(shape))
+        z *= 1.0 / np.sqrt(shape[0]) if len(shape) == 2 else 0.02
+        if f.metadata["gain"]:
+            z += 1.0
+        value = sealed[at:end].reshape(shape)
         _HELD[id(value)] = value  # so the record keeps it without a copy
         values[f.name] = value
-    return record(**values)
+        at = end
+    return record(**values), at
 
 
 def _check_fit(record: type, weights, config: EncoderConfig) -> None:

@@ -9,7 +9,8 @@ Core objects
   columns, sorts and validates them and keeps its own copies. The sort is
   stable; when the timestamps span at most 0xFFFF microseconds it runs on a
   16-bit key, which numpy radix-sorts. Every reader, writer and the
-  simulator work on these columns directly.
+  simulator work on these columns directly; the simulator builds them
+  already in time order, so its streams skip the sort.
 - EventFrame: event counts per cell: per pixel over a temporal window, or
   per patch as saliency scores.
 
@@ -44,7 +45,10 @@ Records must be sorted by t_us; files that read successfully round-trip
 bit-exactly.
 
 Simulation emits at most MAX_SIMULATED_EVENTS events per frame pair; the
-total is checked before any per-event array is allocated. Accumulation
+total is checked before any per-event array is allocated. Its events come
+in time order, then in raster order of their pixel, then in order of k for
+a pixel that emits several at one timestamp: the order a stable sort by
+time gives to events emitted pixel by pixel in raster order. Accumulation
 counts at most MAX_FRAME_PIXELS sensor pixels, and resizing makes at most
 that many cells, each checked before the counts are allocated.
 
@@ -70,9 +74,10 @@ _LOG_GUARD = 1e-3
 _INT64_MAX = np.iinfo(np.int64).max
 
 # Upper bound on the events one simulate_events call may emit, checked
-# before any per-event array exists. Building a stream peaks at about 110
-# bytes per event (measured on 0.9M events), so a call at the cap peaks near
-# 1.8 GiB. A single 0 -> 1 pixel at contrast 1e-3 already yields 6908 events.
+# before any per-event array exists. A call peaks at about 45 bytes per
+# event (tracemalloc, 1.95M events from a 640x480 pair), so a call at the
+# cap peaks near 0.7 GiB. A single 0 -> 1 pixel at contrast 1e-3 already
+# yields 6908 events.
 MAX_SIMULATED_EVENTS = 2**24
 
 # Upper bound on width * height for accumulate, checked before the per-pixel
@@ -154,7 +159,9 @@ class EventStream:
 def _time_order(t: np.ndarray) -> np.ndarray:
     """The stable argsort of timestamps ``t``. When they span at most 0xFFFF,
     it sorts ``t - t.min()`` as uint16, which numpy radix-sorts: the same
-    permutation in a sixth of the int64 sort's time on simulated frames."""
+    permutation in a sixth of the int64 sort's time on 294k events spanning
+    33000 us. Simulated streams come sorted, so their constructor never
+    calls it."""
     low = int(t.min())
     if int(t.max()) - low <= 0xFFFF:  # Python ints: no int64 overflow
         t = (t.astype(np.int64, copy=False) - low).astype(np.uint16)
@@ -305,20 +312,24 @@ def _is_int(field: str) -> bool:
     return field.isascii() and digits.isdigit()
 
 
-def write_events_bin(stream: EventStream) -> bytes:
-    """Serialize to EVT1. Bit-exact inverse of read_events_bin."""
+def write_events_bin(stream: EventStream) -> bytearray:
+    """Serialize to EVT1, built in place in one bytearray. Bit-exact inverse
+    of read_events_bin."""
     as_record(stream, EventStream, "stream")
     if not (0 <= stream.sensor_width <= 0xFFFF and 0 <= stream.sensor_height <= 0xFFFF):
         raise ValidationError("sensor dimensions do not fit u16")
     too_late = np.flatnonzero(stream.t_us > 0xFFFFFFFF)
     if too_late.size:
         raise ValidationError(f"timestamp {int(stream.t_us[too_late[0]])} does not fit u32")
-    records = np.empty(len(stream), dtype=_RECORD)
+    out = bytearray(_HEADER.size + len(stream) * _RECORD.itemsize)
+    _HEADER.pack_into(
+        out, 0, EVT1_MAGIC, EVT1_VERSION, stream.sensor_width, stream.sensor_height, 0,
+        len(stream))
+    records = np.frombuffer(out, dtype=_RECORD, offset=_HEADER.size)
     for name in _RECORD.names:
         records[name] = getattr(stream, name)
-    header = _HEADER.pack(
-        EVT1_MAGIC, EVT1_VERSION, stream.sensor_width, stream.sensor_height, 0, len(stream))
-    return header + records.tobytes()
+    del records  # releases its export of `out`, so the caller may resize it
+    return out
 
 
 def read_events_bin(data: bytes) -> EventStream:
@@ -414,6 +425,14 @@ def simulate_events(
     k = 0..n-1 (evenly spaced in [0, duration_us)). Deterministic; equal
     frames produce the empty stream. Raises ValidationError when the total
     would exceed MAX_SIMULATED_EVENTS.
+
+    The events come in time order, then raster order of their pixel, then
+    k order, and are built in that order: the pixels are bucketed by count,
+    the few (count, k) pairs are sorted by timestamp, and each pair's bucket
+    is laid out in turn; no per-event array is sorted by time. Below 2**31
+    pixels, per-event indices are int32, and timestamps are uint16 or int32
+    when duration_us fits; only the permutation of the sort that orders
+    pairs sharing a timestamp is int64.
     """
     a, b = (real_array(f, "frames", 2).astype(np.float64, copy=False) for f in (frame_a, frame_b))
     if a.shape != b.shape:
@@ -428,24 +447,86 @@ def simulate_events(
     if not (np.all((a >= 0) & (a <= 1)) and np.all((b >= 0) & (b <= 1))):
         raise ValidationError("pixel intensities must lie in [0, 1]")
 
-    dlog = (np.log(b + _LOG_GUARD) - np.log(a + _LOG_GUARD)).ravel()
+    # In place, so that at most three float64 frames are live at once.
+    dlog = b + _LOG_GUARD
+    np.log(dlog, out=dlog)
+    log_a = a + _LOG_GUARD
+    dlog -= np.log(log_a, out=log_a)
+    del log_a
+    dlog = dlog.ravel()
+    n = np.abs(dlog)
     with np.errstate(over="ignore"):  # an infinite count fails the cap below
-        n = np.floor(np.abs(dlog) / contrast)
+        n /= float(contrast)  # what dividing by a Fraction or numpy scalar gives
+    np.floor(n, out=n)
     total = n.sum()
     if not total <= MAX_SIMULATED_EVENTS:
         raise ValidationError(
             f"frames would emit {total:.0f} events, more than "
             f"MAX_SIMULATED_EVENTS = {MAX_SIMULATED_EVENTS}")
+    if total == 0:
+        return EventStream(a.shape[1], a.shape[0], *[np.zeros(0, dtype=np.int64)] * 4)
 
-    # Pixels in raster order, each emitting its events k = 0..n-1.
-    pixel = np.flatnonzero(n)
-    per = n[pixel].astype(np.int64)
-    owner = np.repeat(np.arange(pixel.size), per)
-    k = np.arange(owner.size) - (np.cumsum(per) - per)[owner]
-    count = per[owner]
-    # k * duration // count without an int64 overflow of k * duration.
+    # Every index below (of a pixel, event, bucket or pair) is below the
+    # larger of these two.
+    index = np.int32 if max(a.size, int(total)) < 2**31 else np.int64
+    # The emitting pixels in raster order: `owner` is an index into these.
+    pixel = np.flatnonzero(n > 0).astype(index)
+    y, x = np.divmod(pixel, a.shape[1])
+    sign = np.where(dlog[pixel] >= 0, np.int8(1), np.int8(-1))
+    per = n[pixel]
+    del dlog, n
+
+    # The pixels bucketed by count, in raster order within a bucket: one
+    # stable sort, a radix sort when the key fits 16 bits.
+    key = per.astype(np.uint16 if per.max() <= 0xFFFF else index)
+    del per
+    by_count = np.argsort(key, kind="stable").astype(index)
+    key = key[by_count]
+    bucket_start = np.flatnonzero(np.diff(key, prepend=key.dtype.type(0)))
+    counts = key[bucket_start].astype(np.int64)
+    bucket_size = np.diff(bucket_start, append=key.size)
+    del key
+
+    # The (count, k) pairs, one per event time of a bucket, built in
+    # (count, k) order and stably sorted by timestamp k * duration // count,
+    # computed without an int64 overflow of k * duration. A bucket of count
+    # c has c pairs, so there are at most as many pairs as events, and
+    # usually far fewer.
+    bucket = np.repeat(np.arange(counts.size, dtype=index), counts)
+    k = np.arange(bucket.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    count = counts[bucket]
     q, r = np.divmod(duration_us, count)
-    t = k * q + k * r // count
-    y, x = np.divmod(pixel[owner], a.shape[1])
-    p = np.where(dlog[pixel] >= 0, 1, -1).astype(np.int8)[owner]
-    return EventStream(a.shape[1], a.shape[0], t, x, y, p)
+    narrow = (np.uint16 if duration_us <= 0xFFFF else
+              np.int32 if duration_us < 2**31 else np.int64)  # holds every t < duration
+    pair_t = (k * q + k * r // count).astype(narrow)
+    del k, count, q, r
+    by_time = np.argsort(pair_t, kind="stable")  # a radix sort for 16-bit timestamps
+    pair_t = pair_t[by_time]
+    bucket = bucket[by_time]
+    del by_time
+
+    # Each pair's bucket laid out in turn: event i of a pair whose bucket
+    # starts at s is pixel by_count[s + i].
+    size = bucket_size[bucket]
+    at = np.repeat((bucket_start[bucket] - (np.cumsum(size) - size)).astype(index), size)
+    at += np.arange(at.size, dtype=index)
+    owner = by_count[at]
+    del at, by_count
+    t = np.repeat(pair_t, size)
+
+    # Pairs that share a timestamp interleave their buckets; a sort by
+    # (timestamp rank, pixel) restores raster order among them. Events with
+    # equal keys are one pixel's at one timestamp, equal in every column.
+    # The key is one ascending run per pair, which the stable sort (timsort)
+    # merges in half the time of numpy's default sort.
+    new_time = pair_t[1:] != pair_t[:-1]
+    if not new_time.all():
+        rank = np.concatenate(([0], np.cumsum(new_time)))
+        wide = (int(rank[-1]) + 1) * pixel.size > 2**31
+        key = np.repeat(rank.astype(np.int64 if wide else np.int32), size)
+        del rank
+        key *= pixel.size
+        key += owner
+        owner = owner[np.argsort(key, kind="stable")]
+        del key
+    return EventStream(a.shape[1], a.shape[0], t, x[owner], y[owner], sign[owner])

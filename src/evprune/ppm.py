@@ -83,10 +83,11 @@ def to_gray01(image: np.ndarray) -> np.ndarray:
     if not (img.ndim == 2 or img.ndim == 3 and img.shape[2] >= 1):
         raise ValidationError(f"image must have shape (H, W) or (H, W, C >= 1), got {img.shape}")
     if img.ndim == 3 and img.dtype == np.uint8:
-        # The integer channel sum is exact (uint64 for any channel count), so
-        # sum / C is the float64 mean bit for bit; adding the channel planes
-        # takes a fifth of the time of mean(axis=2) on a 640x480 RGB image.
-        total = img[..., 0].astype(np.uint64)
+        # The integer channel sum is exact (uint16 up to 257 channels of at
+        # most 255, uint64 beyond), so sum / C is the float64 mean bit for
+        # bit; adding the channel planes takes a fifth of the time of
+        # mean(axis=2) on a 640x480 RGB image.
+        total = img[..., 0].astype(np.uint16 if img.shape[2] <= 257 else np.uint64)
         for c in range(1, img.shape[2]):
             total += img[..., c]
         img = total / img.shape[2]

@@ -2,7 +2,8 @@
 
 Each case starts from a valid argument list and swaps any of its
 arguments for a value one step away: an int/float swap, zero, a negative,
-NaN, the wrong rank, a ragged nesting, or a str, complex or object dtype.
+NaN, the wrong rank, a ragged nesting, a str, complex or object dtype,
+or a mapping with its first value so swapped or its first key missing.
 Every call must return a value or raise ValidationError or FormatError;
 any other exception, or a warning, fails the test. A record argument
 that is None, a str or a record of another type must raise
@@ -20,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evprune
-from evprune.costmodel import (ArchProfile, LlmDims, VitDims, WorkloadSpec, compare, estimate,
-                               load_shipped_profile)
+from evprune.costmodel import (ArchProfile, CostReport, LlmDims, VitDims, WorkloadSpec, compare,
+                               estimate, load_shipped_profile)
 from evprune.encoder import (EncoderConfig, encode_dense, encode_masked_dense_oracle,
                              encode_packed, init_weights, merge_project, patchify)
 from evprune.errors import FormatError, ValidationError
@@ -47,6 +48,10 @@ def near_valid(value) -> list:
                 -value.astype(np.int64) - 1, value[0], value[None], value[:0],
                 value.ravel()[0], rows, ragged, value.astype(str),
                 value.astype(np.complex128), value.astype(object)]
+    if isinstance(value, dict):
+        first = next(iter(value))
+        return [*(dict(value, **{first: v}) for v in near_valid(value[first])),
+                dict(list(value.items())[1:]), list(value.values()), None]
     if isinstance(value, tuple):
         return [value[:1], value + (1,), tuple(v + 0.5 for v in value),
                 tuple(-v for v in value), list(value), tuple(map(str, value)),
@@ -70,6 +75,7 @@ _PATCHES = _RNG.standard_normal((4, _ENCODER.patch_dim))
 _ALL_KEPT = np.argwhere(np.ones((2, 2), dtype=bool))
 _PROFILE = load_shipped_profile("qwen2vl_2b_like")
 _WORK = [448, 448, 0.5, 16, 4]
+_REPORT = estimate(_PROFILE, WorkloadSpec(*_WORK))
 
 
 def rope_at_far_corner(rows, cols, d):
@@ -133,6 +139,8 @@ CASES = {
     "estimate": (lambda *work: estimate(_PROFILE, WorkloadSpec(*work)), _WORK),
     "compare": (lambda *work: compare(estimate(_PROFILE, WorkloadSpec(*work)),
                                       estimate(_PROFILE, WorkloadSpec(*_WORK))), _WORK),
+    "CostReport": (CostReport, [dict(_REPORT.breakdown), _REPORT.visual_tokens_dense,
+                                _REPORT.visual_tokens_retained, _REPORT.merged_tokens]),
 }
 
 # Public callables that take no near-valid arguments in the sense above.
@@ -143,14 +151,13 @@ NOT_FUZZED = {
     "read_events_bin", "read_events_csv", "read_features", "read_ppm", "mask_from_text",
     "load_arch_profile", "load_encoder_config", "load_shipped_profile",
     # records of records or of results, checked where their fields are built
-    "ArchProfile", "CostReport", "EncoderWeights",
+    "ArchProfile", "EncoderWeights",
 }
 
 
 _FRAME = EventFrame(_RNG.integers(0, 5, size=(4, 6)))
 _MASK = PatchMask(_BITS, 0.5)
 _PACKED = pack_patches(_PATCHES, _MASK)
-_REPORT = estimate(_PROFILE, WorkloadSpec(*_WORK))
 
 # name -> (callable, valid arguments, indices of the record arguments)
 RECORD_CASES = {

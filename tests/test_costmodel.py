@@ -152,6 +152,39 @@ class TestEstimate:
                        visual_tokens_dense=0, visual_tokens_retained=0, merged_tokens=0)
 
 
+    @pytest.mark.parametrize("breakdown, match", [
+        (None, "breakdown must be a mapping"),
+        ([0, 0, 0, 0, 0], "breakdown must be a mapping"),
+        ({"vit_attention": 7.5}, "vit_attention MACs must be an integer, got 7.5"),
+        ({"merge": "3"}, "merge MACs must be an integer, got '3'"),
+        ({"llm_decode": True}, "llm_decode MACs must be an integer, got True"),
+        ({"vit_mlp": -1}, "vit_mlp MACs must be >= 0, got -1"),
+    ], ids=["None", "list", "float", "str", "bool", "negative"])
+    def test_breakdown_holds_non_negative_integers(self, breakdown, match):
+        # a float breakdown printed macs_total=7.5; None and str raised TypeError
+        if isinstance(breakdown, dict):
+            breakdown = report_with_total(0).breakdown | breakdown
+        with pytest.raises(ValidationError, match=match):
+            CostReport(breakdown, 0, 0, 0)
+
+    @pytest.mark.parametrize("tokens, match", [
+        (("4", 1, 1), "visual_tokens_dense must be an integer, got '4'"),
+        ((4, 1.0, 1), "visual_tokens_retained must be an integer, got 1.0"),
+        ((4, 1, -1), "merged_tokens must be >= 0, got -1"),
+    ])
+    def test_token_counts_are_non_negative_integers(self, tokens, match):
+        # a str count raised TypeError; a float or negative one was kept
+        with pytest.raises(ValidationError, match=match):
+            CostReport(report_with_total(0).breakdown, *tokens)
+
+    def test_numpy_integers_are_kept_as_ints(self):
+        breakdown = {stage: np.int64(macs) for stage, macs in report_with_total(3).breakdown.items()}
+        report = CostReport(breakdown, np.int32(4), np.uint8(2), np.int64(1))
+        assert report.to_dict() == report_with_total(3).to_dict() | {
+            "visual_tokens_dense": 4, "visual_tokens_retained": 2, "merged_tokens": 1}
+        assert all(type(v) is int for v in report.to_dict().values())
+
+
 class TestCompare:
     def test_half_drop_reduction_pair(self):
         dense = report_with_total(7_350_000_000_000)   # 14.7 TFLOPs

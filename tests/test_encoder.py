@@ -413,6 +413,19 @@ class TestInitWeights:
         with pytest.raises(ValueError, match="read-only"):
             shared.b_embed[0] = 1.0
 
+    def test_shared_weights_cannot_be_made_writable_again(self):
+        # flags.writeable = True succeeded on every array, and a write then
+        # corrupted the cached record that every later init_weights returns
+        config = small_config(seed=27, n_layers=1)
+        shared = init_weights(config)
+        copied = dataclasses.replace(shared, b_embed=np.zeros(config.d_model))
+        for name, arr in weight_arrays(shared) + weight_arrays(copied):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.flags.writeable = True
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.view().flags.writeable = True
+        assert init_weights(config) is shared and np.isfinite(shared.b_embed).all()
+
     @pytest.mark.parametrize("overrides", WEIGHT_CONFIGS)
     def test_matches_the_field_by_field_draw(self, overrides):
         config = small_config(**overrides)

@@ -3,6 +3,7 @@ their per-event references, input rejection, and reader fuzzing."""
 
 import math
 import struct
+from fractions import Fraction
 import tracemalloc
 import warnings
 
@@ -212,6 +213,13 @@ class TestSimulateColumns:
         with pytest.raises(ValidationError, match="contrast"):
             simulate_events(a, a, contrast, 10)
 
+    @pytest.mark.parametrize("contrast", [Fraction(1, 10), np.float64(0.1), np.float32(0.1)])
+    def test_contrast_may_be_any_real_number(self, contrast):
+        # the count is |dlog| / float(contrast); a Fraction divided an object array
+        a, b = seeded_pair(height=6, width=8)
+        want = simulate_reference(a, b, float(contrast), 1000)
+        assert want and as_tuples(simulate_events(a, b, contrast, 1000)) == want
+
     @pytest.mark.parametrize("duration, match", [
         (10.0, "duration must be an integer"),
         ("10", "duration must be an integer"),
@@ -242,6 +250,103 @@ class TestSimulateColumns:
     def test_duration_beyond_int64_rejected(self):
         with pytest.raises(ValidationError, match="duration"):
             simulate_events(np.zeros((1, 1)), np.ones((1, 1)), 1.0, 2**63)
+
+
+def seeded_pair(seed=17, height=480, width=640):
+    """Gray frames in [0, 1] like a camera pair: a textured background with
+    independent noise per frame and a bright block that moves (about 0.3M
+    events at contrast 0.1)."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(70, 131, (height, width)).astype(np.float64)
+    a, b = (np.clip(np.rint(base + rng.normal(0.0, 8.0, base.shape)), 0, 255) for _ in range(2))
+    a[100:220, 50:250] = 230.0
+    b[106:226, 70:270] = 230.0
+    return a / 255.0, b / 255.0
+
+
+def strip_pair(m, contrast=0.005):
+    """One row whose pixel i emits i + 1 events: counts 1..m, one pixel each."""
+    a = np.zeros((1, m))
+    b = 1e-3 * np.exp(contrast * (np.arange(m) + 1.5))[None, :] - 1e-3
+    assert np.array_equal(np.floor(np.log((b + 1e-3) / 1e-3) / contrast)[0], np.arange(1, m + 1))
+    return a, b
+
+
+def raster_then_sorted(a, b, contrast, duration_us):
+    """The simulator's contract as ``framebench/check.py::expected_stream``
+    computes it: each pixel in raster order emits its events k = 0..n-1,
+    then one stable sort by time. (t, x, y, p) as int64 columns."""
+    dlog = np.log(b + 1e-3) - np.log(a + 1e-3)
+    n = np.floor(np.abs(dlog) / contrast).astype(np.int64)
+    ys, xs = np.nonzero(n)
+    per = n[ys, xs]
+    owner = np.repeat(np.arange(len(per)), per)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(per) - per, per)
+    t = k * duration_us // per[owner]
+    order = np.argsort(t, kind="stable")
+    p = np.where(dlog[ys, xs] >= 0, 1, -1)[owner]
+    return [col[order] for col in (t, xs[owner], ys[owner], p)]
+
+
+def assert_same_columns(stream, want):
+    got = [stream.t_us, stream.x, stream.y, stream.polarity.astype(np.int64)]
+    for name, g, w in zip(("t_us", "x", "y", "polarity"), got, want):
+        assert g.tobytes() == w.astype(np.int64).tobytes(), name
+
+
+class TestSimulateOrder:
+    """The simulator builds its columns in time order; they must equal the
+    raster-emit-then-stable-sort contract byte for byte."""
+
+    @pytest.mark.parametrize("contrast", [0.1, 0.02])
+    @pytest.mark.parametrize("duration", [0, 1, 7, 33_000, 75_000, 2**40])
+    def test_seeded_pair_matches_the_sorted_contract(self, duration, contrast):
+        a, b = seeded_pair()
+        assert_same_columns(simulate_events(a, b, contrast, duration),
+                            raster_then_sorted(a, b, contrast, duration))
+
+    @pytest.mark.parametrize("duration", [0, 7, 33_000, 2**40])
+    def test_strip_of_every_count_matches_the_sorted_contract(self, duration):
+        # 1..m events at one pixel each: as many (count, k) pairs as events,
+        # and pixels with several events at one timestamp when duration < m
+        a, b = strip_pair(1000)
+        stream = simulate_events(a, b, 0.005, duration)
+        assert len(stream) == 1000 * 1001 // 2
+        assert_same_columns(stream, raster_then_sorted(a, b, 0.005, duration))
+
+    @pytest.mark.parametrize("duration", [7, 33_000])
+    def test_counts_beyond_16_bits_match_the_sorted_contract(self, duration):
+        # 69k and 62k events at two pixels: the count key no longer fits uint16
+        a, b = np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 0.0]])
+        stream = simulate_events(a, b, 1e-4, duration)
+        assert len(stream) > 2 * 0xFFFF
+        assert_same_columns(stream, raster_then_sorted(a, b, 1e-4, duration))
+
+    def test_simulated_columns_need_no_sort(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError("the stream was sorted")
+
+        monkeypatch.setattr(events, "_time_order", refuse)
+        with pytest.raises(AssertionError, match="sorted"):  # the patch is live
+            EventStream(2, 1, [1, 0], [0, 1], [0, 0], [1, 1])
+        a, b = seeded_pair()
+        for contrast, duration in ((0.1, 33_000), (0.02, 7), (0.1, 2**40)):
+            assert len(simulate_events(a, b, contrast, duration))
+        assert len(simulate_events(*strip_pair(200), 0.005, 50))
+
+    def test_heap_peak_per_event(self):
+        """Narrow temporaries: the simulator peaked at 138 bytes per event
+        on this pair (195k events) when it built int64 columns in raster
+        order and sorted them by time, and peaks near 49 now."""
+        a, b = seeded_pair()
+        tracemalloc.start()
+        try:
+            stream = simulate_events(a, b, 0.1, 33_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) > 150_000
+        assert peak / len(stream) < 80
 
 
 class TestEventFrameFinite:

@@ -1,7 +1,8 @@
 """Pinned SHA-256 digests of the CLI outputs that run no BLAS code.
 
 The EVT1 files of ``simulate`` (with timestamps spanning less and more
-than 0xFFFF microseconds) and the mask text and blanked PPM of
+than 0xFFFF microseconds, and spanning fewer microseconds than some
+pixel emits events) and the mask text and blanked PPM of
 ``mask`` (merge sizes 1 and 2) are pure integer and elementwise float
 work, so their bytes are the same on every machine. A refactor of the
 event, saliency or PPM code must leave them unchanged. So must a
@@ -30,6 +31,10 @@ GOLDEN = {
     "scene.evt1": "8a9993002ed1ab7b6206c7c5b58e4df24f33085b05337ed8747ecd339b162cc2",
     # Timestamps spanning 75000 us, more than a 16-bit sort key holds.
     "scene_wide.evt1": "7dceea3f35a808a14bc640bfd6f31e8bffa7041ce35f351824b9f1f5f6d9b71e",
+    # 3 us, below the largest per-pixel count (4): such a pixel emits its
+    # events k = 0 and 1 both at t = 0, together and in raster order among
+    # the other pixels' events at t = 0.
+    "scene_tie.evt1": "61a44b84e13527e5eb02ece1f960fcb58f7a75b2442eb460bd7ca308508e4bb4",
     "mask_m1.txt": "5a6d8f68bebca3fd75ab4845c9961090668ad1b2bfdc43d38d79ebdc990a3161",
     "mask_m1.ppm": "880b69072090783a4eeb30e2b823dee499f9fb9148819db31c473750713c8b6e",
     "mask_m2.txt": "c05236571ebd2961cc9a9b3d7597eca05e2dfbecf45ea42196f28f57d6b4864a",
@@ -90,7 +95,8 @@ def test_cli_outputs_match_their_digests(tmp_path, capsys):
     frame_a, frame_b = scene_pair()
     (tmp_path / "a.ppm").write_bytes(write_ppm(frame_a))
     (tmp_path / "b.ppm").write_bytes(write_ppm(frame_b))
-    for name, duration in (("scene.evt1", 5000), ("scene_wide.evt1", 100_000)):
+    for name, duration in (("scene.evt1", 5000), ("scene_wide.evt1", 100_000),
+                           ("scene_tie.evt1", 3)):
         assert main(["simulate", str(tmp_path / "a.ppm"), str(tmp_path / "b.ppm"),
                      "--contrast", "0.25", "--duration-us", str(duration),
                      "--out", str(tmp_path / name)]) == 0
