@@ -227,7 +227,10 @@ def compare(dense: CostReport, sparse: CostReport) -> float:
     as_record(sparse, CostReport, "sparse")
     if dense.macs == 0:
         raise ValidationError("cannot compute reduction against zero dense cost")
-    return 100.0 * (dense.macs - sparse.macs) / dense.macs
+    try:
+        return 100.0 * (dense.macs - sparse.macs) / dense.macs
+    except OverflowError:
+        raise ValidationError("MAC counts are beyond float range") from None
 
 
 def load_arch_profile(text: str) -> ArchProfile:

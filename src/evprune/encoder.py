@@ -21,10 +21,13 @@ merge cell at its coordinate on the cell grid.
 
 Weights are untrained: the mechanism under test (positional alignment,
 packed/dense agreement, cost) does not depend on trained values, and
-reproducible random weights make every comparison exact. A process draws
-a config's weights once and shares them read-only; the last config's
-weights stay resident until another config is drawn, at most 512 MiB at
-MAX_ENCODER_PARAMS. All math runs in float64.
+reproducible random weights make every comparison exact. A weight record
+is its config's draw: EncoderWeights(config) draws every array and keeps
+the config, and the forward and the merge accept only weights drawn for
+the config they are given. A process draws a config's weights once and
+shares them read-only; the last config's weights stay resident until
+another config is drawn, at most 512 MiB at MAX_ENCODER_PARAMS. All math
+runs in float64.
 
 Attention runs over blocks of query rows. Each block's (heads, rows, n)
 logits fill one tile of about 2 MiB, so the key mask, max-subtract, exp
@@ -70,7 +73,6 @@ import functools
 import math
 import os
 import threading
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
@@ -154,14 +156,9 @@ def load_encoder_config(text: str) -> EncoderConfig:
     return parse_record(kv, EncoderConfig, "")
 
 
-def _param(*dims: str, gain: bool = False):
+def _param(*dims: str, gain: bool = False, init: bool = True):
     """An array field shaped by the named EncoderConfig attributes."""
-    return field(metadata={"dims": dims, "gain": gain})
-
-
-# Every array a weight record holds, by id. A record made each one, by a draw
-# or a copy, and keeps it sealed, so another record may share it uncopied.
-_HELD: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+    return field(init=init, metadata={"dims": dims, "gain": gain})
 
 
 def _sealed(values: np.ndarray) -> np.ndarray:
@@ -170,35 +167,10 @@ def _sealed(values: np.ndarray) -> np.ndarray:
     return np.frombuffer(memoryview(values).toreadonly(), dtype=np.float64).reshape(values.shape)
 
 
-class _Weights:
-    """A record of weight arrays, each declared by ``_param``: every array is
-    checked finite and kept as sealed float64 (see ``_sealed``), one that a
-    weight record already holds as it is and any other as a copy, so no
-    caller shares its memory or can make it writable again. A ``per_layer``
-    field must be a list or tuple of its record type, and is kept as a
-    tuple."""
-
-    def __post_init__(self):
-        for f in fields(self):
-            if "per_layer" in f.metadata:
-                layers, record = getattr(self, f.name), f.metadata["per_layer"]
-                if not (isinstance(layers, (list, tuple))
-                        and all(isinstance(layer, record) for layer in layers)):
-                    raise ValidationError(
-                        f"weight {f.name} must be a list or tuple of {record.__name__}")
-                object.__setattr__(self, f.name, tuple(layers))
-                continue
-            arr = real_array(getattr(self, f.name), f"weight {f.name}")
-            if _HELD.get(id(arr)) is not arr:
-                arr = _sealed(np.array(arr, dtype=np.float64, order="C"))
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"weight {f.name} must be finite")
-            _HELD[id(arr)] = arr
-            object.__setattr__(self, f.name, arr)
-
-
 @dataclass(frozen=True, eq=False)
-class LayerWeights(_Weights):
+class LayerWeights:
+    """One transformer block's weights, built only by the draw."""
+
     ln1_gamma: np.ndarray = _param("d_model", gain=True)
     ln1_beta: np.ndarray = _param("d_model")
     wq: np.ndarray = _param("d_model", "d_model")
@@ -214,14 +186,31 @@ class LayerWeights(_Weights):
 
 
 @dataclass(frozen=True, eq=False)
-class EncoderWeights(_Weights):
-    w_embed: np.ndarray = _param("patch_dim", "d_model")
-    b_embed: np.ndarray = _param("d_model")
-    layers: tuple[LayerWeights, ...] = field(metadata={"per_layer": LayerWeights})
-    w_merge1: np.ndarray = _param("merge_dim", "merge_dim")
-    b_merge1: np.ndarray = _param("merge_dim")
-    w_merge2: np.ndarray = _param("merge_dim", "d_out")
-    b_merge2: np.ndarray = _param("d_out")
+class EncoderWeights:
+    """The weights of ``config``, drawn as init_weights documents into one
+    flat buffer, in place; the record holds views of it sealed as one
+    (``_sealed``), and no array that a caller made."""
+
+    config: EncoderConfig
+    w_embed: np.ndarray = _param("patch_dim", "d_model", init=False)
+    b_embed: np.ndarray = _param("d_model", init=False)
+    layers: tuple[LayerWeights, ...] = field(init=False, metadata={"per_layer": LayerWeights})
+    w_merge1: np.ndarray = _param("merge_dim", "merge_dim", init=False)
+    b_merge1: np.ndarray = _param("merge_dim", init=False)
+    w_merge2: np.ndarray = _param("merge_dim", "d_out", init=False)
+    b_merge2: np.ndarray = _param("d_out", init=False)
+
+    def __post_init__(self):
+        config = as_record(self.config, EncoderConfig, "config")
+        flat = np.empty(_weight_count(config))
+        rng = np.random.Generator(np.random.PCG64(config.seed))
+        for name, value in _draw(EncoderWeights, config, rng, flat, _sealed(flat))[0].items():
+            object.__setattr__(self, name, value)
+
+
+def _weight_fields(record: type) -> list:
+    """The fields of ``record`` that hold weights: all but ``config``."""
+    return [f for f in fields(record) if f.metadata]
 
 
 def _shape(f, config: EncoderConfig) -> tuple[int, ...]:
@@ -233,7 +222,7 @@ def _weight_count(config: EncoderConfig, record: type = EncoderWeights) -> int:
     fields; the layer stack counts as n_layers times one layer, unbuilt."""
     return sum(config.n_layers * _weight_count(config, f.metadata["per_layer"])
                if "per_layer" in f.metadata else math.prod(_shape(f, config))
-               for f in fields(record))
+               for f in _weight_fields(record))
 
 
 def init_weights(config: EncoderConfig) -> EncoderWeights:
@@ -246,6 +235,10 @@ def init_weights(config: EncoderConfig) -> EncoderWeights:
     vector scaled 0.02, and a layer-norm gain 1 plus that vector.
     Same seed gives bit-identical weights on any platform.
 
+    The record is its config's draw: ``EncoderWeights(config)`` is the only
+    way to build one, and the encode paths and the merge accept only
+    weights drawn for the config they are given.
+
     A process draws a config's weights once and shares the record, whose
     arrays are read-only: a later call with an equal config returns the
     same record.
@@ -256,26 +249,20 @@ def init_weights(config: EncoderConfig) -> EncoderWeights:
     return _drawn(as_record(config, EncoderConfig, "config"))
 
 
-@functools.lru_cache(maxsize=1)
-def _drawn(config: EncoderConfig) -> EncoderWeights:
-    """Every weight is drawn into one flat buffer, in place, and the record
-    holds views of it sealed as one (``_sealed``)."""
-    flat = np.empty(_weight_count(config))
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    return _draw(EncoderWeights, config, rng, flat, _sealed(flat))[0]
+_drawn = functools.lru_cache(maxsize=1)(EncoderWeights)
 
 
 def _draw(record: type, config: EncoderConfig, rng: np.random.Generator,
-          flat: np.ndarray, sealed: np.ndarray, at: int = 0):
-    """A ``record`` drawn into ``flat[at:]``, holding the matching views of
-    ``sealed``, and the offset just past its weights."""
+          flat: np.ndarray, sealed: np.ndarray, at: int = 0) -> tuple[dict, int]:
+    """The weights of a ``record`` drawn into ``flat[at:]``, by field name,
+    as the matching views of ``sealed``, and the offset just past them."""
     values = {}
-    for f in fields(record):
+    for f in _weight_fields(record):
         if "per_layer" in f.metadata:
-            layers = []
+            layers, layer_type = [], f.metadata["per_layer"]
             for _ in range(config.n_layers):
-                layer, at = _draw(f.metadata["per_layer"], config, rng, flat, sealed, at)
-                layers.append(layer)
+                layer, at = _draw(layer_type, config, rng, flat, sealed, at)
+                layers.append(layer_type(**layer))
             values[f.name] = tuple(layers)
             continue
         shape = _shape(f, config)
@@ -285,26 +272,15 @@ def _draw(record: type, config: EncoderConfig, rng: np.random.Generator,
         z *= 1.0 / np.sqrt(shape[0]) if len(shape) == 2 else 0.02
         if f.metadata["gain"]:
             z += 1.0
-        value = sealed[at:end].reshape(shape)
-        _HELD[id(value)] = value  # so the record keeps it without a copy
-        values[f.name] = value
+        values[f.name] = sealed[at:end].reshape(shape)
         at = end
-    return record(**values), at
+    return values, at
 
 
-def _check_fit(record: type, weights, config: EncoderConfig) -> None:
-    """Weights fit ``config``: n_layers layers, each array shaped as its declaration names."""
-    for f in fields(record):
-        value = getattr(weights, f.name)
-        if "per_layer" in f.metadata:
-            if len(value) != config.n_layers:
-                raise ValidationError(
-                    f"weights have {len(value)} layers, config has {config.n_layers}")
-            for layer in value:
-                _check_fit(f.metadata["per_layer"], layer, config)
-        elif np.shape(value) != _shape(f, config):
-            raise ValidationError(
-                f"weight {f.name} has shape {np.shape(value)}, config needs {_shape(f, config)}")
+def _check_drawn_for(weights: EncoderWeights, config: EncoderConfig) -> None:
+    """Weights fit ``config`` when they are its draw."""
+    if weights.config != config:
+        raise ValidationError("weights were drawn for another config")
 
 
 def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
@@ -423,7 +399,7 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
     if rope.d != config.head_dim:
         raise ValidationError(
             f"rotary table dimension {rope.d} != head dimension {config.head_dim}")
-    _check_fit(EncoderWeights, weights, config)
+    _check_drawn_for(weights, config)
     out = slice(None) if key_keep is None else key_keep
     h = tokens @ weights.w_embed + weights.b_embed
     if not len(positions[out]):  # no query row; with no key kept, softmax would be 0/0
@@ -541,7 +517,7 @@ def merge_project(
     as_record(features, PackedSequence, "features")
     as_record(config, EncoderConfig, "config")
     as_record(weights, EncoderWeights, "weights")
-    _check_fit(EncoderWeights, weights, config)
+    _check_drawn_for(weights, config)
     if features.tokens.shape[1] != config.d_model:
         raise ValidationError(
             f"feature width {features.tokens.shape[1]} != d_model {config.d_model}")

@@ -438,7 +438,11 @@ def simulate_events(
     if a.shape != b.shape:
         raise ValidationError(f"frame shapes differ: {a.shape} vs {b.shape}")
     real = isinstance(contrast, numbers.Real) and not isinstance(contrast, bool)
-    if not (real and 0 < contrast < np.inf):
+    try:
+        threshold = float(contrast) if real else np.nan  # the divisor a Fraction would give
+    except OverflowError:
+        raise ValidationError(f"contrast threshold {contrast!r} is beyond float range") from None
+    if not 0 < threshold < np.inf:
         raise ValidationError(f"contrast threshold must be > 0 and finite, got {contrast!r}")
     duration_us = as_size(duration_us, "duration", 0)
     if duration_us > _INT64_MAX:
@@ -456,7 +460,7 @@ def simulate_events(
     dlog = dlog.ravel()
     n = np.abs(dlog)
     with np.errstate(over="ignore"):  # an infinite count fails the cap below
-        n /= float(contrast)  # what dividing by a Fraction or numpy scalar gives
+        n /= threshold
     np.floor(n, out=n)
     total = n.sum()
     if not total <= MAX_SIMULATED_EVENTS:

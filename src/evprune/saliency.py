@@ -41,7 +41,10 @@ def retained_count(tau: float, n: int) -> int:
     """ceil(tau * n), clamped to [0, n], robust to float representation noise."""
     check_tau(tau)
     n = as_size(n, "unit count", 0)
-    k = math.ceil(tau * n - _CEIL_GUARD)
+    try:
+        k = math.ceil(tau * n - _CEIL_GUARD)
+    except OverflowError:
+        raise ValidationError(f"tau {tau!r} times unit count {n} is beyond float range") from None
     return max(0, min(n, k))
 
 
@@ -102,11 +105,10 @@ def patch_scores(frame: EventFrame, patch_size: int) -> EventFrame:
     """Per-patch event counts: the sum over each full p x p block of the frame, as
     an EventFrame of floor(height/p) x floor(width/p) cells; trailing pixels are dropped."""
     as_record(frame, EventFrame, "frame")
-    blocks = _blocks(frame.counts, patch_size)
-    if 0 in blocks.shape[:2]:
-        raise ValidationError(
-            f"patch size {patch_size} exceeds frame {frame.width}x{frame.height}")
-    return EventFrame(blocks.sum(axis=(2, 3)))
+    p = as_size(patch_size, "patch size")
+    if p > min(frame.width, frame.height):
+        raise ValidationError(f"patch size {p} exceeds frame {frame.width}x{frame.height}")
+    return EventFrame(_blocks(frame.counts, p).sum(axis=(2, 3)))
 
 
 def quantile_mask(scores: EventFrame, tau: float, merge_size: int = 1) -> PatchMask:

@@ -2,8 +2,9 @@
 
 Each case starts from a valid argument list and swaps any of its
 arguments for a value one step away: an int/float swap, zero, a negative,
-NaN, the wrong rank, a ragged nesting, a str, complex or object dtype,
-or a mapping with its first value so swapped or its first key missing.
+an integer beyond float range, NaN, the wrong rank, a ragged nesting, a
+str, complex or object dtype, or a mapping with its first value so
+swapped or its first key missing.
 Every call must return a value or raise ValidationError or FormatError;
 any other exception, or a warning, fails the test. A record argument
 that is None, a str or a record of another type must raise
@@ -23,8 +24,9 @@ from hypothesis import strategies as st
 import evprune
 from evprune.costmodel import (ArchProfile, CostReport, LlmDims, VitDims, WorkloadSpec, compare,
                                estimate, load_shipped_profile)
-from evprune.encoder import (EncoderConfig, encode_dense, encode_masked_dense_oracle,
-                             encode_packed, init_weights, merge_project, patchify)
+from evprune.encoder import (EncoderConfig, EncoderWeights, encode_dense,
+                             encode_masked_dense_oracle, encode_packed, init_weights,
+                             merge_project, patchify)
 from evprune.errors import FormatError, ValidationError
 from evprune.events import (EventFrame, EventStream, accumulate, resize_to, simulate_events,
                             write_events_bin)
@@ -56,7 +58,7 @@ def near_valid(value) -> list:
         return [value[:1], value + (1,), tuple(v + 0.5 for v in value),
                 tuple(-v for v in value), list(value), tuple(map(str, value)),
                 (value[0], math.nan), None]
-    return [0, -1, -value, float(value), value + 0.5, int(value), math.nan, math.inf,
+    return [0, -1, -value, float(value), value + 0.5, int(value), 10**400, math.nan, math.inf,
             True, str(value), complex(value), np.float64(value), np.int64(int(value)), None]
 
 
@@ -123,6 +125,7 @@ CASES = {
     "patchify": (patchify, [_IMAGE, 2]),
     "EncoderConfig": (EncoderConfig, _CONFIG),
     "init_weights": (lambda *fields: init_weights(EncoderConfig(*fields)), _CONFIG),
+    "EncoderWeights": (lambda *fields: EncoderWeights(EncoderConfig(*fields)), _CONFIG),
     "encode_dense": (lambda patches: encode_dense(patches, _GRID_ROPE, _WEIGHTS, _ENCODER),
                      [_PATCHES]),
     "encode_packed": (lambda tokens, kept, grid: encode_packed(
@@ -150,8 +153,8 @@ NOT_FUZZED = {
     # byte and text readers: the CLI's TestFileFuzz drives them with whole files
     "read_events_bin", "read_events_csv", "read_features", "read_ppm", "mask_from_text",
     "load_arch_profile", "load_encoder_config", "load_shipped_profile",
-    # records of records or of results, checked where their fields are built
-    "ArchProfile", "EncoderWeights",
+    # a record of records, checked where its fields are built
+    "ArchProfile",
 }
 
 
@@ -180,6 +183,7 @@ RECORD_CASES = {
     "merge_project": (merge_project, [encode_dense(_PATCHES, _GRID_ROPE, _WEIGHTS, _ENCODER),
                                       _ENCODER, _WEIGHTS], [0, 1, 2]),
     "init_weights": (init_weights, [_ENCODER], [0]),
+    "EncoderWeights": (EncoderWeights, [_ENCODER], [0]),
     "estimate": (estimate, [_PROFILE, WorkloadSpec(*_WORK)], [0, 1]),
     "compare": (compare, [_REPORT, _REPORT], [0, 1]),
     "ArchProfile": (ArchProfile, [_PROFILE.name, _PROFILE.vit, _PROFILE.llm], [0, 1, 2]),
@@ -266,7 +270,10 @@ def test_every_array_a_public_record_holds_is_read_only():
     # the encoder weights were writable
     arrays = []
     for name, (call, valid) in CASES.items():
-        record = getattr(evprune, name)
-        arrays += held_arrays(record(*valid) if isinstance(record, type) else call(*valid), name)
-    assert {path.split(".")[0] for path, _ in arrays} >= {"RopeTable", "init_weights"}
+        record, value = getattr(evprune, name), call(*valid)
+        if isinstance(record, type) and not isinstance(value, record):
+            value = record(*valid)  # the case calls the record and applies it
+        arrays += held_arrays(value, name)
+    assert {path.split(".")[0] for path, _ in arrays} >= {"RopeTable", "init_weights",
+                                                          "EncoderWeights"}
     assert [path for path, arr in arrays if arr.flags.writeable] == []

@@ -53,42 +53,37 @@ def random_setup(rows, cols, config, seed):
 
 
 def reference_init_weights(config):
-    """The weight draw written out field by field, in the documented order."""
+    """The weight draw written out field by field, in the documented order,
+    as the (name, array) pairs of ``weight_arrays``."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     d = config.d_model
     h = config.mlp_hidden
-
-    def normal(*shape, scale):
-        return rng.standard_normal(shape) * scale
-
-    w_embed = normal(config.patch_dim, d, scale=1.0 / np.sqrt(config.patch_dim))
-    b_embed = normal(d, scale=0.02)
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(LayerWeights(
-            ln1_gamma=1.0 + normal(d, scale=0.02),
-            ln1_beta=normal(d, scale=0.02),
-            wq=normal(d, d, scale=1.0 / np.sqrt(d)),
-            wk=normal(d, d, scale=1.0 / np.sqrt(d)),
-            wv=normal(d, d, scale=1.0 / np.sqrt(d)),
-            wo=normal(d, d, scale=1.0 / np.sqrt(d)),
-            ln2_gamma=1.0 + normal(d, scale=0.02),
-            ln2_beta=normal(d, scale=0.02),
-            w_up=normal(d, h, scale=1.0 / np.sqrt(d)),
-            b_up=normal(h, scale=0.02),
-            w_down=normal(h, d, scale=1.0 / np.sqrt(h)),
-            b_down=normal(d, scale=0.02),
-        ))
     md = config.merge_dim
-    return EncoderWeights(
-        w_embed=w_embed,
-        b_embed=b_embed,
-        layers=tuple(layers),
-        w_merge1=normal(md, md, scale=1.0 / np.sqrt(md)),
-        b_merge1=normal(md, scale=0.02),
-        w_merge2=normal(md, config.d_out, scale=1.0 / np.sqrt(md)),
-        b_merge2=normal(config.d_out, scale=0.02),
-    )
+    out = []
+
+    def normal(name, *shape, scale, gain=False):
+        value = rng.standard_normal(shape) * scale
+        out.append((name, 1.0 + value if gain else value))
+
+    normal("w_embed", config.patch_dim, d, scale=1.0 / np.sqrt(config.patch_dim))
+    normal("b_embed", d, scale=0.02)
+    for i in range(config.n_layers):
+        layer = f"layers[{i}]."
+        normal(layer + "ln1_gamma", d, scale=0.02, gain=True)
+        normal(layer + "ln1_beta", d, scale=0.02)
+        for name in ("wq", "wk", "wv", "wo"):
+            normal(layer + name, d, d, scale=1.0 / np.sqrt(d))
+        normal(layer + "ln2_gamma", d, scale=0.02, gain=True)
+        normal(layer + "ln2_beta", d, scale=0.02)
+        normal(layer + "w_up", d, h, scale=1.0 / np.sqrt(d))
+        normal(layer + "b_up", h, scale=0.02)
+        normal(layer + "w_down", h, d, scale=1.0 / np.sqrt(h))
+        normal(layer + "b_down", d, scale=0.02)
+    normal("w_merge1", md, md, scale=1.0 / np.sqrt(md))
+    normal("b_merge1", md, scale=0.02)
+    normal("w_merge2", md, config.d_out, scale=1.0 / np.sqrt(md))
+    normal("b_merge2", config.d_out, scale=0.02)
+    return out
 
 
 def weight_arrays(weights):
@@ -99,7 +94,7 @@ def weight_arrays(weights):
             out += [(f"layers[{i}].{g.name}", getattr(lw, g.name))
                     for i, lw in enumerate(weights.layers)
                     for g in dataclasses.fields(LayerWeights)]
-        else:
+        elif f.name != "config":
             out.append((f.name, getattr(weights, f.name)))
     return out
 
@@ -369,7 +364,7 @@ class TestInitWeights:
         first = init_weights(small_config(**one))
         assert init_weights(small_config(**other)) is first
         for (name, a), (_, b) in zip(weight_arrays(first),
-                                     weight_arrays(reference_init_weights(small_config(**other)))):
+                                     reference_init_weights(small_config(**other))):
             assert a.tobytes() == b.tobytes(), name
 
     def test_a_float32_ratio_is_stored_as_its_float_and_shares_its_draw(self):
@@ -388,7 +383,7 @@ class TestInitWeights:
         one, other = small_config(seed=22), small_config(seed=23, n_layers=1, merge_size=2)
         for config in (one, other, one):
             got = weight_arrays(init_weights(config))
-            want = weight_arrays(reference_init_weights(config))
+            want = reference_init_weights(config)
             assert len(got) == len(want)
             for (name, a), (_, b) in zip(got, want):
                 assert a.tobytes() == b.tobytes(), name
@@ -405,8 +400,8 @@ class TestInitWeights:
         config = small_config(seed=26, n_layers=1)
         shared = init_weights(config)
         before = [(name, a.tobytes()) for name, a in weight_arrays(shared)]
-        dataclasses.replace(shared, b_embed=np.ones(config.d_model), layers=[
-            dataclasses.replace(shared.layers[0], wq=np.eye(config.d_model))])
+        with pytest.raises(ValueError, match="b_embed is declared with init=False"):
+            dataclasses.replace(shared, b_embed=np.ones(config.d_model))
         assert init_weights(config) is shared
         assert [(name, a.tobytes()) for name, a in weight_arrays(shared)] == before
         assert not any(a.flags.writeable for _, a in weight_arrays(shared))
@@ -418,19 +413,24 @@ class TestInitWeights:
         # corrupted the cached record that every later init_weights returns
         config = small_config(seed=27, n_layers=1)
         shared = init_weights(config)
-        copied = dataclasses.replace(shared, b_embed=np.zeros(config.d_model))
-        for name, arr in weight_arrays(shared) + weight_arrays(copied):
-            with pytest.raises(ValueError, match="WRITEABLE"):
-                arr.flags.writeable = True
-            with pytest.raises(ValueError, match="WRITEABLE"):
-                arr.view().flags.writeable = True
+        with pytest.raises(ValueError, match="b_embed is declared with init=False"):
+            dataclasses.replace(shared, b_embed=np.zeros(config.d_model))
+        redrawn = dataclasses.replace(shared)  # a second draw of the same config
+        assert redrawn is not shared
+        for (name, arr), (_, again) in zip(weight_arrays(shared), weight_arrays(redrawn)):
+            assert arr.tobytes() == again.tobytes(), name
+            for a in (arr, again):
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    a.flags.writeable = True
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    a.view().flags.writeable = True
         assert init_weights(config) is shared and np.isfinite(shared.b_embed).all()
 
     @pytest.mark.parametrize("overrides", WEIGHT_CONFIGS)
     def test_matches_the_field_by_field_draw(self, overrides):
         config = small_config(**overrides)
         got = weight_arrays(init_weights(config))
-        want = weight_arrays(reference_init_weights(config))
+        want = reference_init_weights(config)
         assert [name for name, _ in got] == [name for name, _ in want]
         assert len(got) == 6 + 12 * config.n_layers
         for (name, a), (_, b) in zip(got, want):
@@ -466,74 +466,6 @@ class TestInitWeights:
         assert not any(a.flags.writeable for a in arrays)
         size = sum(a.nbytes for a in arrays)
         assert peak < size + 2 * max(a.nbytes for a in arrays) + 64 * 1024
-
-    @pytest.mark.parametrize("field, value", [
-        ("b_embed", np.nan), ("w_merge2", np.inf), ("layers.ln2_gamma", -np.inf)])
-    def test_rejects_non_finite_weights(self, field, value):
-        # encode_dense returned all-NaN rows
-        config = small_config(n_layers=1)
-        weights = init_weights(config)
-        record, name = ((weights.layers[0], field.split(".")[1]) if "." in field
-                        else (weights, field))
-        with pytest.raises(ValidationError, match=f"weight {name} must be finite"):
-            dataclasses.replace(record, **{name: getattr(record, name) * value})
-
-    @pytest.mark.parametrize("layers", [
-        [{}], None, "", [None], 7, np.array([]), {"ln1_gamma": 1.0}])
-    def test_rejects_layers_that_are_not_layer_weights(self, layers):
-        # encode_dense raised AttributeError ([{}]) or TypeError (None)
-        weights = init_weights(small_config(n_layers=1))
-        with pytest.raises(ValidationError, match="weight layers must be a list or tuple of "
-                                                  "LayerWeights"):
-            dataclasses.replace(weights, layers=layers)
-
-    def test_keeps_a_list_of_layers_as_a_tuple(self):
-        config = small_config(n_layers=2)
-        weights = init_weights(config)
-        layers = list(weights.layers)
-        replaced = dataclasses.replace(weights, layers=layers)
-        layers.pop()
-        assert replaced.layers == weights.layers and isinstance(replaced.layers, tuple)
-        patches, rope, _ = random_setup(2, 2, config, seed=3)
-        assert np.array_equal(encode_dense(patches, rope, replaced, config).tokens,
-                              encode_dense(patches, rope, weights, config).tokens)
-
-    def test_keeps_a_read_only_copy_of_a_writable_array(self):
-        weights = init_weights(small_config(n_layers=0))
-        bias = np.zeros(weights.b_embed.shape, dtype=np.float32)
-        replaced = dataclasses.replace(weights, b_embed=bias)
-        bias[0] = 5.0
-        assert replaced.b_embed[0] == 0.0 and replaced.b_embed.dtype == np.float64
-        assert not replaced.b_embed.flags.writeable
-        assert replaced.w_embed is weights.w_embed
-
-    @staticmethod
-    def read_only_view(base):
-        view = base.view()
-        view.flags.writeable = False
-        return view
-
-    @staticmethod
-    def owned_then_reopened(base):
-        base.flags.writeable = False  # base owns its data: its holder may reopen it
-        return base
-
-    @pytest.mark.parametrize("share", [
-        read_only_view, lambda base: np.broadcast_to(base, base.shape), owned_then_reopened],
-        ids=["read-only view", "broadcast_to view", "owned read-only array"])
-    def test_never_shares_memory_with_a_callers_array(self, share):
-        # the record kept each of these uncopied, and NaN written into the
-        # caller's array made encode_dense return all-NaN rows
-        config = small_config(n_layers=1)
-        patches, rope, weights = random_setup(2, 2, config, seed=4)
-        base = weights.b_embed.copy()
-        replaced = dataclasses.replace(weights, b_embed=share(base))
-        assert not np.shares_memory(replaced.b_embed, base)
-        want = encode_dense(patches, rope, replaced, config).tokens
-        base.flags.writeable = True
-        base[:] = np.nan
-        got = encode_dense(patches, rope, replaced, config).tokens
-        assert np.isfinite(got).all() and np.array_equal(got, want)
 
 
 class TestEncodeDense:
@@ -623,14 +555,11 @@ class TestOneForwardPath:
         with pytest.raises(ValidationError, match=match):
             encode_masked_dense_oracle(patches, rope, self.EMPTY, weights, config)
 
-    @pytest.mark.parametrize("other, match", [
-        (dict(d_model=32), r"weight w_embed has shape \(12, 32\), config needs \(12, 16\)"),
-        (dict(n_layers=3), "weights have 3 layers, config has 2"),
-        (dict(mlp_ratio=4.0), r"weight w_up has shape \(16, 64\), config needs \(16, 32\)"),
-        (dict(d_out=8), r"weight w_merge2 has shape \(16, 8\), config needs \(16, 16\)"),
-    ])
-    def test_weights_drawn_for_another_config_rejected(self, other, match):
-        # numpy's reshape and matmul errors escaped before
+    @pytest.mark.parametrize("other", [
+        dict(d_model=32), dict(n_layers=3), dict(mlp_ratio=4.0), dict(d_out=8), dict(seed=1)])
+    def test_weights_drawn_for_another_config_rejected(self, other):
+        # numpy's reshape and matmul errors escaped before, and weights drawn
+        # for another seed ran in place of the config's own
         config = small_config()
         patches, rope, _ = random_setup(2, 2, config, seed=16)
         weights = init_weights(small_config(**other))
@@ -640,7 +569,7 @@ class TestOneForwardPath:
                     lambda: encode_masked_dense_oracle(patches, rope, mask, weights, config),
                     lambda: merge_project(encode_dense(patches, rope, init_weights(config), config),
                                           config, weights)):
-            with pytest.raises(ValidationError, match=match):
+            with pytest.raises(ValidationError, match="weights were drawn for another config"):
                 run()
 
 
