@@ -42,6 +42,7 @@ from .encoder import (
 )
 from .errors import FormatError, ValidationError
 from .events import (
+    EVT1_MAGIC,
     EventStream,
     accumulate,
     read_events_bin,
@@ -81,9 +82,7 @@ def _read_bytes(path: str) -> bytes:
 
 def _read_event_file(path: str) -> EventStream:
     data = _read_bytes(path)
-    if data[:4] == b"EVT1":
-        return read_events_bin(data)
-    return read_events_csv(data)
+    return read_events_bin(data) if data[:4] == EVT1_MAGIC else read_events_csv(data)
 
 
 def _parse_window(text: str | None, stream: EventStream) -> tuple[int, int]:
@@ -139,7 +138,7 @@ def _event_mask(args, image: np.ndarray, patch_size: int, merge_size: int):
     """Shared mask pipeline: events -> window -> image-aligned counts ->
     patch scores -> exact-quantile retention mask."""
     stream = _read_event_file(args.events)
-    t0, t1 = _parse_window(getattr(args, "window", None), stream)
+    t0, t1 = _parse_window(args.window, stream)
     frame = resize_to(accumulate(stream, t0, t1), image.shape[1], image.shape[0])
     return quantile_mask(patch_scores(frame, patch_size), args.tau, merge_size), (t0, t1)
 

@@ -113,8 +113,8 @@ class EncoderConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for name, least in (("patch_size", 1), ("channels", 1), ("n_layers", 0),
-                            ("merge_size", 1), ("d_out", 1), ("seed", 0)):
+        for name, least in (("patch_size", 1), ("channels", 1), ("n_layers", 0), ("merge_size", 1),
+                            ("d_out", 1), ("seed", 0), ("d_model", None), ("n_heads", None)):
             as_size(getattr(self, name), name, least)
         if self.d_model < 4 or self.d_model % 4 != 0:
             raise ValidationError(f"d_model must be a positive multiple of 4, got {self.d_model}")

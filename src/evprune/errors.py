@@ -3,12 +3,14 @@
 Every public entry point returns a value or raises ValidationError (CLI exit 1) or
 FormatError (CLI exit 2). It takes each array argument through ``real_array``, each
 integer argument through ``as_size`` and each record argument through ``as_record``
-before it compares or converts the value.
+before it compares or converts the value, and quotes it in a message through ``shown``.
 """
 
 import operator
 
 import numpy as np
+
+_SIZE_BITS = 4096  # the most ``as_size`` takes: 1234 digits, which Python prints
 
 
 class ValidationError(ValueError):
@@ -34,14 +36,16 @@ def real_array(values, name: str, ndim: int | None = None) -> np.ndarray:
 
 
 def as_size(value, name: str, least: int | None = 1) -> int:
-    """``value`` as an int, if ``operator.index`` takes it and it is not a bool,
-    that is >= ``least`` unless that is None; else a ValidationError."""
+    """``value`` as an int of at most 4096 bits, if ``operator.index`` takes it and it is
+    not a bool, that is >= ``least`` unless that is None; else a ValidationError."""
     try:
         if isinstance(value, bool):  # operator.index takes True as 1
             raise TypeError
         value = operator.index(value)
     except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+        raise ValidationError(f"{name} must be an integer, got {shown(value)}") from None
+    if value.bit_length() > _SIZE_BITS:
+        raise ValidationError(f"{name} must fit {_SIZE_BITS} bits, got {shown(value)}")
     if least is not None and value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
     return value
@@ -54,3 +58,9 @@ def as_record(value, cls: type, name: str):
         raise ValidationError(
             f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+def shown(value) -> str:
+    """``value``'s repr for a message, or, for an integer too long to print, its size."""
+    too_long = isinstance(value, int) and value.bit_length() > _SIZE_BITS
+    return f"an integer of {value.bit_length()} bits" if too_long else repr(value)

@@ -6,11 +6,11 @@ Core objects
   stored as four read-only numpy columns ``t_us`` (int64), ``x``, ``y``
   (int64) and ``polarity`` (int8, -1 or +1). Its one constructor,
   ``EventStream(width, height, t_us, x, y, polarity)``, takes integer
-  columns, sorts and validates them and keeps its own copies. The sort is
-  stable; when the timestamps span at most 0xFFFF microseconds it runs on a
-  16-bit key, which numpy radix-sorts. Every reader, writer and the
-  simulator work on these columns directly; the simulator builds them
-  already in time order, so its streams skip the sort.
+  columns, stable-sorts them by time, validates them and keeps its own
+  copies; it is the one place where events are sorted and checked against
+  their domain. Every reader, writer and the simulator work on these
+  columns directly; the simulator builds them already in time order, so
+  its streams skip the sort.
 - EventFrame: event counts per cell: per pixel over a temporal window, or
   per patch as saliency scores.
 
@@ -29,7 +29,7 @@ and value are separated by spaces or tabs, and its value is a
 non-negative integer spelled the same way. Polarity is given as -1/1 or
 0/1, with 0 mapped to -1. The body is parsed in one numpy call. A
 malformed row anywhere in it is reported, with its line number, before
-any value outside the domain.
+any event outside the domain; of those, the first in the file is named.
 
 EVT1 binary: 16-byte header
 
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, as_record, as_size, real_array
+from .errors import FormatError, ValidationError, as_record, as_size, real_array, shown
 
 EVT1_MAGIC = b"EVT1"
 EVT1_VERSION = 1
@@ -104,10 +104,10 @@ class EventStream:
 
     The constructor takes four equal-length 1-D integer columns whose
     dtype casts to int64 without loss. It stable-sorts them by timestamp
-    (preserving the input order among equal timestamps; ``_time_order``
-    picks the sort key), validates every event against the sensor bounds,
-    and stores read-only int64 copies (int8 for polarity); the caller's
-    arrays are never aliased.
+    (preserving the input order among equal timestamps), validates every
+    event against the sensor bounds, naming the first bad one in time
+    order, and stores read-only int64 copies (int8 for polarity); the
+    caller's arrays are never aliased.
     """
 
     sensor_width: int
@@ -124,7 +124,7 @@ class EventStream:
         if not len(t) == len(x) == len(y) == len(p):
             raise ValidationError(
                 f"event columns differ in length: {len(t)}, {len(x)}, {len(y)}, {len(p)}")
-        order = _time_order(t) if np.any(t[1:] < t[:-1]) else None
+        order = np.argsort(t, kind="stable") if np.any(t[1:] < t[:-1]) else None
         if order is not None:
             t, x, y, p = t[order], x[order], y[order], p[order]
         # Checked before the int8 cast, which would wrap a polarity of 257 to 1.
@@ -156,28 +156,11 @@ class EventStream:
         return (int(self.t_us[0]), int(self.t_us[-1]) + 1)
 
 
-def _time_order(t: np.ndarray) -> np.ndarray:
-    """The stable argsort of timestamps ``t``. When they span at most 0xFFFF,
-    it sorts ``t - t.min()`` as uint16, which numpy radix-sorts: the same
-    permutation in a sixth of the int64 sort's time on 294k events spanning
-    33000 us. Simulated streams come sorted, so their constructor never
-    calls it."""
-    low = int(t.min())
-    if int(t.max()) - low <= 0xFFFF:  # Python ints: no int64 overflow
-        t = (t.astype(np.int64, copy=False) - low).astype(np.uint16)
-    return np.argsort(t, kind="stable")
-
-
 def _checked_column(values, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # a ragged nesting
-        got = "a ragged nesting"
-    else:
-        if arr.ndim == 1 and arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64):
-            return arr
-        got = f"{arr.dtype} of shape {arr.shape}"
-    raise ValidationError(f"{name} must be a 1-D column of integers that fit int64, got {got}")
+    arr = real_array(values, name, 1)
+    if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
+        raise ValidationError(f"{name} must hold integers that fit int64, got dtype {arr.dtype}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +194,8 @@ def read_events_csv(data: bytes | str) -> EventStream:
 
     Raises FormatError for bytes that are not UTF-8, bad directives and
     malformed rows, and ValidationError for values that do not fit int64 or
-    break the domain, each naming the offending line."""
+    events that ``EventStream`` refuses, each naming the offending line: for
+    refused events, the first bad line in the file."""
     try:
         text = data if isinstance(data, str) else data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -230,22 +214,22 @@ def read_events_csv(data: bytes | str) -> EventStream:
     t, x, y, p = (np.ascontiguousarray(col) for col in rows.T)
     del rows  # so that the stream's copies of the columns can reuse its memory
     p[p == 0] = -1
-    width = int(x.max(initial=-1)) + 1 if width is None else width
-    height = int(y.max(initial=-1)) + 1 if height is None else height
-    # Any bad value is reported before any event outside the sensor.
-    bad_value = (t < 0) | ((p != 1) & (p != -1))
-    bad = np.flatnonzero(bad_value if bad_value.any() else
-                         (x < 0) | (x >= width) | (y < 0) | (y >= height))
-    if bad.size:
-        i = bad[0]
-        where = f"line {first + [j for j, line in enumerate(body) if line][i] + 1}"
-        if t[i] < 0:
-            raise ValidationError(f"{where}: negative timestamp {t[i]}")
-        if bad_value[i]:
-            raise ValidationError(f"{where}: polarity must be -1, 0 or 1, got {p[i]}")
-        raise ValidationError(
-            f"{where}: event at ({x[i]}, {y[i]}) outside declared dimensions {width}x{height}")
-    return EventStream(width, height, t, x, y, p)
+    width = max(int(x.max(initial=-1)), -1) + 1 if width is None else width  # 0 if all x < 0
+    height = max(int(y.max(initial=-1)), -1) + 1 if height is None else height
+
+    def refusal(lo: int, hi: int) -> ValidationError | None:
+        try:
+            EventStream(width, height, t[lo:hi], x[lo:hi], y[lo:hi], p[lo:hi])
+        except ValidationError as exc:
+            return exc
+        return None
+
+    try:
+        return EventStream(width, height, t, x, y, p)
+    except ValidationError:  # it names the first bad event in time order, not in the file
+        i = _first_rejected(len(t), refusal)
+        line = first + [j for j, row in enumerate(body) if row][i] + 1
+        raise ValidationError(f"line {line}: {refusal(i, i + 1)}") from None
 
 
 def _csv_directives(lines: list[str]) -> tuple[int | None, int | None, int]:
@@ -256,12 +240,13 @@ def _csv_directives(lines: list[str]) -> tuple[int | None, int | None, int]:
         parts = [part for part in lines[idx].replace("\t", " ").split(" ") if part]
         if not (len(parts) == 3 and parts[0] == "#" and parts[1] in ("width", "height")):
             break
-        if not _is_int(parts[2]):
-            raise FormatError(f"line {idx + 1}: bad {parts[1]} directive")
-        value = int(parts[2])
-        if value < 0:
-            raise ValidationError(f"line {idx + 1}: {parts[1]} must be non-negative, got {value}")
-        dims[parts[1]] = value
+        try:
+            if not _is_int(parts[2]):
+                raise ValueError
+            value = int(parts[2])  # a ValueError beyond 4300 digits
+        except ValueError:
+            raise FormatError(f"line {idx + 1}: bad {parts[1]} directive") from None
+        dims[parts[1]] = as_size(value, f"line {idx + 1}: {parts[1]}", 0)
         idx += 1
     return dims.get("width"), dims.get("height"), idx
 
@@ -284,17 +269,23 @@ def _csv_rows(lines: list[str], is_ascii: bool = False) -> np.ndarray | None:
     return rows if rows.shape[1] == 4 else None
 
 
-def _csv_row_error(body: list[str], first: int) -> Exception:
-    """The error naming the first line that ``_csv_rows`` rejects in a
-    ``body`` it rejects, found by binary search for the shortest rejected
-    prefix: ceil(log2(len(body))) parses of its still unchecked part."""
-    lo, hi = 0, len(body)  # body[:lo] is accepted, body[:hi] is not
+def _first_rejected(n: int, rejects) -> int:
+    """The index of the first rejected one of ``n`` items, not all accepted, where
+    ``rejects(lo, hi)`` is truthy if any of items[lo:hi] is: a binary search for the
+    shortest rejected prefix, in ceil(log2(n)) calls on its still unchecked part."""
+    lo, hi = 0, n  # items[:lo] are accepted, items[:hi] are not
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _csv_rows(body[lo:mid]) is None:
+        if rejects(lo, mid):
             hi = mid
         else:
             lo = mid
+    return lo
+
+
+def _csv_row_error(body: list[str], first: int) -> Exception:
+    """The error naming the first line that ``_csv_rows`` rejects in a ``body`` it rejects."""
+    lo = _first_rejected(len(body), lambda i, j: _csv_rows(body[i:j]) is None)
     fields = body[lo].split(",")
     where = f"line {first + lo + 1}"
     if len(fields) != 4:
@@ -345,9 +336,7 @@ def read_events_bin(data: bytes) -> EventStream:
         raise FormatError("reserved field must be 0")
     expected = _HEADER.size + count * _RECORD.itemsize
     if len(data) != expected:
-        raise FormatError(
-            f"record count {count} implies {expected} bytes, file has {len(data)}"
-        )
+        raise FormatError(f"record count {count} implies {expected} bytes, file has {len(data)}")
     records = np.frombuffer(data, dtype=_RECORD, count=count, offset=_HEADER.size)
     t, p = records["t_us"], records["polarity"]
     # Report the lowest offending record; on a tie the polarity check wins,
@@ -430,9 +419,9 @@ def simulate_events(
     k order, and are built in that order: the pixels are bucketed by count,
     the few (count, k) pairs are sorted by timestamp, and each pair's bucket
     is laid out in turn; no per-event array is sorted by time. Below 2**31
-    pixels, per-event indices are int32, and timestamps are uint16 or int32
-    when duration_us fits; only the permutation of the sort that orders
-    pairs sharing a timestamp is int64.
+    pixels, per-event indices are int32, and timestamps are uint16 when
+    duration_us is at most 0xFFFF; only the permutation of the sort that
+    orders pairs sharing a timestamp is int64.
     """
     a, b = (real_array(f, "frames", 2).astype(np.float64, copy=False) for f in (frame_a, frame_b))
     if a.shape != b.shape:
@@ -441,9 +430,10 @@ def simulate_events(
     try:
         threshold = float(contrast) if real else np.nan  # the divisor a Fraction would give
     except OverflowError:
-        raise ValidationError(f"contrast threshold {contrast!r} is beyond float range") from None
+        raise ValidationError(
+            f"contrast threshold {shown(contrast)} is beyond float range") from None
     if not 0 < threshold < np.inf:
-        raise ValidationError(f"contrast threshold must be > 0 and finite, got {contrast!r}")
+        raise ValidationError(f"contrast threshold must be > 0 and finite, got {shown(contrast)}")
     duration_us = as_size(duration_us, "duration", 0)
     if duration_us > _INT64_MAX:
         raise ValidationError("duration does not fit int64")
@@ -500,9 +490,8 @@ def simulate_events(
     k = np.arange(bucket.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
     count = counts[bucket]
     q, r = np.divmod(duration_us, count)
-    narrow = (np.uint16 if duration_us <= 0xFFFF else
-              np.int32 if duration_us < 2**31 else np.int64)  # holds every t < duration
-    pair_t = (k * q + k * r // count).astype(narrow)
+    # The dtype holds every t < duration.
+    pair_t = (k * q + k * r // count).astype(np.uint16 if duration_us <= 0xFFFF else np.int64)
     del k, count, q, r
     by_time = np.argsort(pair_t, kind="stable")  # a radix sort for 16-bit timestamps
     pair_t = pair_t[by_time]

@@ -14,7 +14,7 @@ from collections.abc import Collection
 from dataclasses import fields
 from types import MappingProxyType
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, shown
 
 
 def decode_ascii(data: bytes, what: str) -> str:
@@ -68,11 +68,11 @@ def check_field_types(record) -> None:
         value = getattr(record, name)
         parse, noun, kind = _TYPES[annotation]
         if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValidationError(f"field {name}: expected {noun}, got {value!r}")
+            raise ValidationError(f"field {name}: expected {noun}, got {shown(value)}")
         try:
             object.__setattr__(record, name, parse(value))
         except OverflowError:
-            raise ValidationError(f"field {name}: {value!r} is beyond float range") from None
+            raise ValidationError(f"field {name}: {shown(value)} is beyond float range") from None
 
 
 def check_keys(kv: dict[str, str], keys: Collection[str], what: str) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, real_array
+from .errors import FormatError, ValidationError, real_array, shown
 
 # Netpbm header whitespace; unlike C isspace, VT and FF are not in it.
 _WHITESPACE = b" \t\n\r"
@@ -51,7 +51,10 @@ def read_ppm(data: bytes) -> np.ndarray:
     # Unsigned ASCII decimal; int() would also take b"+2" and b"1_0".
     if not all(t.isascii() and t.isdigit() for t in toks[1:]):
         raise FormatError(f"non-numeric PPM header fields {toks[1:]}")
-    width, height, maxval = (int(t) for t in toks[1:])
+    try:
+        width, height, maxval = (int(t) for t in toks[1:])
+    except ValueError:  # beyond the 4300 digits int() converts
+        raise FormatError("PPM header field too long") from None
     if width < 1 or height < 1:
         raise FormatError(f"bad PPM dimensions {width}x{height}")
     if not 0 < maxval <= 255:
@@ -59,9 +62,7 @@ def read_ppm(data: bytes) -> np.ndarray:
     expected = width * height * 3
     raster = data[offset:]
     if len(raster) != expected:
-        raise FormatError(
-            f"PPM raster is {len(raster)} bytes, expected {expected}"
-        )
+        raise FormatError(f"PPM raster is {len(raster)} bytes, expected {shown(expected)}")
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, as_record, as_size, real_array
+from .errors import FormatError, ValidationError, as_record, as_size, real_array, shown
 from .events import EventFrame
 
 # Tolerance for tau*n landing a hair above an integer due to binary
@@ -34,7 +34,7 @@ _CEIL_GUARD = 1e-9
 def check_tau(tau: float) -> None:
     """A fraction tau is a real number in [0, 1], never a bool; else a ValidationError."""
     if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or not 0 <= tau <= 1:
-        raise ValidationError(f"tau must be in [0, 1], got {tau!r}")
+        raise ValidationError(f"tau must be in [0, 1], got {shown(tau)}")
 
 
 def retained_count(tau: float, n: int) -> int:

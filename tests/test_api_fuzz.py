@@ -2,7 +2,7 @@
 
 Each case starts from a valid argument list and swaps any of its
 arguments for a value one step away: an int/float swap, zero, a negative,
-an integer beyond float range, NaN, the wrong rank, a ragged nesting, a
+an integer beyond float range or too long to print, NaN, the wrong rank, a ragged nesting, a
 str, complex or object dtype, or a mapping with its first value so
 swapped or its first key missing.
 Every call must return a value or raise ValidationError or FormatError;
@@ -58,8 +58,9 @@ def near_valid(value) -> list:
         return [value[:1], value + (1,), tuple(v + 0.5 for v in value),
                 tuple(-v for v in value), list(value), tuple(map(str, value)),
                 (value[0], math.nan), None]
-    return [0, -1, -value, float(value), value + 0.5, int(value), 10**400, math.nan, math.inf,
-            True, str(value), complex(value), np.float64(value), np.int64(int(value)), None]
+    return [0, -1, -value, float(value), value + 0.5, int(value), 10**400, -10**5000, math.nan,
+            math.inf, True, str(value), complex(value), np.float64(value),
+            np.int64(int(value)), None]
 
 
 _RNG = np.random.Generator(np.random.PCG64(83))

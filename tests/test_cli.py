@@ -219,6 +219,22 @@ class TestMask:
                          "--out-mask", str(tmp_path / "m.txt"))
         assert code == 2
 
+    @pytest.mark.parametrize("which", ["image", "events"])
+    def test_number_beyond_int_conversion_exit_2(self, square_events, tmp_path, capsys, which):
+        # a 5000-digit PPM width or CSV directive ended in a ValueError traceback
+        image, evt = square_events
+        if which == "image":
+            image = tmp_path / "huge.ppm"
+            image.write_bytes(b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3))
+        else:
+            evt = tmp_path / "huge.csv"
+            evt.write_text("# width " + "9" * 5000 + "\n0,1,1,1\n")
+        code, _, err = run(capsys, "mask", str(image), str(evt),
+                           "--tau", "0.5", "--patch-size", "16",
+                           "--out-mask", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert "too long" in err or "bad width directive" in err
+
     def test_non_utf8_event_file_exit_2(self, square_events, tmp_path, capsys):
         image, _ = square_events
         bad = tmp_path / "bad.csv"

@@ -60,18 +60,21 @@ class TestColumns:
         one = np.ones(2, dtype=np.int64)
         with pytest.raises(ValidationError, match="differ in length: 2, 2, 2, 3"):
             EventStream(4, 2, one, one, one, np.ones(3, dtype=np.int64))
-        with pytest.raises(ValidationError, match=r"x must be a 1-D column .* shape \(1, 2\)"):
+        with pytest.raises(ValidationError, match=r"x must be 1-D, got shape \(1, 2\)"):
             EventStream(4, 2, one, one.reshape(1, 2), one, one)
 
-    @pytest.mark.parametrize("column", [
-        np.array([0.0, 1.0]), np.array([False, True]), np.array([0, 1], dtype=object),
-        np.array([0, 2**63], dtype=np.uint64), [0, [1]]],
+    @pytest.mark.parametrize("column, match", [
+        (np.array([0.0, 1.0]), "must hold integers that fit int64, got dtype float64"),
+        (np.array([False, True]), "must hold integers that fit int64, got dtype bool"),
+        (np.array([0, 1], dtype=object), "must hold real numbers, got dtype object"),
+        (np.array([0, 2**63], dtype=np.uint64), "must hold integers that fit int64"),
+        ([0, [1]], "must be a rectangular array")],
         ids=["float", "bool", "object", "uint64", "ragged"])
     @pytest.mark.parametrize("name", ["t_us", "x", "y", "polarity"])
-    def test_column_must_cast_to_int64_without_loss(self, name, column):
+    def test_column_must_cast_to_int64_without_loss(self, name, column, match):
         columns = {"t_us": [0, 1], "x": [0, 1], "y": [0, 1], "polarity": [1, 1]}
         columns[name] = column
-        with pytest.raises(ValidationError, match=f"{name} must be a 1-D column of integers"):
+        with pytest.raises(ValidationError, match=f"^{name} {match}"):
             EventStream(4, 2, **columns)
 
     def test_polarity_is_checked_before_the_int8_cast(self):
@@ -99,7 +102,7 @@ class TestColumns:
     def test_non_integer_field_rejected(self, bad):
         """A float, string or object column is refused, not truncated or parsed."""
         zeros = np.zeros(2, dtype=np.int64)
-        with pytest.raises(ValidationError, match="integers"):
+        with pytest.raises(ValidationError, match="t_us must hold (integers|real numbers)"):
             EventStream(4, 2, np.array([0, bad]), zeros, zeros, np.ones(2, dtype=np.int64))
 
     def test_timestamp_beyond_int64_rejected(self):
@@ -323,16 +326,18 @@ class TestSimulateOrder:
         assert_same_columns(stream, raster_then_sorted(a, b, 1e-4, duration))
 
     def test_simulated_columns_need_no_sort(self, monkeypatch):
-        def refuse(t):
-            raise AssertionError("the stream was sorted")
+        sorted_t = []
 
-        monkeypatch.setattr(events, "_time_order", refuse)
-        with pytest.raises(AssertionError, match="sorted"):  # the patch is live
-            EventStream(2, 1, [1, 0], [0, 1], [0, 0], [1, 1])
+        def stream(width, height, t, *columns):
+            sorted_t.append(bool(np.all(t[1:] >= t[:-1])))
+            return EventStream(width, height, t, *columns)
+
+        monkeypatch.setattr(events, "EventStream", stream)
         a, b = seeded_pair()
         for contrast, duration in ((0.1, 33_000), (0.02, 7), (0.1, 2**40)):
             assert len(simulate_events(a, b, contrast, duration))
         assert len(simulate_events(*strip_pair(200), 0.005, 50))
+        assert sorted_t == [True] * 4
 
     def test_heap_peak_per_event(self):
         """Narrow temporaries: the simulator peaked at 138 bytes per event
@@ -520,3 +525,33 @@ def test_csv_rejects_spellings_outside_the_integer_grammar(text, error, line):
 def test_csv_accepts_signs_and_padding(text, dims):
     stream = read_events_csv(text)
     assert (stream.sensor_width, stream.sensor_height) == dims
+
+
+def test_csv_names_the_first_bad_line_in_the_file():
+    # Line 5's event comes first in time order, line 3's first in the file.
+    text = "# width 4\n# height 2\n9,7,0,1\n3,0,0,1\n1,0,0,5\n"
+    with pytest.raises(ValidationError, match="^line 3: event at \\(7, 0\\) outside sensor 4x2$"):
+        read_events_csv(text)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("-3,0,0,1", "negative timestamp -3"),
+    ("3,4,1,1", "event at \\(4, 1\\) outside sensor 4x2"),
+    ("3,0,1,2", "polarity must be -1 or \\+1, got 2"),
+], ids=["timestamp", "sensor", "polarity"])
+def test_csv_domain_error_is_the_stream_s(row, message):
+    with pytest.raises(ValidationError, match=f"^line 4: {message}$"):
+        read_events_csv(f"# width 4\n# height 2\n0,0,0,1\n{row}\n5,1,1,1\n")
+
+
+def test_valid_csv_builds_one_stream(monkeypatch):
+    built = []
+
+    def stream(*args):
+        built.append(len(args[2]))
+        return EventStream(*args)
+
+    monkeypatch.setattr(events, "EventStream", stream)
+    text = "".join(f"{(i * 7919) % 1000},{i % 40},{i % 30},{i % 2}\n" for i in range(1000))
+    assert len(read_events_csv(text)) == 1000
+    assert built == [1000]

@@ -75,13 +75,22 @@ class TestCsv:
             read_events_csv("# width\u3000 4\n# height\xa03\n1,2,2,1\n")
 
     @pytest.mark.parametrize("text, message", [
-        ("# width -4\n1,0,0,1\n", "line 1: width must be non-negative, got -4"),
-        ("# width -4\n", "line 1: width must be non-negative, got -4"),
-        ("# width 4\n# height -1\n", "line 2: height must be non-negative, got -1"),
+        ("# width -4\n1,0,0,1\n", "line 1: width must be >= 0, got -4"),
+        ("# width -4\n", "line 1: width must be >= 0, got -4"),
+        ("# width 4\n# height -1\n", "line 2: height must be >= 0, got -1"),
     ], ids=["width_before_an_event", "width_alone", "height_on_line_2"])
     def test_negative_directive_names_its_line(self, text, message):
         with pytest.raises(ValidationError, match=message):
             read_events_csv(text)
+
+    def test_directive_beyond_int_conversion_is_a_format_error(self):
+        # int() converts at most 4300 digits; this raised ValueError
+        with pytest.raises(FormatError, match="^line 2: bad height directive$"):
+            read_events_csv("# width 4\n# height " + "9" * 5000 + "\n0,0,0,1\n")
+
+    def test_directive_beyond_4096_bits_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="^line 1: width must fit 4096 bits"):
+            read_events_csv("# width " + "9" * 2000 + "\n0,0,0,1\n")
 
     def test_out_of_bounds_against_declared_dims(self):
         with pytest.raises(ValidationError, match="line"):

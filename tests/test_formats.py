@@ -64,6 +64,15 @@ class TestPpm:
         with pytest.raises(FormatError):
             read_ppm(b"P6\n2 2\n255\n" + bytes(11))
 
+    @pytest.mark.parametrize("header, match", [
+        (b"9" * 5000 + b" 1", "PPM header field too long"),
+        (b"9" * 4000 + b" " + b"9" * 4000, "expected an integer of 26578 bits"),
+    ], ids=["field", "raster_size"])
+    def test_rejects_numbers_too_long_to_print(self, header, match):
+        # int() converts and prints at most 4300 digits; both raised ValueError
+        with pytest.raises(FormatError, match=match):
+            read_ppm(b"P6\n" + header + b"\n255\n" + bytes(3))
+
     def test_rejects_trailing_bytes(self):
         with pytest.raises(FormatError):
             read_ppm(b"P6\n1 1\n255\n" + bytes(4))

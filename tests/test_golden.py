@@ -29,7 +29,8 @@ from evprune.ppm import write_ppm
 
 GOLDEN = {
     "scene.evt1": "8a9993002ed1ab7b6206c7c5b58e4df24f33085b05337ed8747ecd339b162cc2",
-    # Timestamps spanning 75000 us, more than a 16-bit sort key holds.
+    # A 100000 us duration: timestamps beyond uint16, which the simulator
+    # then holds as int64.
     "scene_wide.evt1": "7dceea3f35a808a14bc640bfd6f31e8bffa7041ce35f351824b9f1f5f6d9b71e",
     # 3 us, below the largest per-pixel count (4): such a pixel emits its
     # events k = 0 and 1 both at t = 0, together and in raster order among

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evprune import events
 from evprune.errors import ValidationError
 from evprune.events import EventFrame, EventStream, resize_to
 from evprune.ppm import to_gray01
@@ -75,6 +74,22 @@ def time_order_oracle(t: np.ndarray) -> np.ndarray:
     return np.argsort(t.astype(np.int64), kind="stable")
 
 
+def assert_stream_orders(t, x=None, y=None, p=None):
+    """EventStream stores the int64 stable argsort's gathers of its columns or,
+    given a negative timestamp, names the earliest one."""
+    i = np.arange(len(t))
+    x, y = (i % 40 if x is None else x), (i % 30 if y is None else y)
+    p = np.where(i % 3, 1, -1) if p is None else p
+    if t.min() < 0:
+        with pytest.raises(ValidationError, match=f"^negative timestamp {int(t.min())}$"):
+            EventStream(40, 30, t, x, y, p)
+        return
+    stream = EventStream(40, 30, t, x, y, p)
+    order = time_order_oracle(t)
+    for got, want in zip((stream.t_us, stream.x, stream.y, stream.polarity), (t, x, y, p)):
+        assert np.array_equal(got, want[order])
+
+
 class TestTimeOrder:
     @pytest.mark.parametrize("t", [
         [5, 5, 3, 3, 5, 0, 0],                                # ties
@@ -87,14 +102,14 @@ class TestTimeOrder:
         [INT64.max, INT64.max - 0x10000, INT64.max - 3],
     ])
     def test_matches_the_int64_stable_argsort(self, t):
-        t = np.array(t, dtype=np.int64)
-        assert np.array_equal(events._time_order(t), time_order_oracle(t))
+        assert_stream_orders(np.array(t, dtype=np.int64))
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.uint16, np.uint32])
     def test_narrow_dtypes_do_not_wrap(self, dtype):
         info = np.iinfo(dtype)
-        t = np.array([info.max, info.min, info.max, 0, info.min + 1], dtype=dtype)
-        assert np.array_equal(events._time_order(t), time_order_oracle(t))
+        assert_stream_orders(np.array([info.max, info.min, info.max, 0, info.min + 1], dtype=dtype))
+        xy = np.array([3, 1, 4, 1, 5], dtype=dtype)  # non-negative narrow columns throughout
+        assert_stream_orders(np.array([info.max, 0, info.max, 1, 0], dtype=dtype), xy, xy)
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(INT64.min, INT64.max), st.sampled_from([1, 0xFFFF, 0x10000, 2**40]),
@@ -102,9 +117,8 @@ class TestTimeOrder:
     def test_matches_the_oracle_on_random_spans(self, base, span, seed, n):
         rng = np.random.default_rng(seed)
         offsets = rng.integers(0, span, size=n, endpoint=True)
-        t = np.array([min(max(base + int(o), INT64.min), INT64.max) for o in offsets],
-                     dtype=np.int64)
-        assert np.array_equal(events._time_order(t), time_order_oracle(t))
+        assert_stream_orders(np.array([min(max(base + int(o), INT64.min), INT64.max)
+                                       for o in offsets], dtype=np.int64))
 
     @pytest.mark.parametrize("span", [0xFFFE, 0xFFFF, 0x10000, INT64.max])
     def test_stream_columns_are_the_stably_sorted_gathers(self, span):
@@ -113,14 +127,8 @@ class TestTimeOrder:
         t = rng.integers(0, span, size=n, endpoint=True)
         t[:2] = (0, span)  # the span is exact
         t[100:200] = t[50]  # ties
-        x = rng.integers(0, 40, size=n)
-        y = rng.integers(0, 30, size=n)
-        p = rng.choice(np.array([-1, 1]), size=n)
-        stream = EventStream(40, 30, t, x, y, p)
-        order = time_order_oracle(t)
-        for got, want in zip((stream.t_us, stream.x, stream.y, stream.polarity),
-                             (t, x, y, p)):
-            assert np.array_equal(got, want[order])
+        assert_stream_orders(t, rng.integers(0, 40, size=n), rng.integers(0, 30, size=n),
+                             rng.choice(np.array([-1, 1]), size=n))
 
     @pytest.mark.parametrize("last", [500, 70_000])
     def test_first_bad_event_in_time_order_is_reported(self, last):
