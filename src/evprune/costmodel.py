@@ -6,10 +6,10 @@ per layer and normalization and activations are O(n*d); none is a
 matmul, so all are excluded. The patch-embedding matmul (n*p^2*C*d MACs
 for n patches) is not counted.
 
-A CostReport stores only its per-stage MACs and token counts: its total
-MACs are the sum of the stages and its FLOPs twice that, so
-flops = 2 * macs holds by construction. ``compare`` returns the signed
-percentage reduction as one float, the same for MACs and FLOPs.
+A CostReport stores only token counts and its per-stage MACs, in a
+read-only mapping: its total MACs are the sum of the stages and its FLOPs
+twice that, so flops = 2 * macs holds by construction. ``compare`` returns
+the signed percentage reduction as one float, the same for MACs and FLOPs.
 
 Per transformer layer over n tokens of width d with MLP hidden size h:
 
@@ -34,6 +34,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 
 from .errors import ValidationError, as_record, as_size
 from .kvtext import (check_field_types, check_keys, decode_ascii, parse_kv, parse_record,
@@ -137,9 +138,9 @@ class CostReport:
     def __post_init__(self):
         if not (isinstance(self.breakdown, Mapping) and tuple(self.breakdown) == _STAGES):
             raise ValidationError(f"breakdown must be a mapping over stages {_STAGES}")
-        # A copy of plain ints: a float total would print as macs_total=7.5.
-        object.__setattr__(self, "breakdown", {
-            stage: as_size(macs, f"{stage} MACs", 0) for stage, macs in self.breakdown.items()})
+        # A sealed copy of plain ints: a float total would print as macs_total=7.5.
+        object.__setattr__(self, "breakdown", MappingProxyType({
+            stage: as_size(macs, f"{stage} MACs", 0) for stage, macs in self.breakdown.items()}))
         for name in ("visual_tokens_dense", "visual_tokens_retained", "merged_tokens"):
             object.__setattr__(self, name, as_size(getattr(self, name), name, 0))
         if self.visual_tokens_retained > self.visual_tokens_dense:

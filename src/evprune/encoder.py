@@ -25,9 +25,9 @@ reproducible random weights make every comparison exact. A weight record
 is its config's draw: EncoderWeights(config) draws every array and keeps
 the config, and the forward and the merge accept only weights drawn for
 the config they are given. A process draws a config's weights once and
-shares them read-only; the last config's weights stay resident until
-another config is drawn, at most 512 MiB at MAX_ENCODER_PARAMS. All math
-runs in float64.
+shares them sealed, so that no caller can make them writable again; the
+last config's weights stay resident until another config is drawn, at
+most 512 MiB at MAX_ENCODER_PARAMS. All math runs in float64.
 
 Attention runs over blocks of query rows. Each block's (heads, rows, n)
 logits fill one tile of about 2 MiB, so the key mask, max-subtract, exp
@@ -79,7 +79,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .costmodel import mlp_width
-from .errors import ValidationError, as_record, as_size, real_array
+from .errors import ValidationError, as_record, as_size, real_array, sealed
 from .kvtext import check_field_types, check_keys, parse_kv, parse_record, record_keys
 from .packing import PackedSequence, _grid_rows
 from .rope2d import RopeTable, apply_rope_many
@@ -161,12 +161,6 @@ def _param(*dims: str, gain: bool = False, init: bool = True):
     return field(init=init, metadata={"dims": dims, "gain": gain})
 
 
-def _sealed(values: np.ndarray) -> np.ndarray:
-    """C-contiguous float64 ``values`` seen through a read-only memoryview:
-    numpy refuses ``flags.writeable = True`` on the result and its views."""
-    return np.frombuffer(memoryview(values).toreadonly(), dtype=np.float64).reshape(values.shape)
-
-
 @dataclass(frozen=True, eq=False)
 class LayerWeights:
     """One transformer block's weights, built only by the draw."""
@@ -189,7 +183,7 @@ class LayerWeights:
 class EncoderWeights:
     """The weights of ``config``, drawn as init_weights documents into one
     flat buffer, in place; the record holds views of it sealed as one
-    (``_sealed``), and no array that a caller made."""
+    (``errors.sealed``, never writable again), and no array a caller made."""
 
     config: EncoderConfig
     w_embed: np.ndarray = _param("patch_dim", "d_model", init=False)
@@ -204,7 +198,7 @@ class EncoderWeights:
         config = as_record(self.config, EncoderConfig, "config")
         flat = np.empty(_weight_count(config))
         rng = np.random.Generator(np.random.PCG64(config.seed))
-        for name, value in _draw(EncoderWeights, config, rng, flat, _sealed(flat))[0].items():
+        for name, value in _draw(EncoderWeights, config, rng, flat, sealed(flat))[0].items():
             object.__setattr__(self, name, value)
 
 
@@ -240,8 +234,8 @@ def init_weights(config: EncoderConfig) -> EncoderWeights:
     weights drawn for the config they are given.
 
     A process draws a config's weights once and shares the record, whose
-    arrays are read-only: a later call with an equal config returns the
-    same record.
+    arrays cannot be made writable again: a later call with an equal
+    config returns the same record.
     The last config's weights stay resident until another config is drawn,
     and while that draw runs both are held: 9.1 MiB at the benchmark
     config, at most 512 MiB per config at MAX_ENCODER_PARAMS.

@@ -4,6 +4,8 @@ Every public entry point returns a value or raises ValidationError (CLI exit 1) 
 FormatError (CLI exit 2). It takes each array argument through ``real_array``, each
 integer argument through ``as_size`` and each record argument through ``as_record``
 before it compares or converts the value, and quotes it in a message through ``shown``.
+A record holds each array only through ``sealed``, so no caller can make it writable
+again and break the laws its constructor checked.
 """
 
 import operator
@@ -60,7 +62,18 @@ def as_record(value, cls: type, name: str):
     return value
 
 
+def sealed(values: np.ndarray) -> np.ndarray:
+    """``values`` seen through a read-only memoryview, not copied: numpy refuses
+    to make the result, or any view of it, writable again."""
+    return np.asarray(memoryview(values).toreadonly())
+
+
 def shown(value) -> str:
-    """``value``'s repr for a message, or, for an integer too long to print, its size."""
-    too_long = isinstance(value, int) and value.bit_length() > _SIZE_BITS
-    return f"an integer of {value.bit_length()} bits" if too_long else repr(value)
+    """``value``'s repr for a message, or, for an integer too long to print, its size,
+    and for another value whose repr raises (it holds such an integer), its type."""
+    if isinstance(value, int) and value.bit_length() > _SIZE_BITS:
+        return f"an integer of {value.bit_length()} bits"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to print"

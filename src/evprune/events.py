@@ -3,14 +3,14 @@
 Core objects
 ------------
 - EventStream: an immutable, time-sorted event stream with sensor bounds,
-  stored as four read-only numpy columns ``t_us`` (int64), ``x``, ``y``
-  (int64) and ``polarity`` (int8, -1 or +1). Its one constructor,
-  ``EventStream(width, height, t_us, x, y, polarity)``, takes integer
-  columns, stable-sorts them by time, validates them and keeps its own
-  copies; it is the one place where events are sorted and checked against
-  their domain. Every reader, writer and the simulator work on these
-  columns directly; the simulator builds them already in time order, so
-  its streams skip the sort.
+  stored as four sealed numpy columns, which no caller can make writable
+  again: ``t_us``, ``x``, ``y`` (int64) and ``polarity`` (int8, -1 or +1).
+  Its one constructor, ``EventStream(width, height, t_us, x, y, polarity)``,
+  takes integer columns, stable-sorts them by time, validates them and
+  keeps its own copies; it is the one place where events are sorted and
+  checked against their domain. Every reader, writer and the simulator
+  work on these columns directly; the simulator builds them already in
+  time order, so its streams skip the sort.
 - EventFrame: event counts per cell: per pixel over a temporal window, or
   per patch as saliency scores.
 
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, as_record, as_size, real_array, shown
+from .errors import FormatError, ValidationError, as_record, as_size, real_array, sealed, shown
 
 EVT1_MAGIC = b"EVT1"
 EVT1_VERSION = 1
@@ -106,8 +106,8 @@ class EventStream:
     dtype casts to int64 without loss. It stable-sorts them by timestamp
     (preserving the input order among equal timestamps), validates every
     event against the sensor bounds, naming the first bad one in time
-    order, and stores read-only int64 copies (int8 for polarity); the
-    caller's arrays are never aliased.
+    order, and stores int64 copies (int8 for polarity) sealed so that they
+    cannot be made writable again; the caller's arrays are never aliased.
     """
 
     sensor_width: int
@@ -142,9 +142,7 @@ class EventStream:
         object.__setattr__(self, "sensor_height", height)
         for (name, dtype), col in zip(_COLUMNS.items(), (t, x, y, p)):
             # The sorted gather is already a copy the caller cannot reach.
-            col = col.astype(dtype, copy=order is None)
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+            object.__setattr__(self, name, sealed(col.astype(dtype, copy=order is None)))
 
     def __len__(self) -> int:
         return len(self.t_us)
@@ -174,8 +172,7 @@ class EventFrame:
         arr = np.array(real_array(self.counts, "counts", 2), dtype=np.float64)
         if not (np.isfinite(arr).all() and (arr >= 0).all()):
             raise ValidationError("counts must be finite and non-negative")
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
+        object.__setattr__(self, "counts", sealed(arr))
 
     @property
     def height(self) -> int:

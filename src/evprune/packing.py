@@ -1,9 +1,10 @@
 """Rows at grid coordinates, and the selection of retained patches under a mask.
 
-Positions are one read-only (n, 2) integer array of (row, col) grid
-coordinates in strictly increasing raster order. A PackedSequence keeps
-one such array (``kept``) for both the token rows and the positional
-factors, so a token can never be paired with another token's position.
+Positions are one sealed (n, 2) integer array of (row, col) grid
+coordinates in strictly increasing raster order, which no caller can
+make writable again. A PackedSequence keeps one such array (``kept``) for
+both the token rows and the positional factors, so a token can never be
+paired with another token's position.
 It is the one type for rows at grid coordinates: packed patches going
 into the encoder, encoder outputs, and merged cells on the cell grid.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, as_record, as_size, real_array
+from .errors import ValidationError, as_record, as_size, real_array, sealed, shown
 from .events import check_cells
 from .rope2d import _as_positions
 from .saliency import PatchMask
@@ -35,7 +36,7 @@ class PackedSequence:
             raise ValidationError("one kept coordinate per token row required")
         grid = self.origin_grid
         if not (isinstance(grid, tuple) and len(grid) == 2):
-            raise ValidationError(f"origin grid must be two non-negative ints, got {grid!r}")
+            raise ValidationError(f"origin grid must be two non-negative ints, got {shown(grid)}")
         rows, cols = (as_size(v, "origin grid", 0) for v in grid)
         # the first row that is outside the grid or not after its predecessor
         inside = ((kept >= 0) & (kept < (rows, cols))).all(axis=1)
@@ -46,8 +47,7 @@ class PackedSequence:
             raise ValidationError(f"coordinate ({i}, {j}) outside grid {(rows, cols)}")
         if bad.size:
             raise ValidationError("kept coordinates must be strictly raster-increasing")
-        arr.flags.writeable = False
-        object.__setattr__(self, "tokens", arr)
+        object.__setattr__(self, "tokens", sealed(arr))
         object.__setattr__(self, "kept", kept)
         object.__setattr__(self, "origin_grid", (rows, cols))
 

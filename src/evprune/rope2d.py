@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, as_record, as_size, real_array
+from .errors import ValidationError, as_record, as_size, real_array, sealed
 from .events import check_cells
 
 
@@ -30,7 +30,7 @@ def _thetas(d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RopeTable:
-    """Read-only cos/sin factors per coordinate value (O(rows + cols) memory),
+    """Sealed cos/sin factors per coordinate value (O(rows + cols) memory),
     computed from the extent and the dimension, so every table is a rotation."""
 
     rows: int
@@ -52,9 +52,7 @@ class RopeTable:
         for axis, extent in (("row", self.rows), ("col", self.cols)):
             angles = np.arange(extent, dtype=np.float64)[:, None] * theta[None, :]
             for name, fn in (("cos", np.cos), ("sin", np.sin)):
-                factors = fn(angles)
-                factors.flags.writeable = False
-                object.__setattr__(self, f"{name}_{axis}", factors)
+                object.__setattr__(self, f"{name}_{axis}", sealed(fn(angles)))
 
 
 def build_rope(rows: int, cols: int, d: int) -> RopeTable:
@@ -62,15 +60,13 @@ def build_rope(rows: int, cols: int, d: int) -> RopeTable:
 
 
 def _as_positions(positions) -> np.ndarray:
-    """A read-only (n, 2) integer copy of packed coordinates or token
+    """A sealed (n, 2) integer copy of packed coordinates or token
     positions. Floats are rejected, not truncated."""
     arr = real_array(positions, "positions")
     if arr.ndim != 2 or arr.shape[1] != 2 or not np.issubdtype(arr.dtype, np.integer):
         raise ValidationError(
             f"positions must be an (n, 2) integer array, got {arr.dtype} {arr.shape}")
-    arr = arr.astype(np.intp)
-    arr.flags.writeable = False
-    return arr
+    return sealed(arr.astype(np.intp))
 
 
 def apply_rope(table: RopeTable, pos: tuple[int, int], v: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, as_record, as_size, real_array, shown
+from .errors import FormatError, ValidationError, as_record, as_size, real_array, sealed, shown
 from .events import EventFrame
 
 # Tolerance for tau*n landing a hair above an integer due to binary
@@ -44,7 +44,8 @@ def retained_count(tau: float, n: int) -> int:
     try:
         k = math.ceil(tau * n - _CEIL_GUARD)
     except OverflowError:
-        raise ValidationError(f"tau {tau!r} times unit count {n} is beyond float range") from None
+        raise ValidationError(
+            f"tau {shown(tau)} times unit count {n} is beyond float range") from None
     return max(0, min(n, k))
 
 
@@ -84,9 +85,7 @@ class PatchMask:
         if not np.all((raw == 0) | (raw == 1)):
             raise ValidationError("mask bits must be 0 or 1")
         check_tau(self.tau)
-        arr = np.array(raw, dtype=np.uint8)
-        arr.flags.writeable = False
-        object.__setattr__(self, "bits", arr)
+        object.__setattr__(self, "bits", sealed(np.array(raw, dtype=np.uint8)))
 
     @property
     def rows(self) -> int:

@@ -109,13 +109,11 @@ def check_mask_laws(scores: events.EventFrame, lower: saliency.PatchMask,
 def check_pack(tokens: np.ndarray, mask: saliency.PatchMask,
                packed: packing.PackedSequence, fill: np.ndarray) -> Violation | None:
     """``packed`` is ``pack_patches(tokens, mask)``: scattering it over
-    ``fill`` restores every kept row and fills every dropped one, and its
-    coordinates rise in raster order."""
+    ``fill`` restores every kept row and fills every dropped one. The record
+    checks once that its sealed coordinates rise in raster order."""
     keep = mask.bits.reshape(-1, 1).astype(bool)
     if not np.array_equal(packing.unpack_scatter(packed, fill), np.where(keep, tokens, fill)):
         return ("pack.scatter_roundtrip", "rows not restored exactly")
-    if np.any(np.diff(packed.kept[:, 0] * mask.cols + packed.kept[:, 1]) <= 0):
-        return ("pack.raster_order", "kept coordinates not strictly increasing")
     return None
 
 

@@ -2,9 +2,10 @@
 
 Each case starts from a valid argument list and swaps any of its
 arguments for a value one step away: an int/float swap, zero, a negative,
-an integer beyond float range or too long to print, NaN, the wrong rank, a ragged nesting, a
-str, complex or object dtype, or a mapping with its first value so
-swapped or its first key missing.
+an integer beyond float range or too long to print, a fraction or a list
+whose repr raises, NaN, the wrong rank, a ragged nesting, a str, complex
+or object dtype, or a mapping with its first value so swapped or its
+first key missing.
 Every call must return a value or raise ValidationError or FormatError;
 any other exception, or a warning, fails the test. A record argument
 that is None, a str or a record of another type must raise
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,10 +59,10 @@ def near_valid(value) -> list:
     if isinstance(value, tuple):
         return [value[:1], value + (1,), tuple(v + 0.5 for v in value),
                 tuple(-v for v in value), list(value), tuple(map(str, value)),
-                (value[0], math.nan), None]
-    return [0, -1, -value, float(value), value + 0.5, int(value), 10**400, -10**5000, math.nan,
-            math.inf, True, str(value), complex(value), np.float64(value),
-            np.int64(int(value)), None]
+                (value[0], math.nan), [10**5000, *value[1:]], None]
+    return [0, -1, -value, float(value), value + 0.5, int(value), 10**400, -10**5000,
+            Fraction(10**5000 + 1, 10**5000), math.nan, math.inf, True, str(value),
+            complex(value), np.float64(value), np.int64(int(value)), None]
 
 
 _RNG = np.random.Generator(np.random.PCG64(83))
@@ -268,13 +270,24 @@ def held_arrays(value, path: str, held: bool = False):
 
 
 def test_every_array_a_public_record_holds_is_read_only():
-    # the encoder weights were writable
+    # the encoder weights were writable, and flags.writeable = True reopened
+    # every other record's arrays
     arrays = []
     for name, (call, valid) in CASES.items():
         record, value = getattr(evprune, name), call(*valid)
         if isinstance(record, type) and not isinstance(value, record):
             value = record(*valid)  # the case calls the record and applies it
         arrays += held_arrays(value, name)
-    assert {path.split(".")[0] for path, _ in arrays} >= {"RopeTable", "init_weights",
-                                                          "EncoderWeights"}
+    assert {path.split(".")[0] for path, _ in arrays} >= {
+        "EventStream", "EventFrame", "PatchMask", "PackedSequence", "RopeTable",
+        "init_weights", "EncoderWeights"}
     assert [path for path, arr in arrays if arr.flags.writeable] == []
+    reopened = []
+    for path, arr in arrays:
+        for seen in (arr, arr.view()):
+            try:
+                seen.flags.writeable = True
+            except ValueError:
+                continue
+            reopened.append(path)
+    assert reopened == []

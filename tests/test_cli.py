@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 
 from evprune import cli, encoder, events
 from evprune.cli import main
-from evprune.events import read_events_bin, write_events_bin
-from evprune.featio import read_features
-from evprune.ppm import read_ppm, write_ppm
-from evprune.saliency import mask_from_text
+from evprune.encoder import (encode_packed, init_weights, load_encoder_config, merge_project,
+                             patchify)
+from evprune.events import accumulate, read_events_bin, resize_to, write_events_bin
+from evprune.featio import read_features, write_features
+from evprune.packing import pack_patches
+from evprune.ppm import read_ppm, to_gray01, write_ppm
+from evprune.rope2d import build_rope
+from evprune.saliency import mask_from_text, patch_scores, quantile_mask
 
 from conftest import (
     SCENE, VALID_ENCODER, VALID_PROFILE, kv_documents, near_valid_bytes, square_scene,
@@ -163,6 +167,30 @@ class TestMask:
         assert code == 1
         assert not out_mask.exists()
 
+    @pytest.mark.parametrize("window, message", [
+        ("999", "window must be 't0:t1' in microseconds, got '999'"),
+        ("0:1e3", "window bounds must be integers, got '0:1e3'"),
+    ], ids=["no_colon", "not_integers"])
+    def test_bad_window_exit_1_and_no_output(self, square_events, tmp_path, capsys, window,
+                                             message):
+        image, evt = square_events
+        out_mask = tmp_path / "m.txt"
+        code, stdout, err = run(capsys, "mask", str(image), str(evt), "--tau", "0.5",
+                                "--patch-size", "16", "--window", window,
+                                "--out-mask", str(out_mask))
+        assert code == 1
+        assert message in err
+        assert stdout == ""
+        assert not out_mask.exists()
+
+    def test_no_output_file_exit_1(self, square_events, capsys):
+        image, evt = square_events
+        code, stdout, err = run(capsys, "mask", str(image), str(evt), "--tau", "0.5",
+                                "--patch-size", "16")
+        assert code == 1
+        assert "need --out-mask and/or --out-image" in err
+        assert stdout == ""
+
     @pytest.mark.parametrize("sizes, message", [
         (["--patch-size", "0"], "patch size must be >= 1, got 0"),
         (["--patch-size", "-16"], "patch size must be >= 1, got -16"),
@@ -310,6 +338,27 @@ class TestEncode:
         oracle = read_features(out_o.read_bytes())
         rel = np.abs(packed - oracle) / np.maximum(np.abs(oracle), 1e-9)
         assert rel.max() <= 1e-5
+
+    def test_gray_config_encodes_the_gray_image(self, square_events, tmp_path, capsys):
+        image, evt = square_events
+        cfg = write_encoder_config(tmp_path / "enc.cfg", channels=1)
+        out = tmp_path / "f.bin"
+        code, stdout, _ = run(capsys, "encode", str(image), str(evt), "--tau", "0.5",
+                              "--config", str(cfg), "--mode", "packed", "--out", str(out))
+        assert code == 0
+        assert "n_tokens=32" in stdout
+        config = load_encoder_config(cfg.read_text())
+        pixels = read_ppm(image.read_bytes())
+        stream = read_events_bin(evt.read_bytes())
+        frame = resize_to(accumulate(stream, *stream.extent_us()), SCENE, SCENE)
+        mask = quantile_mask(patch_scores(frame, 16), 0.5, config.merge_size)
+        patches = patchify(to_gray01(pixels)[:, :, None], 16)
+        weights = init_weights(config)
+        features = encode_packed(pack_patches(patches, mask),
+                                 build_rope(SCENE // 16, SCENE // 16, config.head_dim),
+                                 weights, config)
+        merged = merge_project(features, config, weights)
+        assert out.read_bytes() == write_features(merged.tokens)
 
     def test_seed_comes_from_the_config_alone(self, square_events, tmp_path,
                                                capsys, monkeypatch):

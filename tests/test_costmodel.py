@@ -151,6 +151,14 @@ class TestEstimate:
             CostReport(macs=5, flops=10, breakdown=report.breakdown,
                        visual_tokens_dense=0, visual_tokens_retained=0, merged_tokens=0)
 
+    def test_breakdown_cannot_be_written_after_the_checks(self):
+        # a write into the checked copy made macs negative
+        report = report_with_total(5)
+        with pytest.raises(TypeError):
+            report.breakdown["llm_prefill"] = -7
+        with pytest.raises(TypeError):
+            del report.breakdown["llm_prefill"]
+        assert report.macs == 5 and dict(report.breakdown) == report_with_total(5).breakdown
 
     @pytest.mark.parametrize("breakdown, match", [
         (None, "breakdown must be a mapping"),

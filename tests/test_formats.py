@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from evprune import costmodel
 from evprune.encoder import EncoderConfig, load_encoder_config
 from evprune.errors import FormatError, ValidationError
+from evprune.events import EventStream, read_events_bin, write_events_bin
 from evprune.featio import read_features, write_features
 from evprune.kvtext import decode_ascii, parse_kv
 from evprune.ppm import read_ppm, to_gray01, write_ppm
@@ -77,6 +78,11 @@ class TestPpm:
         with pytest.raises(FormatError):
             read_ppm(b"P6\n1 1\n255\n" + bytes(4))
 
+    @pytest.mark.parametrize("size", [b"0 1", b"1 0", b"0 0"])
+    def test_rejects_an_empty_raster(self, size):
+        with pytest.raises(FormatError, match="bad PPM dimensions"):
+            read_ppm(b"P6\n" + size + b"\n255\n")
+
     def test_writer_rejects_non_uint8(self):
         with pytest.raises(ValidationError):
             write_ppm(np.zeros((2, 2, 3), dtype=np.float64))
@@ -92,6 +98,14 @@ class TestPpm:
         # (2, 2, 0) gave NaN with a warning and (2, 2, 3, 1) was averaged over axis 2
         with pytest.raises(ValidationError, match=r"\(H, W\) or \(H, W, C >= 1\)"):
             to_gray01(np.zeros(shape, dtype=np.uint8))
+
+
+class TestEvt1Writer:
+    def test_refuses_a_timestamp_beyond_u32(self):
+        with pytest.raises(ValidationError, match=f"timestamp {2**32} does not fit u32"):
+            write_events_bin(EventStream(2, 2, [5, 2**32], [0, 1], [1, 0], [1, -1]))
+        last = EventStream(2, 2, [5, 2**32 - 1], [0, 1], [1, 0], [1, -1])
+        assert read_events_bin(write_events_bin(last)).t_us.tolist() == [5, 2**32 - 1]
 
 
 class TestFeatureDump:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evprune import saliency
+from evprune import costmodel, events, packing, saliency, verify
 from evprune.errors import ValidationError
 from evprune.events import EventFrame
 from evprune.verify import check_mask_laws, run_suites, suite_names
@@ -69,3 +69,64 @@ def test_mask_count_law_states_the_guard(tau):
     bits.flat[np.flatnonzero(bits == 0)[0]] = 1
     extra = saliency.PatchMask(bits, tau)
     assert check_mask_laws(smap, mask, extra, 7.5)[0] == "saliency.exact_cardinality"
+
+
+def _mask_laws(scores, bits, scale=7.5):
+    mask = saliency.PatchMask(np.array(bits), 0.5)
+    return check_mask_laws(EventFrame(np.array(scores)), mask, mask, scale)
+
+
+def _stream(t):
+    return events.EventStream(4, 2, t, [1] * len(t), [0] * len(t), [1] * len(t))
+
+
+def _accumulate_laws(monkeypatch):
+    stream = _stream([0, 1, 2])
+    frame = events.accumulate(stream, 0, 3)
+    monkeypatch.setattr(events, "resize_to", lambda frame, w, h: EventFrame(np.zeros((h, w))))
+    return verify.check_accumulate(stream, 0, 3, frame)
+
+
+def _csv_roundtrip(monkeypatch):
+    stream = _stream([0, 1])
+    monkeypatch.setattr(events, "read_events_csv", lambda text: _stream([0]))
+    return verify.check_events_roundtrip(stream, events.write_events_bin(stream))
+
+
+def _cost_laws(monkeypatch):
+    profile = costmodel.load_shipped_profile("qwen2vl_2b_like")
+    works = [costmodel.WorkloadSpec(56, 56, 0.5, 0, 0)] * 2
+    reports = [costmodel.estimate(profile, work) for work in works]
+    charged = costmodel.CostReport(dict.fromkeys(costmodel._STAGES, 1), 0, 0, 0)
+    monkeypatch.setattr(costmodel, "estimate", lambda profile, work: charged)
+    return verify.check_cost_laws(profile, works, reports)
+
+
+def _oracle_laws(_):
+    tokens, kept = np.zeros((1, 4)), np.array([[0, 0]])
+    packed, oracle = (packing.PackedSequence(tokens, kept, grid) for grid in ((1, 1), (1, 2)))
+    return verify._within(
+        {"encoder.packed_equals_masked_dense": verify.packed_oracle_error(packed, oracle)})
+
+
+@pytest.mark.parametrize("invariant, check", [
+    ("saliency.threshold_consistency", lambda _: _mask_laws([[1.0, 2.0]], [[1, 0]])),
+    ("saliency.raster_tie_break", lambda _: _mask_laws([[1.0, 1.0]], [[0, 1]])),
+    # a positive scale that rounds 1 and 1.25 to the same subnormal ties them
+    ("saliency.scale_invariance", lambda _: _mask_laws([[1.0, 1.25]], [[0, 1]], 5e-324)),
+    ("encoder.packed_equals_masked_dense", _oracle_laws),
+    ("events.binary_roundtrip", lambda _: verify.check_events_roundtrip(
+        _stream([0, 1]), events.write_events_bin(_stream([0])))),
+    ("events.csv_roundtrip", _csv_roundtrip),
+    ("events.resize_conservation", _accumulate_laws),
+    ("costmodel.zero_workload", _cost_laws),
+])
+def test_a_broken_law_names_its_invariant(invariant, check, monkeypatch):
+    # no test had seen these laws fail; resize_to, read_events_csv and estimate
+    # are replaced because no input makes them break their law
+    assert check(monkeypatch)[0] == invariant
+
+
+def test_max_rel_err_refuses_differing_shapes():
+    with pytest.raises(ValidationError, match=r"shapes differ: \(2,\) vs \(1, 2\)"):
+        verify.max_rel_err(np.zeros(2), np.zeros((1, 2)))
