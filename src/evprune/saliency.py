@@ -157,9 +157,11 @@ def apply_mask_to_image(
             f"image {img.shape[1]}x{img.shape[0]} smaller than mask grid "
             f"{mask.cols}x{mask.rows} at patch size {p}"
         )
-    out = img.copy()
-    patches = _blocks(out, p)[: mask.rows, : mask.cols]
-    patches[mask.bits == 0] = np.asarray(fill, dtype=img.dtype)
+    out = img.copy()  # C-contiguous, so the reshape below is a view
+    # (rows, cols, p, p*3): a patch's p pixel rows, each one run of p*3 values,
+    # so the fill is written a whole patch row at a time.
+    grid = out[: mask.rows * p, : mask.cols * p].reshape(mask.rows, p, mask.cols, p * 3)
+    grid.swapaxes(1, 2)[mask.bits == 0] = np.tile(np.asarray(fill, dtype=img.dtype), p)
     return out
 
 

@@ -170,7 +170,9 @@ class TestMask:
     @pytest.mark.parametrize("window, message", [
         ("999", "window must be 't0:t1' in microseconds, got '999'"),
         ("0:1e3", "window bounds must be integers, got '0:1e3'"),
-    ], ids=["no_colon", "not_integers"])
+        ("\u0660:\u0669", "window bounds must be integers, got '\u0660:\u0669'"),
+        ("0:1_000", "window bounds must be integers, got '0:1_000'"),
+    ], ids=["no_colon", "not_integers", "arabic_indic_digits", "underscore"])
     def test_bad_window_exit_1_and_no_output(self, square_events, tmp_path, capsys, window,
                                              message):
         image, evt = square_events
@@ -225,7 +227,8 @@ class TestMask:
         assert stdout == ""
         assert not out_mask.exists() and not out_img.exists()
 
-    @pytest.mark.parametrize("fill", ["abc", "0,0", "300,0,0"])
+    # int() takes "\u0663" (Arabic-Indic 3) and "1_0"; no file reader does
+    @pytest.mark.parametrize("fill", ["abc", "0,0", "300,0,0", "\u0663,0,0", "1_0,0,0"])
     def test_bad_fill_exit_1_and_no_output(self, square_events, tmp_path, capsys, fill):
         """--fill is checked even when no masked image is written."""
         image, evt = square_events
@@ -237,6 +240,17 @@ class TestMask:
         assert "fill must be" in err
         assert stdout == ""
         assert not out_mask.exists()
+
+    def test_manifest_echoes_the_parsed_fill(self, square_events, tmp_path, capsys):
+        image, evt = square_events
+        out_img = tmp_path / "m.ppm"
+        code, stdout, _ = run(capsys, "mask", str(image), str(evt), "--tau", "0.5",
+                              "--patch-size", "16", "--fill", " 7,+8,9 ",
+                              "--out-image", str(out_img))
+        assert code == 0
+        assert "manifest.param.fill=7,8,9\n" in stdout
+        masked = read_ppm(out_img.read_bytes())
+        assert [7, 8, 9] in masked.reshape(-1, 3).tolist()
 
     def test_corrupt_event_file_exit_2(self, square_events, tmp_path, capsys):
         image, evt = square_events
@@ -570,6 +584,15 @@ class TestFlops:
         code, _, _ = run(capsys, "flops", "--profile", "qwen2vl_2b_like",
                          "--image-size", "392by392")
         assert code == 1
+
+    # int() takes Arabic-Indic digits and "3_92"; no file reader does
+    @pytest.mark.parametrize("size", ["\u0663\u0669\u0662x392", "3_92x392"])
+    def test_image_size_outside_the_integer_grammar_exit_1(self, capsys, size):
+        code, stdout, err = run(capsys, "flops", "--profile", "qwen2vl_2b_like",
+                                "--image-size", size)
+        assert code == 1
+        assert f"image size must be HxW (e.g. 448x448), got {size!r}" in err
+        assert stdout == ""
 
 
 class TestVerify:

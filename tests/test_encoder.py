@@ -334,6 +334,20 @@ class TestPatchify:
         assert patchify(np.zeros((4, 4, 3)), np.int64(2)).shape == (4, 12)
 
 
+class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 7), (308, 128), (1024, 128), (2, 3, 16)])
+    def test_bits_equal_the_mean_and_var_formula(self, shape):
+        rng = np.random.default_rng(shape[0])
+        x = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3], size=shape[:-1] + (1,))
+        x[0, ...] = 0.25  # a constant row: zero deviation, variance eps alone
+        x[-1, ..., 0] += 1e12  # a large-magnitude value within a row
+        gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        mean = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        want = (x - mean) / np.sqrt(var + encoder._LN_EPS) * gamma + beta
+        assert encoder._layer_norm(x, gamma, beta).tobytes() == want.tobytes()
+
+
 class TestInitWeights:
     def test_same_seed_is_bit_identical(self):
         config = small_config(seed=123)

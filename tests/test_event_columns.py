@@ -2,6 +2,7 @@
 their per-event references, input rejection, and reader fuzzing."""
 
 import math
+import re
 import struct
 from fractions import Fraction
 import tracemalloc
@@ -9,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evprune import events
@@ -155,6 +156,86 @@ class TestColumns:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * frame.counts.nbytes
+
+
+    def test_read_allocates_nothing_per_event_beyond_its_columns(self):
+        """On the seeded pair's EVT1 bytes, read_events_bin peaks within half a
+        byte per event of the 25 the stream holds: each column is copied once
+        and no per-event check keeps a temporary beside the copies (the
+        elementwise checks peaked a byte per event higher)."""
+        a, b = seeded_pair()
+        blob = bytes(write_events_bin(simulate_events(a, b, 0.1, 33_000)))
+        tracemalloc.start()
+        try:
+            stream = read_events_bin(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(c.nbytes for c in (stream.t_us, stream.x, stream.y, stream.polarity))
+        assert len(stream) > 150_000
+        assert (peak - held) / len(stream) < 0.5
+
+
+def domain_reference(width, height, events):
+    """The stream's domain checks as a per-event loop over Python ints: the
+    message naming the first event, in stable time order, outside the domain,
+    or None when every event lies inside it."""
+    for t, x, y, p in sorted(events, key=lambda e: e[0]):
+        if t < 0:
+            return f"negative timestamp {t}"
+        if not (0 <= x < width and 0 <= y < height):
+            return f"event at ({x}, {y}) outside sensor {width}x{height}"
+        if p not in (-1, 1):
+            return f"polarity must be -1 or +1, got {p}"
+    return None
+
+
+def _fits(value, dtype):
+    info = np.iinfo(dtype)
+    return info.min <= value <= info.max
+
+
+@st.composite
+def event_columns(draw):
+    """(width, height, columns): t, x and y of int64, int32 or uint16 and
+    polarity of int8, int16 or uint8; t sorted, unsorted or tied; and up to two
+    injected faults, each a value its column's dtype can hold."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    dtypes = [draw(st.sampled_from([np.int64, np.int32, np.uint16])) for _ in range(3)]
+    dtypes.append(draw(st.sampled_from([np.int8, np.int16, np.uint8])))
+    n = draw(st.integers(0, 12))
+    time_order = draw(st.sampled_from(["sorted", "unsorted", "tied"]))
+    t = draw(st.lists(st.integers(0, 2 if time_order == "tied" else 1000), min_size=n, max_size=n))
+    if time_order == "sorted":
+        t.sort()
+    x = draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, height - 1), min_size=n, max_size=n))
+    p = draw(st.lists(st.sampled_from([v for v in (-1, 1) if _fits(v, dtypes[3])]),
+                      min_size=n, max_size=n))
+    columns = [t, x, y, p]
+    faults = [[-1], [-1, width], [-1, height], [0, 2, -2, 257]]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        col = draw(st.sampled_from(
+            [c for c in range(4) if any(_fits(v, dtypes[c]) for v in faults[c])]))
+        value = draw(st.sampled_from([v for v in faults[col] if _fits(v, dtypes[col])]))
+        columns[col][draw(st.integers(0, n - 1))] = value
+    return width, height, [np.array(c, dtype=d) for c, d in zip(columns, dtypes)]
+
+
+@settings(deadline=None, max_examples=400)
+@example((3, 2, [np.zeros(0, dtype=np.int64)] * 4))
+@given(event_columns())
+def test_stream_accepts_exactly_what_the_per_event_reference_accepts(case):
+    """The reductions refuse a stream exactly when some event is outside the
+    domain, and the refusal names the reference's first bad event."""
+    width, height, columns = case
+    events = list(zip(*(c.tolist() for c in columns)))
+    message = domain_reference(width, height, events)
+    if message is None:
+        assert as_tuples(EventStream(width, height, *columns)) == sorted(events, key=lambda e: e[0])
+    else:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            EventStream(width, height, *columns)
 
 
 class TestBinaryErrors:
@@ -342,7 +423,7 @@ class TestSimulateOrder:
     def test_heap_peak_per_event(self):
         """Narrow temporaries: the simulator peaked at 138 bytes per event
         on this pair (195k events) when it built int64 columns in raster
-        order and sorted them by time, and peaks near 49 now."""
+        order and sorted them by time, and peaks near 38 now."""
         a, b = seeded_pair()
         tracemalloc.start()
         try:

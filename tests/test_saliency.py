@@ -224,6 +224,15 @@ def blank_patches_loop(image, mask, p, fill):
     return out
 
 
+def blank_kron(image, bits, p, fill):
+    """Reference for apply_mask_to_image: the bits expanded to pixels by np.kron,
+    every pixel beyond the grid kept, then one np.where."""
+    keep = np.ones(image.shape[:2], dtype=bool)
+    rows, cols = bits.shape
+    keep[: rows * p, : cols * p] = np.kron(bits, np.ones((p, p), dtype=np.uint8)) == 1
+    return np.where(keep[:, :, None], image, np.asarray(fill, dtype=image.dtype))
+
+
 class TestPatchMask:
     def test_float_bits_of_zero_and_one_are_kept(self):
         mask = PatchMask(np.ones((2, 2)), 1.0)
@@ -258,6 +267,24 @@ class TestApplyMask:
             got = apply_mask_to_image(img, mask, p, fill)
             want = blank_patches_loop(img, mask, p, fill)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 3, 16])
+    @pytest.mark.parametrize("fill", [(0, 0, 0), (255, 7, 128)])
+    @pytest.mark.parametrize("bits", ["random", "all_kept", "all_dropped"])
+    @pytest.mark.parametrize("layout", ["uint8", "float64", "reversed_view"])
+    def test_matches_kron_expanded_reference(self, p, fill, bits, layout):
+        rng = np.random.default_rng(p)
+        rows, cols = 3, 4
+        # a margin of 2 rows and 1 column beyond the grid
+        image = rng.integers(0, 256, (rows * p + 2, cols * p + 1, 3), dtype=np.uint8)
+        image = {"uint8": image, "float64": image.astype(np.float64),
+                 "reversed_view": image[:, ::-1]}[layout]
+        mask_bits = {"random": rng.integers(0, 2, (rows, cols)),
+                     "all_kept": np.ones((rows, cols), dtype=np.uint8),
+                     "all_dropped": np.zeros((rows, cols), dtype=np.uint8)}[bits]
+        got = apply_mask_to_image(image, PatchMask(mask_bits, 0.5), p, fill)
+        want = blank_kron(image, mask_bits, p, fill)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_all_ones_is_identity(self):
         rng = np.random.Generator(np.random.PCG64(37))

@@ -28,3 +28,15 @@ def test_cost_table(tmp_path):
     proc = run_script("cost_table.py", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "qwen2vl_2b_like" in proc.stdout
+
+
+def test_bench_pairs_smoke(tmp_path):
+    proc = run_script("bench_pairs.py", str(REPO), str(REPO), "--workload", "simulate_mask",
+                      "--pairs", "1", "--smoke", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("pair 0 seed 0 ") for line in lines) == 2
+    table = {line.split()[0]: line for line in lines[lines.index("") + 3:]}
+    assert set(table) == {"frames_per_s", "frame_p50_s", "frame_tail_s", "setup_s",
+                          "peak_rss_mib", "ok_frac"}
+    assert table["ok_frac"].split()[2] == "1"
