@@ -11,7 +11,10 @@ verify     run the built-in invariant suites
 Exit codes: 0 success, 1 validation error, 2 format or I/O error,
 3 verification failure. Every successful run prints a deterministic
 manifest (key=value lines, no timestamps): identical inputs and flags
-give byte-identical outputs and manifests.
+give byte-identical outputs and manifests. A number flag outside the
+grammar of ``errors.integer`` and ``errors.real`` exits 2 with argparse's
+usage message; one in it but outside its domain (``--tau 1.5``) exits 1,
+as does any fault in ``--window``, ``--fill`` or ``--image-size``.
 
 Sparsity conventions: ``mask``/``encode`` take the RETAINED fraction;
 ``flops`` takes the DROPPED fraction (``--tau-dropped`` is an explicit
@@ -40,11 +43,10 @@ from .encoder import (
     merge_project,
     patchify,
 )
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, integer, real
 from .events import (
     EVT1_MAGIC,
     EventStream,
-    _is_int,
     accumulate,
     read_events_bin,
     read_events_csv,
@@ -86,15 +88,6 @@ def _read_event_file(path: str) -> EventStream:
     return read_events_bin(data) if data[:4] == EVT1_MAGIC else read_events_csv(data)
 
 
-def _ints(fields: list[str]) -> tuple[int, ...]:
-    """Integers in the ASCII-decimal grammar that every file reader takes; a
-    ValueError for any other spelling, such as "1_0" or non-ASCII digits,
-    which ``int`` alone would take."""
-    if not all(map(_is_int, fields)):
-        raise ValueError
-    return tuple(map(int, fields))  # a ValueError beyond 4300 digits
-
-
 def _parse_window(text: str | None, stream: EventStream) -> tuple[int, int]:
     if text is None:
         return stream.extent_us()
@@ -102,27 +95,23 @@ def _parse_window(text: str | None, stream: EventStream) -> tuple[int, int]:
     if not sep:
         raise ValidationError(f"window must be 't0:t1' in microseconds, got {text!r}")
     try:
-        t0, t1 = _ints([left, right])
+        return integer(left), integer(right)
     except ValueError:
         raise ValidationError(f"window bounds must be integers, got {text!r}") from None
-    return t0, t1
 
 
 def _parse_size(text: str) -> tuple[int, int]:
-    left, sep, right = text.lower().partition("x")
+    left, _, right = text.lower().partition("x")
     try:
-        if not sep:
-            raise ValueError
-        height, width = _ints([left, right])
+        return integer(left), integer(right)  # no "x" leaves right empty
     except ValueError:
         raise ValidationError(
             f"image size must be HxW (e.g. 448x448), got {text!r}") from None
-    return height, width
 
 
 def _parse_fill(text: str) -> tuple[int, int, int]:
     try:
-        vals = _ints(text.split(","))
+        vals = tuple(map(integer, text.split(",")))
     except ValueError:
         raise ValidationError(f"fill must be R,G,B bytes, got {text!r}") from None
     check_fill(vals)
@@ -308,9 +297,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="two PPM frames -> EVT1 events")
     p.add_argument("frame_a")
     p.add_argument("frame_b")
-    p.add_argument("--contrast", type=float, required=True,
+    p.add_argument("--contrast", type=real, required=True,
                    help="log-intensity threshold per event")
-    p.add_argument("--duration-us", type=int, required=True,
+    p.add_argument("--duration-us", type=integer, required=True,
                    help="window length the events are spread over")
     p.add_argument("--out", required=True, help="output EVT1 path")
     p.set_defaults(func=cmd_simulate)
@@ -318,10 +307,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mask", help="image + events -> retention mask")
     p.add_argument("image")
     p.add_argument("events", help="CSV or EVT1 event file")
-    p.add_argument("--tau", type=float, required=True,
+    p.add_argument("--tau", type=real, required=True,
                    help="fraction of patches to RETAIN")
-    p.add_argument("--patch-size", type=int, required=True)
-    p.add_argument("--merge-size", type=int, default=1,
+    p.add_argument("--patch-size", type=integer, required=True)
+    p.add_argument("--merge-size", type=integer, default=1,
                    help="retention granularity in patches per side")
     p.add_argument("--window", default=None, help="t0:t1 microseconds")
     p.add_argument("--fill", default="0,0,0", help="R,G,B for dropped patches")
@@ -332,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="image + events -> merged features")
     p.add_argument("image")
     p.add_argument("events", help="CSV or EVT1 event file")
-    p.add_argument("--tau", type=float, default=1.0,
+    p.add_argument("--tau", type=real, default=1.0,
                    help="fraction of patches to RETAIN (packed/oracle modes)")
     p.add_argument("--config", required=True, help="encoder config file")
     p.add_argument("--mode", choices=("dense", "packed", "oracle"), default="packed")
@@ -344,10 +333,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True,
                    help="profile file path or shipped name (e.g. qwen2vl_2b_like)")
     p.add_argument("--image-size", required=True, help="HxW pixels")
-    p.add_argument("--tau", "--tau-dropped", type=float, default=0.0, dest="tau",
+    p.add_argument("--tau", "--tau-dropped", type=real, default=0.0, dest="tau",
                    help="fraction of visual tokens DROPPED")
-    p.add_argument("--text-tokens", type=int, default=0)
-    p.add_argument("--decode", type=int, default=0)
+    p.add_argument("--text-tokens", type=integer, default=0)
+    p.add_argument("--decode", type=integer, default=0)
     p.add_argument("--baseline", action="store_true",
                    help="also print the dense report and reductions")
     p.add_argument("--json", action="store_true", help="structured output")

@@ -2,10 +2,11 @@
 
 Every public entry point returns a value or raises ValidationError (CLI exit 1) or
 FormatError (CLI exit 2). It takes each array argument through ``real_array``, each
-integer argument through ``as_size`` and each record argument through ``as_record``
-before it compares or converts the value, and quotes it in a message through ``shown``.
-A record holds each array only through ``sealed``, so no caller can make it writable
-again and break the laws its constructor checked.
+integer argument through ``as_size``, each record argument through ``as_record`` and
+each number in text through ``integer`` or ``real`` before it compares or converts the
+value, and quotes it in a message through ``shown``. A record holds each array only
+through ``sealed``, so no caller can make it writable again and break the laws its
+constructor checked.
 """
 
 import operator
@@ -51,6 +52,27 @@ def as_size(value, name: str, least: int | None = 1) -> int:
     if least is not None and value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def is_integer(text: str) -> bool:
+    """``text`` is an optionally signed ASCII decimal, padded with whitespace."""
+    digits = text.strip()
+    return text.isascii() and (digits[1:] if digits[:1] in ("+", "-") else digits).isdigit()
+
+
+def integer(text: str) -> int:
+    """``text``'s value if ``is_integer`` takes it (not "1_0" or non-ASCII digits,
+    which ``int`` takes); else a ValueError, as also beyond 4300 digits."""
+    if not is_integer(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def real(text: str) -> float:
+    """The float of an ASCII ``text`` with no "_" that ``float`` takes, else a ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a real number: {text!r}")
+    return float(text)
 
 
 def as_record(value, cls: type, name: str):

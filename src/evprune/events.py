@@ -25,14 +25,13 @@ are skipped. The file may start with directive lines ``# width W`` and
 max(x)+1, max(y)+1. The first non-empty line after the directives is a
 header, and is skipped, unless its first field, stripped, starts with a
 digit, ``+`` or ``-``. Every other non-empty line is ``t_us,x,y,p``: four
-ASCII decimal integers that fit int64, each with an optional sign and
-padding of spaces or tabs (``np.loadtxt`` also strips U+001F, the one
-other whitespace character a line can hold). A directive's ``#``, name
-and value are separated by spaces or tabs, and its value is a
-non-negative integer spelled the same way. Polarity is given as -1/1 or
-0/1, with 0 mapped to -1. The body is parsed in one numpy call. A
-malformed row anywhere in it is reported, with its line number, before
-any event outside the domain; of those, the first in the file is named.
+integers in the grammar of ``errors.integer`` that fit int64, padded with
+spaces or tabs if at all (``np.loadtxt`` also strips U+001F, the one other
+whitespace a line can hold). A directive's ``#``, name and value are
+separated by spaces or tabs; its value is a non-negative integer in the
+same grammar. Polarity is -1/1 or 0/1, 0 mapped to -1. The body is parsed
+in one numpy call; its first malformed row, or else its first event
+outside the domain, is reported with its line number.
 
 EVT1 binary: 16-byte header
 
@@ -67,7 +66,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, as_record, as_size, real_array, sealed, shown
+from .errors import (FormatError, ValidationError, as_record, as_size, integer, is_integer,
+                     real_array, sealed, shown)
 
 EVT1_MAGIC = b"EVT1"
 EVT1_VERSION = 1
@@ -260,9 +260,7 @@ def _csv_directives(lines: list[str]) -> tuple[int | None, int | None, int]:
         if not (len(parts) == 3 and parts[0] == "#" and parts[1] in ("width", "height")):
             break
         try:
-            if not _is_int(parts[2]):
-                raise ValueError
-            value = int(parts[2])  # a ValueError beyond 4300 digits
+            value = integer(parts[2])
         except ValueError:
             raise FormatError(f"line {idx + 1}: bad {parts[1]} directive") from None
         dims[parts[1]] = as_size(value, f"line {idx + 1}: {parts[1]}", 0)
@@ -309,17 +307,9 @@ def _csv_row_error(body: list[str], first: int) -> Exception:
     where = f"line {first + lo + 1}"
     if len(fields) != 4:
         return FormatError(f"{where}: expected 4 fields, got {len(fields)}")
-    if all(map(_is_int, fields)):
+    if all(map(is_integer, fields)):
         return ValidationError(f"{where}: value does not fit int64 in {body[lo]!r}")
     return FormatError(f"{where}: non-integer field in {body[lo]!r}")
-
-
-def _is_int(field: str) -> bool:
-    """A padded, optionally signed ASCII decimal integer of any size."""
-    digits = field.strip()
-    if digits.startswith(("+", "-")):
-        digits = digits[1:]
-    return field.isascii() and digits.isdigit()
 
 
 def write_events_bin(stream: EventStream) -> bytearray:

@@ -2,7 +2,8 @@
 
 One assignment per line. Blank lines and lines starting with ``#`` are
 ignored. Keys may be dotted (``vit.d_model``). Keys and their ``int`` or
-``float`` value types are the field names and annotations of a record.
+``float`` value types are the field names and annotations of a record,
+and ``errors.integer`` and ``errors.real`` read the values.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections.abc import Collection
 from dataclasses import fields
 from types import MappingProxyType
 
-from .errors import FormatError, ValidationError, shown
+from .errors import FormatError, ValidationError, integer, real, shown
 
 
 def decode_ascii(data: bytes, what: str) -> str:
@@ -44,10 +45,10 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-# A record field's annotation (text, as annotations are postponed) -> the
-# type that parses its value, the word for such a value, and the values the
-# field holds (never a bool, though bool is an int).
-_TYPES = {"int": (int, "integer", numbers.Integral), "float": (float, "number", numbers.Real)}
+# A field's annotation (text, as annotations are postponed) -> the type its value is
+# stored as, its text's reader, a word for it and the values it holds (never a bool).
+_TYPES = {"int": (int, integer, "integer", numbers.Integral),
+          "float": (float, real, "number", numbers.Real)}
 
 
 @functools.cache
@@ -66,11 +67,11 @@ def check_field_types(record) -> None:
     numpy scalar. Records call this first in ``__post_init__``."""
     for name, annotation in record_keys(type(record), "").items():
         value = getattr(record, name)
-        parse, noun, kind = _TYPES[annotation]
+        store, _, noun, kind = _TYPES[annotation]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValidationError(f"field {name}: expected {noun}, got {shown(value)}")
         try:
-            object.__setattr__(record, name, parse(value))
+            object.__setattr__(record, name, store(value))
         except OverflowError:
             raise ValidationError(f"field {name}: {shown(value)} is beyond float range") from None
 
@@ -88,9 +89,9 @@ def parse_record(kv: dict[str, str], cls: type, prefix: str):
     """Build ``cls`` from checked ``kv``, parsing its fields in declaration order."""
     values = []
     for key, annotation in record_keys(cls, prefix).items():
-        parse, noun, _ = _TYPES[annotation]
+        _, read, noun, _ = _TYPES[annotation]
         try:
-            values.append(parse(kv[key]))
+            values.append(read(kv[key]))
         except ValueError:
             raise FormatError(f"key {key}: expected {noun}, got {kv[key]!r}") from None
         if annotation == "float" and not math.isfinite(values[-1]):

@@ -10,8 +10,8 @@ units are ordered by (score descending, raster index ascending) and the
 first ceil(tau * N) are kept. This makes cardinality exact, retained sets
 nested across tau, and tie-breaking deterministic.
 
-Mask text format: first line ``rows cols tau``, then ``rows`` lines of
-``cols`` space-separated 0/1 digits.
+Mask text format: first line ``rows cols tau``, read by ``errors.integer``
+and ``errors.real``, then ``rows`` lines of ``cols`` space-separated 0/1 bits.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, as_record, as_size, real_array, sealed, shown
+from .errors import (
+    FormatError, ValidationError, as_record, as_size, integer, real, real_array, sealed, shown)
 from .events import EventFrame
 
 # Tolerance for tau*n landing a hair above an integer due to binary
@@ -85,6 +86,7 @@ class PatchMask:
         if not np.all((raw == 0) | (raw == 1)):
             raise ValidationError("mask bits must be 0 or 1")
         check_tau(self.tau)
+        object.__setattr__(self, "tau", float(self.tau))  # mask_to_text writes its repr
         object.__setattr__(self, "bits", sealed(np.array(raw, dtype=np.uint8)))
 
     @property
@@ -179,18 +181,14 @@ def mask_from_text(text: str) -> PatchMask:
     if len(head) != 3:
         raise FormatError("mask header must be 'rows cols tau'")
     try:
-        # int() would also take "1_0" and non-ASCII digits; mask_to_text writes neither
-        if not all(f.isascii() and f.isdigit() for f in head[:2]):
-            raise ValueError
-        rows, cols = int(head[0]), int(head[1])
-        tau = float(head[2])
+        rows, cols, tau = integer(head[0]), integer(head[1]), real(head[2])
     except ValueError:
         raise FormatError(f"bad mask header {lines[0]!r}") from None
-    if not (0 <= rows <= sys.maxsize and 0 <= cols <= sys.maxsize):
+    if not (0 <= rows <= len(text) and 0 <= cols <= sys.maxsize):  # a row per character
         raise FormatError(f"bad mask dimensions {rows}x{cols}")
-    if len(lines) != rows + 1:
-        raise FormatError(f"expected {rows} mask rows, got {len(lines) - 1}")
     body = [ln.split() for ln in lines[1:]]
+    if cols and len(body) != rows:  # the rows of a mask of no columns are blank lines
+        raise FormatError(f"expected {rows} mask rows, got {len(body)}")
     for u, fields in enumerate(body):
         if len(fields) != cols:
             raise FormatError(f"mask row {u}: expected {cols} bits, got {len(fields)}")

@@ -640,6 +640,33 @@ class TestParser:
         args = cli._PARSER.parse_args(calls[1])
         assert (args.merge_size, args.fill, args.window) == (1, "0,0,0", None)
 
+    # int() and float() take each of these spellings; errors.integer and errors.real none
+    @pytest.mark.parametrize("spelling", ["5_9", "\u0665\u0669", "0_3", "\u0660.\u0663"])
+    @pytest.mark.parametrize("subcommand, flag", [
+        ("simulate", "--contrast"), ("simulate", "--duration-us"), ("mask", "--tau"),
+        ("mask", "--patch-size"), ("mask", "--merge-size"), ("encode", "--tau"),
+        ("flops", "--tau"), ("flops", "--text-tokens"), ("flops", "--decode"),
+    ])
+    def test_number_flag_outside_the_grammar_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, subcommand, flag, spelling):
+        out = str(tmp_path / "out")
+        valid = {
+            "simulate": ["a.ppm", "b.ppm", "--contrast", "0.3", "--duration-us", "10",
+                         "--out", out],
+            "mask": ["img.ppm", "ev.csv", "--tau", "0.5", "--patch-size", "16",
+                     "--out-mask", out],
+            "encode": ["img.ppm", "ev.csv", "--config", "enc.cfg", "--out", out],
+            "flops": ["--profile", "qwen2vl_2b_like", "--image-size", "8x8"],
+        }[subcommand]
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, *valid, flag, spelling])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "usage: evprune " + subcommand in captured.err
+        assert f"argument {flag}" in captured.err and f"{spelling!r}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEntryPoint:
     def test_console_script_runs(self):

@@ -88,6 +88,11 @@ class TestCsv:
         with pytest.raises(FormatError, match="^line 2: bad height directive$"):
             read_events_csv("# width 4\n# height " + "9" * 5000 + "\n0,0,0,1\n")
 
+    def test_field_beyond_int_conversion_does_not_fit_int64(self):
+        """In the integer grammar, so not a malformed row, though int() refuses it."""
+        with pytest.raises(ValidationError, match="^line 2: value does not fit int64 in "):
+            read_events_csv("0,0,0,1\n" + "9" * 5000 + ",0,0,1\n")
+
     def test_directive_beyond_4096_bits_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="^line 1: width must fit 4096 bits"):
             read_events_csv("# width " + "9" * 2000 + "\n0,0,0,1\n")

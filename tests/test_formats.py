@@ -270,6 +270,19 @@ class TestDocumentKeys:
     # vit dimensions are validated before any llm value is parsed: exit 1, not 2
     (costmodel.load_arch_profile, VALID_PROFILE, {"vit.d_model": "0", "llm.d_model": "x"},
      ValidationError, "all encoder dimensions must be >= 1"),
+    # int() and float() take these spellings; errors.integer and errors.real do not
+    (load_encoder_config, VALID_ENCODER, {"patch_size": "1_16"},
+     FormatError, "key patch_size: expected integer, got '1_16'"),
+    (load_encoder_config, VALID_ENCODER, {"mlp_ratio": "\u0664.0"},
+     FormatError, "key mlp_ratio: expected number, got '\u0664.0'"),
+    (load_encoder_config, VALID_ENCODER, {"mlp_ratio": "4_0.0"},
+     FormatError, "key mlp_ratio: expected number, got '4_0.0'"),
+    (costmodel.load_arch_profile, VALID_PROFILE, {"vit.patch_size": "1_16"},
+     FormatError, "key vit.patch_size: expected integer, got '1_16'"),
+    (costmodel.load_arch_profile, VALID_PROFILE, {"llm.mlp_ratio": "\u0664.0"},
+     FormatError, "key llm.mlp_ratio: expected number, got '\u0664.0'"),
+    (costmodel.load_arch_profile, VALID_PROFILE, {"vit.mlp_ratio": "4_0.0"},
+     FormatError, "key vit.mlp_ratio: expected number, got '4_0.0'"),
 ])
 def test_loader_error_precedence(load, valid, edits, error, message):
     kv = {key: value for key, value in {**valid, **edits}.items() if value is not None}
@@ -303,7 +316,9 @@ class TestReaderFuzz:
 
     @pytest.mark.parametrize("text", ["1 -1 0.5\n1\n", "1 100000000000 0.5\n1\n",
                                       "0 99999999999999999999 0.5\n",
-                                      "1_0 1 0.5\n" + "1\n" * 10, "\u0661 1 0.5\n1\n"])
+                                      "1_0 1 0.5\n" + "1\n" * 10, "\u0661 1 0.5\n1\n",
+                                      "1 1 0_5\n1\n", "1 1 \u0660.\u0665\n1\n",
+                                      "100000000000 0 0.5\n"])
     def test_mask_header_checked_before_allocation(self, text):
         with pytest.raises(FormatError):
             mask_from_text(text)

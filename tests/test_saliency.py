@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -332,10 +333,20 @@ class TestApplyMask:
 class TestMaskText:
     def test_roundtrip(self):
         bits = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8)
-        mask = PatchMask(bits, 0.5)
-        back = mask_from_text(mask_to_text(mask))
-        assert np.array_equal(back.bits, bits)
-        assert back.tau == 0.5
+        # a mask holds its tau as a float, so the header never spells a numpy
+        # scalar or Fraction repr such as np.float64(0.5), which the reader refuses
+        for tau in [0.5, np.float64(0.5), np.float32(0.3), Fraction(1, 2), 1]:
+            text = mask_to_text(PatchMask(bits, tau))
+            assert text.startswith(f"2 3 {float(tau)!r}\n")
+            back = mask_from_text(text)
+            assert np.array_equal(back.bits, bits)
+            assert type(back.tau) is float and back.tau == float(tau)
+        # a mask of no columns is written as blank rows, which the reader skips
+        empty = mask_to_text(PatchMask(np.zeros((2, 0)), 0.5))
+        assert empty == "2 0 0.5\n\n\n"
+        assert mask_from_text(empty).bits.shape == (2, 0)
+        # the header's integers are read by errors.integer, which takes a sign
+        assert mask_from_text("+2 1 0.5\n1\n0\n").bits.tolist() == [[1], [0]]
 
     def test_rejects_wrong_row_count(self):
         with pytest.raises(FormatError):
