@@ -9,7 +9,7 @@ the pairs it won (strictly better, per BENCHMARK.json's ``better``; ties
 count for neither). ``gain`` is yes when the change won at least nine
 tenths of the pairs and its median is better than the base's by more
 than the distance between the base's quartiles: the rule a claimed gain
-must meet. Run from anywhere:
+must meet. Run from anywhere, with the package installed (``pip install -e .``):
 
     python3 scripts/bench_pairs.py BASE_TREE CHANGE_TREE --workload simulate_mask \\
         --pairs 10 --seconds 24 --seed-base 700
@@ -23,6 +23,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from evprune.errors import integer, real
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
@@ -49,9 +51,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("base", type=Path, help="source tree of the parent commit")
     ap.add_argument("change", type=Path, help="source tree of the change")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=24.0)
-    ap.add_argument("--seed-base", type=int, default=0)
+    ap.add_argument("--pairs", type=integer, default=10)
+    ap.add_argument("--seconds", type=real, default=24.0)
+    ap.add_argument("--seed-base", type=integer, default=0)
     ap.add_argument("--smoke", action="store_true", help="framebench's tiny smoke runs")
     args = ap.parse_args(argv)
     if args.pairs < 1:

@@ -12,15 +12,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 
-from evprune.costmodel import WorkloadSpec, compare, estimate, load_shipped_profile, shipped_profile_names
+from evprune.costmodel import (WorkloadSpec, compare, estimate, load_shipped_profile,
+                               shipped_profile_names)
+from evprune.errors import integer, real
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--image-size", type=int, default=392, help="square image edge, pixels")
-    ap.add_argument("--text-tokens", type=int, default=59)
-    ap.add_argument("--decode", type=int, default=0)
-    ap.add_argument("--dropped", type=float, nargs="+", default=[0.3, 0.5, 0.7])
+    ap.add_argument("--image-size", type=integer, default=392, help="square image edge, pixels")
+    ap.add_argument("--text-tokens", type=integer, default=59)
+    ap.add_argument("--decode", type=integer, default=0)
+    ap.add_argument("--dropped", type=real, nargs="+", default=[0.3, 0.5, 0.7])
     args = ap.parse_args()
 
     for name in shipped_profile_names():

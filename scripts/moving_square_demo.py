@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from evprune.errors import integer, real
 from evprune.events import accumulate, simulate_events, write_events_bin
 from evprune.ppm import to_gray01, write_ppm
 from evprune.saliency import apply_mask_to_image, mask_to_text, patch_scores, quantile_mask
@@ -28,11 +29,11 @@ def scene(size: int, square: int, x0: int, y0: int) -> np.ndarray:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", default="demo_out")
-    ap.add_argument("--size", type=int, default=128, help="scene edge, pixels")
-    ap.add_argument("--square", type=int, default=32, help="square edge, pixels")
-    ap.add_argument("--patch-size", type=int, default=16)
-    ap.add_argument("--contrast", type=float, default=0.3)
-    ap.add_argument("--tau", type=float, default=None,
+    ap.add_argument("--size", type=integer, default=128, help="scene edge, pixels")
+    ap.add_argument("--square", type=integer, default=32, help="square edge, pixels")
+    ap.add_argument("--patch-size", type=integer, default=16)
+    ap.add_argument("--contrast", type=real, default=0.3)
+    ap.add_argument("--tau", type=real, default=None,
                     help="retained fraction (default: twice the square's area share)")
     args = ap.parse_args()
 

@@ -52,10 +52,13 @@ The next layer starts on the lane's own rows, so two barriers suffice.
 Lane 0 is the calling thread; the other lanes' threads end before the
 forward returns, and the first error a lane raises is raised to the
 caller. The lane count is the CPUs the process may use divided by BLAS's
-thread count (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, read at import;
-unset or not a positive integer means BLAS uses every CPU), at most half
-the number of attention blocks and at least 1. So a default run has one
-lane, no thread and no barrier, while OPENBLAS_NUM_THREADS=1 on an N-CPU
+thread count, at most half the number of attention blocks and at least 1.
+The thread count is read at import as OpenBLAS reads it: the first
+positive value of OPENBLAS_NUM_THREADS, OPENBLAS_DEFAULT_NUM_THREADS,
+GOTO_NUM_THREADS and OMP_NUM_THREADS, each read with C's atoi (leading
+whitespace, a sign and the digits after it, so " 1", "+1" and "1x" are 1,
+and "abc" is unset); with none, BLAS uses every CPU. So a default run has
+one lane, no thread and no barrier, while OPENBLAS_NUM_THREADS=1 on an N-CPU
 host gives up to N lanes. A lane gets at least two blocks: with one
 each, the lane with the short last block idles at every layer's second
 barrier, and every lane waits for the slowest CPU. At n = 308 (blocks of
@@ -72,6 +75,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import re
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -332,14 +336,29 @@ def _block_rows(n: int, heads: int) -> int:
     return max(1, min(n, _TILE_BYTES // (8 * heads * n)))
 
 
+# The variables OpenBLAS takes its thread count from, the first positive one winning.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS", "GOTO_NUM_THREADS",
+                 "OMP_NUM_THREADS")
+_ATOI = re.compile(r"[ \t\n\v\f\r]*([+-]?)0*([0-9]*)")
+
+
+def _atoi(text: str) -> int:
+    """``text`` as glibc's ``atoi`` reads it: C whitespace, an optional sign and the
+    ASCII digits that follow, 0 if there are none; the value saturates at a C long
+    and is then cut to a 32-bit int."""
+    sign, digits = _ATOI.match(text).groups()
+    # 20 significant digits already exceed a C long, and int() takes no more than 4300.
+    value = min(max(int(sign + (digits[:20] or "0")), -2**63), 2**63 - 1)
+    return (value + 2**31) % 2**32 - 2**31
+
+
 def _idle_lanes(cpus: int, env: Mapping[str, str]) -> int:
     """Lanes that fit on the ``cpus`` BLAS leaves idle: ``cpus`` divided by
-    BLAS's thread count, ``OPENBLAS_NUM_THREADS`` or else ``OMP_NUM_THREADS``
-    in ``env``, and at least 1. A count that is unset or not a positive
-    integer means BLAS uses every CPU."""
-    threads = env.get("OPENBLAS_NUM_THREADS", env.get("OMP_NUM_THREADS", ""))
-    blas = int(threads) if threads.isdecimal() and int(threads) > 0 else cpus
-    return max(1, cpus // blas)
+    BLAS's thread count, and at least 1. OpenBLAS reads each of ``_BLAS_THREADS``
+    in ``env`` with ``atoi`` and takes the first positive value; with none, BLAS
+    uses every CPU."""
+    counts = (_atoi(env.get(name, "")) for name in _BLAS_THREADS)
+    return max(1, cpus // next((n for n in counts if n > 0), cpus))
 
 
 # Read once, as BLAS reads its thread count once when it is loaded. A

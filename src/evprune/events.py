@@ -10,8 +10,8 @@ Core objects
   validates them; it is the one place where events are sorted and
   checked against their domain. A few reductions over the copies decide
   every check (min and max of x, y and polarity, t[0] of the sorted
-  times), and the per-event pass that names the first bad event in time
-  order runs only for a stream they refuse. Every reader, writer and the
+  times), and the per-event pass that names the first bad event, in time
+  order, runs only for a stream they refuse. Every reader, writer and the
   simulator work on these columns directly; the simulator builds them
   already in time order, so its streams skip the sort.
 - EventFrame: event counts per cell: per pixel over a temporal window, or
@@ -31,7 +31,9 @@ whitespace a line can hold). A directive's ``#``, name and value are
 separated by spaces or tabs; its value is a non-negative integer in the
 same grammar. Polarity is -1/1 or 0/1, 0 mapped to -1. The body is parsed
 in one numpy call; its first malformed row, or else its first event
-outside the domain, is reported with its line number.
+outside the domain, is reported with its line number. The events go to one
+EventStream; if it refuses them, its per-event pass runs once more on the
+columns in file order to name the first bad line.
 
 EVT1 binary: 16-byte header
 
@@ -62,7 +64,6 @@ from __future__ import annotations
 import numbers
 import struct
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -147,7 +148,7 @@ class EventStream:
                 t[0] >= 0 and x.min() >= 0 and int(x.max()) < width
                 and y.min() >= 0 and int(y.max()) < height
                 and int(p.min()) >= -1 and int(p.max()) <= 1 and np.count_nonzero(p) == len(p)):
-            _refuse_first_bad(width, height, t, x, y, p)
+            raise ValidationError(_first_fault(width, height, t, x, y, p)[1])
         object.__setattr__(self, "sensor_width", width)
         object.__setattr__(self, "sensor_height", height)
         for name, col in zip(_COLUMNS, (t, x, y, p.astype(np.int8, copy=False))):
@@ -170,17 +171,16 @@ def _checked_column(values, name: str) -> np.ndarray:
     return arr
 
 
-def _refuse_first_bad(width: int, height: int, t, x, y, p) -> NoReturn:
-    """Raise the ValidationError naming the first event in time order outside the
-    domain: the per-event pass, run only on columns the reductions refused."""
+def _first_fault(width: int, height: int, t, x, y, p) -> tuple[int, str]:
+    """The index of the first event, in the columns' own order, outside the domain,
+    and the reason: the per-event pass, run only on columns the reductions refused."""
     out_of_bounds = (x < 0) | (x >= width) | (y < 0) | (y >= height)
-    i = np.flatnonzero((t < 0) | out_of_bounds | ((p != 1) & (p != -1)))[0]
+    i = int(np.flatnonzero((t < 0) | out_of_bounds | ((p != 1) & (p != -1)))[0])
     if t[i] < 0:
-        raise ValidationError(f"negative timestamp {int(t[i])}")
+        return i, f"negative timestamp {int(t[i])}"
     if out_of_bounds[i]:
-        raise ValidationError(
-            f"event at ({int(x[i])}, {int(y[i])}) outside sensor {width}x{height}")
-    raise ValidationError(f"polarity must be -1 or +1, got {int(p[i])}")
+        return i, f"event at ({int(x[i])}, {int(y[i])}) outside sensor {width}x{height}"
+    return i, f"polarity must be -1 or +1, got {int(p[i])}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,19 +236,12 @@ def read_events_csv(data: bytes | str) -> EventStream:
     width = max(int(x.max(initial=-1)), -1) + 1 if width is None else width  # 0 if all x < 0
     height = max(int(y.max(initial=-1)), -1) + 1 if height is None else height
 
-    def refusal(lo: int, hi: int) -> ValidationError | None:
-        try:
-            EventStream(width, height, t[lo:hi], x[lo:hi], y[lo:hi], p[lo:hi])
-        except ValidationError as exc:
-            return exc
-        return None
-
     try:
         return EventStream(width, height, t, x, y, p)
     except ValidationError:  # it names the first bad event in time order, not in the file
-        i = _first_rejected(len(t), refusal)
+        i, reason = _first_fault(width, height, t, x, y, p)
         line = first + [j for j, row in enumerate(body) if row][i] + 1
-        raise ValidationError(f"line {line}: {refusal(i, i + 1)}") from None
+        raise ValidationError(f"line {line}: {reason}") from None
 
 
 def _csv_directives(lines: list[str]) -> tuple[int | None, int | None, int]:
@@ -286,23 +279,17 @@ def _csv_rows(lines: list[str], is_ascii: bool = False) -> np.ndarray | None:
     return rows if rows.shape[1] == 4 else None
 
 
-def _first_rejected(n: int, rejects) -> int:
-    """The index of the first rejected one of ``n`` items, not all accepted, where
-    ``rejects(lo, hi)`` is truthy if any of items[lo:hi] is: a binary search for the
-    shortest rejected prefix, in ceil(log2(n)) calls on its still unchecked part."""
-    lo, hi = 0, n  # items[:lo] are accepted, items[:hi] are not
+def _csv_row_error(body: list[str], first: int) -> Exception:
+    """The error naming the first line that ``_csv_rows`` rejects in a ``body`` it
+    rejects, found by a binary search for the shortest rejected prefix: ceil(log2(n))
+    parses, each of the part still unchecked."""
+    lo, hi = 0, len(body)  # body[:lo] parses, body[:hi] does not
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if rejects(lo, mid):
+        if _csv_rows(body[lo:mid]) is None:
             hi = mid
         else:
             lo = mid
-    return lo
-
-
-def _csv_row_error(body: list[str], first: int) -> Exception:
-    """The error naming the first line that ``_csv_rows`` rejects in a ``body`` it rejects."""
-    lo = _first_rejected(len(body), lambda i, j: _csv_rows(body[i:j]) is None)
     fields = body[lo].split(",")
     where = f"line {first + lo + 1}"
     if len(fields) != 4:

@@ -3,8 +3,11 @@
 P6 layout: ASCII header ``P6``, width, height, maxval as whitespace
 separated tokens (``#`` comments allowed between them), one whitespace
 byte, then height*width*3 raw bytes. Only maxval <= 255 (one byte per
-sample) is supported. The writer emits a canonical header, so
-write -> read -> write is byte-identical.
+sample) is supported, and no sample may exceed maxval. The reader scales
+a sample v to 0..255 as (v * 255 + maxval // 2) // maxval, the nearest
+integer (halves rounded up), so maxval 255 reads the bytes unchanged. The
+writer emits a canonical header (maxval 255), so write -> read -> write is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def _tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
 
 
 def read_ppm(data: bytes) -> np.ndarray:
-    """Decode P6 bytes to a (height, width, 3) uint8 array."""
+    """Decode P6 bytes to a (height, width, 3) uint8 array of samples scaled to 0..255."""
     # the magic is the whole first header token
     if data[:2] != b"P6" or data[2:3] not in _WHITESPACE + b"#":
         raise FormatError("not a P6 PPM (bad magic)")
@@ -63,7 +66,14 @@ def read_ppm(data: bytes) -> np.ndarray:
     raster = data[offset:]
     if len(raster) != expected:
         raise FormatError(f"PPM raster is {len(raster)} bytes, expected {shown(expected)}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
+    samples = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
+    if maxval == 255:
+        return samples.copy()
+    if samples.max() > maxval:
+        i = int(np.flatnonzero(samples.ravel() > maxval)[0])
+        raise FormatError(f"PPM sample {samples.flat[i]} at pixel "
+                          f"({i // 3 % width}, {i // 3 // width}) exceeds maxval {maxval}")
+    return ((samples * np.uint16(255) + maxval // 2) // maxval).astype(np.uint8)
 
 
 def write_ppm(image: np.ndarray) -> bytes:

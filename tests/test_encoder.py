@@ -743,9 +743,23 @@ class TestLanes:
         (2, {"OPENBLAS_NUM_THREADS": "3"}, 1),
         (4, {"OMP_NUM_THREADS": "2"}, 2),
         (4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
-        (4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
         (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
         (64, {"OPENBLAS_NUM_THREADS": "1"}, 64),  # a forward caps it at half its blocks
+        # Each variable is read as C's atoi reads it, so OpenBLAS reads these as 1 ...
+        *((4, {"OPENBLAS_NUM_THREADS": text}, 4)
+          for text in (" 1", "\t1", "+1", "1x", "1,2", "1.5", "00001", "4294967297")),
+        # ... and these as unset.
+        *((4, {"OPENBLAS_NUM_THREADS": text}, 1)
+          for text in ("\u0664", "abc", "+-1", "0x1", "-0", "2147483648",
+                       "18446744073709551617", "9" * 5000)),
+        (4, {"OPENBLAS_NUM_THREADS": "-4294967295"}, 4),  # -(2**32 - 1), cut to 32 bits
+        # The first positive value wins, in OpenBLAS's order.
+        (4, {"OPENBLAS_NUM_THREADS": "2", "OPENBLAS_DEFAULT_NUM_THREADS": "1"}, 2),
+        (4, {"OPENBLAS_DEFAULT_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2"}, 4),
+        (4, {"OPENBLAS_DEFAULT_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2"}, 2),
+        (4, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4),
+        (4, {"GOTO_NUM_THREADS": "abc", "OMP_NUM_THREADS": "2"}, 2),
     ])
     def test_lane_count_is_the_cpus_blas_leaves_idle(self, cpus, env, lanes):
         before = threading.active_count()

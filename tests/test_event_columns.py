@@ -636,3 +636,19 @@ def test_valid_csv_builds_one_stream(monkeypatch):
     text = "".join(f"{(i * 7919) % 1000},{i % 40},{i % 30},{i % 2}\n" for i in range(1000))
     assert len(read_events_csv(text)) == 1000
     assert built == [1000]
+
+
+def test_refused_csv_builds_one_stream(monkeypatch):
+    built = []
+
+    def stream(*args):
+        built.append(len(args[2]))
+        return EventStream(*args)
+
+    monkeypatch.setattr(events, "EventStream", stream)
+    rows = [f"{(i * 7919) % 1000},{i % 40},{i % 30},{i % 2}\n" for i in range(1000)]
+    text = "# width 40\n# height 30\n" + "".join(rows[:-1]) + "5,40,0,1\n"
+    message = "^line 1002: event at \\(40, 0\\) outside sensor 40x30$"
+    with pytest.raises(ValidationError, match=message):
+        read_events_csv(text)
+    assert built == [1000]

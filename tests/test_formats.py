@@ -61,6 +61,33 @@ class TestPpm:
         with pytest.raises(FormatError):
             read_ppm(b"P6\n1 1\n65535\n" + bytes(6))
 
+    @pytest.mark.parametrize("maxval, samples, scaled", [
+        (15, [15, 15, 15], [255, 255, 255]),  # read as near-black before maxval was honoured
+        (15, [0, 7, 8], [0, 119, 136]),
+        (1, [0, 1, 0], [0, 255, 0]),
+        (2, [0, 1, 2], [0, 128, 255]),  # a half rounds up
+        (254, [0, 127, 254], [0, 128, 255]),
+        (255, [0, 127, 255], [0, 127, 255]),
+    ])
+    def test_samples_are_scaled_from_maxval(self, maxval, samples, scaled):
+        image = read_ppm(b"P6 1 1 %d\n" % maxval + bytes(samples))
+        assert image.dtype == np.uint8 and image.tolist() == [[scaled]]
+
+    def test_every_maxval_maps_its_full_range_onto_0_to_255(self):
+        for maxval in range(1, 256):
+            levels = np.repeat(np.arange(maxval + 1, dtype=np.uint8), 3)
+            image = read_ppm(b"P6 %d 1 %d\n" % (maxval + 1, maxval) + levels.tobytes())
+            expected = [(v * 255 + maxval // 2) // maxval for v in range(maxval + 1)]
+            assert image[0, :, 1].tolist() == expected
+            assert expected[0] == 0 and expected[-1] == 255
+
+    @pytest.mark.parametrize("maxval, sample", [(15, 200), (15, 16), (1, 2), (254, 255)])
+    def test_rejects_a_sample_above_maxval(self, maxval, sample):
+        raster = bytes([0, 0, 0, 0, 0, sample])  # pixel (1, 0), blue
+        with pytest.raises(FormatError, match=f"^PPM sample {sample} at pixel \\(1, 0\\) "
+                                              f"exceeds maxval {maxval}$"):
+            read_ppm(b"P6 2 1 %d\n" % maxval + raster)
+
     def test_rejects_truncated_raster(self):
         with pytest.raises(FormatError):
             read_ppm(b"P6\n2 2\n255\n" + bytes(11))

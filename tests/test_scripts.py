@@ -1,9 +1,13 @@
-"""The example scripts run end to end from a fresh directory."""
+"""The example scripts run end to end from a fresh directory, and read their number flags
+in the package's grammar."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -40,3 +44,30 @@ def test_bench_pairs_smoke(tmp_path):
     assert set(table) == {"frames_per_s", "frame_p50_s", "frame_tail_s", "setup_s",
                           "peak_rss_mib", "ok_frac"}
     assert table["ok_frac"].split()[2] == "1"
+
+
+@pytest.mark.parametrize("name, flag", [
+    ("cost_table.py", ["--text-tokens", "5_9"]),
+    ("cost_table.py", ["--dropped", "0_5"]),
+    ("moving_square_demo.py", ["--size", "٦٤"]),
+    ("moving_square_demo.py", ["--contrast", "0_3"]),
+    # An unknown workload, so that a run that takes the flag fails at once.
+    ("bench_pairs.py", [str(REPO), str(REPO), "--workload", "none", "--pairs", "1_0"]),
+])
+def test_number_flags_take_the_package_grammar(tmp_path, name, flag):
+    proc = run_script(name, *flag, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "invalid" in proc.stderr and proc.stdout == ""
+
+
+def test_no_argparse_flag_reads_numbers_with_int_or_float():
+    flags, found = 0, []
+    for path in [*(REPO / "src" / "evprune").rglob("*.py"), *(REPO / "scripts").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+                flags += 1
+                found += [f"{path.name}:{node.lineno}" for kw in node.keywords
+                          if kw.arg == "type" and isinstance(kw.value, ast.Name)
+                          and kw.value.id in ("int", "float")]
+    assert flags > 20  # the scan sees the CLI's and the scripts' flags
+    assert found == []
