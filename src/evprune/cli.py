@@ -65,9 +65,18 @@ from .saliency import (
 
 
 def _atomic_write(path: str, data: bytes) -> None:
-    """No partial files: write a uniquely named file beside the target and
-    rename it into place; on any failure the temporary file is removed."""
-    target = Path(path)
+    """Write ``data`` to ``path``, or to the file its links resolve to.
+
+    A missing path or a regular file gets no partial file: a uniquely named
+    file is written beside the resolved target and renamed into place, and on
+    any failure it is removed. Anything else (a FIFO, a device) is opened and
+    written in place, so that it is never replaced; a directory fails to open.
+    """
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        with open(target, "wb") as fh:
+            fh.write(data)
+        return
     tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -61,44 +61,41 @@ def mlp_width(d_model: int, mlp_ratio: float, what: str) -> int:
 
 
 @dataclass(frozen=True)
-class VitDims:
+class _StackDims:
+    """A transformer stack's shape: every ``int`` field >= 1 and mlp_ratio > 0.
+    A subclass names its stack in messages, by ``_noun`` and its key prefix ``_key``."""
+
     d_model: int
     n_layers: int
     n_heads: int
     mlp_ratio: float
+
+    def __post_init__(self):
+        check_field_types(self)
+        sizes = (getattr(self, name) for name, annotation in record_keys(type(self), "").items()
+                 if annotation == "int")
+        if min(sizes) < 1 or self.mlp_ratio <= 0:
+            raise ValidationError(f"all {self._noun} dimensions must be >= 1")
+        self.mlp_hidden  # refuses a width that is not finite
+
+    @property
+    def mlp_hidden(self) -> int:
+        return mlp_width(self.d_model, self.mlp_ratio, f"{self._key} d_model")
+
+
+@dataclass(frozen=True)
+class VitDims(_StackDims):
+    _noun = "encoder"
+    _key = "vit"
     patch_size: int
     merge_size: int
     channels: int
 
-    def __post_init__(self):
-        check_field_types(self)
-        dims = (self.d_model, self.n_layers, self.n_heads,
-                self.patch_size, self.merge_size, self.channels)
-        if any(v < 1 for v in dims) or self.mlp_ratio <= 0:
-            raise ValidationError("all encoder dimensions must be >= 1")
-        mlp_width(self.d_model, self.mlp_ratio, "vit d_model")
-
-    @property
-    def mlp_hidden(self) -> int:
-        return mlp_width(self.d_model, self.mlp_ratio, "vit d_model")
-
 
 @dataclass(frozen=True)
-class LlmDims:
-    d_model: int
-    n_layers: int
-    n_heads: int
-    mlp_ratio: float
-
-    def __post_init__(self):
-        check_field_types(self)
-        if min(self.d_model, self.n_layers, self.n_heads) < 1 or self.mlp_ratio <= 0:
-            raise ValidationError("all LLM dimensions must be >= 1")
-        mlp_width(self.d_model, self.mlp_ratio, "llm d_model")
-
-    @property
-    def mlp_hidden(self) -> int:
-        return mlp_width(self.d_model, self.mlp_ratio, "llm d_model")
+class LlmDims(_StackDims):
+    _noun = "LLM"
+    _key = "llm"
 
 
 @dataclass(frozen=True)

@@ -51,23 +51,18 @@ keys and values; then the out projection, MLP and residuals of its rows.
 The next layer starts on the lane's own rows, so two barriers suffice.
 Lane 0 is the calling thread; the other lanes' threads end before the
 forward returns, and the first error a lane raises is raised to the
-caller. The lane count is the CPUs the process may use divided by BLAS's
-thread count, at most half the number of attention blocks and at least 1.
-The thread count is read at import as OpenBLAS reads it: the first
-positive value of OPENBLAS_NUM_THREADS, OPENBLAS_DEFAULT_NUM_THREADS,
-GOTO_NUM_THREADS and OMP_NUM_THREADS, each read with C's atoi (leading
-whitespace, a sign and the digits after it, so " 1", "+1" and "1x" are 1,
-and "abc" is unset); with none, BLAS uses every CPU. So a default run has
-one lane, no thread and no barrier, while OPENBLAS_NUM_THREADS=1 on an N-CPU
-host gives up to N lanes. A lane gets at least two blocks: with one
-each, the lane with the short last block idles at every layer's second
-barrier, and every lane waits for the slowest CPU. At n = 308 (blocks of
-212 and 96 rows) two lanes spread the frame tail across benchmark runs
-about six times as wide as one lane on a shared 2-CPU machine. The block
-boundaries are those of one lane, fixed by (n, heads), because a block's
-shape sets its summation order; a lane's matmuls run over fewer rows than
-one lane's, which on this BLAS leaves every row's sums unchanged, and the
-tests pin the same bits for 1, 2 and 3 lanes.
+caller. With BLAS on every CPU, the default, one lane runs, with no
+thread and no barrier; OPENBLAS_NUM_THREADS=1 on an N-CPU host gives up
+to N lanes (``_idle_lanes`` reads the variables as OpenBLAS does). A lane
+gets at least two blocks: with one each, the lane with the short last
+block idles at every layer's second barrier, and every lane waits for the
+slowest CPU. At n = 308 (blocks of 212 and 96 rows) two lanes spread the
+frame tail across benchmark runs about six times as wide as one lane on a
+shared 2-CPU machine. The block boundaries are those of one lane, fixed
+by (n, heads), because a block's shape sets its summation order; a lane's
+matmuls run over fewer rows than one lane's, which on this BLAS leaves
+every row's sums unchanged, so every lane count gives the same bits, and
+the tests pin them for 1, 2 and 3 lanes.
 """
 
 from __future__ import annotations
@@ -98,8 +93,7 @@ _LN_EPS = 1e-5
 _TILE_BYTES = 2 * 1024 * 1024
 
 # Upper bound on the number of weights init_weights draws, checked when a
-# config is built. At the cap the float64 weights take 512 MiB, plus one
-# temporary copy of the largest matrix while it is scaled.
+# config is built. At the cap the float64 weights take 512 MiB.
 MAX_ENCODER_PARAMS = 2**26
 
 
@@ -185,9 +179,9 @@ class LayerWeights:
 
 @dataclass(frozen=True, eq=False)
 class EncoderWeights:
-    """The weights of ``config``, drawn as init_weights documents into one
-    flat buffer, in place; the record holds views of it sealed as one
-    (``errors.sealed``, never writable again), and no array a caller made."""
+    """The weights of ``config``, drawn as init_weights documents, each array
+    sealed as it is drawn (``errors.sealed``, never writable again); the
+    record holds no array a caller made."""
 
     config: EncoderConfig
     w_embed: np.ndarray = _param("patch_dim", "d_model", init=False)
@@ -200,9 +194,8 @@ class EncoderWeights:
 
     def __post_init__(self):
         config = as_record(self.config, EncoderConfig, "config")
-        flat = np.empty(_weight_count(config))
         rng = np.random.Generator(np.random.PCG64(config.seed))
-        for name, value in _draw(EncoderWeights, config, rng, flat, sealed(flat))[0].items():
+        for name, value in _draw(EncoderWeights, config, rng).items():
             object.__setattr__(self, name, value)
 
 
@@ -250,29 +243,23 @@ def init_weights(config: EncoderConfig) -> EncoderWeights:
 _drawn = functools.lru_cache(maxsize=1)(EncoderWeights)
 
 
-def _draw(record: type, config: EncoderConfig, rng: np.random.Generator,
-          flat: np.ndarray, sealed: np.ndarray, at: int = 0) -> tuple[dict, int]:
-    """The weights of a ``record`` drawn into ``flat[at:]``, by field name,
-    as the matching views of ``sealed``, and the offset just past them."""
+def _draw(record: type, config: EncoderConfig, rng: np.random.Generator) -> dict:
+    """The weights of a ``record``, by field name, each drawn, scaled and sealed in turn."""
     values = {}
     for f in _weight_fields(record):
         if "per_layer" in f.metadata:
-            layers, layer_type = [], f.metadata["per_layer"]
-            for _ in range(config.n_layers):
-                layer, at = _draw(layer_type, config, rng, flat, sealed, at)
-                layers.append(layer_type(**layer))
-            values[f.name] = tuple(layers)
+            layer = f.metadata["per_layer"]
+            values[f.name] = tuple(layer(**_draw(layer, config, rng))
+                                   for _ in range(config.n_layers))
             continue
         shape = _shape(f, config)
-        end = at + math.prod(shape)
-        # In place, with the bits of ``standard_normal(shape) * scale`` (+ 1.0).
-        z = rng.standard_normal(out=flat[at:end].reshape(shape))
+        # Scaled in place, with the bits of ``standard_normal(shape) * scale`` (+ 1.0).
+        z = rng.standard_normal(shape)
         z *= 1.0 / np.sqrt(shape[0]) if len(shape) == 2 else 0.02
         if f.metadata["gain"]:
             z += 1.0
-        values[f.name] = sealed[at:end].reshape(shape)
-        at = end
-    return values, at
+        values[f.name] = sealed(z)
+    return values
 
 
 def _check_drawn_for(weights: EncoderWeights, config: EncoderConfig) -> None:
@@ -336,7 +323,6 @@ def _block_rows(n: int, heads: int) -> int:
     return max(1, min(n, _TILE_BYTES // (8 * heads * n)))
 
 
-# The variables OpenBLAS takes its thread count from, the first positive one winning.
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS", "GOTO_NUM_THREADS",
                  "OMP_NUM_THREADS")
 _ATOI = re.compile(r"[ \t\n\v\f\r]*([+-]?)0*([0-9]*)")
@@ -355,8 +341,8 @@ def _atoi(text: str) -> int:
 def _idle_lanes(cpus: int, env: Mapping[str, str]) -> int:
     """Lanes that fit on the ``cpus`` BLAS leaves idle: ``cpus`` divided by
     BLAS's thread count, and at least 1. OpenBLAS reads each of ``_BLAS_THREADS``
-    in ``env`` with ``atoi`` and takes the first positive value; with none, BLAS
-    uses every CPU."""
+    in ``env``, in that order, with ``atoi`` and takes the first positive value;
+    with none, BLAS uses every CPU."""
     counts = (_atoi(env.get(name, "")) for name in _BLAS_THREADS)
     return max(1, cpus // next((n for n in counts if n > 0), cpus))
 

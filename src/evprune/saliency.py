@@ -153,6 +153,9 @@ def apply_mask_to_image(
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValidationError("image must have shape (H, W, 3)")
     check_fill(fill)
+    value = np.asarray(fill).astype(img.dtype)
+    if (value != np.asarray(fill)).any():
+        raise ValidationError(f"fill {fill!r} does not fit an image of dtype {img.dtype}")
     p = as_size(patch_size, "patch size")
     if img.shape[0] < mask.rows * p or img.shape[1] < mask.cols * p:
         raise ValidationError(
@@ -163,7 +166,7 @@ def apply_mask_to_image(
     # (rows, cols, p, p*3): a patch's p pixel rows, each one run of p*3 values,
     # so the fill is written a whole patch row at a time.
     grid = out[: mask.rows * p, : mask.cols * p].reshape(mask.rows, p, mask.cols, p * 3)
-    grid.swapaxes(1, 2)[mask.bits == 0] = np.tile(np.asarray(fill, dtype=img.dtype), p)
+    grid.swapaxes(1, 2)[mask.bits == 0] = np.tile(value, p)
     return out
 
 

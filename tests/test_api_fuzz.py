@@ -48,8 +48,8 @@ def near_valid(value) -> list:
         with_nan.flat[0] = np.nan
         rows = value.tolist()
         ragged = [rows[0], rows[0][:-1]] if value.ndim > 1 else [rows[0], rows[:1]]
-        return [value.astype(np.float64) + 0.5, value.astype(np.int64), with_nan,
-                -value.astype(np.int64) - 1, value[0], value[None], value[:0],
+        return [value.astype(np.float64) + 0.5, value.astype(np.int64), value.astype(np.int8),
+                with_nan, -value.astype(np.int64) - 1, value[0], value[None], value[:0],
                 value.ravel()[0], rows, ragged, value.astype(str),
                 value.astype(np.complex128), value.astype(object)]
     if isinstance(value, dict):

@@ -1,3 +1,5 @@
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -516,6 +518,42 @@ class TestAtomicWrite:
         assert code == 0
         assert (out_dir / "ev.evt1.tmp").read_bytes() == b"keep"
         assert sorted(p.name for p in out_dir.iterdir()) == ["ev.evt1", "ev.evt1.tmp"]
+
+    def test_symlinked_output_keeps_its_link_and_updates_its_target(
+            self, square_pair, tmp_path, capsys):
+        # the rename replaced the link with a regular file and left the target stale
+        real, link = tmp_path / "real.evt1", tmp_path / "link.evt1"
+        real.write_bytes(b"stale")
+        link.symlink_to(real.name)
+        code, _, _ = self.simulate(capsys, square_pair, link)
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_bytes()[:4] == events.EVT1_MAGIC
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [real.name, link.name, *(p.name for p in square_pair)])
+
+    def test_fifo_output_stays_a_fifo_and_yields_the_dump(self, square_events, tmp_path,
+                                                          capsys):
+        # the rename replaced the FIFO with a regular file, and its reader saw nothing
+        image, evt = square_events
+        cfg = write_encoder_config(tmp_path / "enc.cfg")
+        fifo, regular = tmp_path / "features.fifo", tmp_path / "features.bin"
+        os.mkfifo(fifo)
+
+        def encode(out):
+            return run(capsys, "encode", str(image), str(evt), "--config", str(cfg),
+                       "--mode", "dense", "--out", str(out))[0]
+
+        assert encode(regular) == 0
+        want = regular.read_bytes()
+        assert len(want) < 1 << 16  # fits the pipe's buffer, so the write cannot block
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert encode(fifo) == 0
+            assert stat.S_ISFIFO(fifo.lstat().st_mode)
+            assert os.read(reader, 1 << 16) == want
+        finally:
+            os.close(reader)
 
 
 class TestFlops:

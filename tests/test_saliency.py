@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -328,6 +329,17 @@ class TestApplyMask:
         mask = PatchMask(np.zeros((2, 2), dtype=np.uint8), 0.0)
         with pytest.raises(ValidationError, match=match):
             apply_mask_to_image(img, mask, patch_size, fill)
+
+    @pytest.mark.parametrize("dtype, fill", [
+        (np.int8, (200, 0, 0)),  # raised OverflowError
+        (np.bool_, (0, 2, 0)),  # silently wrote True
+    ])
+    def test_rejects_a_fill_the_image_cannot_hold(self, dtype, fill):
+        img = np.zeros((4, 4, 3), dtype=dtype)
+        mask = PatchMask(np.zeros((2, 2), dtype=np.uint8), 0.0)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"fill {fill!r} does not fit an image of dtype {np.dtype(dtype)}")):
+            apply_mask_to_image(img, mask, 2, fill)
 
 
 class TestMaskText:
