@@ -27,6 +27,7 @@ import argparse
 import dataclasses
 import json
 import os
+import stat
 import sys
 import uuid
 from pathlib import Path
@@ -67,13 +68,19 @@ from .saliency import (
 def _atomic_write(path: str, data: bytes) -> None:
     """Write ``data`` to ``path``, or to the file its links resolve to.
 
-    A missing path or a regular file gets no partial file: a uniquely named
-    file is written beside the resolved target and renamed into place, and on
-    any failure it is removed. Anything else (a FIFO, a device) is opened and
-    written in place, so that it is never replaced; a directory fails to open.
+    A missing path or a regular file of one link gets no partial file: a
+    uniquely named file is written beside the resolved target, given the
+    target's mode if it exists, and renamed into place, and on any failure it
+    is removed. Anything else (a FIFO, a device, a file with more hard links)
+    is opened and written in place, so that it is never replaced and every
+    link sees the new bytes; a directory fails to open.
     """
     target = Path(os.path.realpath(path))
-    if target.exists() and not target.is_file():
+    try:
+        st = target.stat()
+    except OSError:  # missing, or refused again by the writes below
+        st = None
+    if st is not None and (not stat.S_ISREG(st.st_mode) or st.st_nlink > 1):
         with open(target, "wb") as fh:
             fh.write(data)
         return
@@ -81,6 +88,8 @@ def _atomic_write(path: str, data: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as fh:
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
             fh.write(data)
         os.replace(tmp, target)
     except BaseException:

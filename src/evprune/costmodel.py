@@ -246,12 +246,10 @@ def shipped_profile_names() -> list[str]:
 
 
 def load_shipped_profile(name: str) -> ArchProfile:
-    """Load one of the profiles bundled with the package by bare name."""
-    path = resources.files("evprune").joinpath("profiles", f"{name}.cfg")
-    try:
-        data = path.read_bytes()
-    except (FileNotFoundError, OSError):
-        raise ValidationError(
-            f"no shipped profile {name!r}; available: {shipped_profile_names()}"
-        ) from None
+    """Load one of the profiles bundled with the package, by one of
+    ``shipped_profile_names()``."""
+    names = shipped_profile_names()
+    if name not in names:
+        raise ValidationError(f"no shipped profile {name!r}; available: {names}")
+    data = resources.files("evprune").joinpath("profiles", f"{name}.cfg").read_bytes()
     return load_arch_profile(decode_ascii(data, f"shipped profile {name!r}"))

@@ -42,27 +42,30 @@ repeated call is bit-identical, and so are sequences of equal length
 different lengths (packed versus masked-dense) or different block shapes
 agree to rounding, not bit for bit.
 
-Each layer runs in lanes, one thread per CPU that BLAS leaves idle. A
-lane owns a contiguous share of the token rows, a contiguous run of the
-attention blocks and a tile of its own. A layer has three phases with a
-barrier after the first two: layer norm, Q/K/V projections and rotation
-of the lane's rows; the lane's attention blocks, which read every row's
-keys and values; then the out projection, MLP and residuals of its rows.
-The next layer starts on the lane's own rows, so two barriers suffice.
-Lane 0 is the calling thread; the other lanes' threads end before the
-forward returns, and the first error a lane raises is raised to the
-caller. With BLAS on every CPU, the default, one lane runs, with no
-thread and no barrier; OPENBLAS_NUM_THREADS=1 on an N-CPU host gives up
+Each layer runs in lanes, one per CPU that BLAS leaves idle. A lane owns
+a contiguous share of the token rows, a contiguous run of the attention
+blocks and a tile of its own, and steps through a layer in three phases:
+layer norm, Q/K/V projections and rotation of the lane's rows; the
+lane's attention blocks, which read every row's keys and values; then
+the out projection, MLP and residuals of its rows. A lane yields after
+each of the first two, and a round of a thread pool runs every lane to
+its next yield, so no phase starts before every lane has finished the
+one before it. The next layer starts on the lane's own rows, so two
+yields per layer suffice. Lane 0 runs on the calling thread, the others
+on the pool's threads, any of which may resume any lane; the pool's
+threads end before the forward returns, and a lane's error is raised to
+the caller. With BLAS on every CPU, the default, one lane runs, and the
+pool starts no thread; OPENBLAS_NUM_THREADS=1 on an N-CPU host gives up
 to N lanes (``_idle_lanes`` reads the variables as OpenBLAS does). A lane
 gets at least two blocks: with one each, the lane with the short last
-block idles at every layer's second barrier, and every lane waits for the
-slowest CPU. At n = 308 (blocks of 212 and 96 rows) two lanes spread the
-frame tail across benchmark runs about six times as wide as one lane on a
-shared 2-CPU machine. The block boundaries are those of one lane, fixed
-by (n, heads), because a block's shape sets its summation order; a lane's
-matmuls run over fewer rows than one lane's, which on this BLAS leaves
-every row's sums unchanged, so every lane count gives the same bits, and
-the tests pin them for 1, 2 and 3 lanes.
+block idles at the end of every layer's attention round, and every lane
+waits for the slowest CPU. At n = 308 (blocks of 212 and 96 rows) two
+lanes spread the frame tail across benchmark runs about six times as
+wide as one lane on a shared 2-CPU machine. The block boundaries are
+those of one lane, fixed by (n, heads), because a block's shape sets its
+summation order; a lane's matmuls run over fewer rows than one lane's,
+which on this BLAS leaves every row's sums unchanged, so every lane count
+gives the same bits, and the tests pin them for 1, 2 and 3 lanes.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ import functools
 import math
 import os
 import re
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
@@ -348,46 +350,31 @@ def _idle_lanes(cpus: int, env: Mapping[str, str]) -> int:
 
 
 # Read once, as BLAS reads its thread count once when it is loaded. A
-# forward runs min(_LANES, attention blocks // 2) lanes, and at least 1.
+# forward runs min(_LANES, attention blocks // 2) lanes, and at least 1:
+# lane 0 on the calling thread, the others on a pool of one thread fewer.
 _LANES = _idle_lanes(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1, os.environ)
 
 
 def _run_lanes(lanes: int, lane) -> None:
-    """Run ``lane(i, sync)`` for each i < lanes, where ``sync()`` waits for
-    every lane to reach it. Lane 0 runs on this thread and the others on
-    threads joined before this returns; one lane runs with no thread and no
-    barrier. The first error a lane raises aborts the barrier and is raised
-    here."""
-    if lanes == 1:
-        lane(0, lambda: None)
-        return
-    barrier, errors = threading.Barrier(lanes), []
+    """Step the generators ``lane(i)``, i < lanes, in rounds until lane 0's is
+    exhausted: a round advances every lane to its next ``yield``, lane 0 on
+    this thread and the others on a pool's threads, and ends when all have
+    reached it. No step waits for another lane. The pool's threads end
+    before this returns, and the error of a round's first failing lane, in
+    lane order, is raised here; one lane starts no thread."""
+    # Imported on first use, like scipy.special in _gelu, which loads it too.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run(i: int) -> None:
-        try:
-            lane(i, barrier.wait)
-        except threading.BrokenBarrierError:
-            pass  # another lane failed, and its error is raised
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
-            barrier.abort()
-
-    threads = []
-    try:
-        for i in range(1, lanes):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    except BaseException:  # a thread did not start: release the lanes that did
-        barrier.abort()
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    steps = [lane(i) for i in range(lanes)]
+    with ThreadPoolExecutor(max(1, lanes - 1)) as pool:
+        while True:
+            rest = [pool.submit(next, step, False) for step in steps[1:]]
+            more = next(steps[0], False)
+            for future in rest:
+                future.result()
+            if not more:
+                return
 
 
 def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], rope: RopeTable,
@@ -427,7 +414,7 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
     qh, kh, vh = q.transpose(1, 0, 2), k.transpose(1, 2, 0), v.transpose(1, 0, 2)
     v_rows, mixed_rows = v.reshape(n, nh * dh), mixed.reshape(n, nh * dh)
 
-    def lane(i: int, sync) -> None:
+    def lane(i: int):
         own = slice(i * n // lanes, (i + 1) * n // lanes)
         x, pos = h[own], positions[own]
         # The tile is flat so that a short last block is still one
@@ -441,7 +428,7 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
                         out=q[own])
             k[own] = apply_rope_many(rope, pos, (a @ lw.wk).reshape(-1, nh, dh))
             np.matmul(a, lw.wv, out=v_rows[own])
-            sync()
+            yield True
             for start in starts[i * len(starts) // lanes: (i + 1) * len(starts) // lanes]:
                 stop = min(start + rows, n)
                 logits = tile[: nh * (stop - start) * n].reshape(nh, stop - start, n)
@@ -452,7 +439,7 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
                 np.exp(logits, out=logits)
                 np.divide(logits @ vh, logits.sum(axis=-1, keepdims=True),
                           out=mixed[start:stop].transpose(1, 0, 2))
-            sync()
+            yield True
             x += mixed_rows[own] @ lw.wo
             a2 = _layer_norm(x, lw.ln2_gamma, lw.ln2_beta)
             np.matmul(a2, lw.w_up, out=up)

@@ -33,7 +33,8 @@ same grammar. Polarity is -1/1 or 0/1, 0 mapped to -1. The body is parsed
 in one numpy call; its first malformed row, or else its first event
 outside the domain, is reported with its line number. The events go to one
 EventStream; if it refuses them, its per-event pass runs once more on the
-columns in file order to name the first bad line.
+columns in file order to name the first bad line. One leading byte-order
+mark, U+FEFF, is dropped before the text is split.
 
 EVT1 binary: 16-byte header
 
@@ -219,6 +220,7 @@ def read_events_csv(data: bytes | str) -> EventStream:
         text = data if isinstance(data, str) else data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8 text: {exc}") from None
+    text = text.removeprefix("\ufeff")
     lines = text.splitlines()
     width, height, first = _csv_directives(lines)
     first = next((i for i in range(first, len(lines)) if lines[i]), len(lines))

@@ -532,6 +532,29 @@ class TestAtomicWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             [real.name, link.name, *(p.name for p in square_pair)])
 
+    def test_output_keeps_its_mode(self, square_pair, tmp_path, capsys):
+        # the rename left a new file at the umask's mode
+        out = tmp_path / "out.evt1"
+        out.write_bytes(b"old")
+        out.chmod(0o600)
+        code, _, _ = self.simulate(capsys, square_pair, out)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert out.read_bytes()[:4] == events.EVT1_MAGIC
+
+    def test_hard_linked_output_is_written_through_every_link(self, square_pair, tmp_path,
+                                                              capsys):
+        # the rename cut the link: the other name kept the old bytes
+        out, hard = tmp_path / "out.evt1", tmp_path / "hard.evt1"
+        out.write_bytes(b"old")
+        os.link(out, hard)
+        code, _, _ = self.simulate(capsys, square_pair, out)
+        assert code == 0
+        assert out.stat().st_nlink == 2 and out.samefile(hard)
+        assert hard.read_bytes()[:4] == events.EVT1_MAGIC
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [out.name, hard.name, *(p.name for p in square_pair)])
+
     def test_fifo_output_stays_a_fifo_and_yields_the_dump(self, square_events, tmp_path,
                                                           capsys):
         # the rename replaced the FIFO with a regular file, and its reader saw nothing
@@ -715,13 +738,15 @@ class TestEntryPoint:
         assert "evprune" in proc.stdout
 
     def test_simulate_loads_no_scipy(self, square_pair, tmp_path):
-        """scipy.special is imported by the encoder's GELU alone, so importing
-        the CLI and running simulate leave scipy unloaded."""
+        """scipy.special is imported by the encoder's GELU alone, and the lanes'
+        thread pool by the forward, so importing the CLI and running simulate
+        leave scipy and concurrent.futures unloaded."""
         script = ("import sys\n"
                   "from evprune import cli\n"
-                  "assert 'scipy' not in sys.modules, 'after import'\n"
+                  "unloaded = {'scipy', 'concurrent.futures'}\n"
+                  "assert not unloaded & sys.modules.keys(), 'after import'\n"
                   "assert cli.main(sys.argv[1:]) == 0\n"
-                  "assert 'scipy' not in sys.modules, 'after simulate'\n")
+                  "assert not unloaded & sys.modules.keys(), 'after simulate'\n")
         proc = subprocess.run(
             [sys.executable, "-c", script, "simulate", str(square_pair[0]), str(square_pair[1]),
              "--contrast", "0.3", "--duration-us", "1000", "--out", str(tmp_path / "ev.evt1")],

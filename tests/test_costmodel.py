@@ -230,8 +230,11 @@ class TestProfiles:
         assert p7.llm.d_model == 3584 and p7.llm.mlp_hidden == 18944
 
     def test_unknown_shipped_name(self):
-        with pytest.raises(ValidationError):
-            load_shipped_profile("nonexistent")
+        for name in ("nonexistent",
+                     "../profiles/qwen2vl_2b_like",  # a shipped profile, by a path
+                     "../../../configs/encoder"):  # a file outside the package
+            with pytest.raises(ValidationError, match="no shipped profile"):
+                load_shipped_profile(name)
 
     def test_text_roundtrip_and_validation(self):
         text = """

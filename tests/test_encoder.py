@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import gc
@@ -808,6 +809,41 @@ class TestLanes:
         with pytest.raises(RuntimeError, match="can't start new thread"):
             encode_dense(patches, rope, weights, config)
         assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_one_lane_starts_no_thread(self, monkeypatch):
+        config, patches, rope, weights, _ = self.case(35)
+        monkeypatch.setattr(encoder, "_LANES", 1)
+        want = encode_dense(patches, rope, weights, config).tokens.tobytes()
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert encode_dense(patches, rope, weights, config).tokens.tobytes() == want
+
+    def test_three_lanes_on_one_pool_thread_give_the_one_lane_bits(self, monkeypatch):
+        """No lane waits for another within a round, so one thread can step two
+        lanes in turn; lanes that waited at a barrier would deadlock here."""
+        config, patches, rope, weights, _ = self.case(36)
+        monkeypatch.setattr(encoder, "_LANES", 1)
+        want = encode_dense(patches, rope, weights, config).tokens.tobytes()
+        pool, asked = concurrent.futures.ThreadPoolExecutor, []
+
+        def one_thread(workers):
+            asked.append(workers)
+            return pool(1)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", one_thread)
+        monkeypatch.setattr(encoder, "_LANES", 3)
+        before, got = threading.active_count(), []
+        runner = threading.Thread(  # so that a deadlock fails the test, not the suite
+            target=lambda: got.append(encode_dense(patches, rope, weights, config)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert got[0].tokens.tobytes() == want
+        assert asked == [2]
         assert threading.active_count() == before
 
 

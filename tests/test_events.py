@@ -62,6 +62,15 @@ class TestCsv:
         assert (stream.sensor_width, stream.sensor_height) == (4, 2)
         assert stream.t_us.tolist() == [5, 10]
 
+    @pytest.mark.parametrize("bom", [b"\xef\xbb\xbf", "\ufeff"])
+    def test_leading_byte_order_mark_is_dropped(self, bom):
+        # it was read as part of line 1: a header, or a bad row after a directive
+        body = "5,1,1,1\n6,2,1,0\n"
+        for text, sensor in ((body, (3, 2)), ("# width 4\n# height 3\n" + body, (4, 3))):
+            stream = read_events_csv(bom + (text.encode() if isinstance(bom, bytes) else text))
+            assert (stream.sensor_width, stream.sensor_height) == sensor
+            assert stream.t_us.tolist() == [5, 6]
+
     def test_empty_body_with_directives(self):
         stream = read_events_csv(b"# width 4\n# height 2\n")
         assert len(stream) == 0
