@@ -9,7 +9,9 @@ the pairs it won (strictly better, per BENCHMARK.json's ``better``; ties
 count for neither). ``gain`` is yes when the change won at least nine
 tenths of the pairs and its median is better than the base's by more
 than the distance between the base's quartiles: the rule a claimed gain
-must meet. Run from anywhere, with the package installed (``pip install -e .``):
+must meet. ``held`` is the no-regression verdict against the metric's bound in
+BENCHMARK.json (see ``held``). Run from anywhere, with the package installed
+(``pip install -e .``):
 
     python3 scripts/bench_pairs.py BASE_TREE CHANGE_TREE --workload simulate_mask \\
         --pairs 10 --seconds 24 --seed-base 700
@@ -46,6 +48,23 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def held(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """Whether the change held a metric, ``better`` "higher" or "lower", within
+    its relative ``bound``: "worse" when the change's median is worse than the
+    base's by more than bound x |base median|; "unresolved" when the change's
+    interquartile spread is wider than that, unless every change run beats
+    every base run; "ok" otherwise."""
+    sign = 1 if better == "higher" else -1
+    b_med, c_med = statistics.median(base), statistics.median(change)
+    limit = bound * abs(b_med)
+    if sign * (b_med - c_med) > limit:
+        return "worse"
+    c1, c3 = quartiles(change)
+    if c3 - c1 > limit and min(sign * c for c in change) <= max(sign * b for b in base):
+        return "unresolved"
+    return "ok"
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path, help="source tree of the parent commit")
@@ -74,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"\n{args.workload}, {args.pairs} pairs, {args.seconds:g} s runs")
     print(f"{'metric':<14} {'unit':<6} {'base median [q1, q3]':<28} "
-          f"{'change median [q1, q3]':<28} {'move':>8} {'wins':>6}  gain")
+          f"{'change median [q1, q3]':<28} {'move':>8} {'wins':>6}  gain  held")
     for m in declared:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         base = [r[name] for r in runs["base"]]
@@ -86,7 +105,8 @@ def main(argv: list[str] | None = None) -> int:
         gain = wins >= 0.9 * args.pairs and sign * (c_med - b_med) > b3 - b1
         print(f"{name:<14} {m['unit']:<6} {f'{b_med:.4g} [{b1:.4g}, {b3:.4g}]':<28} "
               f"{f'{c_med:.4g} [{c1:.4g}, {c3:.4g}]':<28} {move:>+8.1%} "
-              f"{f'{wins}/{args.pairs}':>6}  {'yes' if gain else 'no'}")
+              f"{f'{wins}/{args.pairs}':>6}  {'yes' if gain else 'no':<4}  "
+              f"{held(base, change, m['better'], m['bound'])}")
     return 0
 
 

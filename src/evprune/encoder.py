@@ -64,16 +64,40 @@ lanes spread the frame tail across benchmark runs about six times as
 wide as one lane on a shared 2-CPU machine. The block boundaries are
 those of one lane, fixed by (n, heads), because a block's shape sets its
 summation order; a lane's matmuls run over fewer rows than one lane's,
-which on this BLAS leaves every row's sums unchanged, so every lane count
-gives the same bits, and the tests pin them for 1, 2 and 3 lanes.
+which on this BLAS leaves every row's sums unchanged, so at one BLAS
+thread count every lane count gives the same bits, and the tests pin
+them for 1, 2 and 3 lanes.
+
+A forward that runs one lane lends the CPUs it leaves idle to BLAS: when
+the loaded OpenBLAS runs fewer threads than the process's affinity mask
+holds CPUs, its count is raised to that many for the whole call, the
+embedding and every layer, and restored when the call ends, whether it
+returns or raises. The setter is looked up in the loaded library on the
+first such forward (``_blas_threads``); where there is none, BLAS is left
+alone. The count is global to the process, so forwards take one lock and
+run one at a time: a multi-lane forward never runs beside a raised count.
+A one-lane forward's float64 bits follow the BLAS count it ran at, as any
+matmul's do; the float32 feature dumps of the benchmark frames were the
+same at either count. Multi-lane forwards and ``merge_project`` leave BLAS
+as they find it: after its last threaded call, OpenBLAS's worker spins
+for about 0.12 s of CPU, which a multi-lane forward started next would
+lose to it.
+
+A forward or merge whose float64 arithmetic overflows raises
+ValidationError: each lane step, the embedding and the merge run with
+numpy's overflow and invalid-value errors raised, so no row is computed
+from inf, and no layer norm of an overflowed variance leaves only its
+shift.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
 import re
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
@@ -322,7 +346,7 @@ def _gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _block_rows(n: int, heads: int) -> int:
     """Query rows per attention block: as many as fit in ``_TILE_BYTES``."""
-    return max(1, min(n, _TILE_BYTES // (8 * heads * n)))
+    return max(1, min(n, _TILE_BYTES // (8 * heads * max(n, 1))))
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS", "GOTO_NUM_THREADS",
@@ -349,28 +373,105 @@ def _idle_lanes(cpus: int, env: Mapping[str, str]) -> int:
     return max(1, cpus // next((n for n in counts if n > 0), cpus))
 
 
-# Read once, as BLAS reads its thread count once when it is loaded. A
-# forward runs min(_LANES, attention blocks // 2) lanes, and at least 1:
-# lane 0 on the calling thread, the others on a pool of one thread fewer.
-_LANES = _idle_lanes(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1, os.environ)
+# CPUs in the process's affinity mask. Read once, as BLAS reads its thread
+# count once when it is loaded. A forward runs min(_LANES, attention blocks
+# // 2) lanes, and at least 1: lane 0 on the calling thread, the others on a
+# pool of one thread fewer.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_LANES = _idle_lanes(_CPUS, os.environ)
+
+# Held by every forward while it runs: BLAS's thread count is global to the
+# process, and a one-lane forward raises it.
+_FORWARD = threading.Lock()
+
+# The floating-point errors that fail a forward or a merge.
+_OVERFLOW = {"over": "raise", "invalid": "raise"}
+
+# (get, set) thread-count symbols of OpenBLAS builds, in the order tried:
+# numpy's wheels, then OpenBLAS's own 64-bit-integer and plain builds.
+_BLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+@functools.cache
+def _blas_threads():
+    """The loaded OpenBLAS's (get, set) thread-count functions, or None.
+
+    The library is a path holding ``openblas`` that is mapped into the
+    process (``/proc/self/maps``), and the pair is the first of
+    ``_BLAS_SYMBOLS`` that one of them exports. Called on the first forward
+    that could raise the count, never at import."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    libs = []
+    for path in paths:
+        with contextlib.suppress(OSError):
+            libs.append(ctypes.CDLL(path))
+    for get_name, set_name in _BLAS_SYMBOLS:
+        for lib in libs:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _blas_on_every_cpu(lanes: int):
+    """For a one-lane forward, BLAS runs on every CPU of the affinity mask
+    inside the block and gets the count it had back after it. A multi-lane
+    forward, a one-CPU process and a BLAS without a setter change nothing."""
+    blas = _blas_threads() if lanes == 1 and _CPUS > 1 else None
+    found = blas[0]() if blas else _CPUS
+    if found >= _CPUS:
+        yield
+        return
+    blas[1](_CPUS)
+    try:
+        yield
+    finally:
+        blas[1](found)
+
+
+@contextlib.contextmanager
+def _fails_on_overflow(what: str):
+    """Run the block with numpy's ``_OVERFLOW`` errors raised on this thread,
+    and raise them as a ValidationError that names the overflow."""
+    try:
+        with np.errstate(**_OVERFLOW):
+            yield
+    except FloatingPointError as err:
+        raise ValidationError(f"{what} overflows float64: {err}") from None
 
 
 def _run_lanes(lanes: int, lane) -> None:
     """Step the generators ``lane(i)``, i < lanes, in rounds until lane 0's is
     exhausted: a round advances every lane to its next ``yield``, lane 0 on
     this thread and the others on a pool's threads, and ends when all have
-    reached it. No step waits for another lane. The pool's threads end
-    before this returns, and the error of a round's first failing lane, in
-    lane order, is raised here; one lane starts no thread."""
+    reached it. No step waits for another lane. A step raises numpy's
+    ``_OVERFLOW`` errors, set on the thread that runs it: pool threads do not
+    inherit the caller's error state. The pool's threads end before this
+    returns, and the error of a round's first failing lane, in lane order,
+    is raised here; one lane starts no thread."""
     # Imported on first use, like scipy.special in _gelu, which loads it too.
     from concurrent.futures import ThreadPoolExecutor
+
+    def advance(step) -> bool:
+        with np.errstate(**_OVERFLOW):
+            return next(step, False)
 
     steps = [lane(i) for i in range(lanes)]
     with ThreadPoolExecutor(max(1, lanes - 1)) as pool:
         while True:
-            rest = [pool.submit(next, step, False) for step in steps[1:]]
-            more = next(steps[0], False)
+            rest = [pool.submit(advance, step) for step in steps[1:]]
+            more = advance(steps[0])
             for future in rest:
                 future.result()
             if not more:
@@ -398,56 +499,57 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
             f"rotary table dimension {rope.d} != head dimension {config.head_dim}")
     _check_drawn_for(weights, config)
     out = slice(None) if key_keep is None else key_keep
-    h = tokens @ weights.w_embed + weights.b_embed
-    if not len(positions[out]):  # no query row; with no key kept, softmax would be 0/0
-        return PackedSequence(h[out], positions[out], grid)
-    n, nh, dh = h.shape[0], config.n_heads, config.head_dim
-    scale = 1.0 / np.sqrt(dh)
-    drop = None if key_keep is None else ~key_keep
+    n, nh, dh = len(tokens), config.n_heads, config.head_dim
     rows = _block_rows(n, nh)
     starts = range(0, n, rows)
     lanes = max(1, min(_LANES, len(starts) // 2))
-    # Shared by the lanes and reused by every layer: rotated queries and
-    # keys, values, and the attention result, with head-major views
-    # (heads, n_q, d_h), (heads, d_h, n_k), (heads, n_k, d_h).
-    q, k, v, mixed = (np.empty((n, nh, dh)) for _ in range(4))
-    qh, kh, vh = q.transpose(1, 0, 2), k.transpose(1, 2, 0), v.transpose(1, 0, 2)
-    v_rows, mixed_rows = v.reshape(n, nh * dh), mixed.reshape(n, nh * dh)
+    with _FORWARD, _blas_on_every_cpu(lanes), _fails_on_overflow("encoder forward"):
+        h = tokens @ weights.w_embed + weights.b_embed
+        if not len(positions[out]):  # no query row; with no key kept, softmax would be 0/0
+            return PackedSequence(h[out], positions[out], grid)
+        scale = 1.0 / np.sqrt(dh)
+        drop = None if key_keep is None else ~key_keep
+        # Shared by the lanes and reused by every layer: rotated queries and
+        # keys, values, and the attention result, with head-major views
+        # (heads, n_q, d_h), (heads, d_h, n_k), (heads, n_k, d_h).
+        q, k, v, mixed = (np.empty((n, nh, dh)) for _ in range(4))
+        qh, kh, vh = q.transpose(1, 0, 2), k.transpose(1, 2, 0), v.transpose(1, 0, 2)
+        v_rows, mixed_rows = v.reshape(n, nh * dh), mixed.reshape(n, nh * dh)
 
-    def lane(i: int):
-        own = slice(i * n // lanes, (i + 1) * n // lanes)
-        x, pos = h[own], positions[own]
-        # The tile is flat so that a short last block is still one
-        # contiguous (heads, rows, n) array.
-        tile = np.empty(nh * rows * n)
-        up = np.empty((len(x), config.mlp_hidden))
-        act = np.empty_like(up)
-        for lw in weights.layers:
-            a = _layer_norm(x, lw.ln1_gamma, lw.ln1_beta)
-            np.multiply(apply_rope_many(rope, pos, (a @ lw.wq).reshape(-1, nh, dh)), scale,
-                        out=q[own])
-            k[own] = apply_rope_many(rope, pos, (a @ lw.wk).reshape(-1, nh, dh))
-            np.matmul(a, lw.wv, out=v_rows[own])
-            yield True
-            for start in starts[i * len(starts) // lanes: (i + 1) * len(starts) // lanes]:
-                stop = min(start + rows, n)
-                logits = tile[: nh * (stop - start) * n].reshape(nh, stop - start, n)
-                np.matmul(qh[:, start:stop], kh, out=logits)
-                if drop is not None:
-                    logits[:, :, drop] = -np.inf
-                logits -= logits.max(axis=-1, keepdims=True)
-                np.exp(logits, out=logits)
-                np.divide(logits @ vh, logits.sum(axis=-1, keepdims=True),
-                          out=mixed[start:stop].transpose(1, 0, 2))
-            yield True
-            x += mixed_rows[own] @ lw.wo
-            a2 = _layer_norm(x, lw.ln2_gamma, lw.ln2_beta)
-            np.matmul(a2, lw.w_up, out=up)
-            up += lw.b_up
-            x += _gelu(up, out=act) @ lw.w_down
-            x += lw.b_down
+        def lane(i: int):
+            own = slice(i * n // lanes, (i + 1) * n // lanes)
+            x, pos = h[own], positions[own]
+            # The tile is flat so that a short last block is still one
+            # contiguous (heads, rows, n) array.
+            tile = np.empty(nh * rows * n)
+            up = np.empty((len(x), config.mlp_hidden))
+            act = np.empty_like(up)
+            for lw in weights.layers:
+                a = _layer_norm(x, lw.ln1_gamma, lw.ln1_beta)
+                np.multiply(apply_rope_many(rope, pos, (a @ lw.wq).reshape(-1, nh, dh)), scale,
+                            out=q[own])
+                k[own] = apply_rope_many(rope, pos, (a @ lw.wk).reshape(-1, nh, dh))
+                np.matmul(a, lw.wv, out=v_rows[own])
+                yield True
+                for start in starts[i * len(starts) // lanes: (i + 1) * len(starts) // lanes]:
+                    stop = min(start + rows, n)
+                    logits = tile[: nh * (stop - start) * n].reshape(nh, stop - start, n)
+                    np.matmul(qh[:, start:stop], kh, out=logits)
+                    if drop is not None:
+                        logits[:, :, drop] = -np.inf
+                    logits -= logits.max(axis=-1, keepdims=True)
+                    np.exp(logits, out=logits)
+                    np.divide(logits @ vh, logits.sum(axis=-1, keepdims=True),
+                              out=mixed[start:stop].transpose(1, 0, 2))
+                yield True
+                x += mixed_rows[own] @ lw.wo
+                a2 = _layer_norm(x, lw.ln2_gamma, lw.ln2_beta)
+                np.matmul(a2, lw.w_up, out=up)
+                up += lw.b_up
+                x += _gelu(up, out=act) @ lw.w_down
+                x += lw.b_down
 
-    _run_lanes(lanes, lane)
+        _run_lanes(lanes, lane)
     return PackedSequence(h[out], positions[out], grid)
 
 
@@ -536,6 +638,7 @@ def merge_project(
         )
 
     flat = features.tokens[order].reshape(len(cells), config.merge_dim)
-    hidden = _gelu(flat @ weights.w_merge1 + weights.b_merge1)
-    out = hidden @ weights.w_merge2 + weights.b_merge2
+    with _fails_on_overflow("merge projection"):
+        hidden = _gelu(flat @ weights.w_merge1 + weights.b_merge1)
+        out = hidden @ weights.w_merge2 + weights.b_merge2
     return PackedSequence(out, cells, (rows // m, cols // m))

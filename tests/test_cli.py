@@ -738,21 +738,56 @@ class TestEntryPoint:
         assert "evprune" in proc.stdout
 
     def test_simulate_loads_no_scipy(self, square_pair, tmp_path):
-        """scipy.special is imported by the encoder's GELU alone, and the lanes'
-        thread pool by the forward, so importing the CLI and running simulate
-        leave scipy and concurrent.futures unloaded."""
+        """scipy.special is imported by the encoder's GELU alone, the lanes'
+        thread pool by the forward, and BLAS's thread-count setter is looked
+        up by a forward alone, so importing the CLI and running simulate and
+        then mask leave scipy and concurrent.futures unloaded and the setter
+        unresolved."""
         script = ("import sys\n"
-                  "from evprune import cli\n"
+                  "from evprune import cli, encoder\n"
                   "unloaded = {'scipy', 'concurrent.futures'}\n"
-                  "assert not unloaded & sys.modules.keys(), 'after import'\n"
-                  "assert cli.main(sys.argv[1:]) == 0\n"
-                  "assert not unloaded & sys.modules.keys(), 'after simulate'\n")
+                  "def untouched(when):\n"
+                  "    assert not unloaded & sys.modules.keys(), when\n"
+                  "    assert encoder._blas_threads.cache_info().currsize == 0, when\n"
+                  "untouched('after import')\n"
+                  "simulate, mask = sys.argv[1:10], sys.argv[10:]\n"
+                  "assert cli.main(simulate) == 0\n"
+                  "untouched('after simulate')\n"
+                  "assert cli.main(mask) == 0\n"
+                  "untouched('after mask')\n")
+        evt = tmp_path / "ev.evt1"
         proc = subprocess.run(
             [sys.executable, "-c", script, "simulate", str(square_pair[0]), str(square_pair[1]),
-             "--contrast", "0.3", "--duration-us", "1000", "--out", str(tmp_path / "ev.evt1")],
+             "--contrast", "0.3", "--duration-us", "1000", "--out", str(evt),
+             "mask", str(square_pair[1]), str(evt), "--tau", "0.5", "--patch-size", "16",
+             "--out-mask", str(tmp_path / "m.txt"), "--out-image", str(tmp_path / "m.ppm")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "ev.evt1").stat().st_size > 0
+        assert evt.stat().st_size > 0 and (tmp_path / "m.txt").stat().st_size > 0
+
+    def test_a_one_lane_encode_gives_blas_its_count_back(self, square_events, tmp_path):
+        """With BLAS pinned to one thread, a one-lane packed encode (32 tokens,
+        one attention block) runs the loaded OpenBLAS on every CPU of the
+        affinity mask and leaves it on one thread again."""
+        if encoder._blas_threads() is None or encoder._CPUS < 2:
+            pytest.skip("no OpenBLAS thread-count setter found, or one CPU")
+        image, evt = square_events
+        script = ("import sys\n"
+                  "from evprune import cli, encoder\n"
+                  "get, set_ = encoder._blas_threads()\n"
+                  "seen = []\n"
+                  "encoder._blas_threads = lambda: (get, lambda n: (seen.append(n), set_(n)))\n"
+                  "assert get() == 1, get()\n"
+                  "assert cli.main(sys.argv[1:]) == 0\n"
+                  "assert seen == [encoder._CPUS, 1], seen\n"
+                  "assert get() == 1, get()\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "encode", str(image), str(evt), "--tau", "0.5",
+             "--config", str(write_encoder_config(tmp_path / "enc.cfg")), "--mode", "packed",
+             "--out", str(tmp_path / "f.bin")],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "n_tokens=32" in proc.stdout
 
 
 def files(valid):

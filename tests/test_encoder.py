@@ -1,8 +1,10 @@
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import gc
 import math
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -695,6 +697,13 @@ class TestLanes:
 
     SIDE = 30  # n = 900: seven attention blocks at small_config's tile, so 3 lanes
 
+    @pytest.fixture(autouse=True)
+    def blas_left_alone(self, monkeypatch):
+        """A one-lane forward would raise BLAS's thread count, and the float64
+        bits follow that count; these tests compare lane counts, so BLAS keeps
+        the count it has."""
+        monkeypatch.setattr(encoder, "_blas_threads", lambda: None)
+
     def case(self, seed):
         config = small_config()
         patches, rope, weights = random_setup(self.SIDE, self.SIDE, config, seed=seed)
@@ -846,6 +855,179 @@ class TestLanes:
         assert asked == [2]
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("value", [1e160, 1e308])
+    def test_a_forward_that_overflows_float64_is_refused(self, monkeypatch, lanes, value):
+        """At 1e160 layer norm's variance overflows, and every normalised row
+        would become ln_beta; at 1e308 the sums overflow to inf. The large row
+        is the last, so with two lanes a pool thread meets the overflow."""
+        config = small_config(n_layers=1)
+        patches, rope, weights = random_setup(self.SIDE, self.SIDE, config, seed=37)
+        patches[-1] = value
+        monkeypatch.setattr(encoder, "_LANES", lanes)
+        with pytest.raises(ValidationError, match="encoder forward overflows float64"):
+            encode_dense(patches, rope, weights, config)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_a_forward_below_the_overflow_returns_finite_rows(self, monkeypatch, lanes):
+        config = small_config(n_layers=1)
+        patches, rope, weights = random_setup(self.SIDE, self.SIDE, config, seed=37)
+        patches[-1] = 1e150
+        seen, run_lanes = [], encoder._run_lanes
+        monkeypatch.setattr(encoder, "_LANES", lanes)
+        monkeypatch.setattr(encoder, "_run_lanes",
+                            lambda n, lane: (seen.append(n), run_lanes(n, lane)))
+        assert np.isfinite(encode_dense(patches, rope, weights, config).tokens).all()
+        assert seen == [lanes]
+
+
+class FakeBlas:
+    """A BLAS thread count behind get and set functions; ``set_to`` records
+    each count set, and ``asked`` each lookup of the pair."""
+
+    def __init__(self, threads):
+        self.threads, self.set_to, self.asked = threads, [], 0
+
+    def resolve(self):
+        self.asked += 1
+        return self.get, self.set
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.set_to.append(threads)
+        self.threads = threads
+
+
+class TestBlasOnIdleCpus:
+    """A one-lane forward raises BLAS's thread count to the CPUs of the
+    process's affinity mask for the call and then restores it. The lookup is
+    patched, so these tests leave the loaded BLAS alone and pretend 4 CPUs
+    with BLAS on 1."""
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        fake = FakeBlas(1)
+        monkeypatch.setattr(encoder, "_CPUS", 4)
+        monkeypatch.setattr(encoder, "_LANES", 4)
+        monkeypatch.setattr(encoder, "_blas_threads", fake.resolve)
+        return fake
+
+    @staticmethod
+    def count_rope_calls(monkeypatch, blas):
+        """(rows, BLAS count) at each of the forward's rotations."""
+        rotate, seen = encoder.apply_rope_many, []
+
+        def rotate_and_count(table, positions, v):
+            seen.append((len(positions), blas.threads))
+            return rotate(table, positions, v)
+
+        monkeypatch.setattr(encoder, "apply_rope_many", rotate_and_count)
+        return seen
+
+    def test_a_one_lane_forward_runs_blas_on_every_cpu(self, monkeypatch, blas):
+        config = small_config()
+        patches, rope, weights = random_setup(6, 6, config, seed=40)  # one block: one lane
+        seen = self.count_rope_calls(monkeypatch, blas)
+        encode_dense(patches, rope, weights, config)
+        assert seen == [(36, 4)] * 2 * config.n_layers
+        assert blas.set_to == [4, 1] and blas.threads == 1
+        encode_dense(patches, rope, weights, config)
+        assert blas.asked == 2 and blas.set_to == [4, 1] * 2
+
+    def test_blas_already_on_every_cpu_is_not_set(self, blas):
+        blas.threads = 4
+        config = small_config()
+        encode_dense(*random_setup(6, 6, config, seed=40), config)
+        assert blas.asked == 1 and blas.set_to == []
+
+    def test_a_multi_lane_forward_and_the_merge_leave_blas_alone(self, monkeypatch, blas):
+        config, patches, rope, weights, _ = TestLanes().case(41)  # seven blocks: three lanes
+        seen = self.count_rope_calls(monkeypatch, blas)
+        merge_project(encode_dense(patches, rope, weights, config), config, weights)
+        assert {threads for _, threads in seen} == {1}
+        assert blas.asked == 0 and blas.set_to == []
+
+    def test_one_cpu_leaves_blas_alone(self, monkeypatch, blas):
+        monkeypatch.setattr(encoder, "_CPUS", 1)
+        config = small_config()
+        encode_dense(*random_setup(6, 6, config, seed=40), config)
+        assert blas.asked == 0 and blas.set_to == []
+
+    @pytest.mark.parametrize("call", [1, 4])  # layer 0's queries, layer 1's keys
+    def test_the_count_is_restored_when_a_lane_fails(self, monkeypatch, blas, call):
+        config = small_config()
+        patches, rope, weights = random_setup(6, 6, config, seed=42)
+        rotate, calls = encoder.apply_rope_many, []
+
+        def fail_in_the_lane(table, positions, v):
+            calls.append(1)
+            if len(calls) == call:
+                raise ValidationError("lane 0 fails")
+            return rotate(table, positions, v)
+
+        monkeypatch.setattr(encoder, "apply_rope_many", fail_in_the_lane)
+        with pytest.raises(ValidationError, match="lane 0 fails"):
+            encode_dense(patches, rope, weights, config)
+        assert blas.set_to == [4, 1] and blas.threads == 1
+
+    def test_the_count_is_restored_when_the_forward_overflows(self, blas):
+        config = small_config()
+        patches, rope, weights = random_setup(6, 6, config, seed=42)
+        with pytest.raises(ValidationError, match="overflows float64"):
+            encode_dense(np.full_like(patches, 1e160), rope, weights, config)
+        assert blas.set_to == [4, 1] and blas.threads == 1
+
+    def test_without_a_setter_the_forward_runs_as_before(self, monkeypatch):
+        """With no setter found, the forward is the one that never touches
+        BLAS, bit for bit, and the lookup is not repeated by this forward."""
+        asked = []
+        monkeypatch.setattr(encoder, "_CPUS", 4)
+        monkeypatch.setattr(encoder, "_blas_threads", lambda: asked.append(1))
+        config = small_config()
+        patches, rope, weights = random_setup(6, 6, config, seed=44)
+        got = encode_dense(patches, rope, weights, config).tokens.tobytes()
+        assert asked == [1]
+        monkeypatch.setattr(encoder, "_blas_on_every_cpu", lambda lanes: contextlib.nullcontext())
+        assert encode_dense(patches, rope, weights, config).tokens.tobytes() == got
+
+    def test_concurrent_forwards_keep_their_counts_and_bits(self, monkeypatch, blas):
+        """Two threads each of a one-lane packed forward (450 rows, two blocks)
+        and of a three-lane dense one (300 rows a lane), with a short switch
+        interval: every dense rotation runs at the count BLAS had, every
+        packed one at the raised count, each forward returns the bits it
+        returns alone, and BLAS ends at the count it started with."""
+        config, patches, rope, weights, mask = TestLanes().case(43)
+        packed = pack_patches(patches, mask)
+        runs = {"packed": lambda: encode_packed(packed, rope, weights, config).tokens.tobytes(),
+                "dense": lambda: encode_dense(patches, rope, weights, config).tokens.tobytes()}
+        want = {name: run() for name, run in runs.items()}
+        seen = self.count_rope_calls(monkeypatch, blas)
+        names = ["packed", "dense"] * 2
+        got = [[] for _ in names]
+
+        def repeat(i):
+            for _ in range(3):
+                got[i].append(runs[names[i]]())
+
+        threads = [threading.Thread(target=repeat, args=(i,), daemon=True)
+                   for i in range(len(names))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[want[name]] * 3 for name in names]
+        assert {threads for rows, threads in seen if rows == len(packed)} == {4}
+        assert {threads for rows, threads in seen if rows != len(packed)} == {1}
+        assert blas.threads == 1 and blas.set_to == [4, 1] * 7
+
 
 class TestMergeProject:
     def test_merge_size_one_is_per_token(self):
@@ -863,6 +1045,13 @@ class TestMergeProject:
         merged = merge_project(feats, config, weights)
         assert merged.tokens.shape == (4, 16)
         assert np.array_equal(merged.kept, [(0, 0), (0, 1), (1, 0), (1, 1)])
+
+    def test_a_merge_that_overflows_float64_is_refused(self):
+        config, weights = merge_setup(2)
+        features = PackedSequence(np.full((4, config.d_model), 1e308),
+                                  np.argwhere(np.ones((2, 2), dtype=bool)), (2, 2))
+        with pytest.raises(ValidationError, match="merge projection overflows float64"):
+            merge_project(features, config, weights)
 
     def test_sparse_equals_dense_restriction(self):
         config = small_config(merge_size=2, d_out=12)

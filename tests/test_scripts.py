@@ -2,6 +2,7 @@
 in the package's grammar."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -44,6 +45,42 @@ def test_bench_pairs_smoke(tmp_path):
     assert set(table) == {"frames_per_s", "frame_p50_s", "frame_tail_s", "setup_s",
                           "peak_rss_mib", "ok_frac"}
     assert table["ok_frac"].split()[2] == "1"
+    assert lines[lines.index("") + 2].split()[-2:] == ["gain", "held"]
+    assert table["ok_frac"].split()[-1] == "ok"
+    assert {line.split()[-1] for line in table.values()} <= {"ok", "worse", "unresolved"}
+
+
+def bench_pairs():
+    path = REPO / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("base, change, better, verdict", [
+    # lower is better, bound 0.25 of a base median of 1.0
+    ([1.0, 1.0, 1.0, 1.0], [1.2, 1.2, 1.2, 1.2], "lower", "ok"),
+    ([1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], "lower", "worse"),
+    ([1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 0.5], "lower", "ok"),
+    # a spread of 0.4 (quartiles 0.8 and 1.2) cannot show a 0.25 move ...
+    ([1.0, 1.0, 1.0, 1.0, 1.0], [0.7, 0.8, 1.0, 1.2, 1.3], "lower", "unresolved"),
+    # ... unless every change run beats every base run
+    ([2.0, 2.0, 2.0, 2.0, 2.0], [0.5, 0.9, 1.2, 1.5, 1.9], "lower", "ok"),
+    ([2.0, 2.0, 2.0, 2.0, 2.0], [0.5, 0.9, 1.2, 1.5, 2.0], "lower", "unresolved"),
+    # higher is better, against a base median of 10
+    ([10.0, 10.0, 10.0], [8.0, 8.0, 8.0], "higher", "ok"),
+    ([10.0, 10.0, 10.0], [7.0, 7.0, 7.0], "higher", "worse"),
+    ([9.0, 10.0, 11.0], [6.0, 10.0, 14.0], "higher", "unresolved"),
+    ([1.0, 2.0, 3.0], [4.0, 9.0, 14.0], "higher", "ok"),
+    # a zero base median allows no move at all
+    ([0.0, 0.0], [0.0, 0.0], "lower", "ok"),
+    ([0.0, 0.0], [0.1, 0.1], "lower", "worse"),
+    # one pair: no spread
+    ([1.0], [1.1], "lower", "ok"),
+])
+def test_held_verdict(base, change, better, verdict):
+    assert bench_pairs().held(base, change, better, 0.25) == verdict
 
 
 @pytest.mark.parametrize("name, flag", [
