@@ -57,7 +57,7 @@ from .events import (
 )
 from .featio import write_features
 from .kvtext import decode_ascii
-from .packing import pack_patches
+from .packing import PackedSequence, pack_patches
 from .ppm import read_ppm, to_gray01, write_ppm
 from .rope2d import build_rope
 from .saliency import (
@@ -106,9 +106,10 @@ def _read_event_file(path: str) -> EventStream:
     return read_events_bin(data) if data[:4] == EVT1_MAGIC else read_events_csv(data)
 
 
-def _parse_window(text: str | None, stream: EventStream) -> tuple[int, int]:
+def _parse_window(text: str | None) -> tuple[int, int] | None:
+    """The ``--window`` bounds, or None without one (the stream's extent)."""
     if text is None:
-        return stream.extent_us()
+        return None
     left, sep, right = text.partition(":")
     if not sep:
         raise ValidationError(f"window must be 't0:t1' in microseconds, got {text!r}")
@@ -143,19 +144,20 @@ def _manifest(subcommand: str, pairs: list[tuple[str, object]]) -> None:
         print(f"manifest.{key}={value}")
 
 
-def _image_to_float(image: np.ndarray, channels: int) -> np.ndarray:
+def _pixels_to_float(rows: np.ndarray, channels: int) -> np.ndarray:
+    """Rows of 0..255 RGB pixels, channels last, as the encoder's float64
+    input: each sample / 255 for 3 channels, or each pixel's ``to_gray01``
+    mean for 1."""
     if channels == 3:
-        return np.asarray(image, dtype=np.float64) / 255.0
-    if channels == 1:
-        return to_gray01(image)[:, :, None]
-    raise ValidationError(f"encoder config channels must be 1 or 3, got {channels}")
+        return rows / 255.0
+    return to_gray01(rows.reshape(len(rows), -1, 3))
 
 
 def _event_mask(args, image: np.ndarray, patch_size: int, merge_size: int):
     """Shared mask pipeline: events -> window -> image-aligned counts ->
     patch scores -> exact-quantile retention mask."""
     stream = _read_event_file(args.events)
-    t0, t1 = _parse_window(args.window, stream)
+    t0, t1 = _parse_window(args.window) or stream.extent_us()
     frame = resize_to(accumulate(stream, t0, t1), image.shape[1], image.shape[0])
     return quantile_mask(patch_scores(frame, patch_size), args.tau, merge_size), (t0, t1)
 
@@ -213,22 +215,29 @@ def cmd_encode(args) -> int:
     text = decode_ascii(_read_bytes(args.config), "encoder config")
     config = load_encoder_config(text)
     image = read_ppm(_read_bytes(args.image))
-    floats = _image_to_float(image, config.channels)
-    patches = patchify(floats, config.patch_size)
+    if config.channels not in (1, 3):
+        raise ValidationError(f"encoder config channels must be 1 or 3, got {config.channels}")
+    # uint8 rows: only the rows the encoder reads are converted to float64.
+    patches = patchify(image, config.patch_size)
     rows = image.shape[0] // config.patch_size
     cols = image.shape[1] // config.patch_size
     _merge_grid(rows, cols, config.merge_size)
     rope = build_rope(rows, cols, config.head_dim)
     weights = init_weights(config)
+    _parse_window(args.window)  # refused in every mode, as --tau is; dense reads no events
 
     if args.mode == "dense":
-        features = encode_dense(patches, rope, weights, config)
+        features = encode_dense(_pixels_to_float(patches, config.channels), rope, weights, config)
     else:
         mask, _ = _event_mask(args, image, config.patch_size, config.merge_size)
         if args.mode == "packed":
-            features = encode_packed(pack_patches(patches, mask), rope, weights, config)
+            packed = pack_patches(patches, mask)
+            packed = PackedSequence(_pixels_to_float(packed.tokens, config.channels),
+                                    packed.kept, packed.origin_grid)
+            features = encode_packed(packed, rope, weights, config)
         else:
-            features = encode_masked_dense_oracle(patches, rope, mask, weights, config)
+            features = encode_masked_dense_oracle(
+                _pixels_to_float(patches, config.channels), rope, mask, weights, config)
 
     merged = merge_project(features, config, weights)
     _atomic_write(args.out, write_features(merged.tokens))

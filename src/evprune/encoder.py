@@ -299,9 +299,10 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
 
     N = floor(H/p) * floor(W/p); each row is its p x p x C block
     flattened row-major with channels last. Trailing pixels beyond the
-    last full patch are dropped.
+    last full patch are dropped. The rows keep the image's dtype: a uint8
+    raster gives uint8 rows, one byte copy of its pixels.
     """
-    img = real_array(image, "image").astype(np.float64, copy=False)
+    img = real_array(image, "image")
     if img.ndim == 2:
         img = img[:, :, None]
     if img.ndim != 3:
@@ -481,9 +482,9 @@ def _run_lanes(lanes: int, lane) -> None:
 def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], rope: RopeTable,
              weights: EncoderWeights, config: EncoderConfig,
              key_keep: np.ndarray | None = None) -> PackedSequence:
-    """Check the inputs and run the stack over float64 token rows at their
-    (row, col) ``positions`` on ``grid``. With ``key_keep``, attention to the
-    other rows is blocked and only the kept rows are returned."""
+    """Check the inputs and run the stack over the token rows, as float64, at
+    their (row, col) ``positions`` on ``grid``. With ``key_keep``, attention to
+    the other rows is blocked and only the kept rows are returned."""
     as_record(rope, RopeTable, "rope")
     as_record(weights, EncoderWeights, "weights")
     as_record(config, EncoderConfig, "config")
@@ -498,6 +499,7 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
         raise ValidationError(
             f"rotary table dimension {rope.d} != head dimension {config.head_dim}")
     _check_drawn_for(weights, config)
+    tokens = tokens.astype(np.float64, copy=False)
     out = slice(None) if key_keep is None else key_keep
     n, nh, dh = len(tokens), config.n_heads, config.head_dim
     rows = _block_rows(n, nh)

@@ -29,12 +29,21 @@ integers in the grammar of ``errors.integer`` that fit int64, padded with
 spaces or tabs if at all (``np.loadtxt`` also strips U+001F, the one other
 whitespace a line can hold). A directive's ``#``, name and value are
 separated by spaces or tabs; its value is a non-negative integer in the
-same grammar. Polarity is -1/1 or 0/1, 0 mapped to -1. The body is parsed
-in one numpy call; its first malformed row, or else its first event
-outside the domain, is reported with its line number. The events go to one
-EventStream; if it refuses them, its per-event pass runs once more on the
-columns in file order to name the first bad line. One leading byte-order
-mark, U+FEFF, is dropped before the text is split.
+same grammar. Polarity is -1/1 or 0/1, 0 mapped to -1. One leading
+byte-order mark, U+FEFF, is dropped first. A canonical file is parsed in
+one ``np.fromstring`` call, without splitting the text into lines: ASCII
+text whose head (directives, empty lines, header) has no line break but
+``\\n``, and a non-empty body of rows of four fields, each 1 to 18 bytes
+of digits with an optional leading ``-``, every row ending in ``\\n``.
+Byte passes over the body check that form; any other spelling (padding,
+``+``, ``\\r\\n``, empty lines in the body, longer fields, no final
+newline, a malformed row) is split by ``str.splitlines`` and its rows
+parsed in one ``np.loadtxt`` call, and only that path names a malformed
+row. Both give the same stream or the same error for every input. The
+first malformed row, or else the first event outside the domain, is
+reported with its line number. The events go to one EventStream; if it
+refuses them, its per-event pass runs once more on the columns in file
+order to name the first bad line.
 
 EVT1 binary: 16-byte header
 
@@ -64,6 +73,7 @@ from __future__ import annotations
 
 import numbers
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +112,13 @@ def check_cells(cells: int, what: str) -> None:
 
 # Column names, in constructor order.
 _COLUMNS = ("t_us", "x", "y", "polarity")
+
+# The separators of one canonical CSV row, ",,,\n", read as one "<u4".
+_ROW_SEPARATORS = int.from_bytes(b",,,\n", "little")
+# A translation table for canonical CSV bodies: "\n" to ",", the other bytes
+# of the alphabet 0-9 , - to themselves, and every other byte to NUL.
+_CANONICAL_BYTES = bytes(
+    c if chr(c) in "0123456789,-" else ord(",") if c == ord("\n") else 0 for c in range(256))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,17 +238,17 @@ def read_events_csv(data: bytes | str) -> EventStream:
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8 text: {exc}") from None
     text = text.removeprefix("\ufeff")
-    lines = text.splitlines()
-    width, height, first = _csv_directives(lines)
-    first = next((i for i in range(first, len(lines)) if lines[i]), len(lines))
-    if first < len(lines):
-        lead = lines[first].split(",", 1)[0].strip()
-        if not (lead[:1].isdigit() or lead.startswith(("+", "-"))):
-            first += 1  # the optional header line
-    body = lines[first:]
-    rows = _csv_rows(body, text.isascii())
-    if rows is None:
-        raise _csv_row_error(body, first)
+    canonical = _canonical_csv(text)
+    if canonical is not None:
+        width, height, first, rows = canonical
+        body = None
+    else:
+        lines = text.splitlines()
+        width, height, first = _csv_head(lines)
+        body = lines[first:]
+        rows = _csv_rows(body, text.isascii())
+        if rows is None:
+            raise _csv_row_error(body, first)
     t, x, y, p = (np.ascontiguousarray(col) for col in rows.T)
     del rows  # so that the stream's copies of the columns can reuse its memory
     p[p == 0] = -1
@@ -242,25 +259,79 @@ def read_events_csv(data: bytes | str) -> EventStream:
         return EventStream(width, height, t, x, y, p)
     except ValidationError:  # it names the first bad event in time order, not in the file
         i, reason = _first_fault(width, height, t, x, y, p)
-        line = first + [j for j, row in enumerate(body) if row][i] + 1
-        raise ValidationError(f"line {line}: {reason}") from None
+        # A canonical body has no empty lines: its row i is on line first + i + 1.
+        row = i if body is None else [j for j, line in enumerate(body) if line][i]
+        raise ValidationError(f"line {first + row + 1}: {reason}") from None
 
 
-def _csv_directives(lines: list[str]) -> tuple[int | None, int | None, int]:
-    """Declared (width, height) and the index of the first line after them."""
+def _csv_head(lines: Iterable[str]) -> tuple[int | None, int | None, int]:
+    """Declared (width, height) and the number of head lines: the directives,
+    the empty lines after them and the optional header. ``lines`` is read up
+    to the first non-empty line after the directives."""
     dims: dict[str, int] = {}
-    idx = 0
-    while idx < len(lines):
-        parts = [part for part in lines[idx].replace("\t", " ").split(" ") if part]
-        if not (len(parts) == 3 and parts[0] == "#" and parts[1] in ("width", "height")):
-            break
-        try:
-            value = integer(parts[2])
-        except ValueError:
-            raise FormatError(f"line {idx + 1}: bad {parts[1]} directive") from None
-        dims[parts[1]] = as_size(value, f"line {idx + 1}: {parts[1]}", 0)
-        idx += 1
-    return dims.get("width"), dims.get("height"), idx
+    directives = True
+    idx = -1
+    for idx, line in enumerate(lines):
+        if directives:
+            parts = [part for part in line.replace("\t", " ").split(" ") if part]
+            directives = len(parts) == 3 and parts[0] == "#" and parts[1] in ("width", "height")
+            if directives:
+                try:
+                    value = integer(parts[2])
+                except ValueError:
+                    raise FormatError(f"line {idx + 1}: bad {parts[1]} directive") from None
+                dims[parts[1]] = as_size(value, f"line {idx + 1}: {parts[1]}", 0)
+                continue
+        if line:
+            lead = line.split(",", 1)[0].strip()
+            header = not (lead[:1].isdigit() or lead.startswith(("+", "-")))
+            return dims.get("width"), dims.get("height"), idx + header
+    return dims.get("width"), dims.get("height"), idx + 1
+
+
+def _canonical_csv(text: str) -> tuple[int | None, int | None, int, np.ndarray] | None:
+    """The declared (width, height), the head line count and the (n, 4) rows of
+    a ``text`` whose body is canonical, parsed in one numpy call; None for any
+    other text, which only the line-by-line path reads.
+
+    Canonical: ASCII text whose head holds no line break but "\\n", and a
+    non-empty body of lines "a,b,c,d\\n" whose fields are 1 to 18 bytes of
+    digits, the first of which may be a "-". Every such field fits int64, and
+    ``np.fromstring`` reads it as ``np.loadtxt`` does. It also takes a
+    trailing separator silently, so these byte checks are its only guard."""
+    if not text.isascii():
+        return None
+    starts = [0]  # the offset of each head line read so far, and of the next
+
+    def head_lines():
+        while (end := text.find("\n", starts[-1])) >= 0:
+            line = text[starts[-1]:end]
+            if line.splitlines() not in ([], [line]):  # it holds "\r" or another break
+                return
+            starts.append(end + 1)
+            yield line
+
+    width, height, first = _csv_head(head_lines())
+    # One pass maps "\n" to "," for np.fromstring and every byte outside the
+    # body's alphabet, 0-9 , - \n, to NUL.
+    body = text[starts[first]:].encode("ascii")
+    mapped = body.translate(_CANONICAL_BYTES)
+    if not body.endswith(b"\n") or b"\0" in mapped:
+        return None
+    raw = np.frombuffer(body, dtype=np.uint8)
+    sep = raw < ord("-")  # "," or "\n": the alphabet's only bytes below "-"
+    ends = np.flatnonzero(sep)  # where each field ends
+    fields = np.diff(ends)  # each field's length + 1, after the first
+    minus = raw == ord("-")
+    if not (len(ends) % 4 == 0
+            and (raw[ends].view("<u4") == _ROW_SEPARATORS).all()
+            and 1 <= ends[0] <= 18 and fields.min() >= 2 and fields.max() <= 19
+            # a "-" follows a separator (or starts the body) and precedes a digit
+            and not (minus[1:] & ~sep[:-1]).any()
+            and not (minus[:-1] & (raw[1:] <= ord("-"))).any()):
+        return None
+    values = np.fromstring(mapped, dtype=np.int64, sep=",")
+    return width, height, first, values.reshape(-1, 4)
 
 
 def _csv_rows(lines: list[str], is_ascii: bool = False) -> np.ndarray | None:

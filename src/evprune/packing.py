@@ -56,9 +56,9 @@ class PackedSequence:
 
 
 def _grid_rows(patches, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """``patches`` as float64 (not copied) if its rows fill the rows x cols
-    ``grid`` in raster order, and the (row, col) coordinate of each row."""
-    seq = real_array(patches, "patches", 2).astype(np.float64, copy=False)
+    """``patches`` in its own dtype (not copied) if its rows fill the rows x
+    cols ``grid`` in raster order, and the (row, col) coordinate of each row."""
+    seq = real_array(patches, "patches", 2)
     rows, cols = grid
     if seq.shape[0] != rows * cols:
         raise ValidationError(f"{seq.shape[0]} patch rows do not fill a {rows}x{cols} grid")
@@ -66,7 +66,8 @@ def _grid_rows(patches, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pack_patches(patch_seq: np.ndarray, mask: PatchMask) -> PackedSequence:
-    """Keep the rows whose mask bit is set, preserving raster order."""
+    """Keep the rows whose mask bit is set, preserving raster order. Only the
+    kept rows are converted to the sequence's float64."""
     as_record(mask, PatchMask, "mask")
     seq, positions = _grid_rows(patch_seq, (mask.rows, mask.cols))
     flat = mask.bits.ravel().astype(bool)

@@ -2,6 +2,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +428,70 @@ class TestEncode:
         assert "tau must be in [0, 1]" in err
         assert stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["dense", "packed", "oracle"])
+    @pytest.mark.parametrize("window, message", [
+        ("garbage", "window must be 't0:t1' in microseconds, got 'garbage'"),
+        ("0:1e3", "window bounds must be integers, got '0:1e3'"),
+    ], ids=["no_colon", "not_integers"])
+    def test_bad_window_exit_1_in_every_mode_before_reading_events(
+            self, square_events, tmp_path, capsys, window, message, mode):
+        """Dense mode never reads the events, and once took any --window."""
+        image, _ = square_events
+        out = tmp_path / "f.bin"
+        code, stdout, err = run(capsys, "encode", str(image), str(tmp_path / "missing.evt1"),
+                                "--config", str(write_encoder_config(tmp_path / "enc.cfg")),
+                                "--mode", mode, "--window", window, "--out", str(out))
+        assert code == 1
+        assert message in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_packed_input_converts_only_the_kept_rows(self, tmp_path, capsys, monkeypatch):
+        """From the uint8 image to the packed float tokens, the traced peak
+        stays below the image's bytes plus, per kept token, its uint8 row and
+        three float64 copies of it (the packed rows, their scaled copy, and the
+        copy the new sequence keeps), plus 64 KiB for the coordinates and the
+        mask. Converting the whole image first, then patchifying it, made two
+        float64 copies of every pixel: 4.8 MB each at 448x448x3."""
+        rng = np.random.default_rng(3)
+        image = rng.integers(0, 256, (448, 448, 3), dtype=np.uint8)
+        cfg = write_encoder_config(tmp_path / "enc.cfg", patch_size=14)
+        config = load_encoder_config(cfg.read_text())
+        mask = quantile_mask(events.EventFrame(rng.random((32, 32))), 0.3, config.merge_size)
+        rope = build_rope(32, 32, config.head_dim)
+        weights = init_weights(config)
+        (tmp_path / "img.ppm").write_bytes(write_ppm(image))
+        seen = {}
+
+        class Reached(Exception):
+            pass
+
+        def read(data):
+            tracemalloc.reset_peak()
+            seen["start"] = tracemalloc.get_traced_memory()[0]
+            return image
+
+        def forward(packed, *args):
+            seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["start"]
+            seen["kept"] = len(packed)
+            raise Reached
+
+        for name, value in (("read_ppm", read), ("build_rope", lambda *a: rope),
+                            ("init_weights", lambda c: weights),
+                            ("_event_mask", lambda *a: (mask, (0, 1))),
+                            ("encode_packed", forward)):
+            monkeypatch.setattr(cli, name, value)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Reached):
+                main(["encode", str(tmp_path / "img.ppm"), str(tmp_path / "ev.csv"),
+                      "--config", str(cfg), "--tau", "0.3", "--out", str(tmp_path / "f.bin")])
+        finally:
+            tracemalloc.stop()
+        row = 14 * 14 * 3
+        assert seen["kept"] == mask.k == 308
+        assert seen["peak"] <= image.nbytes + seen["kept"] * row * (1 + 3 * 8) + 64 * 1024
 
     def test_bad_config_exit_2(self, square_events, tmp_path, capsys):
         image, evt = square_events

@@ -6,6 +6,7 @@ import re
 import struct
 from fractions import Fraction
 import tracemalloc
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -652,3 +653,136 @@ def test_refused_csv_builds_one_stream(monkeypatch):
     with pytest.raises(ValidationError, match=message):
         read_events_csv(text)
     assert built == [1000]
+
+
+# ------------------------------------------- canonical CSV bodies in one call
+
+_DIGITS = "0123456789"
+
+
+@st.composite
+def canonical_csv(draw):
+    """A CSV text whose body ``events._canonical_csv`` parses: an optional
+    byte-order mark, directives, empty lines and a header in a head of "\\n"
+    lines, then rows of four 1- to 18-byte digit fields, any of which may
+    start with a "-", each row ending in "\\n". Most fields lie in the stream's
+    domain; some do not, so that the stream refuses the file."""
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    head = []
+    if draw(st.booleans()):
+        pad = draw(st.sampled_from([" ", "\t", "  "]))
+        head += [f"#{pad}width {width}", f"# height{pad}{height}"]
+    head += [""] * draw(st.integers(0, 2))
+    head += [draw(st.sampled_from(["t_us,x,y,polarity", "t,x,y,p", " time , x"]))] \
+        if draw(st.booleans()) else []
+    any_field = st.tuples(st.sampled_from(["", "-"]), st.text(_DIGITS, min_size=1, max_size=17)) \
+        .map("".join) | st.text(_DIGITS, min_size=18, max_size=18)
+    rows = []
+    for _ in range(draw(st.integers(1, 25))):
+        row = [str(draw(st.integers(0, 2**40))), str(draw(st.integers(0, width - 1))),
+               str(draw(st.integers(0, height - 1))), draw(st.sampled_from(["-1", "0", "1"]))]
+        if draw(st.integers(0, 19)) == 0:
+            row[draw(st.integers(0, 3))] = draw(any_field)
+        rows.append(",".join(row) + "\n")
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(line + "\n" for line in head) + "".join(rows)
+
+
+def _edit(text, data):
+    """``text`` after one edit that takes its body off the one-call path."""
+    body_at = text.rfind("\n", 0, len(text) - 1) + 1  # the last row
+    row = text[body_at:-1]
+    fields = row.split(",")
+    i = data.draw(st.integers(0, 3))
+    edit = data.draw(st.sampled_from(
+        ["pad", "crlf", "x1f", "blank", "no final newline", "long field", "inner minus",
+         "trailing comma", "split row", "non-digit", "head break", "second bom", "sign"]))
+    if edit == "pad":
+        fields[i] = data.draw(st.sampled_from([" ", "\t"])) + fields[i]
+    elif edit == "sign":
+        fields[i] = "+" + fields[i].lstrip("-")
+    elif edit == "x1f":
+        fields[i] += "\x1f"
+    elif edit == "long field":
+        fields[i] = fields[i][:1] + "0" * (19 - len(fields[i])) + fields[i][1:]
+    elif edit == "inner minus":
+        fields[i] = fields[i][:1] + "-" + fields[i][1:]
+    elif edit == "trailing comma":
+        fields.append("")
+    elif edit == "split row":  # as many separators, in another order
+        fields[1] += "\n" + fields.pop(2)
+    elif edit == "non-digit":
+        fields[i] += data.draw(st.sampled_from([".", "_", "e", "x", "/", ":"]))
+    elif edit == "crlf":
+        return text[:-1] + "\r\n"
+    elif edit == "blank":
+        return text[:body_at] + "\n" + text[body_at:]
+    elif edit == "no final newline":
+        return text[:-1]
+    elif edit == "head break":
+        at = data.draw(st.integers(0, text.index("\n")))
+        return text[:at] + data.draw(st.sampled_from(["\r", "\r\n", "\x0b", "\x1c"])) + text[at:]
+    elif edit == "second bom":
+        return "\ufeff" + text
+    return text[:body_at] + ",".join(fields) + "\n"
+
+
+def _outcome(text):
+    """The stream ``read_events_csv`` gives, as plain values, or its error."""
+    try:
+        stream = read_events_csv(text)
+    except (FormatError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return (stream.sensor_width, stream.sensor_height,
+            *(getattr(stream, name).tolist() for name in ("t_us", "x", "y", "polarity")))
+
+
+def _line_by_line(text):
+    with unittest.mock.patch.object(events, "_canonical_csv", lambda text: None):
+        return _outcome(text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(canonical_csv(), st.booleans())
+def test_canonical_csv_reads_as_the_line_by_line_path(text, as_bytes):
+    assert events._canonical_csv(text.removeprefix("\ufeff")) is not None
+    assert _outcome(text.encode() if as_bytes else text) == _line_by_line(text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(canonical_csv(), st.data())
+def test_one_edit_off_the_canonical_form_reads_as_the_line_by_line_path(text, data):
+    edited = _edit(text, data)
+    assert _outcome(edited) == _line_by_line(edited)
+
+
+@pytest.mark.parametrize("text", [
+    "0,1,1,1\n0,1,1,\n",  # np.fromstring takes a trailing separator
+    "0,1,1,1\n0,1,1,1,\n", "0,1,1,1\n0,1,1\n", "0,1,1,1\n-,1,1,1\n", "0,1,1,1\n1-2,1,1,1\n",
+    "0,1,1,1\n1,1,1,1--\n", "0,1,1,1\n,1,1,1\n", "0,1,1,1\n1,1,1,1\n\n", "0,1,1,1",
+    "0,1,1,1\n" + "9" * 19 + ",1,1,1\n", "9" * 19 + ",1,1,1\n", "0,1,1,1\n1,2\n3,4\n",
+    "0,1,1,1\n1,1\n1,1,1,1,1,1\n", "0,1,1,1\n5", "0,1,1,1\n1.5,1,1,1\n",
+    "# width 4\r# height 4\n0,1,1,1\n",
+])
+def test_near_canonical_csv_reads_as_the_line_by_line_path(text):
+    assert _outcome(text) == _line_by_line(text)
+
+
+def test_canonical_csv_takes_one_numpy_call(monkeypatch):
+    """With the line-by-line row parser broken, a canonical file still reads
+    and a padded one reaches that parser."""
+    def broken(*args):
+        raise AssertionError("_csv_rows reached")
+
+    monkeypatch.setattr(events, "_csv_rows", broken)
+    text = "# width 640\n# height 480\nt_us,x,y,polarity\n0,273,155,-1\n1,70,75,1\n"
+    assert as_tuples(read_events_csv(text.encode())) == [(0, 273, 155, -1), (1, 70, 75, 1)]
+    with pytest.raises(AssertionError, match="_csv_rows reached"):
+        read_events_csv(text.replace("1,70", "1, 70"))
+
+
+def test_refused_canonical_csv_names_its_line():
+    text = "# width 4\n# height 2\n\nt,x,y,p\n0,0,0,1\n9,0,1,-1\n3,4,0,1\n"
+    assert events._canonical_csv(text) is not None
+    with pytest.raises(ValidationError, match="^line 7: event at \\(4, 0\\) outside sensor 4x2$"):
+        read_events_csv(text)
