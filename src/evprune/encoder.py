@@ -42,46 +42,56 @@ repeated call is bit-identical, and so are sequences of equal length
 different lengths (packed versus masked-dense) or different block shapes
 agree to rounding, not bit for bit.
 
-Each layer runs in lanes, one per CPU that BLAS leaves idle. A lane owns
-a contiguous share of the token rows, a contiguous run of the attention
-blocks and a tile of its own, and steps through a layer in three phases:
-layer norm, Q/K/V projections and rotation of the lane's rows; the
-lane's attention blocks, which read every row's keys and values; then
-the out projection, MLP and residuals of its rows. A lane yields after
-each of the first two, and a round of a thread pool runs every lane to
-its next yield, so no phase starts before every lane has finished the
-one before it. The next layer starts on the lane's own rows, so two
-yields per layer suffice. Lane 0 runs on the calling thread, the others
-on the pool's threads, any of which may resume any lane; the pool's
-threads end before the forward returns, and a lane's error is raised to
-the caller. With BLAS on every CPU, the default, one lane runs, and the
-pool starts no thread; OPENBLAS_NUM_THREADS=1 on an N-CPU host gives up
-to N lanes (``_idle_lanes`` reads the variables as OpenBLAS does). A lane
-gets at least two blocks: with one each, the lane with the short last
-block idles at the end of every layer's attention round, and every lane
-waits for the slowest CPU. At n = 308 (blocks of 212 and 96 rows) two
-lanes spread the frame tail across benchmark runs about six times as
-wide as one lane on a shared 2-CPU machine. The block boundaries are
-those of one lane, fixed by (n, heads), because a block's shape sets its
-summation order; a lane's matmuls run over fewer rows than one lane's,
-which on this BLAS leaves every row's sums unchanged, so at one BLAS
-thread count every lane count gives the same bits, and the tests pin
-them for 1, 2 and 3 lanes.
+Each forward reads the loaded OpenBLAS's thread count once, when it
+starts (``_lanes``), and that one number decides how the forward spreads
+over the CPUs of the process's affinity mask:
 
-A forward that runs one lane lends the CPUs it leaves idle to BLAS: when
-the loaded OpenBLAS runs fewer threads than the process's affinity mask
-holds CPUs, its count is raised to that many for the whole call, the
-embedding and every layer, and restored when the call ends, whether it
-returns or raises. The setter is looked up in the loaded library on the
-first such forward (``_blas_threads``); where there is none, BLAS is left
-alone. The count is global to the process, so forwards take one lock and
-run one at a time: a multi-lane forward never runs beside a raised count.
-A one-lane forward's float64 bits follow the BLAS count it ran at, as any
-matmul's do; the float32 feature dumps of the benchmark frames were the
-same at either count. Multi-lane forwards and ``merge_project`` leave BLAS
-as they find it: after its last threaded call, OpenBLAS's worker spins
-for about 0.12 s of CPU, which a multi-lane forward started next would
-lose to it.
+- Lanes: one per CPU that BLAS leaves idle, that is the CPUs divided by
+  the count, at most half the attention blocks, and at least 1. A BLAS
+  without a getter, or one that reports no positive count, counts as on
+  every CPU: one lane. So BLAS on every CPU, its default, gives one lane,
+  and OPENBLAS_NUM_THREADS=1 or a run-time setter at 1 on an N-CPU host
+  gives up to N lanes.
+- BLAS: a one-lane forward with BLAS on fewer threads than there are
+  CPUs raises the count to the CPUs for the whole call, the embedding and
+  every layer, and restores it when the call ends, whether it returns or
+  raises. A multi-lane forward and ``merge_project`` leave BLAS as they
+  find it: after its last threaded call, OpenBLAS's worker spins for
+  about 0.12 s of CPU, which a multi-lane forward started next would
+  lose to it.
+
+The (get, set) pair is looked up in the mapped library on the first
+forward of a process on more than one CPU (``_blas_threads``). The count
+is global to the process, so forwards take one lock, read the count
+under it and run one at a time: a multi-lane forward never runs beside a
+raised count.
+
+A lane owns a contiguous share of the token rows, a contiguous run of
+the attention blocks and a tile of its own, and steps through a layer in
+three phases: layer norm, Q/K/V projections and rotation of the lane's
+rows; the lane's attention blocks, which read every row's keys and
+values; then the out projection, MLP and residuals of its rows. A lane
+yields after each of the first two, and a round of a thread pool runs
+every lane to its next yield, so no phase starts before every lane has
+finished the one before it. The next layer starts on the lane's own
+rows, so two yields per layer suffice. Lane 0 runs on the calling
+thread, the others on the pool's threads, any of which may resume any
+lane; the pool's threads end before the forward returns, and a lane's
+error is raised to the caller; one lane starts no thread. A lane gets at
+least two blocks: with one each, the lane with the short last block
+idles at the end of every layer's attention round, and every lane waits
+for the slowest CPU. At n = 308 (blocks of 212 and 96 rows) two lanes
+spread the frame tail across benchmark runs about six times as wide as
+one lane on a shared 2-CPU machine.
+
+The block boundaries are those of one lane, fixed by (n, heads), because
+a block's shape sets its summation order; a lane's matmuls run over
+fewer rows than one lane's, which on this BLAS leaves every row's sums
+unchanged, so at one BLAS thread count every lane count gives the same
+bits, and the tests pin them for 1, 2 and 3 lanes. A one-lane forward's
+float64 bits follow the BLAS count it ran at, as any matmul's do; the
+float32 feature dumps of the benchmark frames were the same at either
+count.
 
 A forward or merge whose float64 arithmetic overflows raises
 ValidationError: each lane step, the embedding and the merge run with
@@ -96,9 +106,7 @@ import contextlib
 import functools
 import math
 import os
-import re
 import threading
-from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -350,39 +358,12 @@ def _block_rows(n: int, heads: int) -> int:
     return max(1, min(n, _TILE_BYTES // (8 * heads * max(n, 1))))
 
 
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS", "GOTO_NUM_THREADS",
-                 "OMP_NUM_THREADS")
-_ATOI = re.compile(r"[ \t\n\v\f\r]*([+-]?)0*([0-9]*)")
-
-
-def _atoi(text: str) -> int:
-    """``text`` as glibc's ``atoi`` reads it: C whitespace, an optional sign and the
-    ASCII digits that follow, 0 if there are none; the value saturates at a C long
-    and is then cut to a 32-bit int."""
-    sign, digits = _ATOI.match(text).groups()
-    # 20 significant digits already exceed a C long, and int() takes no more than 4300.
-    value = min(max(int(sign + (digits[:20] or "0")), -2**63), 2**63 - 1)
-    return (value + 2**31) % 2**32 - 2**31
-
-
-def _idle_lanes(cpus: int, env: Mapping[str, str]) -> int:
-    """Lanes that fit on the ``cpus`` BLAS leaves idle: ``cpus`` divided by
-    BLAS's thread count, and at least 1. OpenBLAS reads each of ``_BLAS_THREADS``
-    in ``env``, in that order, with ``atoi`` and takes the first positive value;
-    with none, BLAS uses every CPU."""
-    counts = (_atoi(env.get(name, "")) for name in _BLAS_THREADS)
-    return max(1, cpus // next((n for n in counts if n > 0), cpus))
-
-
-# CPUs in the process's affinity mask. Read once, as BLAS reads its thread
-# count once when it is loaded. A forward runs min(_LANES, attention blocks
-# // 2) lanes, and at least 1: lane 0 on the calling thread, the others on a
-# pool of one thread fewer.
+# CPUs in the process's affinity mask, read once. BLAS's thread count is
+# read by every forward (``_lanes``), so a count set at run time is seen.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_LANES = _idle_lanes(_CPUS, os.environ)
 
 # Held by every forward while it runs: BLAS's thread count is global to the
-# process, and a one-lane forward raises it.
+# process, every forward reads it, and a one-lane forward raises it.
 _FORWARD = threading.Lock()
 
 # The floating-point errors that fail a forward or a merge.
@@ -400,16 +381,19 @@ def _blas_threads():
     """The loaded OpenBLAS's (get, set) thread-count functions, or None.
 
     The library is a path holding ``openblas`` that is mapped into the
-    process (``/proc/self/maps``), and the pair is the first of
-    ``_BLAS_SYMBOLS`` that one of them exports. Called on the first forward
-    that could raise the count, never at import."""
+    process (all of a ``/proc/self/maps`` line after its fifth field,
+    spaces and non-ASCII bytes included), and the pair is the first of
+    ``_BLAS_SYMBOLS`` that one of them exports. Called by the first
+    forward on more than one CPU, never at import."""
     import ctypes
 
     try:
-        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        with open("/proc/self/maps", "rb") as fh:
+            fields = [line.rstrip(b"\n").split(maxsplit=5) for line in fh]
     except OSError:
         return None
+    paths = sorted({os.fsdecode(f[5]) for f in fields
+                    if len(f) == 6 and b"openblas" in f[5].lower()})
     libs = []
     for path in paths:
         with contextlib.suppress(OSError):
@@ -425,20 +409,25 @@ def _blas_threads():
 
 
 @contextlib.contextmanager
-def _blas_on_every_cpu(lanes: int):
-    """For a one-lane forward, BLAS runs on every CPU of the affinity mask
-    inside the block and gets the count it had back after it. A multi-lane
-    forward, a one-CPU process and a BLAS without a setter change nothing."""
-    blas = _blas_threads() if lanes == 1 and _CPUS > 1 else None
-    found = blas[0]() if blas else _CPUS
-    if found >= _CPUS:
-        yield
+def _lanes(blocks: int):
+    """Yield the lanes of a forward over ``blocks`` attention blocks: one per
+    CPU that BLAS leaves idle, at most half the blocks, and at least 1. BLAS's
+    thread count is read once; a one-CPU process does not look it up, and a
+    BLAS without a getter, or one that reports no positive count, counts as on
+    every CPU. A one-lane forward runs BLAS on every CPU inside the block and
+    gives it the count it had back after it."""
+    blas = _blas_threads() if _CPUS > 1 else None
+    count = blas[0]() if blas else _CPUS
+    count = count if count > 0 else _CPUS
+    lanes = max(1, min(_CPUS // count, blocks // 2))
+    if lanes > 1 or count >= _CPUS:
+        yield lanes
         return
     blas[1](_CPUS)
     try:
-        yield
+        yield lanes
     finally:
-        blas[1](found)
+        blas[1](count)
 
 
 @contextlib.contextmanager
@@ -504,8 +493,7 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
     n, nh, dh = len(tokens), config.n_heads, config.head_dim
     rows = _block_rows(n, nh)
     starts = range(0, n, rows)
-    lanes = max(1, min(_LANES, len(starts) // 2))
-    with _FORWARD, _blas_on_every_cpu(lanes), _fails_on_overflow("encoder forward"):
+    with _FORWARD, _lanes(len(starts)) as lanes, _fails_on_overflow("encoder forward"):
         h = tokens @ weights.w_embed + weights.b_embed
         if not len(positions[out]):  # no query row; with no key kept, softmax would be 0/0
             return PackedSequence(h[out], positions[out], grid)

@@ -1,12 +1,15 @@
 import concurrent.futures
-import contextlib
+import ctypes
 import dataclasses
 import functools
 import gc
+import io
 import math
+import os
 import sys
 import threading
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -590,6 +593,36 @@ class TestOneForwardPath:
                 run()
 
 
+class FakeBlas:
+    """A BLAS thread count behind get and set functions; ``set_to`` records
+    each count set, and ``asked`` each lookup of the pair."""
+
+    def __init__(self, threads):
+        self.threads, self.set_to, self.asked = threads, [], 0
+
+    def resolve(self):
+        self.asked += 1
+        return self.get, self.set
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.set_to.append(threads)
+        self.threads = threads
+
+
+def set_lanes(monkeypatch, cpus):
+    """Give a forward up to ``cpus`` lanes: that many CPUs and a BLAS that
+    reports one thread. One CPU looks no BLAS up, so a one-lane forward
+    leaves BLAS alone there; a multi-lane forward always does. Returns the
+    fake BLAS."""
+    blas = FakeBlas(1)
+    monkeypatch.setattr(encoder, "_CPUS", cpus)
+    monkeypatch.setattr(encoder, "_blas_threads", blas.resolve)
+    return blas
+
+
 class TestPackedVsOracle:
     def test_multi_head_masked_matches_hand_rolled_reference(self, monkeypatch):
         """Also with the tile budget shrunk so that attention runs in blocks
@@ -611,7 +644,7 @@ class TestPackedVsOracle:
 
         for block_rows in (None, 1, 2, 3):
             for lanes in (1, 2, 3):
-                monkeypatch.setattr(encoder, "_LANES", lanes)
+                set_lanes(monkeypatch, lanes)
                 shrink_tile(12, block_rows)
                 oracle = encode_masked_dense_oracle(patches, rope, mask, weights, config)
                 shrink_tile(len(coords), block_rows)
@@ -693,16 +726,12 @@ class TestPackedVsOracle:
 class TestLanes:
     """The forward runs in lanes, threads that each own a share of the rows
     and of the attention blocks. Tier-1 leaves BLAS at its default thread
-    count, which gives one lane, so these tests set the lane count."""
+    count, which gives one lane, so these tests set the lane count through
+    the CPU count and a fake BLAS on one thread, which leaves the loaded
+    BLAS alone: its count sets the float64 bits, and these tests compare
+    lane counts."""
 
     SIDE = 30  # n = 900: seven attention blocks at small_config's tile, so 3 lanes
-
-    @pytest.fixture(autouse=True)
-    def blas_left_alone(self, monkeypatch):
-        """A one-lane forward would raise BLAS's thread count, and the float64
-        bits follow that count; these tests compare lane counts, so BLAS keeps
-        the count it has."""
-        monkeypatch.setattr(encoder, "_blas_threads", lambda: None)
 
     def case(self, seed):
         config = small_config()
@@ -726,7 +755,7 @@ class TestLanes:
             blocks = -(-n // encoder._block_rows(n, config.n_heads))
             got = []
             for lanes in (1, 2, 3):
-                monkeypatch.setattr(encoder, "_LANES", lanes)
+                set_lanes(monkeypatch, lanes)
                 seen.clear()
                 result = run()
                 assert seen == [max(1, min(lanes, blocks // 2))]
@@ -735,45 +764,46 @@ class TestLanes:
 
     def test_every_lane_has_two_attention_blocks(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(encoder, "_LANES", 64)
+        set_lanes(monkeypatch, 64)
         monkeypatch.setattr(encoder, "_run_lanes", lambda lanes, lane: seen.append(lanes))
         config = small_config()
         for side in (4, 24, self.SIDE):  # 1, 3 and 7 blocks
             encode_dense(*random_setup(side, side, config, seed=33), config)
         assert seen == [1, 1, 3]
 
-    @pytest.mark.parametrize("cpus, env, lanes", [
-        (2, {}, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "0"}, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "x"}, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "-1"}, 1),
-        (2, {"OPENBLAS_NUM_THREADS": ""}, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "3"}, 1),
-        (4, {"OMP_NUM_THREADS": "2"}, 2),
-        (4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
-        (4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
-        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-        (64, {"OPENBLAS_NUM_THREADS": "1"}, 64),  # a forward caps it at half its blocks
-        # Each variable is read as C's atoi reads it, so OpenBLAS reads these as 1 ...
-        *((4, {"OPENBLAS_NUM_THREADS": text}, 4)
-          for text in (" 1", "\t1", "+1", "1x", "1,2", "1.5", "00001", "4294967297")),
-        # ... and these as unset.
-        *((4, {"OPENBLAS_NUM_THREADS": text}, 1)
-          for text in ("\u0664", "abc", "+-1", "0x1", "-0", "2147483648",
-                       "18446744073709551617", "9" * 5000)),
-        (4, {"OPENBLAS_NUM_THREADS": "-4294967295"}, 4),  # -(2**32 - 1), cut to 32 bits
-        # The first positive value wins, in OpenBLAS's order.
-        (4, {"OPENBLAS_NUM_THREADS": "2", "OPENBLAS_DEFAULT_NUM_THREADS": "1"}, 2),
-        (4, {"OPENBLAS_DEFAULT_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2"}, 4),
-        (4, {"OPENBLAS_DEFAULT_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2"}, 2),
-        (4, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4),
-        (4, {"GOTO_NUM_THREADS": "abc", "OMP_NUM_THREADS": "2"}, 2),
+    @pytest.mark.parametrize("cpus, count, blocks, lanes", [
+        (2, 2, 7, 1),  # BLAS on every CPU, its default
+        (2, 1, 7, 2),
+        (4, 1, 7, 3),  # a lane gets at least two blocks
+        (4, 2, 7, 2),
+        (4, 3, 7, 1),
+        (4, 4, 7, 1),
+        (4, 7, 7, 1),  # a count above the CPUs
+        (4, 0, 7, 1),  # no positive count: taken as every CPU, and left alone
+        (4, -1, 7, 1),
+        (4, 1, 3, 1),
+        (4, 1, 1, 1),
+        (4, 1, 0, 1),
+        (1, 1, 7, 1),  # one CPU: BLAS is not looked up
+        (64, 1, 7, 3),
+        (64, 1, 200, 64),
+        (64, 2, 200, 32),
     ])
-    def test_lane_count_is_the_cpus_blas_leaves_idle(self, cpus, env, lanes):
+    def test_lane_count_is_the_cpus_blas_leaves_idle(self, monkeypatch, cpus, count, blocks,
+                                                      lanes):
+        """One reading of BLAS's count gives the lanes and, for one lane on
+        fewer threads than CPUs, the raise to every CPU inside the block."""
+        blas = FakeBlas(count)
+        monkeypatch.setattr(encoder, "_CPUS", cpus)
+        monkeypatch.setattr(encoder, "_blas_threads", blas.resolve)
+        raised = lanes == 1 and 0 < count < cpus
         before = threading.active_count()
-        assert encoder._idle_lanes(cpus, env) == lanes
+        with encoder._lanes(blocks) as got:
+            assert got == lanes
+            assert blas.threads == (cpus if raised else count)
+        assert blas.threads == count
+        assert blas.set_to == ([cpus, count] if raised else [])
+        assert blas.asked == (cpus > 1)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("lanes, failing", [(2, 1), (3, 1), (3, 0), (3, 2)])
@@ -791,7 +821,7 @@ class TestLanes:
                     raise ValidationError(f"lane {failing} fails")
             return rotate(table, positions, v)
 
-        monkeypatch.setattr(encoder, "_LANES", lanes)
+        set_lanes(monkeypatch, lanes)
         monkeypatch.setattr(encoder, "apply_rope_many", fail_in_one_lane)
         before = threading.active_count()
         with pytest.raises(ValidationError, match=f"lane {failing} fails"):
@@ -799,7 +829,7 @@ class TestLanes:
         assert threading.active_count() == before
         monkeypatch.setattr(encoder, "apply_rope_many", rotate)
         again = encode_dense(patches, rope, weights, config).tokens
-        monkeypatch.setattr(encoder, "_LANES", 1)
+        set_lanes(monkeypatch, 1)
         assert again.tobytes() == encode_dense(patches, rope, weights, config).tokens.tobytes()
 
     def test_a_thread_that_cannot_start_releases_the_started_lanes(self, monkeypatch):
@@ -812,7 +842,7 @@ class TestLanes:
             started.append(thread)
             start(thread)
 
-        monkeypatch.setattr(encoder, "_LANES", 3)
+        set_lanes(monkeypatch, 3)
         monkeypatch.setattr(threading.Thread, "start", start_one)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="can't start new thread"):
@@ -822,7 +852,7 @@ class TestLanes:
 
     def test_one_lane_starts_no_thread(self, monkeypatch):
         config, patches, rope, weights, _ = self.case(35)
-        monkeypatch.setattr(encoder, "_LANES", 1)
+        set_lanes(monkeypatch, 1)
         want = encode_dense(patches, rope, weights, config).tokens.tobytes()
 
         def refuse(thread):
@@ -835,7 +865,7 @@ class TestLanes:
         """No lane waits for another within a round, so one thread can step two
         lanes in turn; lanes that waited at a barrier would deadlock here."""
         config, patches, rope, weights, _ = self.case(36)
-        monkeypatch.setattr(encoder, "_LANES", 1)
+        set_lanes(monkeypatch, 1)
         want = encode_dense(patches, rope, weights, config).tokens.tobytes()
         pool, asked = concurrent.futures.ThreadPoolExecutor, []
 
@@ -844,7 +874,7 @@ class TestLanes:
             return pool(1)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", one_thread)
-        monkeypatch.setattr(encoder, "_LANES", 3)
+        set_lanes(monkeypatch, 3)
         before, got = threading.active_count(), []
         runner = threading.Thread(  # so that a deadlock fails the test, not the suite
             target=lambda: got.append(encode_dense(patches, rope, weights, config)), daemon=True)
@@ -864,7 +894,7 @@ class TestLanes:
         config = small_config(n_layers=1)
         patches, rope, weights = random_setup(self.SIDE, self.SIDE, config, seed=37)
         patches[-1] = value
-        monkeypatch.setattr(encoder, "_LANES", lanes)
+        set_lanes(monkeypatch, lanes)
         with pytest.raises(ValidationError, match="encoder forward overflows float64"):
             encode_dense(patches, rope, weights, config)
 
@@ -874,30 +904,11 @@ class TestLanes:
         patches, rope, weights = random_setup(self.SIDE, self.SIDE, config, seed=37)
         patches[-1] = 1e150
         seen, run_lanes = [], encoder._run_lanes
-        monkeypatch.setattr(encoder, "_LANES", lanes)
+        set_lanes(monkeypatch, lanes)
         monkeypatch.setattr(encoder, "_run_lanes",
                             lambda n, lane: (seen.append(n), run_lanes(n, lane)))
         assert np.isfinite(encode_dense(patches, rope, weights, config).tokens).all()
         assert seen == [lanes]
-
-
-class FakeBlas:
-    """A BLAS thread count behind get and set functions; ``set_to`` records
-    each count set, and ``asked`` each lookup of the pair."""
-
-    def __init__(self, threads):
-        self.threads, self.set_to, self.asked = threads, [], 0
-
-    def resolve(self):
-        self.asked += 1
-        return self.get, self.set
-
-    def get(self):
-        return self.threads
-
-    def set(self, threads):
-        self.set_to.append(threads)
-        self.threads = threads
 
 
 class TestBlasOnIdleCpus:
@@ -908,11 +919,7 @@ class TestBlasOnIdleCpus:
 
     @pytest.fixture
     def blas(self, monkeypatch):
-        fake = FakeBlas(1)
-        monkeypatch.setattr(encoder, "_CPUS", 4)
-        monkeypatch.setattr(encoder, "_LANES", 4)
-        monkeypatch.setattr(encoder, "_blas_threads", fake.resolve)
-        return fake
+        return set_lanes(monkeypatch, 4)
 
     @staticmethod
     def count_rope_calls(monkeypatch, blas):
@@ -947,7 +954,22 @@ class TestBlasOnIdleCpus:
         seen = self.count_rope_calls(monkeypatch, blas)
         merge_project(encode_dense(patches, rope, weights, config), config, weights)
         assert {threads for _, threads in seen} == {1}
-        assert blas.asked == 0 and blas.set_to == []
+        assert blas.asked == 1 and blas.set_to == []
+
+    def test_a_count_set_at_run_time_decides_the_lanes(self, monkeypatch, blas):
+        """BLAS's count is read when each forward starts: lowered to one thread
+        after a forward that found it on every CPU, it gives the next forward
+        of seven blocks three lanes, and no count is set."""
+        config, patches, rope, weights, _ = TestLanes().case(41)
+        seen, run_lanes = [], encoder._run_lanes
+        monkeypatch.setattr(encoder, "_run_lanes",
+                            lambda lanes, lane: (seen.append(lanes), run_lanes(lanes, lane)))
+        blas.threads = 4
+        encode_dense(patches, rope, weights, config)
+        blas.threads = 1
+        encode_dense(patches, rope, weights, config)
+        assert seen == [1, 3]
+        assert blas.asked == 2 and blas.set_to == []
 
     def test_one_cpu_leaves_blas_alone(self, monkeypatch, blas):
         monkeypatch.setattr(encoder, "_CPUS", 1)
@@ -979,18 +1001,22 @@ class TestBlasOnIdleCpus:
             encode_dense(np.full_like(patches, 1e160), rope, weights, config)
         assert blas.set_to == [4, 1] and blas.threads == 1
 
-    def test_without_a_setter_the_forward_runs_as_before(self, monkeypatch):
-        """With no setter found, the forward is the one that never touches
-        BLAS, bit for bit, and the lookup is not repeated by this forward."""
-        asked = []
+    def test_without_a_blas_pair_the_forward_runs_one_lane(self, monkeypatch):
+        """With no (get, set) pair found, BLAS counts as on every CPU: a forward
+        of seven blocks runs one lane, bit for bit the forward of a one-CPU
+        process, which never looks BLAS up, and the lookup is made once a
+        forward."""
+        asked, seen, run_lanes = [], [], encoder._run_lanes
         monkeypatch.setattr(encoder, "_CPUS", 4)
         monkeypatch.setattr(encoder, "_blas_threads", lambda: asked.append(1))
-        config = small_config()
-        patches, rope, weights = random_setup(6, 6, config, seed=44)
+        monkeypatch.setattr(encoder, "_run_lanes",
+                            lambda lanes, lane: (seen.append(lanes), run_lanes(lanes, lane)))
+        config, patches, rope, weights, _ = TestLanes().case(44)
         got = encode_dense(patches, rope, weights, config).tokens.tobytes()
-        assert asked == [1]
-        monkeypatch.setattr(encoder, "_blas_on_every_cpu", lambda lanes: contextlib.nullcontext())
+        assert asked == [1] and seen == [1]
+        monkeypatch.setattr(encoder, "_CPUS", 1)
         assert encode_dense(patches, rope, weights, config).tokens.tobytes() == got
+        assert asked == [1] and seen == [1, 1]
 
     def test_concurrent_forwards_keep_their_counts_and_bits(self, monkeypatch, blas):
         """Two threads each of a one-lane packed forward (450 rows, two blocks)
@@ -1027,6 +1053,43 @@ class TestBlasOnIdleCpus:
         assert {threads for rows, threads in seen if rows == len(packed)} == {4}
         assert {threads for rows, threads in seen if rows != len(packed)} == {1}
         assert blas.threads == 1 and blas.set_to == [4, 1] * 7
+
+
+class TestBlasLookup:
+    MAPS = (b"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234       /opt/my env/"
+            b"libscipy_openblas64_.so\n"
+            b"7f0000001000-7f0000002000 r--p 00001000 08:01 1234       /opt/my env/"
+            b"libscipy_openblas64_.so\n"
+            b"7f0000002000-7f0000003000 rw-p 00000000 00:00 0 \n"
+            b"7f0000003000-7f0000004000 r-xp 00000000 08:01 1235       /usr/lib/libc.so.6\n"
+            b"7f0000004000-7f0000005000 r-xp 00000000 08:01 1236       /opt/caf\xc3\xa9/\xff/"
+            b"libOpenBLAS.so\n")
+
+    def test_a_library_path_with_a_space_or_a_non_ascii_byte_is_opened(self, monkeypatch):
+        """A mapped path is all of a maps line after its fifth field, read as
+        bytes and decoded as the file system encodes names: the last
+        whitespace field, read as ASCII, opened no library here."""
+        opened = []
+
+        def fake_open(file, mode="r", **text):
+            assert file == "/proc/self/maps"
+            raw = io.BytesIO(self.MAPS)
+            return raw if "b" in mode else io.TextIOWrapper(raw, **text)
+
+        def fake_cdll(path):
+            opened.append(path)
+            lib = types.SimpleNamespace()
+            if "my env" in path:
+                lib.scipy_openblas_get_num_threads64_ = lambda: 2
+                lib.scipy_openblas_set_num_threads64_ = lambda threads: None
+            return lib
+
+        monkeypatch.setattr(encoder, "open", fake_open, raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+        get, _ = encoder._blas_threads.__wrapped__()
+        assert sorted(opened) == sorted([os.fsdecode(b"/opt/caf\xc3\xa9/\xff/libOpenBLAS.so"),
+                                         "/opt/my env/libscipy_openblas64_.so"])
+        assert get() == 2
 
 
 class TestMergeProject:

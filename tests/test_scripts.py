@@ -97,14 +97,37 @@ def test_number_flags_take_the_package_grammar(tmp_path, name, flag):
     assert "invalid" in proc.stderr and proc.stdout == ""
 
 
+def nodes(paths):
+    """(path, node) for every AST node of the Python files ``paths``."""
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path, node
+
+
 def test_no_argparse_flag_reads_numbers_with_int_or_float():
     flags, found = 0, []
-    for path in [*(REPO / "src" / "evprune").rglob("*.py"), *(REPO / "scripts").glob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
-                flags += 1
-                found += [f"{path.name}:{node.lineno}" for kw in node.keywords
-                          if kw.arg == "type" and isinstance(kw.value, ast.Name)
-                          and kw.value.id in ("int", "float")]
+    for path, node in nodes([*(REPO / "src" / "evprune").rglob("*.py"),
+                             *(REPO / "scripts").glob("*.py")]):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            flags += 1
+            found += [f"{path.name}:{node.lineno}" for kw in node.keywords
+                      if kw.arg == "type" and isinstance(kw.value, ast.Name)
+                      and kw.value.id in ("int", "float")]
     assert flags > 20  # the scan sees the CLI's and the scripts' flags
+    assert found == []
+
+
+def test_the_package_reads_no_environment_variable():
+    """The package's inputs are its arguments and files; BLAS's thread count
+    is asked of the loaded BLAS, not read from its variables."""
+    env = {"environ", "environb", "getenv"}
+    os_uses, found = 0, []
+    for path, node in nodes((REPO / "src" / "evprune").rglob("*.py")):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            os_uses += 1
+            found += [f"{path.name}:{node.lineno}"] if node.attr in env else []
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name in env]
+    assert os_uses > 5  # the scan sees the package's other uses of os
     assert found == []
