@@ -784,6 +784,14 @@ class TestLanes:
         (4, 1, 3, 1),
         (4, 1, 1, 1),
         (4, 1, 0, 1),
+        (4, 1, 2, 1),  # two blocks: one lane, on a raised BLAS
+        (4, 1, 4, 2),
+        (4, 1, 5, 2),  # half the blocks, rounded down
+        (4, 1, 6, 3),
+        (8, 2, 7, 3),
+        (8, 3, 7, 2),  # the idle CPUs, rounded down
+        (8, 5, 7, 1),
+        (3, 2, 7, 1),
         (1, 1, 7, 1),  # one CPU: BLAS is not looked up
         (64, 1, 7, 3),
         (64, 1, 200, 64),
@@ -1056,6 +1064,10 @@ class TestBlasOnIdleCpus:
 
 
 class TestBlasLookup:
+    """``_blas_threads`` opens the OpenBLAS libraries mapped into the process,
+    read from a fake ``/proc/self/maps``, and returns the first (get, set)
+    pair of ``_BLAS_SYMBOLS`` that one of them exports."""
+
     MAPS = (b"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234       /opt/my env/"
             b"libscipy_openblas64_.so\n"
             b"7f0000001000-7f0000002000 r--p 00001000 08:01 1234       /opt/my env/"
@@ -1064,32 +1076,111 @@ class TestBlasLookup:
             b"7f0000003000-7f0000004000 r-xp 00000000 08:01 1235       /usr/lib/libc.so.6\n"
             b"7f0000004000-7f0000005000 r-xp 00000000 08:01 1236       /opt/caf\xc3\xa9/\xff/"
             b"libOpenBLAS.so\n")
+    SCIPY, OPENBLAS64, PLAIN = encoder._BLAS_SYMBOLS
+
+    @staticmethod
+    def maps(*paths):
+        """A maps text with one line per path, and an anonymous line."""
+        lines = [b"7f0000002000-7f0000003000 rw-p 00000000 00:00 0 \n"]
+        lines += [b"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234       %s\n" % path
+                  for path in paths]
+        return b"".join(lines)
+
+    @staticmethod
+    def pair(symbols, threads=1):
+        """The functions of one (get, set) symbol pair of a fake library."""
+        get_name, set_name = symbols
+        return {get_name: lambda: threads, set_name: lambda count: None}
+
+    @staticmethod
+    def lookup(monkeypatch, maps, libs):
+        """Run the lookup over the maps text ``maps``, with ``libs`` giving the
+        symbols of each library path, or an OSError that fails its load.
+        Returns the result and the paths opened, in order."""
+        opened = []
+
+        def fake_open(file, mode="r", **text):
+            assert file == "/proc/self/maps"
+            if isinstance(maps, OSError):
+                raise maps
+            raw = io.BytesIO(maps)
+            return raw if "b" in mode else io.TextIOWrapper(raw, **text)
+
+        def fake_cdll(path):
+            opened.append(path)
+            symbols = libs.get(path, {})
+            if isinstance(symbols, OSError):
+                raise symbols
+            return types.SimpleNamespace(**symbols)
+
+        monkeypatch.setattr(encoder, "open", fake_open, raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+        return encoder._blas_threads.__wrapped__(), opened
 
     def test_a_library_path_with_a_space_or_a_non_ascii_byte_is_opened(self, monkeypatch):
         """A mapped path is all of a maps line after its fifth field, read as
         bytes and decoded as the file system encodes names: the last
         whitespace field, read as ASCII, opened no library here."""
-        opened = []
-
-        def fake_open(file, mode="r", **text):
-            assert file == "/proc/self/maps"
-            raw = io.BytesIO(self.MAPS)
-            return raw if "b" in mode else io.TextIOWrapper(raw, **text)
-
-        def fake_cdll(path):
-            opened.append(path)
-            lib = types.SimpleNamespace()
-            if "my env" in path:
-                lib.scipy_openblas_get_num_threads64_ = lambda: 2
-                lib.scipy_openblas_set_num_threads64_ = lambda threads: None
-            return lib
-
-        monkeypatch.setattr(encoder, "open", fake_open, raising=False)
-        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
-        get, _ = encoder._blas_threads.__wrapped__()
+        found, opened = self.lookup(monkeypatch, self.MAPS, {
+            "/opt/my env/libscipy_openblas64_.so": self.pair(self.SCIPY, threads=2)})
         assert sorted(opened) == sorted([os.fsdecode(b"/opt/caf\xc3\xa9/\xff/libOpenBLAS.so"),
                                          "/opt/my env/libscipy_openblas64_.so"])
+        get, _ = found
         assert get() == 2
+
+    @pytest.mark.parametrize("symbols", encoder._BLAS_SYMBOLS)
+    def test_each_symbol_pair_is_found(self, monkeypatch, symbols):
+        found, _ = self.lookup(monkeypatch, self.maps(b"/lib/libopenblas.so"),
+                               {"/lib/libopenblas.so": self.pair(symbols, threads=3)})
+        assert found is not None and found[0]() == 3
+
+    def test_the_pair_is_typed_as_c_int(self, monkeypatch):
+        (get, set_), _ = self.lookup(monkeypatch, self.maps(b"/lib/libopenblas.so"),
+                                     {"/lib/libopenblas.so": self.pair(self.PLAIN)})
+        assert (get.argtypes, get.restype) == ([], ctypes.c_int)
+        assert (set_.argtypes, set_.restype) == ([ctypes.c_int], None)
+
+    def test_symbols_are_tried_in_order_across_libraries(self, monkeypatch):
+        """numpy's symbols win over a plain OpenBLAS opened before them."""
+        found, opened = self.lookup(monkeypatch, self.maps(b"/a/libopenblas.so",
+                                                           b"/b/libscipy_openblas64_.so"), {
+            "/a/libopenblas.so": self.pair(self.PLAIN, threads=1),
+            "/b/libscipy_openblas64_.so": self.pair(self.SCIPY, threads=4)})
+        assert opened == ["/a/libopenblas.so", "/b/libscipy_openblas64_.so"]
+        assert found[0]() == 4
+
+    def test_a_getter_without_its_setter_is_passed_over(self, monkeypatch):
+        lib = {self.SCIPY[0]: lambda: 4, **self.pair(self.PLAIN, threads=2)}
+        found, _ = self.lookup(monkeypatch, self.maps(b"/lib/libopenblas.so"),
+                               {"/lib/libopenblas.so": lib})
+        assert found[0]() == 2
+
+    def test_a_library_that_fails_to_load_is_passed_over(self, monkeypatch):
+        found, opened = self.lookup(monkeypatch, self.maps(b"/a/libopenblas.so",
+                                                           b"/b/libopenblas.so"), {
+            "/a/libopenblas.so": OSError("cannot open shared object file"),
+            "/b/libopenblas.so": self.pair(self.PLAIN, threads=2)})
+        assert opened == ["/a/libopenblas.so", "/b/libopenblas.so"]
+        assert found[0]() == 2
+
+    def test_a_library_mapped_many_times_is_opened_once(self, monkeypatch):
+        path = b"/lib/libopenblas.so"
+        _, opened = self.lookup(monkeypatch, self.maps(path, path, path), {})
+        assert opened == ["/lib/libopenblas.so"]
+
+    def test_only_openblas_paths_are_opened(self, monkeypatch):
+        found, opened = self.lookup(monkeypatch, self.maps(b"/usr/lib/libc.so.6",
+                                                           b"/usr/lib/libblas.so.3"), {})
+        assert found is None and opened == []
+
+    def test_no_pair_exported_finds_no_blas(self, monkeypatch):
+        found, opened = self.lookup(monkeypatch, self.maps(b"/lib/libopenblas.so"),
+                                    {"/lib/libopenblas.so": {"dgemm_": lambda: None}})
+        assert found is None and opened == ["/lib/libopenblas.so"]
+
+    def test_an_unreadable_maps_file_finds_no_blas(self, monkeypatch):
+        found, opened = self.lookup(monkeypatch, PermissionError("/proc/self/maps"), {})
+        assert found is None and opened == []
 
 
 class TestMergeProject:
