@@ -42,9 +42,9 @@ repeated call is bit-identical, and so are sequences of equal length
 different lengths (packed versus masked-dense) or different block shapes
 agree to rounding, not bit for bit.
 
-Each forward reads the loaded OpenBLAS's thread count once, when it
-starts (``_lanes``), and that one number decides how the forward spreads
-over the CPUs of the process's affinity mask:
+Each forward reads the thread count of the OpenBLAS numpy calls once,
+when it starts (``_lanes``), and that one number decides how the
+forward spreads over the CPUs of the process's affinity mask:
 
 - Lanes: one per CPU that BLAS leaves idle, that is the CPUs divided by
   the count, at most half the attention blocks, and at least 1. A BLAS
@@ -60,11 +60,11 @@ over the CPUs of the process's affinity mask:
   about 0.12 s of CPU, which a multi-lane forward started next would
   lose to it.
 
-The (get, set) pair is looked up in the mapped library on the first
-forward of a process on more than one CPU (``_blas_threads``). The count
-is global to the process, so forwards take one lock, read the count
-under it and run one at a time: a multi-lane forward never runs beside a
-raised count.
+The (get, set) pair is looked up once, through a handle on numpy's own
+extension, on the first forward of a process on more than one CPU
+(``_blas_threads``). The count is global to the process, so forwards
+take one lock, read the count under it and run one at a time: a
+multi-lane forward never runs beside a raised count.
 
 A lane owns a contiguous share of the token rows, a contiguous run of
 the attention blocks and a tile of its own, and steps through a layer in
@@ -378,33 +378,28 @@ _BLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_t
 
 @functools.cache
 def _blas_threads():
-    """The loaded OpenBLAS's (get, set) thread-count functions, or None.
+    """The (get, set) thread-count functions of the OpenBLAS numpy calls, or None.
 
-    The library is a path holding ``openblas`` that is mapped into the
-    process (all of a ``/proc/self/maps`` line after its fifth field,
-    spaces and non-ASCII bytes included), and the pair is the first of
-    ``_BLAS_SYMBOLS`` that one of them exports. Called by the first
-    forward on more than one CPU, never at import."""
+    numpy's ``_multiarray_umath`` extension is opened by its file, and on
+    that handle the loader resolves a symbol in the extension or a library
+    it links: the pair is the first of ``_BLAS_SYMBOLS`` it resolves.
+    Called by the first forward on more than one CPU, never at import."""
     import ctypes
 
     try:
-        with open("/proc/self/maps", "rb") as fh:
-            fields = [line.rstrip(b"\n").split(maxsplit=5) for line in fh]
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
     except OSError:
         return None
-    paths = sorted({os.fsdecode(f[5]) for f in fields
-                    if len(f) == 6 and b"openblas" in f[5].lower()})
-    libs = []
-    for path in paths:
-        with contextlib.suppress(OSError):
-            libs.append(ctypes.CDLL(path))
     for get_name, set_name in _BLAS_SYMBOLS:
-        for lib in libs:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 
@@ -613,12 +608,13 @@ def merge_project(
     m = config.merge_size
     rows, cols = features.origin_grid
     cell_of = features.kept // m
-    # kept is raster-ordered, so a stable sort by cell keeps each cell's
-    # members in raster order; a partial last cell column still gets an index
-    cell_index = cell_of[:, 0] * -(-cols // m) + cell_of[:, 1]
-    order = np.argsort(cell_index, kind="stable")
-    _, first, counts = np.unique(cell_index, return_index=True, return_counts=True)
-    cells = cell_of[first]
+    # kept is raster-ordered, so a stable sort by (cell row, cell col), with no
+    # row * cols key to overflow, keeps each cell's members in raster order
+    order = np.lexsort((cell_of[:, 1], cell_of[:, 0]))
+    members = cell_of[order]
+    # a cell starts at the first row and at each row unlike the one before it
+    first = np.flatnonzero(np.diff(members, axis=0, prepend=-1).any(axis=1))
+    cells, counts = members[first], np.diff(first, append=len(members))
     incomplete = np.flatnonzero(counts != m * m)
     if incomplete.size:
         (i, j), k = cells[incomplete[0]], counts[incomplete[0]]

@@ -25,12 +25,12 @@ from .saliency import PatchMask
 class PackedSequence:
     """Retained tokens plus their original grid coordinates, raster order."""
 
-    tokens: np.ndarray  # (n', D)
+    tokens: np.ndarray  # (n', D), kept as a sealed copy in its own dtype
     kept: np.ndarray  # (n', 2) integer (row, col)
     origin_grid: tuple[int, int]
 
     def __post_init__(self):
-        arr = np.array(real_array(self.tokens, "tokens", 2), dtype=np.float64)
+        arr = np.array(real_array(self.tokens, "tokens", 2))
         kept = _as_positions(self.kept)
         if arr.shape[0] != kept.shape[0]:
             raise ValidationError("one kept coordinate per token row required")
@@ -38,9 +38,12 @@ class PackedSequence:
         if not (isinstance(grid, tuple) and len(grid) == 2):
             raise ValidationError(f"origin grid must be two non-negative ints, got {shown(grid)}")
         rows, cols = (as_size(v, "origin grid", 0) for v in grid)
-        # the first row that is outside the grid or not after its predecessor
+        # the first row that is outside the grid or not after its predecessor,
+        # (row, col) compared in turn: a raster key row * cols can overflow
         inside = ((kept >= 0) & (kept < (rows, cols))).all(axis=1)
-        rising = np.diff(kept[:, 0] * cols + kept[:, 1], prepend=-1) > 0
+        r, c = kept[:, 0], kept[:, 1]
+        rising = np.ones(len(kept), dtype=bool)
+        rising[1:] = (r[1:] > r[:-1]) | (r[1:] == r[:-1]) & (c[1:] > c[:-1])
         bad = np.flatnonzero(~(inside & rising))[:1]
         if bad.size and not inside[bad[0]]:
             i, j = kept[bad[0]]
@@ -66,8 +69,8 @@ def _grid_rows(patches, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pack_patches(patch_seq: np.ndarray, mask: PatchMask) -> PackedSequence:
-    """Keep the rows whose mask bit is set, preserving raster order. Only the
-    kept rows are converted to the sequence's float64."""
+    """Keep the rows whose mask bit is set, preserving raster order, in the
+    patches' dtype: the encoder converts only the kept rows to float64."""
     as_record(mask, PatchMask, "mask")
     seq, positions = _grid_rows(patch_seq, (mask.rows, mask.cols))
     flat = mask.bits.ravel().astype(bool)

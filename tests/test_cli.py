@@ -450,10 +450,11 @@ class TestEncode:
     def test_packed_input_converts_only_the_kept_rows(self, tmp_path, capsys, monkeypatch):
         """From the uint8 image to the packed float tokens, the traced peak
         stays below the image's bytes plus, per kept token, its uint8 row and
-        three float64 copies of it (the packed rows, their scaled copy, and the
-        copy the new sequence keeps), plus 64 KiB for the coordinates and the
-        mask. Converting the whole image first, then patchifying it, made two
-        float64 copies of every pixel: 4.8 MB each at 448x448x3."""
+        two float64 copies of it (the scaled rows and the copy the new
+        sequence keeps), plus 64 KiB for the coordinates and the mask. The
+        packed rows stay uint8 until they are scaled. Converting the whole
+        image first, then patchifying it, made two float64 copies of every
+        pixel: 4.8 MB each at 448x448x3."""
         rng = np.random.default_rng(3)
         image = rng.integers(0, 256, (448, 448, 3), dtype=np.uint8)
         cfg = write_encoder_config(tmp_path / "enc.cfg", patch_size=14)
@@ -491,7 +492,7 @@ class TestEncode:
             tracemalloc.stop()
         row = 14 * 14 * 3
         assert seen["kept"] == mask.k == 308
-        assert seen["peak"] <= image.nbytes + seen["kept"] * row * (1 + 3 * 8) + 64 * 1024
+        assert seen["peak"] <= image.nbytes + seen["kept"] * row * (1 + 2 * 8) + 64 * 1024
 
     def test_bad_config_exit_2(self, square_events, tmp_path, capsys):
         image, evt = square_events

@@ -3,9 +3,7 @@ import ctypes
 import dataclasses
 import functools
 import gc
-import io
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -1064,27 +1062,11 @@ class TestBlasOnIdleCpus:
 
 
 class TestBlasLookup:
-    """``_blas_threads`` opens the OpenBLAS libraries mapped into the process,
-    read from a fake ``/proc/self/maps``, and returns the first (get, set)
-    pair of ``_BLAS_SYMBOLS`` that one of them exports."""
+    """``_blas_threads`` opens numpy's ``_multiarray_umath`` extension by its
+    file and returns the first (get, set) pair of ``_BLAS_SYMBOLS`` that the
+    handle resolves, in the extension or a library it links."""
 
-    MAPS = (b"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234       /opt/my env/"
-            b"libscipy_openblas64_.so\n"
-            b"7f0000001000-7f0000002000 r--p 00001000 08:01 1234       /opt/my env/"
-            b"libscipy_openblas64_.so\n"
-            b"7f0000002000-7f0000003000 rw-p 00000000 00:00 0 \n"
-            b"7f0000003000-7f0000004000 r-xp 00000000 08:01 1235       /usr/lib/libc.so.6\n"
-            b"7f0000004000-7f0000005000 r-xp 00000000 08:01 1236       /opt/caf\xc3\xa9/\xff/"
-            b"libOpenBLAS.so\n")
     SCIPY, OPENBLAS64, PLAIN = encoder._BLAS_SYMBOLS
-
-    @staticmethod
-    def maps(*paths):
-        """A maps text with one line per path, and an anonymous line."""
-        lines = [b"7f0000002000-7f0000003000 rw-p 00000000 00:00 0 \n"]
-        lines += [b"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234       %s\n" % path
-                  for path in paths]
-        return b"".join(lines)
 
     @staticmethod
     def pair(symbols, threads=1):
@@ -1093,94 +1075,72 @@ class TestBlasLookup:
         return {get_name: lambda: threads, set_name: lambda count: None}
 
     @staticmethod
-    def lookup(monkeypatch, maps, libs):
-        """Run the lookup over the maps text ``maps``, with ``libs`` giving the
-        symbols of each library path, or an OSError that fails its load.
-        Returns the result and the paths opened, in order."""
+    def lookup(monkeypatch, symbols):
+        """Run the lookup with a handle that resolves ``symbols``, or with a
+        load that raises them if they are an OSError. Returns the result and
+        the paths opened, in order."""
         opened = []
-
-        def fake_open(file, mode="r", **text):
-            assert file == "/proc/self/maps"
-            if isinstance(maps, OSError):
-                raise maps
-            raw = io.BytesIO(maps)
-            return raw if "b" in mode else io.TextIOWrapper(raw, **text)
 
         def fake_cdll(path):
             opened.append(path)
-            symbols = libs.get(path, {})
             if isinstance(symbols, OSError):
                 raise symbols
             return types.SimpleNamespace(**symbols)
 
-        monkeypatch.setattr(encoder, "open", fake_open, raising=False)
         monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
         return encoder._blas_threads.__wrapped__(), opened
 
-    def test_a_library_path_with_a_space_or_a_non_ascii_byte_is_opened(self, monkeypatch):
-        """A mapped path is all of a maps line after its fifth field, read as
-        bytes and decoded as the file system encodes names: the last
-        whitespace field, read as ASCII, opened no library here."""
-        found, opened = self.lookup(monkeypatch, self.MAPS, {
-            "/opt/my env/libscipy_openblas64_.so": self.pair(self.SCIPY, threads=2)})
-        assert sorted(opened) == sorted([os.fsdecode(b"/opt/caf\xc3\xa9/\xff/libOpenBLAS.so"),
-                                         "/opt/my env/libscipy_openblas64_.so"])
-        get, _ = found
-        assert get() == 2
+    def test_only_numpys_extension_is_opened(self, monkeypatch):
+        from numpy._core import _multiarray_umath
+
+        found, opened = self.lookup(monkeypatch, self.pair(self.SCIPY, threads=2))
+        assert opened == [_multiarray_umath.__file__]
+        assert found[0]() == 2
 
     @pytest.mark.parametrize("symbols", encoder._BLAS_SYMBOLS)
     def test_each_symbol_pair_is_found(self, monkeypatch, symbols):
-        found, _ = self.lookup(monkeypatch, self.maps(b"/lib/libopenblas.so"),
-                               {"/lib/libopenblas.so": self.pair(symbols, threads=3)})
+        found, _ = self.lookup(monkeypatch, self.pair(symbols, threads=3))
         assert found is not None and found[0]() == 3
 
-    def test_the_pair_is_typed_as_c_int(self, monkeypatch):
-        (get, set_), _ = self.lookup(monkeypatch, self.maps(b"/lib/libopenblas.so"),
-                                     {"/lib/libopenblas.so": self.pair(self.PLAIN)})
-        assert (get.argtypes, get.restype) == ([], ctypes.c_int)
-        assert (set_.argtypes, set_.restype) == ([ctypes.c_int], None)
-
-    def test_symbols_are_tried_in_order_across_libraries(self, monkeypatch):
-        """numpy's symbols win over a plain OpenBLAS opened before them."""
-        found, opened = self.lookup(monkeypatch, self.maps(b"/a/libopenblas.so",
-                                                           b"/b/libscipy_openblas64_.so"), {
-            "/a/libopenblas.so": self.pair(self.PLAIN, threads=1),
-            "/b/libscipy_openblas64_.so": self.pair(self.SCIPY, threads=4)})
-        assert opened == ["/a/libopenblas.so", "/b/libscipy_openblas64_.so"]
+    def test_numpys_pair_wins_over_the_others_the_handle_resolves(self, monkeypatch):
+        found, _ = self.lookup(monkeypatch, {**self.pair(self.PLAIN, threads=1),
+                                             **self.pair(self.OPENBLAS64, threads=2),
+                                             **self.pair(self.SCIPY, threads=4)})
         assert found[0]() == 4
 
     def test_a_getter_without_its_setter_is_passed_over(self, monkeypatch):
-        lib = {self.SCIPY[0]: lambda: 4, **self.pair(self.PLAIN, threads=2)}
-        found, _ = self.lookup(monkeypatch, self.maps(b"/lib/libopenblas.so"),
-                               {"/lib/libopenblas.so": lib})
+        found, _ = self.lookup(monkeypatch, {self.SCIPY[0]: lambda: 4,
+                                             **self.pair(self.PLAIN, threads=2)})
         assert found[0]() == 2
 
-    def test_a_library_that_fails_to_load_is_passed_over(self, monkeypatch):
-        found, opened = self.lookup(monkeypatch, self.maps(b"/a/libopenblas.so",
-                                                           b"/b/libopenblas.so"), {
-            "/a/libopenblas.so": OSError("cannot open shared object file"),
-            "/b/libopenblas.so": self.pair(self.PLAIN, threads=2)})
-        assert opened == ["/a/libopenblas.so", "/b/libopenblas.so"]
-        assert found[0]() == 2
+    def test_a_load_that_fails_finds_no_blas(self, monkeypatch):
+        found, opened = self.lookup(monkeypatch, OSError("cannot open shared object file"))
+        assert found is None and len(opened) == 1
 
-    def test_a_library_mapped_many_times_is_opened_once(self, monkeypatch):
-        path = b"/lib/libopenblas.so"
-        _, opened = self.lookup(monkeypatch, self.maps(path, path, path), {})
-        assert opened == ["/lib/libopenblas.so"]
+    def test_a_handle_without_a_pair_finds_no_blas(self, monkeypatch):
+        found, _ = self.lookup(monkeypatch, {"dgemm_": lambda: None})
+        assert found is None
 
-    def test_only_openblas_paths_are_opened(self, monkeypatch):
-        found, opened = self.lookup(monkeypatch, self.maps(b"/usr/lib/libc.so.6",
-                                                           b"/usr/lib/libblas.so.3"), {})
-        assert found is None and opened == []
+    def test_the_pair_is_typed_as_c_int(self, monkeypatch):
+        (get, set_), _ = self.lookup(monkeypatch, self.pair(self.PLAIN))
+        assert (get.argtypes, get.restype) == ([], ctypes.c_int)
+        assert (set_.argtypes, set_.restype) == ([ctypes.c_int], None)
 
-    def test_no_pair_exported_finds_no_blas(self, monkeypatch):
-        found, opened = self.lookup(monkeypatch, self.maps(b"/lib/libopenblas.so"),
-                                    {"/lib/libopenblas.so": {"dgemm_": lambda: None}})
-        assert found is None and opened == ["/lib/libopenblas.so"]
+    def test_the_pair_is_found_without_reading_a_file(self, monkeypatch):
+        """The loader resolves the pair: the lookup opens no file, as on a
+        system without ``/proc``, and finds the functions found before."""
+        want = encoder._blas_threads()
+        if want is None:
+            pytest.skip("numpy is not linked to an OpenBLAS with a thread-count pair")
 
-    def test_an_unreadable_maps_file_finds_no_blas(self, monkeypatch):
-        found, opened = self.lookup(monkeypatch, PermissionError("/proc/self/maps"), {})
-        assert found is None and opened == []
+        def no_file(*args, **kwargs):
+            raise PermissionError("no file may be read")
+
+        monkeypatch.setattr(encoder, "open", no_file, raising=False)
+        found = encoder._blas_threads.__wrapped__()
+        assert found is not None
+        assert ([ctypes.cast(f, ctypes.c_void_p).value for f in found]
+                == [ctypes.cast(f, ctypes.c_void_p).value for f in want])
 
 
 class TestMergeProject:
@@ -1206,6 +1166,19 @@ class TestMergeProject:
                                   np.argwhere(np.ones((2, 2), dtype=bool)), (2, 2))
         with pytest.raises(ValidationError, match="merge projection overflows float64"):
             merge_project(features, config, weights)
+
+    @pytest.mark.parametrize("kept, grid", [([[0, 0], [3, 0]], (4, 2**62)),
+                                            ([[0, 0], [0, 1]], (1, 2**70))],
+                             ids=["int64-key-wraps", "wider-than-int64"])
+    def test_a_grid_too_wide_for_an_int64_raster_key_is_merged(self, kept, grid):
+        """Cells are ordered by (row, col), not by a key row * cols that wraps
+        or overflows: each token is its own cell, as on a narrow grid."""
+        config, weights = merge_setup(1)
+        tokens = np.random.Generator(np.random.PCG64(26)).standard_normal((2, config.d_model))
+        narrow = merge_project(PackedSequence(tokens, [[0, 0], [1, 0]], (2, 1)), config, weights)
+        merged = merge_project(PackedSequence(tokens, kept, grid), config, weights)
+        assert np.array_equal(merged.kept, kept) and merged.origin_grid == grid
+        assert np.array_equal(merged.tokens, narrow.tokens)
 
     def test_sparse_equals_dense_restriction(self):
         config = small_config(merge_size=2, d_out=12)

@@ -54,6 +54,16 @@ class TestPackedSequence:
         with pytest.raises(ValidationError, match=r"coordinate \(5, 5\) outside grid"):
             PackedSequence(np.zeros((3, 1)), ((0, 0), (5, 5), (0, 1)), (2, 2))
 
+    @pytest.mark.parametrize("kept, grid", [(((0, 0), (2, 0)), (3, 2**62)),
+                                            (((0, 0), (0, 1)), (1, 2**70))],
+                             ids=["int64-key-wraps", "wider-than-int64"])
+    def test_raster_order_on_a_grid_too_wide_for_an_int64_key(self, kept, grid):
+        # row * cols + col wrapped to a smaller key, or raised OverflowError
+        packed = PackedSequence(np.zeros((2, 3)), kept, grid)
+        assert np.array_equal(packed.kept, kept) and packed.origin_grid == grid
+        with pytest.raises(ValidationError, match="raster-increasing"):
+            PackedSequence(np.zeros((2, 3)), kept[::-1], grid)
+
     @pytest.mark.parametrize("grid", [(-1, 2), (2, -3), (2,), (2, 2, 2), (2.0, 2), None])
     def test_rejects_bad_origin_grid(self, grid):
         # (-1, 2) used to be accepted; unpack_scatter then died in numpy
@@ -93,6 +103,13 @@ class TestPackedSequence:
             packed.tokens[0, 0] = 1.0
 
 
+    def test_tokens_are_copied_in_their_own_dtype(self):
+        tokens = np.arange(6, dtype=np.uint8).reshape(2, 3)
+        packed = PackedSequence(tokens, ((0, 0), (0, 1)), (1, 2))
+        tokens[0, 0] = 9
+        assert packed.tokens.dtype == np.uint8 and packed.tokens[0, 0] == 0
+
+
 class TestPackPatches:
     def test_all_ones_is_identity(self):
         tokens = np.arange(12.0).reshape(4, 3)
@@ -105,6 +122,12 @@ class TestPackPatches:
         packed = pack_patches(tokens, mask_of([[1, 0, 1, 0]]))
         assert packed.tokens.ravel().tolist() == [1.0, 3.0]
         assert np.array_equal(packed.kept, [(0, 0), (0, 2)])
+
+    def test_kept_rows_keep_the_patches_dtype(self):
+        tokens = np.arange(8, dtype=np.uint8).reshape(4, 2)
+        packed = pack_patches(tokens, mask_of([[0, 1], [1, 0]]))
+        assert packed.tokens.dtype == np.uint8
+        assert np.array_equal(packed.tokens, tokens[1:3])
 
     def test_all_zeros_is_empty(self):
         packed = pack_patches(np.ones((4, 2)), mask_of([[0, 0], [0, 0]]))

@@ -131,3 +131,15 @@ def test_the_package_reads_no_environment_variable():
             found += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name in env]
     assert os_uses > 5  # the scan sees the package's other uses of os
     assert found == []
+
+
+def test_the_package_names_no_proc_file():
+    """BLAS's thread count comes from the library numpy links, not from a
+    file under ``/proc``."""
+    strings, found = 0, []
+    for path, node in nodes((REPO / "src" / "evprune").rglob("*.py")):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings += 1
+            found += [f"{path.name}:{node.lineno}"] if node.value.startswith("/proc/") else []
+    assert strings > 100  # the scan sees the package's other strings
+    assert found == []
