@@ -42,47 +42,13 @@ repeated call is bit-identical, and so are sequences of equal length
 different lengths (packed versus masked-dense) or different block shapes
 agree to rounding, not bit for bit.
 
-Each forward reads the thread count of the OpenBLAS numpy calls once,
-when it starts (``_lanes``), and that one number decides how the
-forward spreads over the CPUs of the process's affinity mask:
-
-- Lanes: one per CPU that BLAS leaves idle, that is the CPUs divided by
-  the count, at most half the attention blocks, and at least 1. A BLAS
-  without a getter, or one that reports no positive count, counts as on
-  every CPU: one lane. So BLAS on every CPU, its default, gives one lane,
-  and OPENBLAS_NUM_THREADS=1 or a run-time setter at 1 on an N-CPU host
-  gives up to N lanes.
-- BLAS: a one-lane forward with BLAS on fewer threads than there are
-  CPUs raises the count to the CPUs for the whole call, the embedding and
-  every layer, and restores it when the call ends, whether it returns or
-  raises. A multi-lane forward and ``merge_project`` leave BLAS as they
-  find it: after its last threaded call, OpenBLAS's worker spins for
-  about 0.12 s of CPU, which a multi-lane forward started next would
-  lose to it.
-
-The (get, set) pair is looked up once, through a handle on numpy's own
-extension, on the first forward of a process on more than one CPU
-(``_blas_threads``). The count is global to the process, so forwards
-take one lock, read the count under it and run one at a time: a
-multi-lane forward never runs beside a raised count.
-
-A lane owns a contiguous share of the token rows, a contiguous run of
-the attention blocks and a tile of its own, and steps through a layer in
-three phases: layer norm, Q/K/V projections and rotation of the lane's
-rows; the lane's attention blocks, which read every row's keys and
-values; then the out projection, MLP and residuals of its rows. A lane
-yields after each of the first two, and a round of a thread pool runs
-every lane to its next yield, so no phase starts before every lane has
-finished the one before it. The next layer starts on the lane's own
-rows, so two yields per layer suffice. Lane 0 runs on the calling
-thread, the others on the pool's threads, any of which may resume any
-lane; the pool's threads end before the forward returns, and a lane's
-error is raised to the caller; one lane starts no thread. A lane gets at
-least two blocks: with one each, the lane with the short last block
-idles at the end of every layer's attention round, and every lane waits
-for the slowest CPU. At n = 308 (blocks of 212 and 96 rows) two lanes
-spread the frame tail across benchmark runs about six times as wide as
-one lane on a shared 2-CPU machine.
+The forward runs in lanes (``lanes`` module). A lane owns a contiguous
+share of the token rows, a contiguous run of the attention blocks and a
+tile of its own. It yields after a layer's layer norm, Q/K/V projections
+and rotation of its rows, and again after its attention blocks, which
+read every row's keys and values; the out projection, MLP and residuals
+of its rows follow, and the next layer starts on those rows, so two
+yields per layer suffice.
 
 The block boundaries are those of one lane, fixed by (n, heads), because
 a block's shape sets its summation order; a lane's matmuls run over
@@ -94,10 +60,10 @@ float32 feature dumps of the benchmark frames were the same at either
 count.
 
 A forward or merge whose float64 arithmetic overflows raises
-ValidationError: each lane step, the embedding and the merge run with
-numpy's overflow and invalid-value errors raised, so no row is computed
-from inf, and no layer norm of an overflowed variance leaves only its
-shift.
+ValidationError: the forward, every lane step included, and the merge
+run with numpy's overflow and invalid-value errors raised, so no row is
+computed from inf, and no layer norm of an overflowed variance leaves
+only its shift.
 """
 
 from __future__ import annotations
@@ -105,12 +71,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import lanes
 from .costmodel import mlp_width
 from .errors import ValidationError, as_record, as_size, real_array, sealed
 from .kvtext import check_field_types, check_keys, parse_kv, parse_record, record_keys
@@ -358,109 +323,20 @@ def _block_rows(n: int, heads: int) -> int:
     return max(1, min(n, _TILE_BYTES // (8 * heads * max(n, 1))))
 
 
-# CPUs in the process's affinity mask, read once. BLAS's thread count is
-# read by every forward (``_lanes``), so a count set at run time is seen.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-# Held by every forward while it runs: BLAS's thread count is global to the
-# process, every forward reads it, and a one-lane forward raises it.
-_FORWARD = threading.Lock()
-
 # The floating-point errors that fail a forward or a merge.
 _OVERFLOW = {"over": "raise", "invalid": "raise"}
-
-# (get, set) thread-count symbols of OpenBLAS builds, in the order tried:
-# numpy's wheels, then OpenBLAS's own 64-bit-integer and plain builds.
-_BLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                 ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-                 ("openblas_get_num_threads", "openblas_set_num_threads"))
-
-
-@functools.cache
-def _blas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS numpy calls, or None.
-
-    numpy's ``_multiarray_umath`` extension is opened by its file, and on
-    that handle the loader resolves a symbol in the extension or a library
-    it links: the pair is the first of ``_BLAS_SYMBOLS`` it resolves.
-    Called by the first forward on more than one CPU, never at import."""
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath
-    try:
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-    except OSError:
-        return None
-    for get_name, set_name in _BLAS_SYMBOLS:
-        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _lanes(blocks: int):
-    """Yield the lanes of a forward over ``blocks`` attention blocks: one per
-    CPU that BLAS leaves idle, at most half the blocks, and at least 1. BLAS's
-    thread count is read once; a one-CPU process does not look it up, and a
-    BLAS without a getter, or one that reports no positive count, counts as on
-    every CPU. A one-lane forward runs BLAS on every CPU inside the block and
-    gives it the count it had back after it."""
-    blas = _blas_threads() if _CPUS > 1 else None
-    count = blas[0]() if blas else _CPUS
-    count = count if count > 0 else _CPUS
-    lanes = max(1, min(_CPUS // count, blocks // 2))
-    if lanes > 1 or count >= _CPUS:
-        yield lanes
-        return
-    blas[1](_CPUS)
-    try:
-        yield lanes
-    finally:
-        blas[1](count)
 
 
 @contextlib.contextmanager
 def _fails_on_overflow(what: str):
     """Run the block with numpy's ``_OVERFLOW`` errors raised on this thread,
-    and raise them as a ValidationError that names the overflow."""
+    and on the threads of ``lanes.run`` called in it, and raise them as a
+    ValidationError that names the overflow."""
     try:
         with np.errstate(**_OVERFLOW):
             yield
     except FloatingPointError as err:
         raise ValidationError(f"{what} overflows float64: {err}") from None
-
-
-def _run_lanes(lanes: int, lane) -> None:
-    """Step the generators ``lane(i)``, i < lanes, in rounds until lane 0's is
-    exhausted: a round advances every lane to its next ``yield``, lane 0 on
-    this thread and the others on a pool's threads, and ends when all have
-    reached it. No step waits for another lane. A step raises numpy's
-    ``_OVERFLOW`` errors, set on the thread that runs it: pool threads do not
-    inherit the caller's error state. The pool's threads end before this
-    returns, and the error of a round's first failing lane, in lane order,
-    is raised here; one lane starts no thread."""
-    # Imported on first use, like scipy.special in _gelu, which loads it too.
-    from concurrent.futures import ThreadPoolExecutor
-
-    def advance(step) -> bool:
-        with np.errstate(**_OVERFLOW):
-            return next(step, False)
-
-    steps = [lane(i) for i in range(lanes)]
-    with ThreadPoolExecutor(max(1, lanes - 1)) as pool:
-        while True:
-            rest = [pool.submit(advance, step) for step in steps[1:]]
-            more = advance(steps[0])
-            for future in rest:
-                future.result()
-            if not more:
-                return
 
 
 def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], rope: RopeTable,
@@ -488,7 +364,7 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
     n, nh, dh = len(tokens), config.n_heads, config.head_dim
     rows = _block_rows(n, nh)
     starts = range(0, n, rows)
-    with _FORWARD, _lanes(len(starts)) as lanes, _fails_on_overflow("encoder forward"):
+    with lanes.held(len(starts)) as count, _fails_on_overflow("encoder forward"):
         h = tokens @ weights.w_embed + weights.b_embed
         if not len(positions[out]):  # no query row; with no key kept, softmax would be 0/0
             return PackedSequence(h[out], positions[out], grid)
@@ -502,7 +378,7 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
         v_rows, mixed_rows = v.reshape(n, nh * dh), mixed.reshape(n, nh * dh)
 
         def lane(i: int):
-            own = slice(i * n // lanes, (i + 1) * n // lanes)
+            own = slice(i * n // count, (i + 1) * n // count)
             x, pos = h[own], positions[own]
             # The tile is flat so that a short last block is still one
             # contiguous (heads, rows, n) array.
@@ -516,7 +392,7 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
                 k[own] = apply_rope_many(rope, pos, (a @ lw.wk).reshape(-1, nh, dh))
                 np.matmul(a, lw.wv, out=v_rows[own])
                 yield True
-                for start in starts[i * len(starts) // lanes: (i + 1) * len(starts) // lanes]:
+                for start in starts[i * len(starts) // count: (i + 1) * len(starts) // count]:
                     stop = min(start + rows, n)
                     logits = tile[: nh * (stop - start) * n].reshape(nh, stop - start, n)
                     np.matmul(qh[:, start:stop], kh, out=logits)
@@ -534,7 +410,7 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
                 x += _gelu(up, out=act) @ lw.w_down
                 x += lw.b_down
 
-        _run_lanes(lanes, lane)
+        lanes.run(count, lane)
     return PackedSequence(h[out], positions[out], grid)
 
 

@@ -1,4 +1,4 @@
-"""Shared helpers: synthetic scenes, event streams and fuzz documents."""
+"""Shared helpers: synthetic scenes, event streams, encoder setups and fuzz documents."""
 
 from __future__ import annotations
 
@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from evprune.encoder import EncoderConfig, init_weights, patchify
 from evprune.events import EventStream
 from evprune.ppm import write_ppm
+from evprune.rope2d import build_rope
 
 SQUARE = 32          # bright square edge, pixels
 SCENE = 128          # scene edge, pixels
@@ -40,6 +42,23 @@ def stream_of(width, height, *events):
 def as_tuples(stream):
     return list(zip(stream.t_us.tolist(), stream.x.tolist(), stream.y.tolist(),
                     stream.polarity.tolist()))
+
+
+def small_config(**overrides):
+    base = dict(patch_size=2, channels=3, d_model=16, n_layers=2, n_heads=2,
+                mlp_ratio=2.0, merge_size=1, d_out=16, seed=0)
+    base.update(overrides)
+    return EncoderConfig(**base)
+
+
+def random_setup(rows, cols, config, seed):
+    """Image patches, rope table, and weights for a rows x cols grid."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    p = config.patch_size
+    image = rng.random((rows * p, cols * p, config.channels))
+    patches = patchify(image, p)
+    rope = build_rope(rows, cols, config.head_dim)
+    return patches, rope, init_weights(config)
 
 
 VALID_ENCODER = dict(patch_size="2", channels="3", d_model="16", n_layers="1",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evprune import cli, encoder, events
+from evprune import cli, encoder, events, lanes
 from evprune.cli import main
 from evprune.encoder import (encode_packed, init_weights, load_encoder_config, merge_project,
                              patchify)
@@ -810,11 +810,11 @@ class TestEntryPoint:
         then mask leave scipy and concurrent.futures unloaded and the setter
         unresolved."""
         script = ("import sys\n"
-                  "from evprune import cli, encoder\n"
+                  "from evprune import cli, lanes\n"
                   "unloaded = {'scipy', 'concurrent.futures'}\n"
                   "def untouched(when):\n"
                   "    assert not unloaded & sys.modules.keys(), when\n"
-                  "    assert encoder._blas_threads.cache_info().currsize == 0, when\n"
+                  "    assert lanes._blas_threads.cache_info().currsize == 0, when\n"
                   "untouched('after import')\n"
                   "simulate, mask = sys.argv[1:10], sys.argv[10:]\n"
                   "assert cli.main(simulate) == 0\n"
@@ -835,17 +835,17 @@ class TestEntryPoint:
         """With BLAS pinned to one thread, a one-lane packed encode (32 tokens,
         one attention block) runs the loaded OpenBLAS on every CPU of the
         affinity mask and leaves it on one thread again."""
-        if encoder._blas_threads() is None or encoder._CPUS < 2:
+        if lanes._blas_threads() is None or lanes._CPUS < 2:
             pytest.skip("no OpenBLAS thread-count setter found, or one CPU")
         image, evt = square_events
         script = ("import sys\n"
-                  "from evprune import cli, encoder\n"
-                  "get, set_ = encoder._blas_threads()\n"
+                  "from evprune import cli, lanes\n"
+                  "get, set_ = lanes._blas_threads()\n"
                   "seen = []\n"
-                  "encoder._blas_threads = lambda: (get, lambda n: (seen.append(n), set_(n)))\n"
+                  "lanes._blas_threads = lambda: (get, lambda n: (seen.append(n), set_(n)))\n"
                   "assert get() == 1, get()\n"
                   "assert cli.main(sys.argv[1:]) == 0\n"
-                  "assert seen == [encoder._CPUS, 1], seen\n"
+                  "assert seen == [lanes._CPUS, 1], seen\n"
                   "assert get() == 1, get()\n")
         proc = subprocess.run(
             [sys.executable, "-c", script, "encode", str(image), str(evt), "--tau", "0.5",

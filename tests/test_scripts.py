@@ -133,6 +133,20 @@ def test_the_package_reads_no_environment_variable():
     assert found == []
 
 
+def test_the_encoder_imports_no_scheduling_module():
+    """CPUs, threads and BLAS's thread count belong to the ``lanes`` module:
+    the encoder imports none of the modules that reach them."""
+    scheduling = {"os", "threading", "ctypes", "concurrent.futures"}
+    imported = set()
+    for _, node in nodes([REPO / "src" / "evprune" / "encoder.py"]):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported |= {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+    assert "numpy" in imported  # the scan sees the encoder's imports
+    assert imported & scheduling == set()
+
+
 def test_the_package_names_no_proc_file():
     """BLAS's thread count comes from the library numpy links, not from a
     file under ``/proc``."""
