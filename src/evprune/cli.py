@@ -15,6 +15,8 @@ give byte-identical outputs and manifests. A number flag outside the
 grammar of ``errors.integer`` and ``errors.real`` exits 2 with argparse's
 usage message; one in it but outside its domain (``--tau 1.5``) exits 1,
 as does any fault in ``--window``, ``--fill`` or ``--image-size``.
+``--window`` is checked before any file is read, in every mode of
+``encode`` (dense mode reads no events).
 
 Sparsity conventions: ``mask``/``encode`` take the RETAINED fraction;
 ``flops`` takes the DROPPED fraction (``--tau-dropped`` is an explicit
@@ -49,6 +51,7 @@ from .events import (
     EVT1_MAGIC,
     EventStream,
     accumulate,
+    check_window,
     read_events_bin,
     read_events_csv,
     resize_to,
@@ -107,16 +110,18 @@ def _read_event_file(path: str) -> EventStream:
 
 
 def _parse_window(text: str | None) -> tuple[int, int] | None:
-    """The ``--window`` bounds, or None without one (the stream's extent)."""
+    """The ``--window`` bounds, checked as ``accumulate`` checks them, or None
+    without one (the stream's extent)."""
     if text is None:
         return None
     left, sep, right = text.partition(":")
     if not sep:
         raise ValidationError(f"window must be 't0:t1' in microseconds, got {text!r}")
     try:
-        return integer(left), integer(right)
+        bounds = integer(left), integer(right)
     except ValueError:
         raise ValidationError(f"window bounds must be integers, got {text!r}") from None
+    return check_window(*bounds)
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -153,11 +158,12 @@ def _pixels_to_float(rows: np.ndarray, channels: int) -> np.ndarray:
     return to_gray01(rows.reshape(len(rows), -1, 3))
 
 
-def _event_mask(args, image: np.ndarray, patch_size: int, merge_size: int):
-    """Shared mask pipeline: events -> window -> image-aligned counts ->
-    patch scores -> exact-quantile retention mask."""
+def _event_mask(args, window: tuple[int, int] | None, image: np.ndarray, patch_size: int,
+                merge_size: int):
+    """Shared mask pipeline: events -> window (the stream's extent if None) ->
+    image-aligned counts -> patch scores -> exact-quantile retention mask."""
     stream = _read_event_file(args.events)
-    t0, t1 = _parse_window(args.window) or stream.extent_us()
+    t0, t1 = window or stream.extent_us()
     frame = resize_to(accumulate(stream, t0, t1), image.shape[1], image.shape[0])
     return quantile_mask(patch_scores(frame, patch_size), args.tau, merge_size), (t0, t1)
 
@@ -185,10 +191,11 @@ def cmd_simulate(args) -> int:
 def cmd_mask(args) -> int:
     check_tau(args.tau)
     fill = _parse_fill(args.fill)
+    window = _parse_window(args.window)
     if args.out_mask is None and args.out_image is None:
         raise ValidationError("need --out-mask and/or --out-image")
     image = read_ppm(_read_bytes(args.image))
-    mask, window = _event_mask(args, image, args.patch_size, args.merge_size)
+    mask, window = _event_mask(args, window, image, args.patch_size, args.merge_size)
     if args.out_mask is not None:
         _atomic_write(args.out_mask, mask_to_text(mask).encode("ascii"))
     if args.out_image is not None:
@@ -212,6 +219,7 @@ def cmd_mask(args) -> int:
 
 def cmd_encode(args) -> int:
     check_tau(args.tau)
+    window = _parse_window(args.window)  # refused in every mode, as --tau is
     text = decode_ascii(_read_bytes(args.config), "encoder config")
     config = load_encoder_config(text)
     image = read_ppm(_read_bytes(args.image))
@@ -224,12 +232,11 @@ def cmd_encode(args) -> int:
     _merge_grid(rows, cols, config.merge_size)
     rope = build_rope(rows, cols, config.head_dim)
     weights = init_weights(config)
-    _parse_window(args.window)  # refused in every mode, as --tau is; dense reads no events
 
     if args.mode == "dense":
         features = encode_dense(_pixels_to_float(patches, config.channels), rope, weights, config)
     else:
-        mask, _ = _event_mask(args, image, config.patch_size, config.merge_size)
+        mask, _ = _event_mask(args, window, image, config.patch_size, config.merge_size)
         if args.mode == "packed":
             packed = pack_patches(patches, mask)
             packed = PackedSequence(_pixels_to_float(packed.tokens, config.channels),

@@ -442,6 +442,15 @@ def _count_before(t_us: np.ndarray, bound: int) -> int:
     return int(np.searchsorted(t_us, max(bound, 0), side="left"))
 
 
+def check_window(t0_us: int, t1_us: int) -> tuple[int, int]:
+    """The bounds of a window [t0_us, t1_us) as ints, the start not after the
+    end; else a ValidationError."""
+    t0_us, t1_us = as_size(t0_us, "window start", None), as_size(t1_us, "window end", None)
+    if t0_us > t1_us:
+        raise ValidationError(f"window start {t0_us} after end {t1_us}")
+    return t0_us, t1_us
+
+
 def accumulate(stream: EventStream, t0_us: int, t1_us: int) -> EventFrame:
     """Count events per pixel over the half-open window [t0_us, t1_us).
 
@@ -450,9 +459,7 @@ def accumulate(stream: EventStream, t0_us: int, t1_us: int) -> EventFrame:
     alternating signs.
     """
     as_record(stream, EventStream, "stream")
-    t0_us, t1_us = as_size(t0_us, "window start", None), as_size(t1_us, "window end", None)
-    if t0_us > t1_us:
-        raise ValidationError(f"window start {t0_us} after end {t1_us}")
+    t0_us, t1_us = check_window(t0_us, t1_us)
     width, height = stream.sensor_width, stream.sensor_height
     check_cells(width * height, f"sensor {width}x{height}")
     lo = _count_before(stream.t_us, t0_us)

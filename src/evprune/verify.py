@@ -1,10 +1,13 @@
 """Invariant checks, and the seeded suites behind ``evprune verify``.
 
 Each check function is the one written form of a law the toolkit can
-test without pretrained weights; ``evprune verify`` and the acceptance
-tests both call it. Exact laws return an ``(invariant, detail)``
-violation or ``None``; numeric laws return the measured error and leave
-the bound to the caller.
+test without pretrained weights. The seeded suites behind ``evprune
+verify`` call every one. The acceptance tests and the module tests call
+``rope_errors``, ``check_mask_laws``, ``packed_oracle_error`` and
+``check_events_roundtrip`` too, the module tests on hypothesis-drawn
+inputs where their module draws them. Exact laws return an
+``(invariant, detail)`` violation or ``None``; numeric laws return the
+measured error and leave the bound to the caller.
 
 A suite replays checks over seeded cases and names the first violated
 invariant with the seed that reproduces it. Its ``fault`` hook corrupts

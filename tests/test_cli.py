@@ -175,13 +175,15 @@ class TestMask:
         ("0:1e3", "window bounds must be integers, got '0:1e3'"),
         ("\u0660:\u0669", "window bounds must be integers, got '\u0660:\u0669'"),
         ("0:1_000", "window bounds must be integers, got '0:1_000'"),
-    ], ids=["no_colon", "not_integers", "arabic_indic_digits", "underscore"])
+        ("5:1", "window start 5 after end 1"),
+    ], ids=["no_colon", "not_integers", "arabic_indic_digits", "underscore", "start_after_end"])
     def test_bad_window_exit_1_and_no_output(self, square_events, tmp_path, capsys, window,
                                              message):
-        image, evt = square_events
+        """The window is refused before the event file is read."""
+        image, _ = square_events
         out_mask = tmp_path / "m.txt"
-        code, stdout, err = run(capsys, "mask", str(image), str(evt), "--tau", "0.5",
-                                "--patch-size", "16", "--window", window,
+        code, stdout, err = run(capsys, "mask", str(image), str(tmp_path / "missing.evt1"),
+                                "--tau", "0.5", "--patch-size", "16", "--window", window,
                                 "--out-mask", str(out_mask))
         assert code == 1
         assert message in err
@@ -433,7 +435,8 @@ class TestEncode:
     @pytest.mark.parametrize("window, message", [
         ("garbage", "window must be 't0:t1' in microseconds, got 'garbage'"),
         ("0:1e3", "window bounds must be integers, got '0:1e3'"),
-    ], ids=["no_colon", "not_integers"])
+        ("5:1", "window start 5 after end 1"),
+    ], ids=["no_colon", "not_integers", "start_after_end"])
     def test_bad_window_exit_1_in_every_mode_before_reading_events(
             self, square_events, tmp_path, capsys, window, message, mode):
         """Dense mode never reads the events, and once took any --window."""
@@ -537,6 +540,7 @@ class TestEncode:
     @pytest.mark.parametrize("overrides,message", [
         (dict(mlp_ratio=1e308), "mlp_ratio must be finite"),
         (dict(d_model=4000000), "MAX_ENCODER_PARAMS"),
+        (dict(channels=2), "encoder config channels must be 1 or 3, got 2"),
     ])
     def test_oversized_config_exit_1(self, square_events, tmp_path, capsys,
                                      overrides, message):

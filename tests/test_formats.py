@@ -188,6 +188,10 @@ class TestKvText:
         with pytest.raises(FormatError, match="line 1"):
             parse_kv("just a line\n")
 
+    def test_rejects_empty_key(self):
+        with pytest.raises(FormatError, match="^line 1: empty key$"):
+            parse_kv("= 5\n")
+
     def test_decode_ascii_names_the_offending_byte(self):
         assert decode_ascii(b"a = 1\n", "doc") == "a = 1\n"
         with pytest.raises(FormatError, match="doc: non-ASCII byte at offset 4"):

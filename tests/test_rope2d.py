@@ -13,6 +13,7 @@ from evprune.rope2d import (
     build_rope,
     rope_matrix,
 )
+from evprune.verify import rope_errors
 
 DIMS = (4, 8, 64)
 
@@ -210,30 +211,12 @@ class TestMatrix:
 
 class TestProperties:
     @settings(deadline=None, max_examples=150)
-    @given(dim_pos_vec())
-    def test_norm_preservation(self, case):
-        d, pos, vec = case
-        table = build_rope(16, 16, d)
-        out = apply_rope(table, pos, vec)
-        assert abs(np.linalg.norm(out) - np.linalg.norm(vec)) <= 1e-9
-
-    @settings(deadline=None, max_examples=150)
-    @given(dim_pos_vec(), st.integers(0, 10), st.integers(0, 10))
-    def test_relative_shift_invariance(self, case, di, dj):
+    @given(dim_pos_vec(), st.tuples(st.integers(0, 15), st.integers(0, 15)),
+           st.tuples(st.integers(0, 10), st.integers(0, 10)), st.integers(0, 2**31))
+    def test_rotary_laws(self, case, b, shift, seed):
         d, a, q = case
-        rng = np.random.Generator(np.random.PCG64(a[0] * 31 + a[1]))
-        k = rng.standard_normal(d)
-        b = (a[1], a[0])  # second position, same extent
-        table = build_rope(32, 32, d)
-        before = apply_rope(table, a, q) @ apply_rope(table, b, k)
-        after = apply_rope(table, (a[0] + di, a[1] + dj), q) @ apply_rope(
-            table, (b[0] + di, b[1] + dj), k)
-        assert abs(before - after) <= 1e-9
-
-    @settings(deadline=None, max_examples=150)
-    @given(st.sampled_from(DIMS), st.integers(0, 12), st.integers(0, 12),
-           st.integers(0, 12), st.integers(0, 12))
-    def test_composition(self, d, i1, j1, i2, j2):
-        lhs = rope_matrix(i1, j1, d) @ rope_matrix(i2, j2, d)
-        rhs = rope_matrix(i1 + i2, j1 + j2, d)
-        assert np.abs(lhs - rhs).max() <= 1e-12
+        k = np.random.Generator(np.random.PCG64(seed)).standard_normal(d)
+        errors = rope_errors(build_rope(32, 32, d), a, b, shift, q, k)
+        assert errors["rope.norm_preservation"] <= 1e-9
+        assert errors["rope.relative_shift_invariance"] <= 1e-9
+        assert errors["rope.composition"] <= 1e-12

@@ -19,6 +19,7 @@ from evprune.saliency import (
     quantile_mask,
     retained_count,
 )
+from evprune.verify import check_mask_laws
 
 
 @st.composite
@@ -183,37 +184,11 @@ class TestQuantileMask:
         assert mask.bits.ravel().tolist() == [1, 1, 1, 0, 0, 0]
 
     @settings(deadline=None, max_examples=120)
-    @given(score_grids(), st.floats(0, 1, allow_nan=False))
-    def test_cardinality_exact(self, smap, tau):
-        mask = quantile_mask(smap, tau)
-        assert mask.k == retained_count(tau, smap.counts.size)
-        assert mask.k == int(mask.bits.sum())
-
-    @settings(deadline=None, max_examples=80)
-    @given(score_grids(), st.floats(0, 1, allow_nan=False),
-           st.floats(0, 1, allow_nan=False))
-    def test_nesting_in_tau(self, smap, t1, t2):
-        t1, t2 = min(t1, t2), max(t1, t2)
-        m1 = quantile_mask(smap, t1)
-        m2 = quantile_mask(smap, t2)
-        assert np.all(m1.bits <= m2.bits)
-
-    @settings(deadline=None, max_examples=80)
-    @given(score_grids(), st.floats(0, 1, allow_nan=False))
-    def test_threshold_consistency(self, smap, tau):
-        mask = quantile_mask(smap, tau)
-        kept = mask.bits.astype(bool)
-        if 0 < mask.k < kept.size:
-            assert smap.counts[kept].min() >= smap.counts[~kept].max()
-
-    @settings(deadline=None, max_examples=80)
-    @given(score_grids(), st.floats(0, 1, allow_nan=False),
+    @given(score_grids(), st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False),
            st.floats(0.001, 1000, allow_nan=False))
-    def test_positive_scale_invariance(self, smap, tau, c):
-        scaled = EventFrame(smap.counts * c)
-        assert np.array_equal(
-            quantile_mask(smap, tau).bits, quantile_mask(scaled, tau).bits
-        )
+    def test_mask_laws(self, smap, t1, t2, scale):
+        lower, upper = (quantile_mask(smap, tau) for tau in sorted((t1, t2)))
+        assert check_mask_laws(smap, lower, upper, scale) is None
 
 
 def blank_patches_loop(image, mask, p, fill):
