@@ -62,9 +62,9 @@ Simulation emits at most MAX_SIMULATED_EVENTS events per frame pair; the
 total is checked before any per-event array is allocated. Its events come
 in time order, then in raster order of their pixel, then in order of k for
 a pixel that emits several at one timestamp: the order a stable sort by
-time gives to events emitted pixel by pixel in raster order. Accumulation
-counts at most MAX_FRAME_PIXELS sensor pixels, and resizing makes at most
-that many cells, each checked before the counts are allocated.
+time gives to events emitted pixel by pixel in raster order. Simulated
+frames and accumulated sensors hold at most MAX_FRAME_PIXELS pixels, and
+resizing makes at most that many cells, each checked before allocating.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -96,11 +96,11 @@ _INT64_MAX = np.iinfo(np.int64).max
 # yields 6908 events.
 MAX_SIMULATED_EVENTS = 2**24
 
-# Upper bound on width * height for accumulate, checked before the per-pixel
-# counts exist. A frame at the cap (4096 x 4096) holds int64 counts and then
-# their float64 copy, 128 MiB each; EVT1's u16 header fields alone would allow
-# 4.3G pixels. ``check_cells`` applies the same cap to every other grid- or
-# table-sized allocation.
+# Upper bound on width * height for simulate_events' frames and accumulate's
+# sensor, checked before any frame-sized array exists. A frame at the cap
+# (4096 x 4096) holds int64 counts and then their float64 copy, 128 MiB each;
+# EVT1's u16 header fields alone would allow 4.3G pixels. ``check_cells``
+# applies the same cap to every other grid- or table-sized allocation.
 MAX_FRAME_PIXELS = 2**24
 
 
@@ -504,21 +504,23 @@ def simulate_events(
     with log guard g = 1e-3. The pixel emits n events whose polarity is
     the sign of the log difference, timestamped k * duration_us // n for
     k = 0..n-1 (evenly spaced in [0, duration_us)). Deterministic; equal
-    frames produce the empty stream. Raises ValidationError when the total
-    would exceed MAX_SIMULATED_EVENTS.
+    frames produce the empty stream. Frames over MAX_FRAME_PIXELS pixels and
+    a total over MAX_SIMULATED_EVENTS raise ValidationError.
 
     The events come in time order, then raster order of their pixel, then
     k order, and are built in that order: the pixels are bucketed by count,
     the few (count, k) pairs are sorted by timestamp, and each pair's bucket
-    is laid out in turn; no per-event array is sorted by time. Below 2**31
-    pixels, per-event indices are int32, and timestamps are uint16 when
+    is laid out in turn; no per-event array is sorted by time. Under the
+    two caps every per-event index is int32, and timestamps are uint16 when
     duration_us is at most 0xFFFF; only the pixel index that the column
     gathers read, and the permutation of the sort that orders pairs sharing
     a timestamp, are native-int (intp), which a gather takes unconverted.
     """
-    a, b = (real_array(f, "frames", 2).astype(np.float64, copy=False) for f in (frame_a, frame_b))
+    a, b = (real_array(f, "frames", 2) for f in (frame_a, frame_b))
     if a.shape != b.shape:
         raise ValidationError(f"frame shapes differ: {a.shape} vs {b.shape}")
+    check_cells(a.size, f"frame {a.shape[1]}x{a.shape[0]}")
+    a, b = (f.astype(np.float64, copy=False) for f in (a, b))
     real = isinstance(contrast, numbers.Real) and not isinstance(contrast, bool)
     try:
         threshold = float(contrast) if real else np.nan  # the divisor a Fraction would give
@@ -554,11 +556,9 @@ def simulate_events(
     if total == 0:
         return EventStream(a.shape[1], a.shape[0], *[np.zeros(0, dtype=np.int64)] * 4)
 
-    # Every index below (of a pixel, event, bucket or pair) is below the
-    # larger of these two.
-    index = np.int32 if max(a.size, int(total)) < 2**31 else np.int64
-    # The emitting pixels in raster order: `owner` is an index into these.
-    pixel = np.flatnonzero(n > 0).astype(index)
+    # The emitting pixels in raster order (`owner` indexes these). Every index
+    # below, of a pixel, event, bucket or pair, is under a 2**24 cap: int32.
+    pixel = np.flatnonzero(n > 0).astype(np.int32)
     y, x = np.divmod(pixel, a.shape[1])
     sign = np.where(dlog[pixel] >= 0, np.int8(1), np.int8(-1))
     per = n[pixel]
@@ -566,7 +566,7 @@ def simulate_events(
 
     # The pixels bucketed by count, in raster order within a bucket: one
     # stable sort, a radix sort when the key fits 16 bits.
-    key = per.astype(np.uint16 if per.max() <= 0xFFFF else index)
+    key = per.astype(np.uint16 if per.max() <= 0xFFFF else np.int32)
     del per
     # Native-int (intp), so that no gather below converts it or its copies.
     by_count = np.argsort(key, kind="stable")
@@ -581,7 +581,7 @@ def simulate_events(
     # computed without an int64 overflow of k * duration. A bucket of count
     # c has c pairs, so there are at most as many pairs as events, and
     # usually far fewer.
-    bucket = np.repeat(np.arange(counts.size, dtype=index), counts)
+    bucket = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
     k = np.arange(bucket.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
     count = counts[bucket]
     q, r = np.divmod(duration_us, count)
@@ -596,8 +596,8 @@ def simulate_events(
     # Each pair's bucket laid out in turn: event i of a pair whose bucket
     # starts at s is pixel by_count[s + i].
     size = bucket_size[bucket]
-    at = np.repeat((bucket_start[bucket] - (np.cumsum(size) - size)).astype(index), size)
-    at += np.arange(at.size, dtype=index)
+    at = np.repeat((bucket_start[bucket] - (np.cumsum(size) - size)).astype(np.int32), size)
+    at += np.arange(at.size, dtype=np.int32)
     owner = by_count[at]
     del at, by_count
     t = np.repeat(pair_t, size)

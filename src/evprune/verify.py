@@ -2,10 +2,9 @@
 
 Each check function is the one written form of a law the toolkit can
 test without pretrained weights. The seeded suites behind ``evprune
-verify`` call every one. The acceptance tests and the module tests call
-``rope_errors``, ``check_mask_laws``, ``packed_oracle_error`` and
-``check_events_roundtrip`` too, the module tests on hypothesis-drawn
-inputs where their module draws them. Exact laws return an
+verify`` call every one, and so do the module tests, on hypothesis-drawn
+inputs where their module draws them; the acceptance tests call four on
+their own cases. No test restates a law by hand. Exact laws return an
 ``(invariant, detail)`` violation or ``None``; numeric laws return the
 measured error and leave the bound to the caller.
 
@@ -252,19 +251,22 @@ def _pack_case(rng: np.random.Generator, fault: bool) -> Violation | None:
 
 
 def _encoder_case(rng: np.random.Generator, fault: bool, side: int, case: int) -> Violation | None:
+    """Odd cases merge 2 x 2 cells and compare the outputs of ``merge_project``."""
     patches = encoder.patchify(rng.random((side * 2, side * 2)), 2)
     scores = events.EventFrame(rng.random((side, side)))
-    mask = saliency.quantile_mask(scores, (0.25, 0.5, 0.75)[case % 3])
-    d_model = 32 if case % 2 else 16
+    merge = 1 + case % 2
+    mask = saliency.quantile_mask(scores, (0.25, 0.5, 0.75)[case % 3], merge)
     config = encoder.EncoderConfig(
-        patch_size=2, channels=1, d_model=d_model, n_layers=2, n_heads=2,
-        mlp_ratio=2.0, merge_size=1, d_out=d_model, seed=int(rng.integers(2**31)))
+        patch_size=2, channels=1, d_model=16 * merge, n_layers=2, n_heads=2,
+        mlp_ratio=2.0, merge_size=merge, d_out=16 * merge, seed=int(rng.integers(2**31)))
     weights = encoder.init_weights(config)
     rope = rope2d.build_rope(side, side, config.head_dim)
     got = encoder.encode_packed(packing.pack_patches(patches, mask), rope, weights, config)
     want = encoder.encode_masked_dense_oracle(patches, rope, mask, weights, config)
     if fault:
         got = packing.PackedSequence(got.tokens * (1 + 1e-4), got.kept, got.origin_grid)
+    if merge > 1:
+        got, want = (encoder.merge_project(out, config, weights) for out in (got, want))
     return _within({"encoder.packed_equals_masked_dense": packed_oracle_error(got, want)})
 
 
@@ -295,7 +297,7 @@ def _suites(full: bool) -> dict[str, tuple]:
         "pack.roundtrip": (_pack_case, seeds(50_000, 20, 60)),
         "encoder.equivalence": (_encoder_case, [
             (60_000 + 100 * side * side + case, side, case)
-            for side in ((8, 16) if full else (4, 8)) for case in range(6 if full else 4)]),
+            for side in ((8, 24) if full else (4, 24)) for case in range(6 if full else 4)]),
         "costmodel.laws": (_cost_case, seeds(70_000, 15, 40)),
     }
 

@@ -20,6 +20,7 @@ from evprune.packing import pack_patches
 from evprune.ppm import read_ppm, to_gray01, write_ppm
 from evprune.rope2d import build_rope
 from evprune.saliency import mask_from_text, patch_scores, quantile_mask
+from evprune.verify import max_rel_err
 
 from conftest import (
     SCENE, VALID_ENCODER, VALID_PROFILE, kv_documents, near_valid_bytes, square_scene,
@@ -103,6 +104,17 @@ class TestSimulate:
                            "--contrast", contrast, "--duration-us", "10", "--out", str(out))
         assert code == 1
         assert "contrast" in err
+        assert not out.exists()
+
+    def test_frames_beyond_the_pixel_cap_exit_1_and_no_output(self, square_pair, tmp_path,
+                                                              capsys, monkeypatch):
+        # such a pair was simulated, and only mask refused its sensor
+        out = tmp_path / "x.evt1"
+        monkeypatch.setattr(events, "MAX_FRAME_PIXELS", SCENE * SCENE - 1)
+        code, _, err = run(capsys, "simulate", str(square_pair[0]), str(square_pair[1]),
+                           "--contrast", "0.3", "--duration-us", "10", "--out", str(out))
+        assert code == 1
+        assert f"frame {SCENE}x{SCENE} exceeds MAX_FRAME_PIXELS" in err
         assert not out.exists()
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
@@ -355,8 +367,7 @@ class TestEncode:
                        "--out", str(out))[0] == 0
         packed = read_features(out_p.read_bytes())
         oracle = read_features(out_o.read_bytes())
-        rel = np.abs(packed - oracle) / np.maximum(np.abs(oracle), 1e-9)
-        assert rel.max() <= 1e-5
+        assert max_rel_err(packed, oracle) <= 1e-5
 
     def test_gray_config_encodes_the_gray_image(self, square_events, tmp_path, capsys):
         image, evt = square_events

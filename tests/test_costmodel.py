@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evprune.costmodel import (
@@ -21,6 +21,7 @@ from evprune.errors import FormatError, ValidationError
 from evprune.events import EventFrame
 from evprune.packing import pack_patches
 from evprune.saliency import quantile_mask, retained_count
+from evprune.verify import check_cost_laws
 
 
 def toy_profile(d_vit=64, d_llm=128, merge=1):
@@ -42,11 +43,6 @@ def report_with_total(macs):
 
 
 class TestEstimate:
-    def test_zero_workload_is_zero_cost(self):
-        report = estimate(toy_profile(), WorkloadSpec(0, 0, 0.5, 0, 0))
-        assert report.macs == 0 and report.flops == 0
-        assert all(v == 0 for v in report.breakdown.values())
-
     def test_closed_form_recomputation(self):
         prof = toy_profile()
         work = WorkloadSpec(image_height=32, image_width=24, tau=0.25,
@@ -122,13 +118,23 @@ class TestEstimate:
         with pytest.raises(ValidationError):
             estimate(prof, WorkloadSpec(36, 32, 0.5, 0, 0))  # 9x8 grid
 
-    def test_monotonic_in_dropped_fraction(self):
-        prof = toy_profile()
-        taus = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-        costs = [
-            estimate(prof, WorkloadSpec(64, 64, t, 7, 3)).macs for t in taus
-        ]
-        assert all(a > b for a, b in zip(costs, costs[1:]))
+    @settings(deadline=None, max_examples=100)
+    @given(st.sampled_from((1, 2)), st.integers(0, 20), st.integers(0, 20),
+           st.floats(0, 1), st.floats(0, 1), st.integers(0, 100), st.integers(0, 30))
+    @example(1, 0, 0, 0.5, 0.5, 0, 0)
+    @example(1, 16, 16, 0.0, 0.2, 7, 3)
+    @example(1, 16, 16, 0.2, 0.4, 7, 3)
+    @example(1, 16, 16, 0.4, 0.6, 7, 3)
+    @example(1, 16, 16, 0.6, 0.8, 7, 3)
+    @example(1, 16, 16, 0.8, 1.0, 7, 3)
+    def test_cost_laws(self, merge, cell_rows, cell_cols, t1, t2, text, decode):
+        """MACs fall as the dropped fraction rises, and nothing costs nothing."""
+        profile = toy_profile(merge=merge)
+        side = 4 * merge  # pixels per merge cell
+        works = [WorkloadSpec(cell_rows * side, cell_cols * side, tau, text, decode)
+                 for tau in sorted((t1, t2))]
+        reports = [estimate(profile, work) for work in works]
+        assert check_cost_laws(profile, works, reports) is None
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 20), st.integers(0, 20), st.floats(0, 1),

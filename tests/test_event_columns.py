@@ -176,6 +176,28 @@ class TestColumns:
         assert len(stream) > 150_000
         assert (peak - held) / len(stream) < 0.5
 
+    def test_csv_read_peaks_within_12_bytes_per_input_byte(self):
+        """At its peak the canonical CSV parse holds the decoded text, its ASCII
+        bytes and their translated copy (a byte each), the byte masks (a byte
+        each), and the int64 separator offsets, field lengths and values (each
+        about 2 bytes per input byte at some 16 bytes a row). A 50k-event file
+        peaked at 11.1 bytes per input byte, 175 per event."""
+        rng = np.random.default_rng(17)
+        t = np.sort(rng.integers(0, 33_000, 50_000))
+        x, y = rng.integers(0, 640, t.size), rng.integers(0, 480, t.size)
+        p = rng.choice([-1, 1], t.size)
+        blob = ("# width 640\n# height 480\nt_us,x,y,polarity\n" + "".join(
+            f"{row[0]},{row[1]},{row[2]},{row[3]}\n"
+            for row in np.column_stack([t, x, y, p]).tolist())).encode("ascii")
+        tracemalloc.start()
+        try:
+            stream = read_events_csv(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == 50_000
+        assert peak / len(blob) <= 12
+
 
 def domain_reference(width, height, events):
     """The stream's domain checks as a per-event loop over Python ints: the
@@ -324,6 +346,24 @@ class TestSimulateColumns:
         monkeypatch.setattr(events, "MAX_SIMULATED_EVENTS", 2 * per_pixel - 1)
         with pytest.raises(ValidationError, match="MAX_SIMULATED_EVENTS"):
             simulate_events(a, b, 0.5, 100)
+
+    def test_pixel_cap_checked_before_any_frame_sized_temporary(self, monkeypatch):
+        """Frames over MAX_FRAME_PIXELS are refused before their float64 copies;
+        the simulator once converted them first and refused only their sensor,
+        in ``accumulate``."""
+        a, b = np.zeros((64, 64), dtype=np.uint8), np.ones((64, 64), dtype=np.uint8)
+        monkeypatch.setattr(events, "MAX_FRAME_PIXELS", 64 * 64)
+        assert len(simulate_events(a, b, 0.5, 100)) > 0
+        monkeypatch.setattr(events, "MAX_FRAME_PIXELS", 64 * 64 - 1)
+        monkeypatch.setattr(events.np, "log", None)  # never reached
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="frame 64x64 exceeds MAX_FRAME_PIXELS"):
+                simulate_events(a, b, 0.5, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.size
 
     def test_infinite_count_rejected_without_warning(self):
         a, b = np.zeros((1, 2)), np.ones((1, 2))

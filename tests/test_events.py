@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evprune.errors import FormatError, ValidationError
@@ -17,7 +17,7 @@ from evprune.events import (
     simulate_events,
     write_events_bin,
 )
-from evprune.verify import check_events_roundtrip
+from evprune.verify import check_accumulate, check_events_roundtrip
 
 from conftest import as_tuples, stream_of
 
@@ -163,23 +163,15 @@ class TestBinary:
 
 
 class TestAccumulate:
-    def test_counts_per_pixel(self):
-        stream = stream_of(2, 2, (0, 1, 1, 1), (1, 1, 1, -1), (2, 1, 1, 1), (3, 0, 0, 1))
-        frame = accumulate(stream, 0, 4)
-        assert frame.counts[1, 1] == 3
-        assert frame.counts[0, 0] == 1
-
-    def test_empty_window_is_zero(self):
-        frame = accumulate(stream_of(2, 2, (5, 0, 0, 1)), 5, 5)
-        assert frame.total() == 0
-
-    def test_no_polarity_cancellation(self):
-        frame = accumulate(stream_of(1, 1, (0, 0, 0, 1), (1, 0, 0, -1)), 0, 2)
-        assert frame.counts[0, 0] == 2
-
-    def test_window_bounds_half_open(self):
-        stream = stream_of(1, 1, (3, 0, 0, 1), (7, 0, 0, 1))
-        assert accumulate(stream, 3, 7).counts[0, 0] == 1
+    @settings(deadline=None, max_examples=60)
+    @given(streams(), st.integers(-100, 5100), st.integers(-100, 5100))
+    @example(stream_of(2, 2, (0, 1, 1, 1), (1, 1, 1, -1), (2, 1, 1, 1), (3, 0, 0, 1)), 0, 4)
+    @example(stream_of(2, 2, (5, 0, 0, 1)), 5, 5)
+    @example(stream_of(1, 1, (0, 0, 0, 1), (1, 0, 0, -1)), 0, 2)
+    @example(stream_of(1, 1, (3, 0, 0, 1), (7, 0, 0, 1)), 3, 7)
+    def test_accumulate_laws(self, stream, a, b):
+        t0, t1 = sorted((a, b))
+        assert check_accumulate(stream, t0, t1, accumulate(stream, t0, t1)) is None
 
     def test_rejects_inverted_window(self):
         with pytest.raises(ValidationError):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evprune.errors import ValidationError
@@ -11,6 +11,7 @@ from evprune.packing import (
     unpack_scatter,
 )
 from evprune.saliency import PatchMask, quantile_mask, retained_count
+from evprune.verify import check_pack
 
 
 def mask_of(bits_2d):
@@ -166,24 +167,15 @@ class TestPackPatches:
 
 
 class TestUnpackScatter:
-    def test_roundtrip_with_all_ones(self):
-        tokens = np.arange(8.0).reshape(4, 2)
-        packed = pack_patches(tokens, mask_of([[1, 1], [1, 1]]))
-        assert np.array_equal(unpack_scatter(packed, np.zeros(2)), tokens)
-
-    def test_pack_of_unpack_is_identity(self):
-        tokens = np.arange(8.0).reshape(4, 2)
-        mask = mask_of([[1, 0], [0, 1]])
-        packed = pack_patches(tokens, mask)
-        dense = unpack_scatter(packed, np.full(2, -5.0))
-        again = pack_patches(dense, mask)
-        assert np.array_equal(again.tokens, packed.tokens)
-        assert np.array_equal(again.kept, packed.kept)
-
-    def test_empty_packed_gives_all_fill(self):
-        packed = pack_patches(np.ones((4, 3)), mask_of([[0, 0], [0, 0]]))
-        dense = unpack_scatter(packed, np.array([7.0, 8.0, 9.0]))
-        assert np.array_equal(dense, np.tile([7.0, 8.0, 9.0], (4, 1)))
+    @settings(deadline=None, max_examples=100)
+    @given(token_grids(), st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6))
+    @example((np.arange(8.0).reshape(4, 2), mask_of([[1, 1], [1, 1]])), [0.0] * 6)
+    @example((np.arange(8.0).reshape(4, 2), mask_of([[1, 0], [0, 1]])), [-5.0] * 6)
+    @example((np.ones((4, 3)), mask_of([[0, 0], [0, 0]])), [7.0, 8.0, 9.0] * 2)
+    def test_scatter_laws(self, case, fill):
+        tokens, mask = case
+        fill = np.array(fill[:tokens.shape[1]])
+        assert check_pack(tokens, mask, pack_patches(tokens, mask), fill) is None
 
     @pytest.mark.parametrize("grid", [(2**40, 2**40), (2**12 + 1, 2**12)])
     def test_rejects_a_grid_beyond_the_pixel_cap_before_allocating(self, grid):

@@ -157,3 +157,19 @@ def test_the_package_names_no_proc_file():
             found += [f"{path.name}:{node.lineno}"] if node.value.startswith("/proc/") else []
     assert strings > 100  # the scan sees the package's other strings
     assert found == []
+
+
+def test_each_verify_law_is_called_by_a_module_test():
+    """A module test calls each law ``evprune.verify`` writes instead of
+    restating it; ``tests/test_verify.py``, which breaks the laws on
+    purpose, does not count."""
+    named = {"rope_errors", "packed_oracle_error", "max_rel_err"}
+    laws = {node.name for _, node in nodes([REPO / "src" / "evprune" / "verify.py"])
+            if isinstance(node, ast.FunctionDef) and node.col_offset == 0
+            and (node.name.startswith("check_") or node.name in named)}
+    called = set()
+    for path, node in nodes(REPO.joinpath("tests").glob("test_*.py")):
+        if isinstance(node, ast.Call) and path.name != "test_verify.py":
+            called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+    assert len(laws) == 8  # the scan sees verify's laws
+    assert sorted(laws - called) == []
