@@ -43,6 +43,13 @@ def report_with_total(macs):
 
 
 class TestEstimate:
+    def test_zero_workload_is_zero_cost(self):
+        """``check_cost_laws`` checks the empty workload's MACs; its FLOPs and
+        every breakdown term are zero too."""
+        report = estimate(toy_profile(), WorkloadSpec(0, 0, 0.5, 0, 0))
+        assert report.macs == 0 and report.flops == 0
+        assert all(v == 0 for v in report.breakdown.values())
+
     def test_closed_form_recomputation(self):
         prof = toy_profile()
         work = WorkloadSpec(image_height=32, image_width=24, tau=0.25,

@@ -166,12 +166,17 @@ class TestAccumulate:
     @settings(deadline=None, max_examples=60)
     @given(streams(), st.integers(-100, 5100), st.integers(-100, 5100))
     @example(stream_of(2, 2, (0, 1, 1, 1), (1, 1, 1, -1), (2, 1, 1, 1), (3, 0, 0, 1)), 0, 4)
-    @example(stream_of(2, 2, (5, 0, 0, 1)), 5, 5)
     @example(stream_of(1, 1, (0, 0, 0, 1), (1, 0, 0, -1)), 0, 2)
     @example(stream_of(1, 1, (3, 0, 0, 1), (7, 0, 0, 1)), 3, 7)
     def test_accumulate_laws(self, stream, a, b):
         t0, t1 = sorted((a, b))
         assert check_accumulate(stream, t0, t1, accumulate(stream, t0, t1)) is None
+
+    def test_empty_window_is_zero(self):
+        stream = stream_of(2, 2, (5, 0, 0, 1))
+        frame = accumulate(stream, 5, 5)
+        assert frame.total() == 0
+        assert check_accumulate(stream, 5, 5, frame) is None
 
     def test_rejects_inverted_window(self):
         with pytest.raises(ValidationError):

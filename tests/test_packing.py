@@ -171,10 +171,14 @@ class TestUnpackScatter:
     @given(token_grids(), st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6))
     @example((np.arange(8.0).reshape(4, 2), mask_of([[1, 1], [1, 1]])), [0.0] * 6)
     @example((np.arange(8.0).reshape(4, 2), mask_of([[1, 0], [0, 1]])), [-5.0] * 6)
-    @example((np.ones((4, 3)), mask_of([[0, 0], [0, 0]])), [7.0, 8.0, 9.0] * 2)
     def test_scatter_laws(self, case, fill):
         tokens, mask = case
         fill = np.array(fill[:tokens.shape[1]])
+        assert check_pack(tokens, mask, pack_patches(tokens, mask), fill) is None
+
+    def test_empty_packed_gives_all_fill(self):
+        tokens, mask = np.ones((4, 3)), mask_of([[0, 0], [0, 0]])
+        fill = np.array([7.0, 8.0, 9.0])
         assert check_pack(tokens, mask, pack_patches(tokens, mask), fill) is None
 
     @pytest.mark.parametrize("grid", [(2**40, 2**40), (2**12 + 1, 2**12)])
