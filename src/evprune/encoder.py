@@ -70,8 +70,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -304,14 +307,38 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarra
     return out
 
 
-def _gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """0.5 x (1 + erf(x / sqrt 2)), into ``out`` (not ``x`` itself) when given."""
-    # Imported here: scipy.special takes most of the package's import time,
-    # and only the encoder's forward and merge need it.
+# The extension module that holds scipy's erf ufunc.
+_ERF_EXTENSION = "scipy.special._special_ufuncs"
+
+
+@functools.cache
+def _erf():
+    """scipy's erf ufunc, loaded on first use from its own extension module.
+
+    ``import scipy.special`` would also load scipy's array-API shim, which
+    clones numpy: about 200 ms and 24 MiB that the GELU does not need. The
+    extension registers itself in ``sys.modules`` under its full name, so
+    ``scipy.special.erf is _erf()`` in either import order. Without the
+    extension, or without ``erf`` in it (older scipy keeps erf in a module
+    that imports the package), scipy.special is imported as a whole."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is not None:
+        special = [str(Path(path) / "special") for path in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(_ERF_EXTENSION, special)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if hasattr(module, "erf"):
+                return module.erf
     from scipy.special import erf
 
+    return erf
+
+
+def _gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 x (1 + erf(x / sqrt 2)), into ``out`` (not ``x`` itself) when given."""
     out = np.divide(x, np.sqrt(2.0), out=out)
-    erf(out, out=out)
+    _erf()(out, out=out)
     out += 1.0
     out *= x
     out *= 0.5

@@ -103,7 +103,7 @@ def run(lanes: int, lane) -> None:
     all have reached it; no step waits for another lane. Each step runs under
     this thread's numpy error state, read once here. The error of a round's
     first failing lane, in lane order, is raised here."""
-    # Imported on first use, like scipy.special in the encoder's GELU, which loads it too.
+    # Imported on first use, like scipy's erf extension in the encoder's GELU.
     from concurrent.futures import ThreadPoolExecutor
 
     errors = np.geterr()

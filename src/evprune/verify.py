@@ -9,7 +9,9 @@ their own cases. No test restates a law by hand. Exact laws return an
 measured error and leave the bound to the caller.
 
 A suite replays checks over seeded cases and names the first violated
-invariant with the seed that reproduces it. Its ``fault`` hook corrupts
+invariant with the seed that reproduces it; a case that raises
+ValidationError or FormatError violates ``<suite>.case_raises_nothing``,
+with the error in the detail. Its ``fault`` hook corrupts
 one output, or the rotary table, of every case, so the first case the
 corruption changes must trip the suite.
 """
@@ -315,7 +317,10 @@ def run_suites(full: bool = False, inject_fault: str | None = None) -> list[Suit
     for name, (case_fn, cases) in suites.items():
         for seed, *params in cases:
             rng = np.random.Generator(np.random.PCG64(seed))
-            violation = case_fn(rng, name == inject_fault, *params)
+            try:
+                violation = case_fn(rng, name == inject_fault, *params)
+            except (ValidationError, FormatError) as exc:
+                violation = (f"{name}.case_raises_nothing", f"{type(exc).__name__}: {exc}")
             if violation is not None:
                 failure = VerificationFailure(violation[0], seed, violation[1])
                 results.append(SuiteResult(name, 0, failure))

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evprune import cli, encoder, events, lanes
+from evprune import cli, encoder, events, lanes, verify
 from evprune.cli import main
 from evprune.encoder import (encode_packed, init_weights, load_encoder_config, merge_project,
                              patchify)
+from evprune.errors import ValidationError
 from evprune.events import accumulate, read_events_bin, resize_to, write_events_bin
 from evprune.featio import read_features, write_features
 from evprune.packing import pack_patches
@@ -750,6 +751,18 @@ class TestVerify:
         assert "FAIL saliency.mask" in stdout
         assert "repro seed" in stdout
 
+    def test_a_case_that_raises_exits_3_naming_suite_and_seed(self, capsys, monkeypatch):
+        def raises(rng, fault, side, case):
+            raise ValidationError("kept coordinates must be strictly raster-increasing")
+
+        monkeypatch.setattr(verify, "_encoder_case", raises)
+        code, stdout, _ = run(capsys, "verify", "--quick")
+        assert code == 3
+        assert ("FAIL encoder.equivalence: encoder.equivalence.case_raises_nothing "
+                "(repro seed 61600): ValidationError: kept coordinates must be strictly "
+                "raster-increasing\n") in stdout
+        assert "passed 6 of 7 suites" in stdout
+
 
 class TestParser:
     def test_shared_parser_is_reentrant(self, square_pair, tmp_path, capsys, monkeypatch):
@@ -819,16 +832,17 @@ class TestEntryPoint:
         assert "evprune" in proc.stdout
 
     def test_simulate_loads_no_scipy(self, square_pair, tmp_path):
-        """scipy.special is imported by the encoder's GELU alone, the lanes'
-        thread pool by the forward, and BLAS's thread-count setter is looked
-        up by a forward alone, so importing the CLI and running simulate and
-        then mask leave scipy and concurrent.futures unloaded and the setter
-        unresolved."""
+        """scipy's erf extension is loaded by the encoder's GELU alone, the
+        lanes' thread pool by the forward, and BLAS's thread-count setter is
+        looked up by a forward alone, so importing the CLI and running simulate
+        and then mask load no scipy module and no concurrent.futures and leave
+        the setter unresolved."""
         script = ("import sys\n"
                   "from evprune import cli, lanes\n"
-                  "unloaded = {'scipy', 'concurrent.futures'}\n"
                   "def untouched(when):\n"
-                  "    assert not unloaded & sys.modules.keys(), when\n"
+                  "    loaded = [name for name in sys.modules\n"
+                  "              if name.startswith('scipy') or name == 'concurrent.futures']\n"
+                  "    assert loaded == [], (when, loaded)\n"
                   "    assert lanes._blas_threads.cache_info().currsize == 0, when\n"
                   "untouched('after import')\n"
                   "simulate, mask = sys.argv[1:10], sys.argv[10:]\n"
@@ -845,6 +859,25 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert evt.stat().st_size > 0 and (tmp_path / "m.txt").stat().st_size > 0
+
+    def test_encode_loads_the_erf_extension_not_scipy_special(self, square_events, tmp_path):
+        """A packed and a dense encode load scipy's erf extension module alone:
+        neither scipy.special nor scipy's array-API shim under scipy._lib."""
+        image, evt = square_events
+        script = ("import sys\n"
+                  "from evprune import cli\n"
+                  "for mode in ('packed', 'dense'):\n"
+                  "    assert cli.main([*sys.argv[1:], '--mode', mode]) == 0, mode\n"
+                  "assert 'scipy.special._special_ufuncs' in sys.modules\n"
+                  "loaded = {'scipy.special', 'scipy._lib'} & sys.modules.keys()\n"
+                  "assert loaded == set(), loaded\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "encode", str(image), str(evt), "--tau", "0.5",
+             "--config", str(write_encoder_config(tmp_path / "enc.cfg")),
+             "--out", str(tmp_path / "f.bin")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("n_tokens=") == 2
 
     def test_a_one_lane_encode_gives_blas_its_count_back(self, square_events, tmp_path):
         """With BLAS pinned to one thread, a one-lane packed encode (32 tokens,

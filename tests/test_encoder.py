@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import gc
 import math
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -333,6 +335,51 @@ class TestLayerNorm:
         assert encoder._layer_norm(x, gamma, beta).tobytes() == want.tobytes()
 
 
+class TestErf:
+    """The GELU's erf is scipy's own ufunc, loaded from its extension module."""
+
+    EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300, -1e-300,
+             6.0, -6.0, 27.0, -27.0]
+
+    def test_it_is_scipy_specials_erf_bit_for_bit(self):
+        import scipy.special
+
+        assert encoder._erf() is scipy.special.erf
+        draw = np.random.default_rng(39).normal(0.0, 1.5, 10**6)
+        for x in (np.array(self.EDGES), draw):
+            assert np.array_equal(encoder._erf()(x).view(np.uint64),
+                                  scipy.special.erf(x).view(np.uint64))
+        want = (scipy.special.erf(draw / np.sqrt(2.0)) + 1.0) * draw * 0.5
+        assert np.array_equal(_gelu(draw).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("first", ["scipy.special", "encoder"])
+    def test_it_is_scipy_specials_erf_in_either_import_order(self, first):
+        script = ("import sys\n"
+                  "if sys.argv[1] == 'scipy.special':\n"
+                  "    import scipy.special\n"
+                  "from evprune import encoder\n"
+                  "erf = encoder._erf()\n"
+                  "import scipy.special\n"
+                  "assert erf is scipy.special.erf\n")
+        proc = subprocess.run([sys.executable, "-c", script, first],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("extension", ["scipy.special._no_such_extension",
+                                           "scipy.special._comb"])
+    def test_without_the_extension_or_its_erf_scipy_special_is_imported(
+            self, monkeypatch, extension):
+        """A scipy without the extension, or whose extension holds no erf."""
+        import scipy.special
+
+        monkeypatch.setattr(encoder, "_ERF_EXTENSION", extension)
+        encoder._erf.cache_clear()
+        try:
+            assert encoder._erf() is scipy.special.erf
+        finally:
+            encoder._erf.cache_clear()
+
+
 class TestInitWeights:
     def test_same_seed_is_bit_identical(self):
         config = small_config(seed=123)
@@ -621,7 +668,7 @@ class TestPackedVsOracle:
         the 32 MiB of one (heads, n, n) float64 array."""
         config = small_config(d_model=32, n_heads=4, n_layers=1)
         patches, rope, weights = random_setup(32, 32, config, seed=23)
-        encode_dense(patches, rope, weights, config)  # imports scipy.special untraced
+        encode_dense(patches, rope, weights, config)  # loads scipy's erf extension untraced
         tracemalloc.start()
         try:
             encode_dense(patches, rope, weights, config)

@@ -147,6 +147,30 @@ def test_the_encoder_imports_no_scheduling_module():
     assert imported & scheduling == set()
 
 
+def test_scipy_special_is_imported_by_the_erf_fallback_alone():
+    """Importing scipy.special also loads scipy's array-API shim, so the
+    package imports it in one place: ``encoder._erf``'s fallback for a scipy
+    whose erf extension it cannot load."""
+    def loads_special(node):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            return False
+        return any(name == "scipy.special" or name.startswith("scipy.special.")
+                   for name in names)
+
+    found = [f"{path.name}:{node.lineno}"
+             for path, node in nodes((REPO / "src" / "evprune").rglob("*.py"))
+             if loads_special(node)]
+    erf = next(node for _, node in nodes([REPO / "src" / "evprune" / "encoder.py"])
+               if isinstance(node, ast.FunctionDef) and node.name == "_erf")
+    fallback = [f"encoder.py:{node.lineno}" for node in ast.walk(erf) if loads_special(node)]
+    assert len(fallback) == 1  # the scan sees the fallback
+    assert found == fallback
+
+
 def test_the_package_names_no_proc_file():
     """BLAS's thread count comes from the library numpy links, not from a
     file under ``/proc``."""

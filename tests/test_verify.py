@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evprune import costmodel, events, packing, saliency, verify
-from evprune.errors import ValidationError
+from evprune.errors import FormatError, ValidationError
 from evprune.events import EventFrame
 from evprune.verify import check_mask_laws, run_suites, suite_names
 
@@ -56,6 +56,25 @@ class TestRunSuites:
         assert (broken.failure.invariant, broken.failure.seed) == FAULTS[suite]
         others = [r for name, r in results.items() if name != suite]
         assert all(r.passed for r in others)
+
+    @pytest.mark.parametrize("error", [ValidationError, FormatError])
+    def test_a_case_that_raises_fails_its_suite_at_its_seed(self, monkeypatch, error):
+        """A case that raises is reported as its suite's failure at the seed
+        that reproduces it, and the other suites still run."""
+        calls = iter(range(100))
+
+        def third_raises(rng, fault):
+            if next(calls) == 2:
+                raise error("kept coordinates must be strictly raster-increasing")
+            return None
+
+        monkeypatch.setattr(verify, "_pack_case", third_raises)
+        results = {r.name: r for r in run_suites(full=False)}
+        failure = results["pack.roundtrip"].failure
+        assert (failure.invariant, failure.seed) == ("pack.roundtrip.case_raises_nothing", 50002)
+        assert failure.detail == (
+            f"{error.__name__}: kept coordinates must be strictly raster-increasing")
+        assert [name for name, r in results.items() if not r.passed] == ["pack.roundtrip"]
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.07, 0.3 + 0.1])
