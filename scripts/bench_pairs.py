@@ -3,7 +3,12 @@
 Pair i runs ``framebench/run.py --workload W --seed SEED_BASE+i --seconds S
 --trace 0`` from the base tree and from the change tree, one after the
 other; which side runs first alternates from pair to pair. Each run's
-end-to-end metrics are printed as it finishes. The summary gives, per
+end-to-end metrics are printed as it finishes, and after them its
+wall-clock ``frame_p50_s`` from the ``wall`` block of the run's record.
+The metrics' times are reference seconds, rescaled by framebench's
+calibrator, which can move when the program did not; the wall-clock
+times show such a move. They are not judged: the summary ends with each
+side's median of them. The summary gives, per
 metric, each side's median and quartiles, the change's relative move and
 the pairs it won (strictly better, per BENCHMARK.json's ``better``; ties
 count for neither). ``gain`` is yes when the change won at least nine
@@ -29,16 +34,20 @@ from pathlib import Path
 from evprune.errors import integer, real
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
-    """One framebench run from ``tree``: its end-to-end metric values by name."""
+def run_bench(tree: Path, workload: str, seed: int, seconds: float,
+              smoke: bool) -> tuple[dict, float]:
+    """One framebench run from ``tree``: its end-to-end metric values by name,
+    and its wall-clock ``frame_p50_s`` from the run's record, the second-to-last
+    line of its output."""
     cmd = [sys.executable, str(tree / "framebench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd + (["--smoke"] if smoke else []), cwd=tree,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-3000:]}")
-    summary = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {name: m["value"] for name, m in summary["metrics"].items()}
+    record, summary = map(json.loads, proc.stdout.strip().splitlines()[-2:])
+    return ({name: m["value"] for name, m in summary["metrics"].items()},
+            record["wall"]["frame_p50_s"])
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -82,14 +91,18 @@ def main(argv: list[str] | None = None) -> int:
 
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {"base": [], "change": []}
+    wall: dict[str, list[float]] = {"base": [], "change": []}
     for i in range(args.pairs):
         seed = args.seed_base + i
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            metrics = run_bench(sides[side], args.workload, seed, args.seconds, args.smoke)
+            metrics, wall_p50 = run_bench(sides[side], args.workload, seed, args.seconds,
+                                          args.smoke)
             runs[side].append(metrics)
+            wall[side].append(wall_p50)
             values = " ".join(f"{m['name']}={metrics[m['name']]:.6g}" for m in declared)
-            print(f"pair {i} seed {seed} {side}: {values}", flush=True)
+            print(f"pair {i} seed {seed} {side}: {values} wall frame_p50_s={wall_p50:.6g}",
+                  flush=True)
 
     print(f"\n{args.workload}, {args.pairs} pairs, {args.seconds:g} s runs")
     print(f"{'metric':<14} {'unit':<6} {'base median [q1, q3]':<28} "
@@ -107,6 +120,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{f'{c_med:.4g} [{c1:.4g}, {c3:.4g}]':<28} {move:>+8.1%} "
               f"{f'{wins}/{args.pairs}':>6}  {'yes' if gain else 'no':<4}  "
               f"{held(base, change, m['better'], m['bound'])}")
+    print("\nwall-clock frame_p50_s, not judged: "
+          + ", ".join(f"{side} median {statistics.median(wall[side]):.4g} s" for side in wall))
     return 0
 
 

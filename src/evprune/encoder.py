@@ -43,12 +43,17 @@ different lengths (packed versus masked-dense) or different block shapes
 agree to rounding, not bit for bit.
 
 The forward runs in lanes (``lanes`` module). A lane owns a contiguous
-share of the token rows, a contiguous run of the attention blocks and a
-tile of its own. It yields after a layer's layer norm, Q/K/V projections
-and rotation of its rows, and again after its attention blocks, which
-read every row's keys and values; the out projection, MLP and residuals
-of its rows follow, and the next layer starts on those rows, so two
-yields per layer suffice.
+run of the attention blocks, the token rows of those blocks and a tile of
+its own. It embeds its rows, and in each layer it yields once, after the
+layer norm, Q/K/V projections and rotation of its rows, since its
+attention blocks read every row's keys and values. The out projection,
+MLP and residuals of its rows then read only attention results that its
+own blocks wrote, and the next layer's projections follow without a wait.
+With more than one lane, keys and values take two buffers, one for even
+and one for odd layers: a lane writes layer L+1's into the buffer that
+other lanes are not reading for layer L, and it writes layer L+2's only
+after every lane has passed layer L+1's yield, so has finished reading
+layer L's. A forward of n_layers layers runs n_layers + 1 rounds.
 
 The block boundaries are those of one lane, fixed by (n, heads), because
 a block's shape sets its summation order; a lane's matmuls run over
@@ -391,35 +396,50 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
     n, nh, dh = len(tokens), config.n_heads, config.head_dim
     rows = _block_rows(n, nh)
     starts = range(0, n, rows)
+    h = np.empty((n, config.d_model))
+
+    def embed(own: slice) -> np.ndarray:
+        """The rows ``own`` of ``h``, embedded: ``tokens @ w_embed + b_embed``, bit for bit."""
+        x = np.matmul(tokens[own], weights.w_embed, out=h[own])
+        x += weights.b_embed
+        return x
+
     with lanes.held(len(starts)) as count, _fails_on_overflow("encoder forward"):
-        h = tokens @ weights.w_embed + weights.b_embed
         if not len(positions[out]):  # no query row; with no key kept, softmax would be 0/0
+            embed(slice(None))  # so that an embedding that overflows still raises
             return PackedSequence(h[out], positions[out], grid)
         scale = 1.0 / np.sqrt(dh)
         drop = None if key_keep is None else ~key_keep
-        # Shared by the lanes and reused by every layer: rotated queries and
-        # keys, values, and the attention result, with head-major views
-        # (heads, n_q, d_h), (heads, d_h, n_k), (heads, n_k, d_h).
-        q, k, v, mixed = (np.empty((n, nh, dh)) for _ in range(4))
-        qh, kh, vh = q.transpose(1, 0, 2), k.transpose(1, 2, 0), v.transpose(1, 0, 2)
-        v_rows, mixed_rows = v.reshape(n, nh * dh), mixed.reshape(n, nh * dh)
+        # Shared by the lanes. q holds the rotated queries, and then the
+        # attention result: a block reads its query rows before it writes
+        # the same rows, and no other block touches them. With more than one
+        # lane, kv holds two pairs of keys and values, for even and odd
+        # layers, so that a lane writes the next layer's while other lanes
+        # still read this layer's; one lane needs one pair.
+        # Head-major views: queries (heads, n_q, d_h), keys (heads, d_h, n_k),
+        # values (heads, n_k, d_h).
+        q, kv = np.empty((n, nh, dh)), np.empty((min(count, 2), 2, n, nh, dh))
+        qh, q_rows = q.transpose(1, 0, 2), q.reshape(n, nh * dh)
 
         def lane(i: int):
-            own = slice(i * n // count, (i + 1) * n // count)
-            x, pos = h[own], positions[own]
+            mine = starts[i * len(starts) // count: (i + 1) * len(starts) // count]
+            own = slice(mine[0], min(mine[-1] + rows, n))
+            x, pos = embed(own), positions[own]
             # The tile is flat so that a short last block is still one
             # contiguous (heads, rows, n) array.
             tile = np.empty(nh * rows * n)
             up = np.empty((len(x), config.mlp_hidden))
             act = np.empty_like(up)
-            for lw in weights.layers:
+            for layer, lw in enumerate(weights.layers):
+                k, v = kv[layer % len(kv)]
+                kh, vh = k.transpose(1, 2, 0), v.transpose(1, 0, 2)
                 a = _layer_norm(x, lw.ln1_gamma, lw.ln1_beta)
                 np.multiply(apply_rope_many(rope, pos, (a @ lw.wq).reshape(-1, nh, dh)), scale,
                             out=q[own])
                 k[own] = apply_rope_many(rope, pos, (a @ lw.wk).reshape(-1, nh, dh))
-                np.matmul(a, lw.wv, out=v_rows[own])
+                np.matmul(a, lw.wv, out=v.reshape(n, nh * dh)[own])
                 yield True
-                for start in starts[i * len(starts) // count: (i + 1) * len(starts) // count]:
+                for start in mine:
                     stop = min(start + rows, n)
                     logits = tile[: nh * (stop - start) * n].reshape(nh, stop - start, n)
                     np.matmul(qh[:, start:stop], kh, out=logits)
@@ -428,9 +448,8 @@ def _forward(tokens: np.ndarray, positions: np.ndarray, grid: tuple[int, int], r
                     logits -= logits.max(axis=-1, keepdims=True)
                     np.exp(logits, out=logits)
                     np.divide(logits @ vh, logits.sum(axis=-1, keepdims=True),
-                              out=mixed[start:stop].transpose(1, 0, 2))
-                yield True
-                x += mixed_rows[own] @ lw.wo
+                              out=qh[:, start:stop])
+                x += q_rows[own] @ lw.wo
                 a2 = _layer_norm(x, lw.ln2_gamma, lw.ln2_beta)
                 np.matmul(a2, lw.w_up, out=up)
                 up += lw.b_up

@@ -11,9 +11,9 @@ decides, over the CPUs of the process's affinity mask:
   blocks, and at least 1; a BLAS on every CPU (its default), without a
   getter or without a positive count gives one lane. With one block a
   lane, the lane with the short last block idles at the end of every
-  layer's attention round: at n = 308 (blocks of 212 and 96 rows) two
-  lanes spread the frame tail across benchmark runs about six times as
-  wide as one lane on a shared 2-CPU machine.
+  layer's round: at n = 308 (blocks of 212 and 96 rows) two lanes spread
+  the frame tail across benchmark runs about six times as wide as one
+  lane on a shared 2-CPU machine.
 - BLAS: a one-lane forward on fewer BLAS threads than CPUs raises the
   count to the CPUs for the whole call, the embedding and every layer,
   and restores it when the call ends, whether it returns or raises. A
@@ -24,7 +24,9 @@ decides, over the CPUs of the process's affinity mask:
 ``run`` steps the lanes, generators that yield where every lane must
 finish a step before any starts the next, in rounds of a thread pool:
 lane 0 on the calling thread, the others on pool threads, any of which
-may resume any lane, each step under the caller's numpy error state.
+may resume any lane, each step under the caller's numpy error state. A
+forward's lanes yield once per layer, after its queries, keys and
+values, so a round attends over one layer and projects the next.
 The pool's threads end before ``run`` returns, and one lane starts no
 thread.
 """

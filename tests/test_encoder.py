@@ -585,13 +585,17 @@ class TestOneForwardPath:
         ("width", "patch dim 7 != embedding input 12"),
         ("rope", "rotary table dimension 4 != head dimension 8"),
         ("grid", r"token grid \(2, 2\) != rope extent \(2, 3\)"),
+        ("overflow", "encoder forward overflows float64"),
     ])
     def test_empty_mask_oracle_checks_its_input(self, fault, match):
-        # with nothing kept the oracle returned no rows before any check ran
+        # with nothing kept the oracle returned no rows before any check ran;
+        # no lane runs, but every row is still embedded
         config = small_config()
         patches, rope, weights = random_setup(2, 2, config, seed=15)
         if fault == "nan":
             patches[1, 2] = np.nan
+        elif fault == "overflow":
+            patches = np.full_like(patches, 1e308)
         elif fault == "width":
             patches = patches[:, :7]
         elif fault == "rope":

@@ -58,8 +58,8 @@ class TestLanes:
 
     SIDE = 30  # n = 900: seven attention blocks at small_config's tile, so 3 lanes
 
-    def case(self, seed):
-        config = small_config()
+    def case(self, seed, **config):
+        config = small_config(**config)
         patches, rope, weights = random_setup(self.SIDE, self.SIDE, config, seed=seed)
         scores = np.random.Generator(np.random.PCG64(seed)).random((self.SIDE, self.SIDE))
         return config, patches, rope, weights, quantile_mask(EventFrame(scores), 0.5)
@@ -144,7 +144,12 @@ class TestLanes:
     def test_an_error_in_one_lane_reaches_the_caller(self, monkeypatch, lanes, failing, call):
         config, patches, rope, weights, _ = self.case(32)
         n = self.SIDE**2
-        first = divmod(failing * n // lanes, self.SIDE)  # the lane's first position
+        set_lanes(monkeypatch, lanes)
+        rows = encoder._block_rows(n, config.n_heads)
+        blocks = -(-n // rows)
+        with scheduling.held(blocks) as count:
+            first_block = failing * blocks // count
+        first = divmod(first_block * rows, self.SIDE)  # the lane's first position
         rotate, calls = encoder.apply_rope_many, []
 
         def fail_in_one_lane(table, positions, v):
@@ -154,7 +159,6 @@ class TestLanes:
                     raise ValidationError(f"lane {failing} fails")
             return rotate(table, positions, v)
 
-        set_lanes(monkeypatch, lanes)
         monkeypatch.setattr(encoder, "apply_rope_many", fail_in_one_lane)
         before = threading.active_count()
         with pytest.raises(ValidationError, match=f"lane {failing} fails"):
@@ -164,6 +168,91 @@ class TestLanes:
         again = encode_dense(patches, rope, weights, config).tokens
         set_lanes(monkeypatch, 1)
         assert again.tobytes() == encode_dense(patches, rope, weights, config).tokens.tobytes()
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_lanes_stepped_in_turn_give_the_one_lane_bits(self, monkeypatch, lanes):
+        """In place of ``run``, one thread steps each lane to its ``yield`` before
+        the next starts, in lane order and then in reverse, round by round. A
+        lane that wrote a layer's keys and values while another lane still read
+        the layer before's would change that lane's bits."""
+        config, patches, rope, weights, mask = self.case(38)
+        runs = (lambda: encode_dense(patches, rope, weights, config),
+                lambda: encode_masked_dense_oracle(patches, rope, mask, weights, config))
+        set_lanes(monkeypatch, 1)
+        want = [run().tokens.tobytes() for run in runs]
+        seen = []
+
+        def in_turn(count, lane):
+            seen.append(count)
+            steps = [lane(i) for i in range(count)]
+            while any([next(step, False) for step in steps]):
+                steps.reverse()
+
+        monkeypatch.setattr(scheduling, "run", in_turn)
+        set_lanes(monkeypatch, lanes)
+        assert [run().tokens.tobytes() for run in runs] == want
+        assert seen == [lanes, lanes]
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    def test_a_forward_takes_one_round_per_layer_and_one_more(self, monkeypatch, lanes,
+                                                               n_layers):
+        """Lanes wait for each other once a layer, after its queries, keys and
+        values: one round embeds and projects layer 0, each later round
+        attends over one layer and projects the next, and the last attends
+        over the last layer."""
+        config, patches, rope, weights, mask = self.case(39, n_layers=n_layers)
+        rounds, run_lanes = [], scheduling.run
+
+        def run_counting_rounds(count, lane):
+            rounds.append(1)  # the round in which the lanes end
+
+            def counted(i):
+                for step in lane(i):
+                    rounds[-1] += i == 0
+                    yield step
+
+            run_lanes(count, counted)
+
+        monkeypatch.setattr(scheduling, "run", run_counting_rounds)
+        set_lanes(monkeypatch, lanes)
+        encode_dense(patches, rope, weights, config)
+        encode_masked_dense_oracle(patches, rope, mask, weights, config)
+        assert rounds == [n_layers + 1] * 2
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    @pytest.mark.parametrize("block_rows", [None, 1, 7, 100])
+    def test_each_lane_rotates_the_rows_of_its_own_blocks(self, monkeypatch, lanes, block_rows):
+        """A lane's rows run from the first row of its first attention block
+        to the last row of its last, so its out projection reads only results
+        its own blocks wrote; the lanes' rows differ by at most one block."""
+        config, patches, rope, weights, _ = self.case(45)
+        n = self.SIDE**2
+        if block_rows is not None:
+            monkeypatch.setattr(encoder, "_TILE_BYTES", block_rows * 8 * config.n_heads * n)
+        rows = encoder._block_rows(n, config.n_heads)
+        starts = range(0, n, rows)
+        set_lanes(monkeypatch, lanes)
+        with scheduling.held(len(starts)) as count:
+            assert count == lanes
+        owned = []
+        for i in range(count):
+            mine = starts[i * len(starts) // count: (i + 1) * len(starts) // count]
+            owned.append((mine[0], min(mine[-1] + rows, n)))
+        rotate, spans = encoder.apply_rope_many, []
+
+        def record_rows(table, positions, v):
+            row, col = positions[0]
+            spans.append((row * self.SIDE + col, len(positions)))
+            return rotate(table, positions, v)
+
+        monkeypatch.setattr(encoder, "apply_rope_many", record_rows)
+        encode_dense(patches, rope, weights, config)
+        assert sorted(spans) == sorted((start, stop - start) for start, stop in owned
+                                       for _ in range(2 * config.n_layers))
+        assert {start for start, _ in spans} <= set(starts)
+        sizes = [stop - start for start, stop in owned]
+        assert max(sizes) - min(sizes) <= rows
 
     def test_a_thread_that_cannot_start_releases_the_started_lanes(self, monkeypatch):
         config, patches, rope, weights, _ = self.case(34)
@@ -371,7 +460,7 @@ class TestBlasOnIdleCpus:
 
     def test_concurrent_forwards_keep_their_counts_and_bits(self, monkeypatch, blas):
         """Two threads each of a one-lane packed forward (450 rows, two blocks)
-        and of a three-lane dense one (300 rows a lane), with a short switch
+        and of a three-lane dense one (two or three blocks a lane), with a short switch
         interval: every dense rotation runs at the count BLAS had, every
         packed one at the raised count, each forward returns the bits it
         returns alone, and BLAS ends at the count it started with."""

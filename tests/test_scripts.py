@@ -40,8 +40,15 @@ def test_bench_pairs_smoke(tmp_path):
                       "--pairs", "1", "--smoke", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert sum(line.startswith("pair 0 seed 0 ") for line in lines) == 2
-    table = {line.split()[0]: line for line in lines[lines.index("") + 3:]}
+    runs = [line.split() for line in lines if line.startswith("pair 0 seed 0 ")]
+    assert [run[4] for run in runs] == ["base:", "change:"]
+    assert all(run[-2] == "wall" and run[-1].startswith("frame_p50_s=") for run in runs)
+    wall = [float(run[-1].removeprefix("frame_p50_s=")) for run in runs]
+    assert all(p50 > 0 for p50 in wall)
+    first, last = lines.index(""), len(lines) - 1 - lines[::-1].index("")
+    assert lines[last + 1:] == ["wall-clock frame_p50_s, not judged: "
+                                f"base median {wall[0]:.4g} s, change median {wall[1]:.4g} s"]
+    table = {line.split()[0]: line for line in lines[first + 3:last]}
     assert set(table) == {"frames_per_s", "frame_p50_s", "frame_tail_s", "setup_s",
                           "peak_rss_mib", "ok_frac"}
     assert table["ok_frac"].split()[2] == "1"
